@@ -19,6 +19,7 @@ from .structures import (
     gaifman,
     is_irreducible,
     qf_type,
+    realisation_set,
     satisfies_class,
 )
 from .catalog import class_by_name, structure_by_name
@@ -32,7 +33,6 @@ from .generators import (
 from .partitionlab import (
     Colouring,
     Partition,
-    basic_open_set,
     colour_copy_search,
     min_embedding_colouring,
     named_partition,

@@ -27,12 +27,7 @@ from .ksets import (
     find_sunflower_copies,
     verify_witness,
 )
-from .partitionlab import (
-    basic_open_set,
-    min_embedding_colouring,
-    named_partition,
-    partition_report,
-)
+from .partitionlab import min_embedding_colouring, named_partition, partition_report
 from .ramsey import (
     GenerationError,
     gen_witness_hypergraph,
@@ -40,7 +35,7 @@ from .ramsey import (
     is_counterexample_tuple,
     witness_adversary,
 )
-from .structures import BudgetExceeded, check_3dap_over_empty
+from .structures import BudgetExceeded, check_3dap_over_empty, realisation_set
 from .witness import (
     ExtractionFailed,
     build_witness_chain,
@@ -70,11 +65,17 @@ class _Run:
         self.outputs = []
         self.t0 = time.time()
 
-    def read_json(self, path: str):
+    def load(self, decode, path: str, *extra):
+        """Read a JSON input, record its hash and decode it; a document of
+        the wrong shape is bad input, reported as a ValueError."""
         data = Path(path).read_bytes()
         self.inputs.append({"path": str(path),
                             "sha256": hashlib.sha256(data).hexdigest()})
-        return json.loads(data)
+        try:
+            return decode(json.loads(data), *extra)
+        except (TypeError, AttributeError, KeyError, IndexError) as e:
+            raise ValueError(
+                f"{path}: malformed JSON ({type(e).__name__}: {e})") from e
 
     def write(self, name: str, payload) -> Path:
         path = self.out / name
@@ -103,13 +104,13 @@ class _Run:
 
 def _load_class(run: _Run, spec: str):
     if spec.startswith("@"):
-        return jsonio.classspec_from_json(run.read_json(spec[1:]))
+        return run.load(jsonio.classspec_from_json, spec[1:])
     return catalog.class_by_name(spec)
 
 
 def _load_structure(run: _Run, spec: str):
     if spec.startswith("@"):
-        return jsonio.structure_from_json(run.read_json(spec[1:]))
+        return run.load(jsonio.structure_from_json, spec[1:])
     return catalog.structure_by_name(spec)
 
 
@@ -133,7 +134,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_partition(args) -> int:
     run = _Run("partition", args)
-    S = jsonio.structure_from_json(run.read_json(args.structure))
+    S = run.load(jsonio.structure_from_json, args.structure)
     P = named_partition(S, args.scheme, args.anchor)
     run.write("partition.json", jsonio.partition_to_json(P))
     if args.klass:
@@ -149,19 +150,19 @@ def _cmd_partition(args) -> int:
 
 def _cmd_open_set(args) -> int:
     run = _Run("open-set", args)
-    S = jsonio.structure_from_json(run.read_json(args.structure))
-    p = jsonio.qftype_from_json(run.read_json(args.type))
+    S = run.load(jsonio.structure_from_json, args.structure)
+    p = run.load(jsonio.qftype_from_json, args.type)
     params = [int(x) for x in args.params.split(",")] if args.params else []
-    vertices = basic_open_set(S, params, p)
+    vertices = realisation_set(S, params, p)
     run.write("open_set.json", {"vertices": vertices})
     return run.finish(EXIT_OK)
 
 
 def _cmd_min_colouring(args) -> int:
     run = _Run("min-colouring", args)
-    S = jsonio.structure_from_json(run.read_json(args.structure))
-    A = jsonio.structure_from_json(run.read_json(args.pattern))
-    p = jsonio.qftype_from_json(run.read_json(args.type))
+    S = run.load(jsonio.structure_from_json, args.structure)
+    A = run.load(jsonio.structure_from_json, args.pattern)
+    p = run.load(jsonio.qftype_from_json, args.type)
     res = min_embedding_colouring(S, A, p)
     run.write("colouring.json", jsonio.colouring_to_json(res.colouring))
     run.write("min_colouring.json", {
@@ -174,8 +175,8 @@ def _cmd_min_colouring(args) -> int:
 
 def _cmd_encode(args) -> int:
     run = _Run("encode", args)
-    S = jsonio.structure_from_json(run.read_json(args.structure))
-    chi = jsonio.colouring_from_json(run.read_json(args.colouring))
+    S = run.load(jsonio.structure_from_json, args.structure)
+    chi = run.load(jsonio.colouring_from_json, args.colouring)
     P = encode_colouring(S, chi)
     run.write("presentation.json", jsonio.presentation_to_json(P))
     return run.finish(EXIT_OK)
@@ -183,8 +184,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_sunflower_check(args) -> int:
     run = _Run("sunflower-check", args)
-    S = jsonio.structure_from_json(run.read_json(args.structure))
-    P = jsonio.presentation_from_json(run.read_json(args.presentation), S)
+    S = run.load(jsonio.structure_from_json, args.structure)
+    P = run.load(jsonio.presentation_from_json, args.presentation, S)
     B = _load_structure(run, args.target)
     certs = find_sunflower_copies(P, B, limit=args.limit)
     run.write("certificates.json",
@@ -195,7 +196,7 @@ def _cmd_sunflower_check(args) -> int:
 def _cmd_enumerate(args) -> int:
     run = _Run("enumerate-presentations", args)
     if args.structure:
-        C = jsonio.structure_from_json(run.read_json(args.structure))
+        C = run.load(jsonio.structure_from_json, args.structure)
     else:
         C = catalog.pure_set(args.size)
     try:
@@ -219,7 +220,7 @@ def _cmd_verify_witness(args) -> int:
     if args.c_size is not None:
         C = catalog.pure_set(args.c_size)
     else:
-        C = jsonio.structure_from_json(run.read_json(args.witness))
+        C = run.load(jsonio.structure_from_json, args.witness)
     try:
         verdict = verify_witness(C, B, args.k, mode=args.mode,
                                  trials=args.trials, seed=args.seed or 0,
@@ -253,7 +254,7 @@ def _cmd_hypergraph(args) -> int:
             return run.finish(EXIT_PIPELINE)
         run.write("hypergraph.json", jsonio.hypergraph_to_json(H))
         return run.finish(EXIT_OK)
-    H = jsonio.hypergraph_from_json(run.read_json(args.input))
+    H = run.load(jsonio.hypergraph_from_json, args.input)
     if args.action == "girth":
         g = hypergraph_girth(H, cap=args.cap)
         run.write("girth.json", {"girth": None if g == float("inf") else g,
@@ -270,8 +271,11 @@ def _cmd_hypergraph(args) -> int:
         if result is None:
             run.write("adversary.json", {"counterexample": None})
             return run.finish(EXIT_OK)
+        if not is_counterexample_tuple(H, result):
+            run.write("error.json",
+                      {"error": "adversary result failed re-validation"})
+            return run.finish(EXIT_PIPELINE)
         payload = [[list(block) for block in partition] for partition in result]
-        assert is_counterexample_tuple(H, result)
         run.write("adversary.json", {"counterexample": payload})
         return run.finish(EXIT_COUNTEREXAMPLE)
     raise AssertionError(args.action)
@@ -279,7 +283,7 @@ def _cmd_hypergraph(args) -> int:
 
 def _cmd_paste(args) -> int:
     run = _Run("paste", args)
-    H = jsonio.hypergraph_from_json(run.read_json(args.hypergraph))
+    H = run.load(jsonio.hypergraph_from_json, args.hypergraph)
     B = _load_structure(run, args.target)
     K = _load_class(run, args.klass)
     pasted = paste(H, B, K)
@@ -301,10 +305,10 @@ def _cmd_build_witness(args) -> int:
 
 def _cmd_extract(args) -> int:
     run = _Run("extract", args)
-    chain = jsonio.chain_from_json(run.read_json(args.chain))
+    chain = run.load(jsonio.chain_from_json, args.chain)
     level = args.level or chain.k
     base = chain.levels[level - 1].structure
-    P = jsonio.presentation_from_json(run.read_json(args.presentation), base)
+    P = run.load(jsonio.presentation_from_json, args.presentation, base)
     try:
         cert, trace = extract_sunflower(chain, P, level)
     except ExtractionFailed as e:
@@ -321,10 +325,10 @@ def _cmd_extract(args) -> int:
 
 def _cmd_verify_trace(args) -> int:
     run = _Run("verify-trace", args)
-    chain = jsonio.chain_from_json(run.read_json(args.chain))
+    chain = run.load(jsonio.chain_from_json, args.chain)
     base = chain.top()
-    P = jsonio.presentation_from_json(run.read_json(args.presentation), base)
-    trace = jsonio.trace_from_json(run.read_json(args.trace))
+    P = run.load(jsonio.presentation_from_json, args.presentation, base)
+    trace = run.load(jsonio.trace_from_json, args.trace)
     ok = replay_trace(chain, P, trace)
     run.write("trace_verdict.json", {"replay_ok": ok})
     return run.finish(EXIT_OK if ok else EXIT_COUNTEREXAMPLE)
@@ -332,10 +336,10 @@ def _cmd_verify_trace(args) -> int:
 
 def _cmd_verify_cert(args) -> int:
     run = _Run("verify-cert", args)
-    S = jsonio.structure_from_json(run.read_json(args.structure))
-    P = jsonio.presentation_from_json(run.read_json(args.presentation), S)
+    S = run.load(jsonio.structure_from_json, args.structure)
+    P = run.load(jsonio.presentation_from_json, args.presentation, S)
     B = _load_structure(run, args.target)
-    cert = jsonio.cert_from_json(run.read_json(args.cert), B, S)
+    cert = run.load(jsonio.cert_from_json, args.cert, B, S)
     ok = verify_certificate(cert, B, P)
     run.write("cert_verdict.json", {"valid": ok})
     return run.finish(EXIT_OK if ok else EXIT_COUNTEREXAMPLE)
@@ -372,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sunlab",
         description="sunflower search workbench for finite relational structures")
-    top.add_argument("--threads", type=int, default=1,
-                     help="parallelism hint recorded in the manifest")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -512,3 +514,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

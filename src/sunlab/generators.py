@@ -192,6 +192,10 @@ def _orbit_options(cur: Structure, checker: _ClassChecker, orbit_key,
 def admissible_extensions(S: Structure, K: ClassSpec) -> Iterator[Structure]:
     """All extensions of S by a fresh vertex that stay in K, one per
     admissible atomic diagram, in deterministic orbit-lexicographic order."""
+    # structures.one_point_extensions enumerates the same diagrams unpruned
+    # and stays separate: this walk is complete only for classes whose invalid
+    # windows stay invalid under later additions, that one for any class
+    # (@file classes too), so check-3dap on such classes relies on it.
     v = S.size
     start = Structure(S.signature, v + 1, S.relations)
     orbits = _extension_orbits(S.signature, v)

@@ -278,18 +278,7 @@ def colour_copy_search(S: Structure, chi: Colouring, B: Structure) -> CopySearch
 
 
 # ---------------------------------------------------------------------------
-# Basic open sets and the least-embedding colouring
-
-
-def basic_open_set(S: Structure, params: Sequence[int], p: QfType) -> list[int]:
-    """All vertices outside the parameters realising p over them."""
-    A = tuple(params)
-    if len(A) != p.nparams:
-        raise ValueError("malformed type: parameter count mismatch")
-    for _, pat in p.positives:
-        if any(j >= len(A) for j in pat):
-            raise ValueError("malformed type: pattern out of range")
-    return realisation_set(S, A, p)
+# The least-embedding colouring
 
 
 class MinColouringResult:

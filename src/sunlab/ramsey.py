@@ -177,25 +177,36 @@ def suitable_params_hold(sp: SuitableParams) -> bool:
 # Counting monochromatic part n-sets and heterochromatic transversals
 
 
-def _set_partitions(n: int) -> Iterator[list[list[int]]]:
-    """All set partitions of range(n), by restricted growth strings."""
-    if n == 0:
-        yield []
-        return
+def _iter_rgs(n: int) -> Iterator[list[int]]:
+    """Restricted growth strings of length n in lexicographic order (one
+    list, mutated in place between yields)."""
     rgs = [0] * n
 
     def rec(i, maxval):
         if i == n:
-            blocks: dict[int, list[int]] = {}
-            for x, b in enumerate(rgs):
-                blocks.setdefault(b, []).append(x)
-            yield [blocks[b] for b in sorted(blocks)]
+            yield rgs
             return
         for b in range(maxval + 2):
             rgs[i] = b
             yield from rec(i + 1, max(maxval, b))
 
-    yield from rec(1, 0)
+    if n == 0:
+        yield []
+    else:
+        yield from rec(1, 0)
+
+
+def _blocks(labels) -> list[list[int]]:
+    """The blocks {i : labels[i] == b}, in ascending order of the label b."""
+    blocks: dict = {}
+    for i, b in enumerate(labels):
+        blocks.setdefault(b, []).append(i)
+    return [blocks[b] for b in sorted(blocks)]
+
+
+def _set_partitions(n: int) -> Iterator[list[list[int]]]:
+    """All set partitions of range(n), by restricted growth strings."""
+    return map(_blocks, _iter_rgs(n))
 
 
 def bell_number(n: int) -> int:
@@ -236,16 +247,9 @@ def hetero_transversal_count(parts, colouring) -> int:
         term = 1
         for b in blocks:
             colours = set().union(*(counts[i].keys() for i in b))
-            term *= sum(_prod(counts[i].get(q, 0) for i in b) for q in colours)
+            term *= sum(math.prod(counts[i].get(q, 0) for i in b) for q in colours)
         total += coeff * term
     return total
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 class SuitableCounts:
@@ -272,18 +276,13 @@ def count_suitable(parts, colourings, budget: int = 10 ** 7) -> SuitableCounts:
     mono = [[mono_nset_count(p, chi, n) for p in parts] for chi in colourings]
     hetero = [hetero_transversal_count(parts, chi) for chi in colourings]
 
-    vec_counts = []
-    for p in parts:
-        counts: dict = {}
-        for v in p:
-            vec = tuple(chi[v] for chi in colourings)
-            counts[vec] = counts.get(vec, 0) + 1
-        vec_counts.append(counts)
+    joint = {v: tuple(chi[v] for chi in colourings) for p in parts for v in p}
+    vec_counts = [_colour_counts(p, joint) for p in parts]
 
     joint_mono = [sum(math.comb(c, n) for c in counts.values())
                   for counts in vec_counts]
 
-    total_combos = _prod(len(c) for c in vec_counts)
+    total_combos = math.prod(len(c) for c in vec_counts)
     if total_combos > budget:
         raise BudgetExceeded(f"{total_combos} vector combinations exceed budget")
     joint_hetero = 0
@@ -291,7 +290,7 @@ def count_suitable(parts, colourings, budget: int = 10 ** 7) -> SuitableCounts:
     for combo in itertools.product(*(c.items() for c in vec_counts)):
         vecs = [v for v, _ in combo]
         if all(len({vec[r] for vec in vecs}) == n for r in range(s)):
-            joint_hetero += _prod(cnt for _, cnt in combo)
+            joint_hetero += math.prod(cnt for _, cnt in combo)
     return SuitableCounts(mono, hetero, joint_mono, joint_hetero)
 
 
@@ -404,47 +403,46 @@ def potential_cycle_count(num_vertices: int, n: int, m: int) -> int:
 # Berge girth
 
 
-def _find_cycle_of_length(H: PartitionedHypergraph, m: int) -> Optional[list[frozenset]]:
-    """A Berge cycle with m distinct vertices and m distinct edges, or None.
-    Canonical search order: the first vertex is the least of the cycle."""
+def find_short_cycle(H: PartitionedHypergraph, g: int) -> Optional[list[frozenset]]:
+    """Some Berge cycle of length < g, shortest first, or None.
+
+    A cycle of length m has m distinct vertices and m distinct edges.
+    Canonical search order: lengths ascending, then the first vertex is
+    the least of the cycle, tried in ascending order."""
     edges = sorted(H.edges, key=sorted)
+    members = [sorted(e) for e in edges]
     incident: dict[int, list[int]] = {v: [] for v in H.vertices}
     for idx, e in enumerate(edges):
         for v in e:
             incident[v].append(idx)
 
-    for v0 in H.vertices:
-        path = [v0]
-        used_e: list[int] = []
-        in_path = {v0}
-
-        def rec(cur: int) -> Optional[list[int]]:
-            depth = len(used_e)
-            if depth == m - 1:
-                for ei in incident[cur]:
-                    if ei not in used_e and v0 in edges[ei]:
-                        return used_e + [ei]
-                return None
+    def rec(v0: int, cur: int, m: int, used_e: list[int],
+            in_path: set[int]) -> Optional[list[int]]:
+        if len(used_e) == m - 1:
             for ei in incident[cur]:
-                if ei in used_e:
-                    continue
-                for w in sorted(edges[ei]):
-                    if w in in_path or w <= v0:
-                        continue
-                    path.append(w)
-                    in_path.add(w)
-                    used_e.append(ei)
-                    found = rec(w)
-                    if found is not None:
-                        return found
-                    used_e.pop()
-                    in_path.discard(w)
-                    path.pop()
+                if ei not in used_e and v0 in edges[ei]:
+                    return used_e + [ei]
             return None
+        for ei in incident[cur]:
+            if ei in used_e:
+                continue
+            for w in members[ei]:
+                if w in in_path or w <= v0:
+                    continue
+                in_path.add(w)
+                used_e.append(ei)
+                found = rec(v0, w, m, used_e, in_path)
+                if found is not None:
+                    return found
+                used_e.pop()
+                in_path.discard(w)
+        return None
 
-        res = rec(v0)
-        if res is not None:
-            return [edges[i] for i in res]
+    for m in range(2, g):
+        for v0 in H.vertices:
+            res = rec(v0, v0, m, [], {v0})
+            if res is not None:
+                return [edges[i] for i in res]
     return None
 
 
@@ -453,19 +451,8 @@ def hypergraph_girth(H: PartitionedHypergraph, cap: Optional[int] = None):
     <= cap exists (cap defaults to the trivial maximum)."""
     if cap is None:
         cap = min(len(H.edges), len(H.vertices))
-    for m in range(2, cap + 1):
-        if _find_cycle_of_length(H, m) is not None:
-            return m
-    return math.inf
-
-
-def find_short_cycle(H: PartitionedHypergraph, g: int) -> Optional[list[frozenset]]:
-    """Some Berge cycle of length < g, shortest first, or None."""
-    for m in range(2, g):
-        cyc = _find_cycle_of_length(H, m)
-        if cyc is not None:
-            return cyc
-    return None
+    cyc = find_short_cycle(H, cap + 1)
+    return math.inf if cyc is None else len(cyc)
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +614,8 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     trans = [tuple(pos[v] for v in e) for e in H.transversal_edges()]
     full = (1 << len(trans)) - 1
 
-    def blocks_of(rgs):
-        blocks: dict[int, list[int]] = {}
-        for i, b in enumerate(rgs):
-            blocks.setdefault(b, []).append(verts[i])
-        return tuple(tuple(blocks[b]) for b in sorted(blocks))
+    def blocks_of(labels):
+        return tuple(tuple(verts[i] for i in b) for b in _blocks(labels))
 
     def kill_mask(rgs) -> Optional[int]:
         for e in whole:
@@ -691,20 +675,3 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     while len(partitions) < s:
         partitions.append(partitions[-1])
     return partitions
-
-
-def _iter_rgs(n: int) -> Iterator[list[int]]:
-    rgs = [0] * n
-
-    def rec(i, maxval):
-        if i == n:
-            yield rgs
-            return
-        for b in range(maxval + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(maxval, b))
-
-    if n == 0:
-        yield []
-    else:
-        yield from rec(1, 0)

@@ -179,13 +179,6 @@ class Embedding:
     def __call__(self, v: int) -> int:
         return self.map[v]
 
-    @property
-    def image(self) -> tuple[int, ...]:
-        return self.map
-
-    def is_bijective(self) -> bool:
-        return self.source.size == self.target.size
-
     def __eq__(self, other):
         return (isinstance(other, Embedding) and self.map == other.map
                 and self.source == other.source and self.target == other.target)
@@ -446,10 +439,13 @@ def are_isomorphic(A: Structure, B: Structure) -> Optional[Embedding]:
     """A bijective induced embedding A -> B if one exists, else None.
 
     Deterministic: returns the lexicographically least isomorphism (on the
-    image sequence).  Degree-profile refinement prunes the search.
+    image sequence), so the identity when A == B.  Degree-profile
+    refinement prunes the search.
     """
     if A.signature != B.signature:
         raise SignatureMismatch("isomorphism test needs matching signatures")
+    if A == B:
+        return Embedding(A, B, range(A.size), validate=False)
     if A.size != B.size:
         return None
     for name in A.signature.names:
@@ -459,24 +455,26 @@ def are_isomorphic(A: Structure, B: Structure) -> Optional[Embedding]:
     prof_b = [_vertex_profile(B, v) for v in B.vertices]
     if sorted(prof_a) != sorted(prof_b):
         return None
-
-    def flt(depth, v, partial):
-        return prof_a[depth] == prof_b[v]
-
-    for vmap in _iter_embedding_maps(A, B, candidate_filter=flt):
+    pools = _profile_pools(prof_a, prof_b)
+    for vmap in _iter_embedding_maps(A, B, candidates=pools):
         return Embedding(A, B, vmap, validate=False)
     return None
+
+
+def _profile_pools(prof_a: list, prof_b: list) -> list[list[int]]:
+    """Per source vertex, the sorted target vertices sharing its profile."""
+    by_profile: dict = {}
+    for v, prof in enumerate(prof_b):
+        by_profile.setdefault(prof, []).append(v)
+    return [by_profile[prof] for prof in prof_a]
 
 
 def automorphisms(S: Structure) -> list[Embedding]:
     """All automorphisms (useful for small dedup work only)."""
     prof = [_vertex_profile(S, v) for v in S.vertices]
-
-    def flt(depth, v, partial):
-        return prof[depth] == prof[v]
-
+    pools = _profile_pools(prof, prof)
     return [Embedding(S, S, m, validate=False)
-            for m in _iter_embedding_maps(S, S, candidate_filter=flt)]
+            for m in _iter_embedding_maps(S, S, candidates=pools)]
 
 
 _CANON_MAX = 9
@@ -591,11 +589,9 @@ def satisfies_class_at(S: Structure, K: ClassSpec, v: int) -> bool:
         raise SignatureMismatch("structure/class signature mismatch")
     for F in K.forbidden:
         for anchor in range(F.size):
-            def flt(depth, w, partial, anchor=anchor):
-                if depth == anchor:
-                    return w == v
-                return True
-            for _ in _iter_embedding_maps(F, S, candidate_filter=flt):
+            pools = [None] * F.size
+            pools[anchor] = [v]
+            for _ in _iter_embedding_maps(F, S, candidates=pools):
                 return False
     return True
 
@@ -645,14 +641,8 @@ class QfType:
 
     def transport(self, f: "Embedding | dict | list") -> "QfType":
         """The type with parameters pushed through an embedding or map."""
-        if isinstance(f, Embedding):
-            mapping = f.map
-            new_params = [mapping[a] for a in self.parameters]
-        elif isinstance(f, dict):
-            new_params = [f[a] for a in self.parameters]
-        else:
-            new_params = [f[a] for a in self.parameters]
-        return QfType(new_params, self.positives)
+        mapping = f.map if isinstance(f, Embedding) else f
+        return QfType([mapping[a] for a in self.parameters], self.positives)
 
     def __eq__(self, other):
         return (isinstance(other, QfType)

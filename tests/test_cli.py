@@ -2,6 +2,9 @@
 reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -209,3 +212,46 @@ def test_open_set_command(tmp_path):
                 "--out", str(out)]) == 0
     data = read(out / "open_set.json")
     assert isinstance(data["vertices"], list)
+
+
+def test_adversary_result_is_revalidated(tmp_path, monkeypatch):
+    gen_dir = tmp_path / "h"
+    assert run(["hypergraph", "generate", "--n", "2", "--c", "5", "--seed", "3",
+                "--out", str(gen_dir)]) == 0
+    hyper = read(gen_dir / "hypergraph.json")
+    parts = [set(p) for p in hyper["parts"]]
+    assert any(set(e) <= p for e in hyper["edges"] for p in parts)
+    # one block holding every vertex leaves that within-part edge
+    # monochromatic, so this is no counterexample
+    monkeypatch.setattr("sunlab.cli.witness_adversary",
+                        lambda H, s, **kw: [[tuple(H.vertices)]] * s)
+    out = tmp_path / "adv"
+    assert run(["hypergraph", "adversary", "--input", str(gen_dir / "hypergraph.json"),
+                "--s", "1", "--out", str(out)]) == 4
+    assert "re-validation" in read(out / "error.json")["error"]
+    assert not (out / "adversary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "gen"])
+def test_schema_invalid_json_is_a_usage_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"signature": 5, "size": 3}))
+    if command == "partition":
+        argv = ["partition", "--structure", str(bad), "--scheme", "neighbourhood",
+                "--anchor", "0"]
+    else:
+        argv = ["gen", "--klass", "@" + str(bad), "--size", "4", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed JSON" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("module", ["sunlab", "sunlab.cli"])
+def test_python_dash_m_runs_the_command(module):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: sunlab")

@@ -10,13 +10,12 @@ from sunlab.generators import gen_named
 from sunlab.partitionlab import (
     Colouring,
     Partition,
-    basic_open_set,
     colour_copy_search,
     min_embedding_colouring,
     named_partition,
     partition_report,
 )
-from sunlab.structures import QfType, Structure, embeds, qf_type
+from sunlab.structures import QfType, Structure, embeds, qf_type, realisation_set
 
 
 def test_partition_validation():
@@ -198,7 +197,7 @@ def test_double_equivalence_negative_example():
 def test_basic_open_set_k3():
     k3 = catalog.complete_graph(3)
     p = qf_type(k3, 1, (0,))
-    assert basic_open_set(k3, (0,), p) == [1, 2]
+    assert realisation_set(k3, (0,), p) == [1, 2]
 
 
 def test_basic_open_set_partitions_complement():
@@ -211,7 +210,7 @@ def test_basic_open_set_partitions_complement():
         seen.setdefault(qf_type(S, v, A).positives, []).append(v)
     covered = []
     for positives, members in seen.items():
-        got = basic_open_set(S, A, QfType(A, positives))
+        got = realisation_set(S, A, QfType(A, positives))
         assert got == members
         covered.extend(got)
     assert sorted(covered) == [v for v in range(S.size) if v not in A]
@@ -221,7 +220,7 @@ def test_basic_open_set_out_neighbourhood():
     S = gen_named("local-order", 9, 5)
     arcs = S.relations["E"]
     p = QfType((0,), [("E", (0, -1))])
-    got = basic_open_set(S, (0,), p)
+    got = realisation_set(S, (0,), p)
     assert got == sorted(w for (u, w) in arcs if u == 0)
 
 
@@ -229,7 +228,7 @@ def test_basic_open_set_rejects_malformed():
     k3 = catalog.complete_graph(3)
     p = qf_type(k3, 1, (0,))
     with pytest.raises(ValueError):
-        basic_open_set(k3, (0, 2), p)
+        realisation_set(k3, (0, 2), p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunlab import catalog
 from sunlab.structures import (
@@ -16,6 +18,7 @@ from sunlab.structures import (
     SignatureMismatch,
     Structure,
     are_isomorphic,
+    automorphisms,
     canonical_form,
     check_3dap_over_empty,
     embedding_defect,
@@ -25,6 +28,7 @@ from sunlab.structures import (
     is_irreducible,
     qf_type,
     satisfies_class,
+    satisfies_class_at,
 )
 
 
@@ -170,6 +174,74 @@ def test_are_isomorphic():
     assert are_isomorphic(c5, catalog.path_graph(5)) is None
     ident = are_isomorphic(catalog.pure_set(4), catalog.pure_set(4))
     assert ident.map == (0, 1, 2, 3)
+
+
+# Every distinct signature of the catalog, pure sets included.
+SIGNATURES = sorted({getattr(catalog, n) for n in dir(catalog) if n.endswith("_SIG")},
+                    key=repr)
+ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def structures(draw, sig, min_size=0, max_size=5):
+    size = draw(st.integers(min_size, max_size))
+    rels = {}
+    for name, arity in sig.relations:
+        slots = list(itertools.product(range(size), repeat=arity))
+        rels[name] = draw(st.sets(st.sampled_from(slots))) if slots else ()
+    return Structure(sig, size, rels)
+
+
+@st.composite
+def structure_pairs(draw):
+    """Two structures of one size over a catalog signature; half the time
+    the second is a relabelled copy of the first."""
+    sig = draw(st.sampled_from(SIGNATURES))
+    A = draw(structures(sig))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(A.size)))
+        rels = {n: [tuple(perm[x] for x in t) for t in A.relations[n]]
+                for n in sig.names}
+        return A, Structure(sig, A.size, rels)
+    return A, draw(structures(sig, A.size, A.size))
+
+
+def brute_isomorphisms(A, B):
+    return [p for p in itertools.permutations(range(B.size))
+            if embedding_defect(A, B, p) is None]
+
+
+@ORACLE
+@given(st.sampled_from(SIGNATURES).flatmap(structures))
+def test_automorphisms_match_brute_force(S):
+    assert [a.map for a in automorphisms(S)] == brute_isomorphisms(S, S)
+
+
+@ORACLE
+@given(structure_pairs())
+def test_are_isomorphic_finds_the_least_isomorphism(pair):
+    A, B = pair
+    brute = brute_isomorphisms(A, B)
+    iso = are_isomorphic(A, B)
+    assert (iso is None) == (not brute)
+    if brute:
+        assert iso.map == brute[0]
+
+
+@ORACLE
+@given(st.data())
+def test_satisfies_class_at_matches_brute_force(data):
+    sig = data.draw(st.sampled_from(SIGNATURES))
+    S = data.draw(structures(sig, min_size=1))
+    v = data.draw(st.integers(0, S.size - 1))
+    # induced pieces of S embed somewhere, not always through v
+    pieces = data.draw(st.lists(st.lists(st.integers(0, S.size - 1), min_size=1,
+                                         max_size=3, unique=True), max_size=3))
+    drawn = [S.induced(vs) for vs in pieces]
+    drawn += data.draw(st.lists(structures(sig, 1, 3), max_size=2))
+    K = ClassSpec(sig, [F for F in drawn if is_irreducible(F)])
+    through_v = any(v in img for F in K.forbidden for img in brute_embeddings(F, S))
+    assert satisfies_class_at(S, K, v) == (not through_v)
 
 
 def test_canonical_form_invariant():
@@ -333,6 +405,8 @@ def test_qftype_transport():
     moved = p.transport({0: 1})
     assert moved.parameters == (1,)
     assert moved.positives == p.positives
+    assert p.transport([1]) == moved
+    assert p.transport(Embedding(catalog.complete_graph(1), k3, [1])) == moved
 
 
 # ---------------------------------------------------------------------------
