@@ -5,9 +5,9 @@ the command, parameters, seed, input hashes, output files, versions and
 timings, which is enough to reproduce the run bit for bit.
 
 Exit codes: 0 success or pass, 1 verified counterexample found, 2 usage
-error, 3 budget exceeded, 4 pipeline failure (extraction failed or
-generation gave up), all chosen so CI can tell a genuine counterexample
-from a breakdown.
+error, 3 budget exceeded, 4 pipeline failure (extraction failed,
+generation gave up or hit a dead end, or pasting left the class), all
+chosen so CI can tell a genuine counterexample from a breakdown.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__, catalog, jsonio
-from .generators import gen_generic, gen_named
+from .generators import NoAdmissibleExtension, gen_generic, gen_named
 from .ksets import (
     encode_colouring,
     enumerate_presentations,
@@ -38,6 +38,7 @@ from .ramsey import (
 from .structures import BudgetExceeded, check_3dap_over_empty, realisation_set
 from .witness import (
     ExtractionFailed,
+    InternalConsistencyError,
     build_witness_chain,
     extract_sunflower,
     paste,
@@ -506,6 +507,9 @@ def run(argv=None) -> int:
     except BudgetExceeded:
         return EXIT_BUDGET
     except (ExtractionFailed, GenerationError):
+        return EXIT_PIPELINE
+    except (NoAdmissibleExtension, InternalConsistencyError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_PIPELINE
     except (ValueError, KeyError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

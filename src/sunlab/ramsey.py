@@ -177,23 +177,41 @@ def suitable_params_hold(sp: SuitableParams) -> bool:
 # Counting monochromatic part n-sets and heterochromatic transversals
 
 
-def _iter_rgs(n: int) -> Iterator[list[int]]:
-    """Restricted growth strings of length n in lexicographic order (one
-    list, mutated in place between yields)."""
+def _iter_rgs(n: int, whole=None, trans=None) -> Iterator[tuple[list[int], int]]:
+    """Restricted growth strings of length n in lexicographic order, each
+    with a kill mask (one list, mutated in place between yields).
+
+    Optional per-depth edge lists steer the walk, an edge whose largest
+    vertex is i being listed at depth i by its other vertices: a prefix
+    making an edge of whole[i] monochromatic is dropped with all its
+    completions, and the bit of each (bit, edge) in trans[i] joins the
+    mask once that edge has a repeated label."""
+    whole = whole or [()] * n
+    trans = trans or [()] * n
     rgs = [0] * n
 
-    def rec(i, maxval):
-        if i == n:
-            yield rgs
-            return
+    def rec(i, maxval, mask):
+        bad = set()
+        for e in whole[i]:
+            labels = {rgs[j] for j in e}
+            if len(labels) < 2:  # a one-vertex edge is monochromatic under any label
+                bad.update(labels or range(maxval + 2))
+        kill: dict = {}
+        for bit, e in trans[i]:
+            labels = {rgs[j] for j in e}
+            if len(labels) < len(e):
+                mask |= bit
+            for b in labels:
+                kill[b] = kill.get(b, 0) | bit
         for b in range(maxval + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(maxval, b))
+            if b not in bad:
+                rgs[i] = b
+                if i + 1 == n:
+                    yield rgs, mask | kill.get(b, 0)
+                else:
+                    yield from rec(i + 1, max(maxval, b), mask | kill.get(b, 0))
 
-    if n == 0:
-        yield []
-    else:
-        yield from rec(1, 0)
+    yield from rec(0, -1, 0) if n else [(rgs, 0)]
 
 
 def _blocks(labels) -> list[list[int]]:
@@ -206,7 +224,7 @@ def _blocks(labels) -> list[list[int]]:
 
 def _set_partitions(n: int) -> Iterator[list[list[int]]]:
     """All set partitions of range(n), by restricted growth strings."""
-    return map(_blocks, _iter_rgs(n))
+    return (_blocks(rgs) for rgs, _ in _iter_rgs(n))
 
 
 def bell_number(n: int) -> int:
@@ -389,30 +407,24 @@ def failure_bound(params: GenParams, a: Fraction) -> float:
     return math.exp(x)
 
 
-def potential_cycle_count(num_vertices: int, n: int, m: int) -> int:
-    """Sequences v0 e0 ... v_{m-1} e_{m-1} with distinct vertices and each
-    e_i an n-set containing {v_i, v_{i+1}} (edges may repeat): the
-    expectation-counting universe for short cycles."""
-    perm = 1
-    for j in range(m):
-        perm *= (num_vertices - j)
-    return perm * math.comb(num_vertices - 2, n - 2) ** m
-
-
 # ---------------------------------------------------------------------------
 # Berge girth
 
 
-def find_short_cycle(H: PartitionedHypergraph, g: int) -> Optional[list[frozenset]]:
-    """Some Berge cycle of length < g, shortest first, or None.
+def _short_cycles(vertices, edges, g: int) -> Iterator[list[frozenset]]:
+    """Berge cycles of length < g, in canonical order: lengths ascending,
+    then the first vertex is the least of the cycle, tried in ascending
+    order.  A cycle of length m has m distinct vertices and m distinct edges.
 
-    A cycle of length m has m distinct vertices and m distinct edges.
-    Canonical search order: lengths ascending, then the first vertex is
-    the least of the cycle, tried in ascending order."""
-    edges = sorted(H.edges, key=sorted)
+    Each cycle yielded loses its victim, the edge max(cycle, key=sorted),
+    once the generator is resumed, and the search then continues at the
+    same (length, least vertex).  Deleting an edge only destroys cycles, so
+    nothing earlier in canonical order can appear, and this yields the same
+    cycles as restarting the search from scratch after every deletion."""
+    edges = sorted(edges, key=sorted)
     members = [sorted(e) for e in edges]
-    incident: dict[int, list[int]] = {v: [] for v in H.vertices}
-    for idx, e in enumerate(edges):
+    incident: dict[int, list[int]] = {v: [] for v in vertices}
+    for idx, e in enumerate(members):
         for v in e:
             incident[v].append(idx)
 
@@ -439,11 +451,18 @@ def find_short_cycle(H: PartitionedHypergraph, g: int) -> Optional[list[frozense
         return None
 
     for m in range(2, g):
-        for v0 in H.vertices:
-            res = rec(v0, v0, m, [], {v0})
-            if res is not None:
-                return [edges[i] for i in res]
-    return None
+        for v0 in vertices:
+            while (found := rec(v0, v0, m, [], {v0})) is not None:
+                yield [edges[i] for i in found]
+                victim = max(found)  # the edges are sorted by key=sorted
+                for v in members[victim]:
+                    incident[v].remove(victim)
+
+
+def find_short_cycle(H: PartitionedHypergraph, g: int) -> Optional[list[frozenset]]:
+    """The first Berge cycle of length < g in canonical order (see
+    `_short_cycles`), or None."""
+    return next(_short_cycles(H.vertices, H.edges, g), None)
 
 
 def hypergraph_girth(H: PartitionedHypergraph, cap: Optional[int] = None):
@@ -475,7 +494,8 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
                            ) -> PartitionedHypergraph:
     """Sample an n-uniform hypergraph on n parts of size c with edges drawn
     i.i.d. at p = c^(1-n+eps), then delete one edge per short cycle until
-    the Berge girth reaches g.
+    the Berge girth reaches g.  Each attempt runs one cycle search that
+    resumes after every deletion (`_short_cycles`) instead of restarting.
 
     The theory certifies success only for part sizes far beyond desk
     scale, so c is chosen as the first power of two whose failure bound
@@ -536,15 +556,9 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
                  for comb in itertools.combinations(universe, n)
                  if rng.random() < p_float}
         removed = 0
-        H = PartitionedHypergraph(n, parts, edges)
-        while True:
-            cyc = find_short_cycle(H, g)
-            if cyc is None:
-                break
-            victim = max(cyc, key=sorted)
-            edges.discard(victim)
+        for cyc in _short_cycles(universe, edges, g):
+            edges.discard(max(cyc, key=sorted))
             removed += 1
-            H = PartitionedHypergraph(n, parts, edges)
         if len(edges) < floor:
             last_error = f"only {len(edges)} edges < floor {floor}"
             continue
@@ -601,31 +615,32 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     """Search s-tuples of vertex partitions defeating the dichotomy.
 
     Colourings only matter through their kernels, so the search ranges
-    over set partitions.  Exhaustive mode scans every partition once,
-    keeps those with no monochromatic within-part edge together with the
-    bitmask of transversal edges they kill, and then looks for at most s
-    masks covering everything; it returns the first counterexample in
-    canonical order, or None if the instance really is a witness.
+    over set partitions.  Exhaustive mode walks the restricted growth
+    strings depth first in lexicographic order, dropping a prefix as soon
+    as a within-part edge whose largest vertex is at that depth turns
+    monochromatic and ORing in the kill bits of transversal edges completed
+    there.  It keeps the first partition for each bitmask of killed
+    transversal edges, stops at once on a partition killing them all, and
+    then looks for at most s masks covering everything; it returns the
+    first counterexample in canonical order, or None if the instance
+    really is a witness.
     """
     verts = H.vertices
     V = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
-    whole = [tuple(pos[v] for v in e) for e in H.within_part_edges()]
-    trans = [tuple(pos[v] for v in e) for e in H.transversal_edges()]
-    full = (1 << len(trans)) - 1
+    whole: list[list] = [[] for _ in verts]
+    trans: list[list] = [[] for _ in verts]
+    for e in H.within_part_edges():
+        *others, top = sorted(pos[v] for v in e)
+        whole[top].append(others)
+    transversal = H.transversal_edges()
+    for bit, e in enumerate(transversal):
+        *others, top = sorted(pos[v] for v in e)
+        trans[top].append((1 << bit, others))
+    full = (1 << len(transversal)) - 1
 
     def blocks_of(labels):
         return tuple(tuple(verts[i] for i in b) for b in _blocks(labels))
-
-    def kill_mask(rgs) -> Optional[int]:
-        for e in whole:
-            if len({rgs[i] for i in e}) == 1:
-                return None
-        mask = 0
-        for bit, e in enumerate(trans):
-            if len({rgs[i] for i in e}) < len(e):
-                mask |= 1 << bit
-        return mask
 
     if mode == "random":
         rng = random.Random(f"adversary|{seed}")
@@ -642,10 +657,7 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
         raise BudgetExceeded(f"Bell({V})^{s} exceeds budget {budget}")
 
     mask_rep: dict[int, tuple] = {}
-    for rgs in _iter_rgs(V):
-        mask = kill_mask(rgs)
-        if mask is None:
-            continue
+    for rgs, mask in _iter_rgs(V, whole, trans):
         if mask not in mask_rep:
             mask_rep[mask] = blocks_of(rgs)
         if mask == full:

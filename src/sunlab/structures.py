@@ -288,8 +288,8 @@ def _iter_embedding_maps(A: Structure, B: Structure,
     Yields image tuples in lexicographic order.  A-vertices are mapped in
     index order; `candidate_filter(depth, v, partial)` may veto target
     vertex v for A-vertex `depth` given the partial image list, and
-    `candidates[depth]` may restrict the pool outright (must be sorted for
-    the lexicographic guarantee to hold).
+    `candidates[depth]` may restrict the pool outright (in any order: the
+    pool becomes a bitmask, always scanned in ascending order).
 
     Induced embeddings transport the Gaifman graph exactly in both
     directions, so candidates are pruned by bitmask: the image of an

@@ -247,6 +247,41 @@ def test_schema_invalid_json_is_a_usage_error(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_dead_end_class_is_a_pipeline_failure(tmp_path, capsys):
+    # forbidding both one-vertex graph structures leaves no first vertex
+    sig = [{"name": "E", "arity": 2}]
+    spec = {"name": "dead-end", "signature": sig,
+            "forbidden": [{"signature": sig, "size": 1, "relations": {"E": rel}}
+                          for rel in ([[0, 0]], [])]}
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps(spec))
+    assert run(["gen", "--klass", "@" + str(path), "--size", "3", "--seed", "0",
+                "--out", str(tmp_path / "out")]) == 4
+    assert "no admissible vertex" in _one_error_line(capsys)
+
+
+def test_paste_internal_inconsistency_is_a_pipeline_failure(tmp_path, capsys,
+                                                             monkeypatch):
+    gen_dir = tmp_path / "gen"
+    assert run(["hypergraph", "generate", "--n", "2", "--c", "5", "--seed", "3",
+                "--out", str(gen_dir)]) == 0
+    import sunlab.witness as witness
+    real = witness.satisfies_class
+    # the target passes, the pasted structure is made to leave the class
+    monkeypatch.setattr(witness, "satisfies_class",
+                        lambda S, K: S.size <= 2 and real(S, K))
+    assert run(["paste", "--hypergraph", str(gen_dir / "hypergraph.json"),
+                "--target", "k2", "--klass", "graphs",
+                "--out", str(tmp_path / "paste")]) == 4
+    assert "left the class" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("module", ["sunlab", "sunlab.cli"])
 def test_python_dash_m_runs_the_command(module):
     src = Path(__file__).resolve().parent.parent / "src"

@@ -11,9 +11,11 @@ import pytest
 from sunlab.ramsey import (
     GenParams,
     PartitionedHypergraph,
+    _iter_rgs,
     bell_number,
     count_suitable,
     count_suitable_enumerate,
+    default_epsilon,
     dichotomy_holds,
     failure_bound,
     falling_binomial,
@@ -24,7 +26,6 @@ from sunlab.ramsey import (
     is_counterexample_tuple,
     log_failure_bound,
     mono_nset_count,
-    potential_cycle_count,
     suitable_params,
     suitable_params_hold,
     witness_adversary,
@@ -157,6 +158,16 @@ def test_genparams_probability_constraint():
     assert abs(float(p) - 4.0 ** (-15 / 8)) < 1e-9
 
 
+def potential_cycle_count(num_vertices: int, n: int, m: int) -> int:
+    """Sequences v0 e0 ... v_{m-1} e_{m-1} with distinct vertices and each
+    e_i an n-set containing {v_i, v_{i+1}} (edges may repeat): the
+    expectation-counting universe for short cycles."""
+    perm = 1
+    for j in range(m):
+        perm *= (num_vertices - j)
+    return perm * math.comb(num_vertices - 2, n - 2) ** m
+
+
 def test_potential_cycle_count():
     # tiny exhaustive enumeration against the closed form and the bound
     V, n, m = 5, 3, 2
@@ -242,6 +253,40 @@ def test_generated_hypergraph_properties():
         assert "removed_edges" in H.meta
 
 
+def _restart_removal(n, s, g, seed, c, max_attempts):
+    """Oracle: generation with the cycle search restarted from scratch on a
+    rebuilt hypergraph after every deleted edge; returns the chosen
+    attempt, its edges and its removal count."""
+    p = float(GenParams(n, s, g, default_epsilon(g), c).p)
+    universe = list(range(n * c))
+    parts = [universe[i * c:(i + 1) * c] for i in range(n)]
+    results = []
+    for attempt in range(max_attempts):
+        rng = random.Random(f"hypergraph|{n}|{s}|{g}|{seed}|{attempt}")
+        edges = {frozenset(comb) for comb in itertools.combinations(universe, n)
+                 if rng.random() < p}
+        removed = 0
+        while (cyc := find_short_cycle(hg(n, parts, edges), g)) is not None:
+            edges.discard(max(cyc, key=sorted))
+            removed += 1
+        if removed < c:
+            return attempt, edges, removed
+        results.append((removed, attempt, edges))
+    removed, attempt, edges = min(results, key=lambda r: r[:2])
+    return attempt, edges, removed
+
+
+@pytest.mark.parametrize("n,c", [(2, 8), (2, 12), (3, 6), (3, 8), (4, 3), (4, 4)])
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_resumed_removal_matches_restarts(n, c, g):
+    for seed in range(2):
+        H = gen_witness_hypergraph(n, 1, g, seed, c_override=c, max_attempts=3)
+        attempt, edges, removed = _restart_removal(n, 1, g, seed, c, 3)
+        assert H.meta["attempt"] == attempt
+        assert H.edges == edges
+        assert H.meta["removed_edges"] == removed
+
+
 def test_generation_deterministic():
     a = gen_witness_hypergraph(2, 1, 4, 7)
     b = gen_witness_hypergraph(2, 1, 4, 7)
@@ -322,6 +367,97 @@ def _brute_adversary(H, s):
         if is_counterexample_tuple(H, tup):
             return tup
     return None
+
+
+def _all_rgs(V):
+    """Every restricted growth string of length V, in lexicographic order."""
+    strings = [[]]
+    for _ in range(V):
+        strings = [r + [b] for r in strings for b in range(max(r, default=-1) + 2)]
+    return strings
+
+
+def _kill_mask(rgs, whole, trans):
+    """None if a within-part edge is monochromatic, else the bitmask of the
+    transversal edges with a repeated label."""
+    if any(len({rgs[i] for i in e}) == 1 for e in whole):
+        return None
+    return sum(1 << bit for bit, e in enumerate(trans)
+               if len({rgs[i] for i in e}) < len(e))
+
+
+def test_steered_rgs_walk_matches_filtered_strings():
+    rng = random.Random(43)
+    for _ in range(60):
+        V = rng.randint(0, 6)
+        edges = [sorted(rng.sample(range(V), rng.randint(1, min(V, 3))))
+                 for _ in range(rng.randint(0, 4))] if V else []
+        whole = [e for e in edges if rng.random() < 0.4]
+        trans = [e for e in edges if e not in whole]
+        by_depth = ([[] for _ in range(V)], [[] for _ in range(V)])
+        for e in whole:
+            by_depth[0][e[-1]].append(e[:-1])
+        for bit, e in enumerate(trans):
+            by_depth[1][e[-1]].append((1 << bit, e[:-1]))
+        walk = [(list(r), m) for r, m in _iter_rgs(V, *by_depth)]
+        expect = [(r, _kill_mask(r, whole, trans)) for r in _all_rgs(V)]
+        assert walk == [(r, m) for r, m in expect if m is not None]
+
+
+def _full_scan_adversary(H, s):
+    """Oracle: the exhaustive adversary as a full scan, computing the kill
+    mask of every complete restricted growth string before covering."""
+    verts = H.vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    whole = [[pos[v] for v in e] for e in H.within_part_edges()]
+    trans = [[pos[v] for v in e] for e in H.transversal_edges()]
+    full = (1 << len(trans)) - 1
+    mask_rep = {}
+    for rgs in _all_rgs(len(verts)):
+        mask = _kill_mask(rgs, whole, trans)
+        if mask is None:
+            continue
+        mask_rep.setdefault(mask, tuple(
+            tuple(v for v, b in zip(verts, rgs) if b == label)
+            for label in sorted(set(rgs))))
+        if mask == full:
+            return [mask_rep[full]] * s
+    masks = sorted(mask_rep, key=lambda m: (-bin(m).count("1"), m))
+
+    def cover(start, acc, chosen):
+        if acc == full:
+            return chosen
+        if len(chosen) == s:
+            return None
+        for i in range(start, len(masks)):
+            if acc | masks[i] != acc:
+                res = cover(i, acc | masks[i], chosen + [masks[i]])
+                if res is not None:
+                    return res
+        return None
+
+    solution = cover(0, 0, []) if mask_rep else None
+    if solution is None:
+        return None
+    partitions = [mask_rep[m] for m in solution]
+    return partitions + [partitions[-1]] * (s - len(partitions))
+
+
+def test_adversary_matches_full_scan():
+    rng = random.Random(37)
+    instances = [gen_witness_hypergraph(2, 1, 4, 5, c_override=5),
+                 hg(1, [[0, 1]], [(1,)]), hg(1, [[0, 1, 2]], [])]
+    for _ in range(24):
+        n = rng.choice([2, 3])
+        c = rng.choice([2, 3])
+        universe = list(range(n * c))
+        pool = list(itertools.combinations(universe, n))
+        edges = [e for e in pool if rng.random() < rng.choice([0.15, 0.3])]
+        instances.append(hg(n, [universe[i * c:(i + 1) * c] for i in range(n)],
+                            edges))
+    for H in instances:
+        for s in (1, 2):
+            assert witness_adversary(H, s) == _full_scan_adversary(H, s)
 
 
 def test_adversary_matches_brute_force():
