@@ -52,10 +52,6 @@ def complete_graph(n: int) -> Structure:
     return graph(n, itertools.combinations(range(n), 2))
 
 
-def empty_graph(n: int) -> Structure:
-    return graph(n, ())
-
-
 def path_graph(n: int) -> Structure:
     return graph(n, ((i, i + 1) for i in range(n - 1)))
 

@@ -64,10 +64,6 @@ def partition_to_json(P: Partition) -> dict:
     return {"blocks": [sorted(b) for b in P.blocks]}
 
 
-def partition_from_json(data, size: int) -> Partition:
-    return Partition(size, data["blocks"])
-
-
 def colouring_to_json(chi: Colouring) -> dict:
     return {"values": list(chi.values)}
 

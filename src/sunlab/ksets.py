@@ -10,6 +10,16 @@ over a ground set of k * |C| naturals every pattern is realised.  The
 canonical form introduces ground labels in increasing order of first
 appearance (vertices in index order, each set read in increasing order)
 and keeps the lexicographically least representative of each orbit.
+
+Both presentation walks grow a family one set at a time and settle each
+prefix once.  Set i of a relabelled family depends only on the orders
+chosen for the new elements of the sets before it, so the canonical form
+of a prefix is the prefix of the canonical form: every prefix of a
+canonical family is canonical, and the enumerator descends only into
+canonical prefixes (orderly generation; Read 1978, McKay 1998).  The
+witness check descends only from prefixes without a sunflower copy, so a
+copy in a longer prefix must pass through its newest vertex, and that is
+the only place it looks.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from typing import Iterable, Iterator, Optional
 from .partitionlab import Colouring
 from .structures import (
     BudgetExceeded,
+    CandidateFilter,
     Embedding,
     SignatureMismatch,
     Structure,
@@ -113,6 +124,20 @@ class SunflowerCert:
         return f"SunflowerCert(petals={self.petals}, centre={sorted(self.centre)})"
 
 
+def _centre_filter(sets) -> CandidateFilter:
+    """Kernel filter for sunflower images: a vertex joins a partial image of
+    two or more only if its set meets every earlier one in the centre of
+    the first two, so every complete image is a sunflower."""
+
+    def flt(depth, v, partial):
+        if depth < 2:
+            return True
+        centre = sets[partial[0]] & sets[partial[1]]
+        return all(sets[u] & sets[v] == centre for u in partial)
+
+    return flt
+
+
 def find_sunflower_copies(P: Presentation, B: Structure,
                           limit: Optional[int] = None) -> list[SunflowerCert]:
     """Induced copies of B whose assigned k-sets form a sunflower, one
@@ -120,29 +145,14 @@ def find_sunflower_copies(P: Presentation, B: Structure,
     if B.signature != P.base.signature:
         raise SignatureMismatch("target signature mismatch")
     sets = P.sets
-
-    def flt(depth, v, partial):
-        if depth == 0:
-            return True
-        if depth == 1:
-            return True
-        centre = sets[partial[0]] & sets[partial[1]]
-        return all(sets[u] & sets[v] == centre for u in partial)
-
     out = []
     seen = set()
-    for vmap in _iter_embedding_maps(B, P.base, candidate_filter=flt):
-        if len(vmap) >= 2:
-            centre = sets[vmap[0]] & sets[vmap[1]]
-            if any(sets[u] & sets[w] != centre
-                   for u, w in itertools.combinations(vmap, 2)):
-                continue
-        else:
-            centre = frozenset()
+    for vmap in _iter_embedding_maps(B, P.base, candidate_filter=_centre_filter(sets)):
         image = frozenset(vmap)
         if image in seen:
             continue
         seen.add(image)
+        centre = sets[vmap[0]] & sets[vmap[1]] if len(vmap) >= 2 else frozenset()
         iso = Embedding(B, P.base, vmap, validate=False)
         out.append(SunflowerCert(vmap, centre, iso, degenerate=len(vmap) < 2))
         if limit is not None and len(out) >= limit:
@@ -178,37 +188,58 @@ def verify_sunflower_cert(cert: SunflowerCert, B: Structure, P: Presentation) ->
 # Canonical enumeration of presentations
 
 
-def canonical_sets(sets: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """The canonical representative of a family of sets under ground
-    bijections: relabel by first appearance (vertices in index order, each
-    set in increasing order) and take the lexicographic minimum over the
-    orderings of simultaneously-new elements."""
+def _least_relabelling(sets: Iterable[Iterable[int]], bound: Optional[tuple] = None,
+                       first: bool = False) -> Optional[tuple]:
+    """The least first-appearance relabelling of a family strictly below
+    `bound` (below nothing when None), or None if there is none; with
+    `first`, the first one found below `bound`.  The walk descends only
+    while the relabelled prefix is no larger than the best one so far."""
     family = [frozenset(s) for s in sets]
     n = len(family)
-    best: Optional[tuple] = None
+    best = bound
+    acc: list[tuple[int, ...]] = []
+    assign: dict[int, int] = {}
 
-    def rec(i: int, assign: dict, next_label: int, acc: list):
+    def rec(i: int, next_label: int) -> bool:
         nonlocal best
         if i == n:
             cand = tuple(acc)
             if best is None or cand < best:
                 best = cand
-            return
+                return first
+            return False
         known = sorted(assign[g] for g in family[i] if g in assign)
         unknown = sorted(g for g in family[i] if g not in assign)
         t = len(unknown)
-        relabeled = tuple(known + list(range(next_label, next_label + t)))
-        acc.append(relabeled)
+        acc.append(tuple(known) + tuple(range(next_label, next_label + t)))
         if best is None or tuple(acc) <= best[:i + 1]:
             for perm in itertools.permutations(unknown):
-                assign2 = dict(assign)
                 for off, g in enumerate(perm):
-                    assign2[g] = next_label + off
-                rec(i + 1, assign2, next_label + t, acc)
+                    assign[g] = next_label + off
+                if rec(i + 1, next_label + t):
+                    return True
+            for g in unknown:
+                del assign[g]
         acc.pop()
+        return False
 
-    rec(0, {}, 0, [])
-    return best
+    rec(0, 0)
+    return None if best is bound else best
+
+
+def canonical_sets(sets: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The canonical representative of a family of sets under ground
+    bijections: relabel by first appearance (vertices in index order, each
+    set in increasing order) and take the lexicographic minimum over the
+    orderings of simultaneously-new elements."""
+    return _least_relabelling(sets)
+
+
+def _is_canonical(sets: list[tuple[int, ...]]) -> bool:
+    """Whether a family in normal form is its own canonical form.  Such a
+    family is one of its relabellings, so it is canonical iff no
+    relabelling is strictly smaller; the walk stops at the first one."""
+    return _least_relabelling(sets, tuple(sets), first=True) is None
 
 
 def _normal_form_candidates(prev_sets: list[tuple[int, ...]], k: int,
@@ -231,7 +262,13 @@ def enumerate_presentations(C: Structure, k: int,
                             ground_budget: int = DEFAULT_GROUND_BUDGET,
                             ) -> Iterator[Presentation]:
     """All presentations of C on k-sets up to ground bijections, exactly
-    once: the stream yields canonical representatives only."""
+    once: the stream yields canonical representatives only.
+
+    The walk appends normal-form sets depth first and tests each prefix as
+    soon as it is appended.  The canonical form of a prefix is the prefix
+    of the canonical form, so a non-canonical prefix has no canonical
+    family below it and is dropped; every leaf reached is canonical.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k * C.size > ground_budget:
@@ -241,12 +278,12 @@ def enumerate_presentations(C: Structure, k: int,
 
     def rec(i: int, next_label: int) -> Iterator[Presentation]:
         if i == C.size:
-            if tuple(sets) == canonical_sets(sets):
-                yield Presentation(C, k, sets)
+            yield Presentation(C, k, sets)
             return
         for cand in _normal_form_candidates(sets, k, next_label):
             sets.append(cand)
-            yield from rec(i + 1, max(next_label, max(cand) + 1 if cand else 0))
+            if _is_canonical(sets):
+                yield from rec(i + 1, max(next_label, cand[-1] + 1))
             sets.pop()
 
     yield from rec(0, 0)
@@ -261,6 +298,8 @@ def canonicalise_presentation(P: Presentation) -> Presentation:
 def random_presentation(C: Structure, k: int, rng: random.Random) -> Presentation:
     """A uniformly random assignment of distinct k-subsets of a ground set
     of k * |C| naturals (every intersection pattern is reachable)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     ground = max(k * C.size, k)
     chosen: list[frozenset] = []
     seen = set()
@@ -289,11 +328,6 @@ class WitnessVerdict:
         return f"WitnessVerdict({verdict}, checked={self.checked})"
 
 
-def _prefix_has_sunflower(C: Structure, k: int, sets: list, B: Structure) -> bool:
-    prefix = Presentation(C.induced(range(len(sets))), k, sets)
-    return bool(find_sunflower_copies(prefix, B, limit=1))
-
-
 def verify_witness(C: Structure, B: Structure, k: int,
                    mode: str = "exhaustive", trials: int = 1000,
                    seed: int = 0,
@@ -304,11 +338,20 @@ def verify_witness(C: Structure, B: Structure, k: int,
     Exhaustive mode walks the normal-form generation tree and prunes any
     prefix that already contains a sunflower copy (every completion then
     does too), so it visits exactly the sunflower-free prefixes; a leaf is
-    a counterexample presentation.  Random mode samples presentations.
+    a counterexample presentation.  Because the walk only extends
+    sunflower-free prefixes, a copy in a new prefix must use its newest
+    vertex: each B-depth in turn is pinned to that vertex and the others
+    range over the older ones, on prefix structures built once per call.
+    A target with no vertices has a copy in every prefix and is searched
+    unanchored.  Random mode samples presentations.
     """
     if B.signature != C.signature:
         raise SignatureMismatch("witness check needs matching signatures")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if mode == "random":
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
         rng = random.Random(f"verify-witness|{seed}")
         for i in range(trials):
             P = random_presentation(C, k, rng)
@@ -320,8 +363,23 @@ def verify_witness(C: Structure, B: Structure, k: int,
     if k * C.size > ground_budget:
         raise BudgetExceeded(f"ground set {k * C.size} exceeds budget {ground_budget}")
 
+    prefixes = [C.induced(range(i)) for i in range(C.size + 1)]
     sets: list[tuple[int, ...]] = []
+    members: list[frozenset] = []
+    flt = _centre_filter(members)
     checked = 0
+
+    def has_new_copy(i: int) -> bool:
+        if B.size == 0:
+            prefix = Presentation(prefixes[i], k, sets)
+            return bool(find_sunflower_copies(prefix, B, limit=1))
+        older = range(i - 1)
+        for d in range(B.size):
+            pools = [older] * B.size
+            pools[d] = (i - 1,)
+            if next(_iter_embedding_maps(B, prefixes[i], flt, pools), None) is not None:
+                return True
+        return False
 
     def rec(i: int, next_label: int) -> Optional[Presentation]:
         nonlocal checked
@@ -330,12 +388,13 @@ def verify_witness(C: Structure, B: Structure, k: int,
             return Presentation(C, k, sets)
         for cand in _normal_form_candidates(sets, k, next_label):
             sets.append(cand)
+            members.append(frozenset(cand))
             checked += 1
-            if not _prefix_has_sunflower(C, k, sets, B):
-                found = rec(i + 1, max(next_label, max(cand) + 1 if cand else 0))
+            if not has_new_copy(i + 1):
+                found = rec(i + 1, max(next_label, cand[-1] + 1))
                 if found is not None:
-                    sets.pop()
                     return found
+            members.pop()
             sets.pop()
         return None
 

@@ -643,6 +643,8 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
         return tuple(tuple(verts[i] for i in b) for b in _blocks(labels))
 
     if mode == "random":
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
         rng = random.Random(f"adversary|{seed}")
         for _ in range(trials):
             tup = tuple(blocks_of([rng.randrange(V) for _ in range(V)])

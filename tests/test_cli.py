@@ -290,3 +290,43 @@ def test_python_dash_m_runs_the_command(module):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: sunlab")
+
+
+def test_verify_witness_rejects_k_below_one(tmp_path, capsys):
+    assert run(["verify-witness", "--c-size", "4", "--b-size", "2", "--k", "0",
+                "--out", str(tmp_path / "out")]) == 2
+    assert "k must be >= 1" in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "verdict.json").exists()
+
+
+def test_random_verify_witness_rejects_k_below_one(tmp_path):
+    # sampling 0-sets used to loop forever, so this runs in its own
+    # interpreter with a timeout
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "sunlab", "verify-witness",
+                           "--c-size", "4", "--b-size", "2", "--k", "0",
+                           "--mode", "random", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: k must be >= 1\n"
+
+
+def test_random_verify_witness_rejects_trials_below_one(tmp_path, capsys):
+    assert run(["verify-witness", "--c-size", "4", "--b-size", "2", "--k", "2",
+                "--mode", "random", "--trials", "-3",
+                "--out", str(tmp_path / "out")]) == 2
+    assert "trials must be >= 1" in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "verdict.json").exists()
+
+
+def test_random_adversary_rejects_trials_below_one(tmp_path, capsys):
+    gen_dir = tmp_path / "h"
+    assert run(["hypergraph", "generate", "--n", "2", "--c", "5", "--seed", "3",
+                "--out", str(gen_dir)]) == 0
+    out = tmp_path / "adv"
+    assert run(["hypergraph", "adversary", "--input", str(gen_dir / "hypergraph.json"),
+                "--s", "1", "--mode", "random", "--trials", "0",
+                "--out", str(out)]) == 2
+    assert "trials must be >= 1" in _one_error_line(capsys)
+    assert not (out / "adversary.json").exists()

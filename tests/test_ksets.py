@@ -6,11 +6,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sunlab import catalog
 from sunlab.generators import gen_named
 from sunlab.ksets import (
     Presentation,
+    _is_canonical,
+    _normal_form_candidates,
     canonical_sets,
     encode_colouring,
     enumerate_presentations,
@@ -21,7 +25,7 @@ from sunlab.ksets import (
     verify_witness,
 )
 from sunlab.partitionlab import Colouring, colour_copy_search
-from sunlab.structures import BudgetExceeded
+from sunlab.structures import BudgetExceeded, Structure
 
 
 def fs(*xs):
@@ -175,6 +179,64 @@ def test_canonical_sets_invariant_under_relabelling():
         assert canonical_sets(sets) == canonical_sets(relabeled)
 
 
+def _enumerate_by_leaf_filter(C, k):
+    """Reference enumerator: every normal-form family, filtered at the leaf
+    by a full canonical minimisation."""
+    sets = []
+
+    def rec(i, next_label):
+        if i == C.size:
+            if tuple(sets) == canonical_sets(sets):
+                yield tuple(sets)
+            return
+        for cand in _normal_form_candidates(sets, k, next_label):
+            sets.append(cand)
+            yield from rec(i + 1, max(next_label, max(cand) + 1))
+            sets.pop()
+
+    return list(rec(0, 0))
+
+
+@pytest.mark.parametrize("size,k", [(2, 2), (3, 2), (4, 2), (5, 2),
+                                    (3, 3), (4, 3), (3, 4)])
+def test_orderly_enumeration_matches_leaf_filter(size, k):
+    C = catalog.pure_set(size)
+    stream = [tuple(tuple(sorted(s)) for s in P.sets)
+              for P in enumerate_presentations(C, k)]
+    assert stream == _enumerate_by_leaf_filter(C, k)
+
+
+@st.composite
+def normal_form_families(draw):
+    """A family built like the enumerator builds one: each set is a
+    normal-form candidate after the sets before it."""
+    k = draw(st.integers(1, 3))
+    size = draw(st.integers(0, 5))
+    sets = []
+    next_label = 0
+    for _ in range(size):
+        cand = draw(st.sampled_from(_normal_form_candidates(sets, k, next_label)))
+        sets.append(cand)
+        next_label = max(next_label, max(cand) + 1)
+    return sets
+
+
+@given(normal_form_families())
+def test_early_exit_canonicity_matches_full_minimum(sets):
+    assert _is_canonical(sets) == (tuple(sets) == canonical_sets(sets))
+
+
+@given(st.data())
+def test_canonical_sets_invariant_under_any_relabelling(data):
+    k = data.draw(st.integers(1, 3))
+    ground = data.draw(st.integers(k, 9))
+    subsets = st.frozensets(st.integers(0, ground - 1), min_size=k, max_size=k)
+    sets = data.draw(st.lists(subsets, max_size=5, unique=True))
+    perm = data.draw(st.permutations(range(ground)))
+    relabeled = [frozenset(perm[x] for x in s) for s in sets]
+    assert canonical_sets(sets) == canonical_sets(relabeled)
+
+
 # ---------------------------------------------------------------------------
 # Witness verification
 
@@ -232,6 +294,70 @@ def test_witness_agrees_with_literal_enumeration():
     literal = all(find_sunflower_copies(P, k2, limit=1)
                   for P in enumerate_presentations(C, 2))
     assert verify_witness(C, k2, 2).passed == literal
+
+
+def _rebuild_verify(C, B, k, ground_budget=18):
+    """Reference exhaustive walk: rebuild every prefix presentation and
+    search it for any sunflower copy."""
+    sets = []
+    checked = 0
+
+    def rec(i, next_label):
+        nonlocal checked
+        if i == C.size:
+            checked += 1
+            return Presentation(C, k, sets)
+        for cand in _normal_form_candidates(sets, k, next_label):
+            sets.append(cand)
+            checked += 1
+            prefix = Presentation(C.induced(range(len(sets))), k, sets)
+            if not find_sunflower_copies(prefix, B, limit=1):
+                found = rec(i + 1, max(next_label, max(cand) + 1))
+                if found is not None:
+                    return found
+            sets.pop()
+        return None
+
+    assert k * C.size <= ground_budget
+    counterexample = rec(0, 0)
+    return (counterexample is None, checked,
+            None if counterexample is None else counterexample.sets)
+
+
+def _k6_minus_edge():
+    k6 = catalog.complete_graph(6)
+    return Structure(k6.signature, 6,
+                     {"E": [t for t in k6.relations["E"] if set(t) != {0, 1}]})
+
+
+ANCHORED_CASES = [
+    *[(f"pure-{c}-3", catalog.pure_set(c), catalog.pure_set(3), 2, 18)
+      for c in (4, 5, 6, 7)],
+    ("pure-10-4", catalog.pure_set(10), catalog.pure_set(4), 2, 22),
+    ("k6e-k3", _k6_minus_edge(), catalog.complete_graph(3), 2, 18),
+    ("pure-4-0", catalog.pure_set(4), catalog.pure_set(0), 2, 18),
+    ("pure-4-1", catalog.pure_set(4), catalog.pure_set(1), 2, 18),
+    ("empty-0", catalog.pure_set(0), catalog.pure_set(0), 2, 18),
+    # paths and stars are not vertex-transitive, so every depth of the
+    # target must take its turn at the newest vertex
+    ("c4-p3", catalog.cycle_graph(4), catalog.graph(3, [(0, 1), (0, 2)]), 2, 18),
+    ("c5-p3", catalog.cycle_graph(5), catalog.path_graph(3), 2, 18),
+    ("g6-p3", catalog.graph(6, [(0, 1), (0, 2), (0, 5), (1, 2), (2, 3), (2, 4),
+                                (3, 5), (4, 5)]), catalog.path_graph(3), 2, 18),
+    ("g5-star", catalog.graph(5, [(0, 2), (0, 3), (1, 2), (2, 3), (2, 4)]),
+     catalog.graph(4, [(0, 1), (0, 2), (0, 3)]), 2, 18),
+    ("k4-p3", catalog.graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)]),
+     catalog.path_graph(3), 3, 18),
+]
+
+
+@pytest.mark.parametrize("label,C,B,k,budget", ANCHORED_CASES,
+                         ids=[case[0] for case in ANCHORED_CASES])
+def test_anchored_verify_matches_rebuild(label, C, B, k, budget):
+    verdict = verify_witness(C, B, k, ground_budget=budget)
+    got = (verdict.passed, verdict.checked,
+           None if verdict.counterexample is None else verdict.counterexample.sets)
+    assert got == _rebuild_verify(C, B, k, budget)
 
 
 def test_canonicalise_presentation():

@@ -263,7 +263,7 @@ def test_min_colouring_empty_pattern():
 def test_min_colouring_sentinel():
     # nothing is adjacent in an edgeless graph, so the adjacency type is
     # realised under no embedding and every vertex gets the sentinel
-    S = catalog.empty_graph(3)
+    S = catalog.graph(3, ())
     A = Structure(catalog.GRAPH_SIG, 1)
     p = QfType((0,), [("E", (-1, 0)), ("E", (0, -1))])
     res = min_embedding_colouring(S, A, p)
