@@ -307,7 +307,9 @@ def _cmd_build_witness(args) -> int:
 def _cmd_extract(args) -> int:
     run = _Run("extract", args)
     chain = run.load(jsonio.chain_from_json, args.chain)
-    level = args.level or chain.k
+    level = chain.k if args.level is None else args.level
+    if not 1 <= level <= chain.k:
+        raise ValueError(f"--level must be in 1..{chain.k}, got {level}")
     base = chain.levels[level - 1].structure
     P = run.load(jsonio.presentation_from_json, args.presentation, base)
     try:

@@ -26,6 +26,7 @@ from .structures import (
     SignatureMismatch,
     Structure,
     _iter_embedding_maps,
+    colour_classes,
     embeds,
     find_embeddings,
     gaifman_adjacency,
@@ -254,19 +255,18 @@ def colour_copy_search(S: Structure, chi: Colouring, B: Structure) -> CopySearch
     if B.signature != S.signature:
         raise SignatureMismatch("copy search needs matching signatures")
 
-    def mono_filter(depth, v, partial):
-        return depth == 0 or chi(v) == chi(partial[0])
-
     def hetero_filter(depth, v, partial):
         cv = chi(v)
         return all(chi(u) != cv for u in partial)
 
     mono_images = set()
     mono_witness = None
-    for m in _iter_embedding_maps(B, S, candidate_filter=mono_filter):
-        if mono_witness is None:
-            mono_witness = m
-        mono_images.add(frozenset(m))
+    # the empty copy is monochromatic even when S has no colour classes
+    for cls in colour_classes(range(S.size), chi, B.size) or [[]]:
+        for m in _iter_embedding_maps(B, S, candidates=[cls] * B.size):
+            if mono_witness is None or m < mono_witness:
+                mono_witness = m
+            mono_images.add(frozenset(m))
     hetero_images = set()
     hetero_witness = None
     for m in _iter_embedding_maps(B, S, candidate_filter=hetero_filter):

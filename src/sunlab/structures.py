@@ -18,7 +18,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class SignatureMismatch(ValueError):
@@ -467,6 +467,22 @@ def _profile_pools(prof_a: list, prof_b: list) -> list[list[int]]:
     for v, prof in enumerate(prof_b):
         by_profile.setdefault(prof, []).append(v)
     return [by_profile[prof] for prof in prof_a]
+
+
+def colour_classes(vertices: Iterable[int], colour: Sequence[int],
+                   min_size: int) -> list[list[int]]:
+    """The vertices grouped by their colours `colour[v]`, each class
+    ascending and the classes in order of their least vertex, dropping
+    classes with fewer than `min_size` members.
+
+    A copy is monochromatic iff it lies inside one class, so searching each
+    class through candidate pools finds exactly the copies a same-colour
+    candidate filter would pass, without calling it on every candidate.
+    """
+    classes: dict = {}
+    for v in sorted(vertices):
+        classes.setdefault(colour[v], []).append(v)
+    return [c for c in classes.values() if len(c) >= min_size]
 
 
 def automorphisms(S: Structure) -> list[Embedding]:

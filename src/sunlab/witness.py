@@ -34,6 +34,7 @@ from .structures import (
     Structure,
     _iter_embedding_maps,
     are_isomorphic,
+    colour_classes,
     find_embeddings,
     one_point_extensions,
     qf_type,
@@ -219,15 +220,14 @@ def build_witness_chain(K: ClassSpec, B: Structure, k: int, seed: int,
 
 def _find_part_mono_copy(P: Presentation, D: Structure, part_vertices,
                          colour) -> Optional[tuple[int, ...]]:
-    pool = sorted(part_vertices)
-
-    def flt(depth, v, partial):
-        return depth == 0 or colour(v) == colour(partial[0])
-
-    for vmap in _iter_embedding_maps(D, P.base, candidate_filter=flt,
-                                     candidates=[pool] * D.size):
-        return vmap
-    return None
+    # the least of the colour classes' first copies: a later class can only
+    # win below the first vertex of the best copy so far
+    best = None
+    for cls in colour_classes(part_vertices, colour, D.size):
+        head = cls if best is None else [v for v in cls if v < best[0]]
+        pools = [head] + [cls] * (D.size - 1)
+        best = next(_iter_embedding_maps(D, P.base, candidates=pools), best)
+    return best
 
 
 def _find_disjoint_transversal_copy(P: Presentation, D: Structure,
@@ -296,24 +296,19 @@ def _extract(chain: WitnessChain, P: Presentation, level: int,
     D = chain.levels[level - 2].structure
     parts = chain.levels[level - 1].parts
     n = D.size
-    part_of = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            part_of[iso.map[v]] = i
+    part_images = [sorted(iso.map[v] for v in part) for part in parts]
+    part_of = {v: i for i, images in enumerate(part_images) for v in images}
+    coords = list(zip(*map(P.sorted_set, P.base.vertices)))
 
     # A copy inside part i is monochromatic under the coordinate colouring
     # keyed by f iff it is so under f restricted to i, so the search over
     # coordinate functions collapses to one coordinate per part.
-    for i in range(n):
-        part_vertices = sorted(v for v, pi in part_of.items() if pi == i)
-        for t in range(level):
-            def colour(v, t=t):
-                return P.sorted_set(v)[t]
-
+    for i, part_vertices in enumerate(part_images):
+        for t, colour in enumerate(coords):
             vmap = _find_part_mono_copy(P, D, part_vertices, colour)
             if vmap is None:
                 continue
-            shared = colour(vmap[0])
+            shared = colour[vmap[0]]
             stripped = [P.sets[v] - {shared} for v in vmap]
             sub = Presentation(P.base.induced(vmap), level - 1, stripped)
             f = tuple(t if j == i else 0 for j in range(n))

@@ -330,3 +330,22 @@ def test_random_adversary_rejects_trials_below_one(tmp_path, capsys):
                 "--out", str(out)]) == 2
     assert "trials must be >= 1" in _one_error_line(capsys)
     assert not (out / "adversary.json").exists()
+
+
+@pytest.mark.parametrize("level", ["0", "5"])
+def test_extract_rejects_level_outside_the_chain(tmp_path, capsys, level):
+    # level 0 used to be read as the top level and level 5 ended in an
+    # IndexError traceback with exit 1, the counterexample code
+    chain_dir = tmp_path / "chain"
+    assert run(["build-witness", "--klass", "graphs", "--target", "k2",
+                "--k", "2", "--seed", "1", "--out", str(chain_dir)]) == 0
+    top_size = read(chain_dir / "chain.json")["levels"][-1]["structure"]["size"]
+    sets = [[2 * v, 2 * v + 1] for v in range(top_size)]
+    (tmp_path / "pres.json").write_text(json.dumps({"k": 2, "sets": sets}))
+    capsys.readouterr()
+    out = tmp_path / "ext"
+    assert run(["extract", "--chain", str(chain_dir / "chain.json"),
+                "--presentation", str(tmp_path / "pres.json"),
+                "--level", level, "--out", str(out)]) == 2
+    assert "--level must be in 1..2" in _one_error_line(capsys)
+    assert not (out / "certificate.json").exists()

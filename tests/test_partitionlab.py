@@ -15,7 +15,14 @@ from sunlab.partitionlab import (
     named_partition,
     partition_report,
 )
-from sunlab.structures import QfType, Structure, embeds, qf_type, realisation_set
+from sunlab.structures import (
+    QfType,
+    Structure,
+    _iter_embedding_maps,
+    embeds,
+    qf_type,
+    realisation_set,
+)
 
 
 def test_partition_validation():
@@ -178,6 +185,34 @@ def test_two_colours_never_heterochromatic_for_triples():
     for B in (catalog.complete_graph(3), catalog.path_graph(3)):
         rep = colour_copy_search(S, chi, B)
         assert rep.hetero_count == 0
+
+
+def _filter_mono_search(S, chi, B):
+    """The reference: one search over S, a candidate filter rejecting every
+    vertex whose colour differs from the first image's."""
+    def flt(depth, v, partial):
+        return depth == 0 or chi(v) == chi(partial[0])
+
+    maps = list(_iter_embedding_maps(B, S, candidate_filter=flt))
+    return len({frozenset(m) for m in maps}), (maps[0] if maps else None)
+
+
+def test_mono_copy_search_matches_filter_search():
+    rng = random.Random(11)
+    targets = [catalog.complete_graph(1), catalog.complete_graph(2),
+               catalog.path_graph(3), catalog.complete_graph(3),
+               catalog.graph(2, ()), catalog.graph(0, ())]
+    # the empty structure, and a least copy (1, 2) outside the class of 0
+    cases = [(catalog.graph(0, ()), Colouring([])),
+             (catalog.graph(5, [(3, 4), (1, 2)]), Colouring([0, 1, 1, 0, 0]))]
+    for seed in range(12):
+        S = gen_named("random-graph", 11, seed)
+        colours = rng.randrange(1, 4)
+        cases.append((S, Colouring([rng.randrange(colours) for _ in range(S.size)])))
+    for S, chi in cases:
+        for B in targets:
+            rep = colour_copy_search(S, chi, B)
+            assert (rep.mono_count, rep.mono_witness) == _filter_mono_search(S, chi, B)
 
 
 def test_double_equivalence_negative_example():

@@ -1,18 +1,30 @@
 """Pasting, witness chains, extraction and certificate verification."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunlab import catalog
 from sunlab.ksets import Presentation, find_sunflower_copies, random_presentation
 from sunlab.ramsey import PartitionedHypergraph, gen_witness_hypergraph
-from sunlab.structures import ClassSpec, Signature, Structure, satisfies_class
+from sunlab.structures import (
+    ClassSpec,
+    Signature,
+    Structure,
+    _iter_embedding_maps,
+    are_isomorphic,
+    colour_classes,
+    satisfies_class,
+)
 from sunlab.witness import (
     ExtractionFailed,
     NonTransitiveClass,
     PastingError,
+    _find_part_mono_copy,
     build_witness_chain,
     extract_sunflower,
     paste,
@@ -285,3 +297,112 @@ def test_extract_higher_level_with_overrides():
         assert len(cert.centre) < 3
         assert replay_trace(chain, P, trace)
     assert outcomes["ok"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Monochromatic part search against the filter-based reference
+
+
+_CHAINS = {
+    "graphs-k2": lambda: build_witness_chain(
+        catalog.all_graphs(), catalog.complete_graph(2), 2, seed=3),
+    "pure-3": lambda: build_witness_chain(
+        catalog.pure_sets(), catalog.pure_set(3), 2, seed=2),
+    "pure-2": lambda: pure_chain(2, seed=0),
+    "pure-2-k3": lambda: pure_chain(3, seed=2, c_override=3),
+}
+
+
+@functools.cache
+def _chain(name):
+    return _CHAINS[name]()
+
+
+def _filter_part_mono_copy(P, D, part_vertices, colour):
+    """The reference: one search over the whole part, a candidate filter
+    rejecting every vertex whose colour differs from the first image's."""
+    pool = sorted(part_vertices)
+
+    def flt(depth, v, partial):
+        return depth == 0 or colour[v] == colour[partial[0]]
+
+    return next(_iter_embedding_maps(D, P.base, candidate_filter=flt,
+                                     candidates=[pool] * D.size), None)
+
+
+def _part_searches(chain, level, P):
+    """(D, part images, colour) for every part of a level and every
+    coordinate of the presentation's sets."""
+    iso = are_isomorphic(chain.levels[level - 1].structure, P.base)
+    D = chain.levels[level - 2].structure
+    coords = list(zip(*(P.sorted_set(v) for v in P.base.vertices)))
+    for part in chain.levels[level - 1].parts:
+        images = [iso.map[v] for v in part]
+        for colour in coords:
+            yield D, images, colour
+
+
+@pytest.mark.parametrize("name, k, rounds", [
+    ("graphs-k2", 2, 300), ("pure-3", 2, 200),
+    ("pure-2-k3", 2, 200), ("pure-2-k3", 3, 200),
+])
+def test_part_mono_copy_matches_filter_search(name, k, rounds):
+    chain = _chain(name)
+    rng = random.Random(f"mono-oracle|{k}")
+    found = first_class_not_least = 0
+    for _ in range(rounds):
+        P = random_presentation(chain.levels[1].structure, k, rng)
+        for D, images, colour in _part_searches(chain, 2, P):
+            want = _filter_part_mono_copy(P, D, images, colour)
+            assert _find_part_mono_copy(P, D, images, colour) == want
+            found += want is not None
+            hits = [h for h in (_filter_part_mono_copy(P, D, cls, colour)
+                                for cls in colour_classes(images, colour, D.size))
+                    if h is not None]
+            first_class_not_least += bool(hits) and hits[0] != want
+    assert found > 0
+    if name == "graphs-k2":
+        # on graphs the class holding the lowest vertex need not hold the
+        # least copy, so returning the first class's hit would be caught
+        assert first_class_not_least > 0
+
+
+def test_part_mono_copy_edge_cases():
+    chain = _chain("graphs-k2")
+    top = chain.top()
+    P = random_presentation(top, 2, random.Random(4))
+    k1 = catalog.complete_graph(1)
+    cases = []  # (presentation, target, part, colour, expected copy)
+    for D, images, colour in _part_searches(chain, 2, P):
+        cases.append((P, D, [], colour, None))  # an empty part
+        cases.append((P, k1, images, colour, (min(images),)))
+    # every colour class is a single vertex, smaller than the target
+    spread = Presentation(top, 2, [(v, top.size + v) for v in range(top.size)])
+    cases += [(spread, D, images, colour, None)
+              for D, images, colour in _part_searches(chain, 2, spread)]
+    # the top of a 3-level chain: parts of 3 vertices, a 6-vertex target
+    deep = _chain("pure-2-k3")
+    rng = random.Random(5)
+    for _ in range(50):
+        Q = random_presentation(deep.top(), 3, rng)
+        cases += [(Q, D, images, colour, None)
+                  for D, images, colour in _part_searches(deep, 3, Q)]
+    for P, D, images, colour, expected in cases:
+        assert _filter_part_mono_copy(P, D, images, colour) == expected
+        assert _find_part_mono_copy(P, D, images, colour) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["graphs-k2", "pure-2", "pure-2-k3"]),
+       st.integers(0, 2**32 - 1))
+def test_extracted_certificates_verify_and_traces_replay(name, seed):
+    chain = _chain(name)
+    P = random_presentation(chain.top(), chain.k, random.Random(seed))
+    try:
+        cert, trace = extract_sunflower(chain, P)
+    except ExtractionFailed as e:
+        # tiny overrides need not give a witness; the refutation must hold
+        assert not find_sunflower_copies(e.presentation, chain.target, limit=1)
+        return
+    assert verify_certificate(cert, chain.target, P)
+    assert replay_trace(chain, P, trace)
