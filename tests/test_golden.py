@@ -59,6 +59,8 @@ COMMANDS = [
     ("3dap-graphs", ["check-3dap", "--klass", "graphs", "--bound", "2"]),
     ("3dap-knfree", ["check-3dap", "--klass", "knfree:3", "--bound", "1"]),
     ("3dap-rb", ["check-3dap", "--klass", "rb-bichrome", "--bound", "1"]),
+    ("3dap-oriented", ["check-3dap", "--klass", "oriented", "--bound", "1"]),
+    ("3dap-k4h3free", ["check-3dap", "--klass", "k4h3free", "--bound", "1"]),
     ("witness-7-3", ["verify-witness", "--klass", "pure", "--b-size", "3",
                      "--k", "2", "--c-size", "7"]),
     ("witness-6-3", ["verify-witness", "--klass", "pure", "--b-size", "3",
@@ -88,6 +90,8 @@ EXPECTED = {
     "3dap-graphs": [0, "d4910e28fd25681ce349c392c0549bb558e27a95ca4a2e2f95e77a21a07f944b"],
     "3dap-knfree": [1, "bcb34b8c1ca64d194afa21ceec91961e6f05f9e7a629a9e684ed5c1f3eb723f3"],
     "3dap-rb": [1, "0bbebc5d90a2f4a932fac7ba8779ecb71e01c1d01ff1cd4df8c92730275e2f13"],
+    "3dap-oriented": [0, "52551f576dbd9b511ea3159afe64ef9616714ed36a44e253f5585ec6147ab2c7"],
+    "3dap-k4h3free": [0, "711b6f9c04a3a0dfe8d010010e3dee534e6f37cb67965b1a86bd122b677524bd"],
     "witness-7-3": [0, "4998e323d5d53ad11c3feb206f2d4e7c2075e3fa7e23988033668089a3fdc973"],
     "witness-6-3": [1, "4c2b9ee5ff80adae14f998c5a6a3318bf27ce769f3998770f27cc34c994b4a56"],
     "enumerate": [0, "96fee7e46d0fd484bb7e9d6530ff58af939d2586587ae2ba981b9e0bcfdf50df"],
