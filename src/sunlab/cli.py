@@ -514,7 +514,9 @@ def run(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PIPELINE
     except (ValueError, KeyError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

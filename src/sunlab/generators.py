@@ -263,6 +263,8 @@ def gen_generic(K: ClassSpec, size: int, seed: int,
     NoAdmissibleExtension if the class refuses every diagram (it never
     shrinks the request silently).
     """
+    if size < 1:
+        raise ValueError("size must be >= 1")
     if rng is None:
         rng = random.Random(f"generic|{K.name}|{size}|{seed}")
     checker = _ClassChecker(K)

@@ -17,6 +17,7 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -826,17 +827,26 @@ def _pair_amalgams(A: Structure, B: Structure, K: ClassSpec,
     return out
 
 
+def _spanning_tuples(sides: Sequence[Structure], K: ClassSpec,
+                     budget: int) -> list[tuple]:
+    """The sorted tuples of arity >= 3 meeting all three sides, which no pair
+    amalgam holds; raises BudgetExceeded if their subsets exceed the budget."""
+    a0, a1, a2 = (s.size for s in sides)
+    free = sorted((name, t) for name, arity in K.signature.relations if arity >= 3
+                  for t in itertools.product(range(a0 + a1 + a2), repeat=arity)
+                  if len({(x >= a0) + (x >= a0 + a1) for x in t}) == 3)
+    if 2 ** len(free) > budget:
+        raise BudgetExceeded(f"{2 ** len(free)} completions exceed budget")
+    return free
+
+
 def _three_dap_amalgam_exists(family: ThreeDapFamily, K: ClassSpec,
                               budget: int) -> bool:
     """Search a 3-disjoint amalgam: complete the union of the three pairwise
-    amalgams with tuples spanning all three sides, in all admissible ways."""
+    amalgams with tuples spanning all three sides, the empty set first."""
     sig = K.signature
     a0, a1, a2 = (s.size for s in family.sides)
     offs = (0, a0, a0 + a1)
-    size = a0 + a1 + a2
-
-    def side_of(x):
-        return 0 if x < offs[1] else (1 if x < offs[2] else 2)
 
     rels = {name: set() for name in sig.names}
     for (i, j), amal in family.amalgams.items():
@@ -848,25 +858,28 @@ def _three_dap_amalgam_exists(family: ThreeDapFamily, K: ClassSpec,
         for name in sig.names:
             rels[name].update(tuple(glob(x) for x in t) for t in amal.relations[name])
 
-    free = []
-    for name, arity in sig.relations:
-        if arity < 3:
-            continue
-        for t in itertools.product(range(size), repeat=arity):
-            if len({side_of(x) for x in t}) == 3 and t not in rels[name]:
-                free.append((name, t))
-    free.sort()
-    if 2 ** len(free) > budget:
-        raise BudgetExceeded(f"{2 ** len(free)} completions exceed budget")
+    free = _spanning_tuples(family.sides, K, budget)
     for r in range(len(free) + 1):
         for chosen in itertools.combinations(free, r):
             cand = {n: set(ts) for n, ts in rels.items()}
             for name, t in chosen:
                 cand[name].add(t)
-            C = Structure(sig, size, cand)
+            C = Structure(sig, a0 + a1 + a2, cand)
             if satisfies_class(C, K):
                 return True
     return False
+
+
+def _splittings(F: Structure) -> list[tuple[Structure, ...]]:
+    """The ways to part F's vertices into three non-empty sets with no tuple
+    of F meeting all three, as the sets' induced substructures."""
+    full = (1 << F.size) - 1
+    piece = {m: F.induced(v for v in F.vertices if m >> v & 1) for m in range(1, full)}
+    supports = [sum(1 << x for x in set(t)) for ts in F.relations.values() for t in ts]
+    return [(piece[m0], piece[m1], piece[full ^ m0 ^ m1])
+            for m0, m1 in itertools.permutations(piece, 2)
+            if not m0 & m1 and m0 | m1 != full
+            and not any(s & m0 and s & m1 and s & ~(m0 | m1) for s in supports)]
 
 
 def check_3dap_over_empty(K: ClassSpec, size_bound: int,
@@ -877,27 +890,36 @@ def check_3dap_over_empty(K: ClassSpec, size_bound: int,
     Families are enumerated up to isomorphism (sides as canonical class
     members, pair amalgams deduplicated under side automorphisms, fixed
     inclusion embeddings).  Reports the first family admitting no
-    amalgam, else pass.
+    amalgam, else pass; `families_checked` counts the families decided up
+    to it, built or not.  A family is built only if some forbidden F
+    splits into its sides: F's vertices part into three non-empty sets,
+    no tuple of F meeting all three, whose induced substructures embed
+    into the three sides.  Otherwise the union of the pair amalgams, the
+    first completion tried, is in K: on any two sides it is their amalgam
+    and no tuple of it meets all three, so a copy of F in it would split.
     """
     if size_bound < 1:
         raise ValueError("size_bound must be >= 1")
     reps = enumerate_class_members(K, size_bound, budget)
+    splittings = [p for F in K.forbidden for p in _splittings(F)]
+    fits = functools.cache(lambda P, i: embeds(P, reps[i]))
+    amalgams = functools.cache(lambda i, j: _pair_amalgams(reps[i], reps[j], K, budget))
     checked = 0
-    for i0 in range(len(reps)):
-        for i1 in range(i0, len(reps)):
-            for i2 in range(i1, len(reps)):
-                sides = (reps[i0], reps[i1], reps[i2])
-                pair_opts = {
-                    (0, 1): _pair_amalgams(sides[0], sides[1], K, budget),
-                    (0, 2): _pair_amalgams(sides[0], sides[2], K, budget),
-                    (1, 2): _pair_amalgams(sides[1], sides[2], K, budget),
-                }
-                for a01 in pair_opts[(0, 1)]:
-                    for a02 in pair_opts[(0, 2)]:
-                        for a12 in pair_opts[(1, 2)]:
-                            family = ThreeDapFamily(
-                                sides, {(0, 1): a01, (0, 2): a02, (1, 2): a12})
-                            checked += 1
-                            if not _three_dap_amalgam_exists(family, K, budget):
-                                return ThreeDapReport(False, family, checked)
+    for i0, i1, i2 in itertools.combinations_with_replacement(range(len(reps)), 3):
+        sides = (reps[i0], reps[i1], reps[i2])
+        p01, p02, p12 = amalgams(i0, i1), amalgams(i0, i2), amalgams(i1, i2)
+        if not any(fits(P0, i0) and fits(P1, i1) and fits(P2, i2)
+                   for P0, P1, P2 in splittings):
+            if p01 and p02 and p12:
+                _spanning_tuples(sides, K, budget)  # as the first family would
+            checked += len(p01) * len(p02) * len(p12)
+            continue
+        for a01 in p01:
+            for a02 in p02:
+                for a12 in p12:
+                    family = ThreeDapFamily(
+                        sides, {(0, 1): a01, (0, 2): a02, (1, 2): a12})
+                    checked += 1
+                    if not _three_dap_amalgam_exists(family, K, budget):
+                        return ThreeDapReport(False, family, checked)
     return ThreeDapReport(True, None, checked)

@@ -349,3 +349,20 @@ def test_extract_rejects_level_outside_the_chain(tmp_path, capsys, level):
                 "--level", level, "--out", str(out)]) == 2
     assert "--level must be in 1..2" in _one_error_line(capsys)
     assert not (out / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_gen_klass_rejects_size_below_one(tmp_path, capsys, size):
+    # used to exit 0 with an empty structure whose meta recorded the size
+    out = tmp_path / "out"
+    assert run(["gen", "--klass", "knfree:3", "--size", size, "--seed", "1",
+                "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "error: size must be >= 1\n"
+    assert not (out / "structure.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["check-3dap", "--bound", "1"],
+                                  ["gen", "--size", "3", "--seed", "1"]])
+def test_unknown_class_error_has_no_stray_quotes(tmp_path, capsys, argv):
+    assert run(argv + ["--klass", "nosuch", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: unknown class 'nosuch'\n"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sunlab import catalog
 from sunlab.structures import (
+    BudgetExceeded,
     ClassSpec,
     Embedding,
     MalformedEmbedding,
@@ -17,11 +18,16 @@ from sunlab.structures import (
     Signature,
     SignatureMismatch,
     Structure,
+    ThreeDapFamily,
+    ThreeDapReport,
+    _pair_amalgams,
+    _three_dap_amalgam_exists,
     are_isomorphic,
     automorphisms,
     canonical_form,
     check_3dap_over_empty,
     embedding_defect,
+    enumerate_class_members,
     find_embeddings,
     free_amalgam,
     gaifman,
@@ -422,9 +428,16 @@ def test_3dap_k3free_counterexample_at_bound_one():
         assert len(amal.relations["E"]) == 2  # every pairwise amalgam an edge
 
 
-def test_3dap_k4_hypergraphs_pass_at_bound_one():
+def test_3dap_k4_hypergraphs_pass_at_bound_one(monkeypatch):
+    # K4^(3) has four vertices and every 3-vertex window a tuple meeting
+    # all three of its vertices, so nothing splits into three points and
+    # no family has to be built
+    def build(*args):
+        raise AssertionError("family built")
+
+    monkeypatch.setattr("sunlab.structures.ThreeDapFamily", build)
     report = check_3dap_over_empty(catalog.knr_free_hypergraphs3(4), 1)
-    assert report.passed
+    assert report.passed and report.families_checked == 1
 
 
 def test_3dap_all_graphs_pass_at_bound_two():
@@ -437,3 +450,125 @@ def test_3dap_oriented_graphs_pass_at_bound_one():
     # oriented graph, so the union of the pairwise amalgams always works
     report = check_3dap_over_empty(catalog.oriented_graphs(), 1)
     assert report.passed
+
+
+def _family_by_family_3dap(K, size_bound, budget=1 << 20):
+    """Oracle: the checker before the split rule, which builds and decides
+    every family and recomputes the pair amalgams for every side triple."""
+    reps = enumerate_class_members(K, size_bound, budget)
+    checked = 0
+    for i0 in range(len(reps)):
+        for i1 in range(i0, len(reps)):
+            for i2 in range(i1, len(reps)):
+                sides = (reps[i0], reps[i1], reps[i2])
+                pair_opts = {
+                    (0, 1): _pair_amalgams(sides[0], sides[1], K, budget),
+                    (0, 2): _pair_amalgams(sides[0], sides[2], K, budget),
+                    (1, 2): _pair_amalgams(sides[1], sides[2], K, budget),
+                }
+                for a01 in pair_opts[(0, 1)]:
+                    for a02 in pair_opts[(0, 2)]:
+                        for a12 in pair_opts[(1, 2)]:
+                            family = ThreeDapFamily(
+                                sides, {(0, 1): a01, (0, 2): a02, (1, 2): a12})
+                            checked += 1
+                            if not _three_dap_amalgam_exists(family, K, budget):
+                                return ThreeDapReport(False, family, checked)
+    return ThreeDapReport(True, None, checked)
+
+
+_ORACLE_3DAP: dict = {}
+
+
+def _assert_same_3dap(K, size_bound):
+    # the verdict does not depend on the order of the forbidden structures
+    key = (K.signature, frozenset(K.forbidden), size_bound)
+    if key not in _ORACLE_3DAP:
+        _ORACLE_3DAP[key] = _family_by_family_3dap(K, size_bound)
+    want = _ORACLE_3DAP[key]
+    got = check_3dap_over_empty(K, size_bound)
+    assert (got.passed, got.families_checked) == (want.passed, want.families_checked)
+    if not want.passed:
+        assert got.counterexample.sides == want.counterexample.sides
+        assert got.counterexample.amalgams == want.counterexample.amalgams
+
+
+COLOUR_SIG = Signature([("P", 1), ("E", 2)])
+
+
+def two_colour_graphs():
+    """Graphs with a unary colour P and no edge between the colours."""
+    forbidden = [Structure(COLOUR_SIG, 1, {"E": [(0, 0)]}),
+                 Structure(COLOUR_SIG, 1, {"P": [(0,)], "E": [(0, 0)]})]
+    for colour in ([], [(0,)], [(1,)], [(0,), (1,)]):
+        forbidden.append(Structure(COLOUR_SIG, 2, {"P": colour, "E": [(0, 1)]}))
+    forbidden.append(Structure(COLOUR_SIG, 2, {"P": [(0,)], "E": [(0, 1), (1, 0)]}))
+    return ClassSpec(COLOUR_SIG, forbidden, name="two-colour-graphs")
+
+
+@pytest.mark.parametrize("make, bound", [
+    (catalog.all_graphs, 1), (catalog.all_graphs, 2), (catalog.oriented_graphs, 1),
+    (lambda: catalog.kn_free(3), 1), (lambda: catalog.kn_free(3), 2),
+    (catalog.rb_bichrome, 1), (catalog.pure_sets, 1), (catalog.pure_sets, 2),
+    (catalog.pure_sets, 3), (lambda: catalog.knr_free_hypergraphs3(4), 1),
+    (catalog.hypergraphs3, 1), (catalog.f_free_3hypergraphs, 1),
+    (two_colour_graphs, 1)])
+def test_3dap_matches_family_by_family(make, bound):
+    _assert_same_3dap(make(), bound)
+
+
+@st.composite
+def irreducible_structures(draw, sig, simple):
+    """A structure on 1-3 vertices, each pair of vertices sharing a tuple;
+    if `simple`, a complete graph with coloured vertices."""
+    if simple:
+        n = draw(st.integers(1, 3))
+        rels = {"E": [(u, v) for u in range(n) for v in range(n) if u != v]}
+        if "P" in sig.names:
+            rels["P"] = [(v,) for v in draw(st.sets(st.integers(0, n - 1)))]
+        return Structure(sig, n, rels)
+    F = draw(structures(sig, 1, 3))
+    rels = {n: set(F.relations[n]) for n in sig.names}
+    for u, v in itertools.combinations(range(F.size), 2):
+        if (u, v) not in rels["E"] and (v, u) not in rels["E"]:
+            rels["E"].add(draw(st.sampled_from([(u, v), (v, u)])))
+    return Structure(sig, F.size, rels)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_3dap_matches_family_by_family_on_random_classes(data):
+    sig = data.draw(st.sampled_from([catalog.GRAPH_SIG, COLOUR_SIG]))
+    bound = data.draw(st.integers(1, 2))
+    forbidden = data.draw(st.lists(irreducible_structures(sig, bound == 2),
+                                   max_size=3))
+    if bound == 2:
+        # simple graphs, and on the coloured signature a single colour,
+        # so the oracle builds at most a few thousand families
+        forbidden += catalog._window_forbidden(sig, catalog._valid_graphlike)
+        if sig == COLOUR_SIG:
+            colour = data.draw(st.sampled_from([[], [(0,)]]))
+            forbidden.append(Structure(sig, 1, {"P": colour}))
+    _assert_same_3dap(ClassSpec(sig, forbidden), bound)
+
+
+def test_3dap_oriented_graphs_pass_at_bound_two():
+    report = check_3dap_over_empty(catalog.oriented_graphs(), 2)
+    assert report.passed and report.families_checked == 780_165
+
+
+def test_3dap_pair_amalgam_budget():
+    # the largest pair, two 2-vertex graphs, has 8 cross tuples
+    assert check_3dap_over_empty(catalog.all_graphs(), 2, budget=256).passed
+    with pytest.raises(BudgetExceeded, match="^256 pair amalgams exceed budget$"):
+        check_3dap_over_empty(catalog.all_graphs(), 2, budget=255)
+
+
+def test_3dap_completion_budget_on_counted_triples():
+    # a 4-ary relation has 14 cross tuples on two points but 36 tuples
+    # spanning three, so the completion budget trips before any pair's,
+    # on a side triple that no forbidden structure splits
+    K = ClassSpec(Signature([("Q", 4)]), ())
+    with pytest.raises(BudgetExceeded,
+                       match="^68719476736 completions exceed budget$"):
+        check_3dap_over_empty(K, 1, budget=1 << 14)
