@@ -25,6 +25,7 @@ from .structures import (
     QfType,
     Signature,
     Structure,
+    _slots,
     qf_type,
     satisfies_class,
     satisfies_class_at,
@@ -84,11 +85,9 @@ class MissingType:
 
 def _extension_orbits(sig: Signature, size: int) -> list[tuple[tuple, tuple]]:
     groups: dict[tuple, list] = {}
-    for name, arity in sig.relations:
-        for t in itertools.product(range(size + 1), repeat=arity):
-            if size in t:
-                groups.setdefault((name, tuple(sorted(t))), []).append(t)
-    return sorted((k, tuple(sorted(ts))) for k, ts in groups.items())
+    for name, t in _slots(sig, size + 1, lambda t: size in t):
+        groups.setdefault((name, tuple(sorted(t))), []).append(t)
+    return sorted((k, tuple(ts)) for k, ts in groups.items())
 
 
 class _ClassChecker:
@@ -192,7 +191,7 @@ def _orbit_options(cur: Structure, checker: _ClassChecker, orbit_key,
 def admissible_extensions(S: Structure, K: ClassSpec) -> Iterator[Structure]:
     """All extensions of S by a fresh vertex that stay in K, one per
     admissible atomic diagram, in deterministic orbit-lexicographic order."""
-    # structures.one_point_extensions enumerates the same diagrams unpruned
+    # structures.enumerate_class_members enumerates the same diagrams unpruned
     # and stays separate: this walk is complete only for classes whose invalid
     # windows stay invalid under later additions, that one for any class
     # (@file classes too), so check-3dap on such classes relies on it.

@@ -487,11 +487,8 @@ def default_epsilon(g: int) -> Fraction:
 
 
 def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
-                           c_override: Optional[int] = None,
-                           threshold: float = 0.5, c_cap: int = 32,
-                           floor: int = 1, max_attempts: int = 10,
-                           strict_removals: bool = False,
-                           ) -> PartitionedHypergraph:
+                           c_override: Optional[int] = None, c_cap: int = 32,
+                           max_attempts: int = 10) -> PartitionedHypergraph:
     """Sample an n-uniform hypergraph on n parts of size c with edges drawn
     i.i.d. at p = c^(1-n+eps), then delete one edge per short cycle until
     the Berge girth reaches g.  Each attempt runs one cycle search that
@@ -499,16 +496,14 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
 
     The theory certifies success only for part sizes far beyond desk
     scale, so c is chosen as the first power of two whose failure bound
-    drops below `threshold`, capped at `c_cap`; the metadata records
-    whether the bound actually certifies the instance.
+    drops below 1/2, capped at `c_cap`; the metadata records whether the
+    bound actually certifies the instance.
 
-    Ending with fewer than `floor` edges is an error after retries, never
-    silent.  A removal count reaching c is also retried (the asymptotic
-    regime keeps it below c), but at uniformity 3 and desk-scale c the
-    expected short-cycle count always exceeds c, so when every attempt
-    overshoots the best instance is returned with
-    meta["removal_budget_met"] = False; pass strict_removals=True to make
-    that an error instead.
+    Ending with no edges is an error after retries, never silent.  A
+    removal count reaching c is also retried (the asymptotic regime keeps
+    it below c), but at uniformity 3 and desk-scale c the expected
+    short-cycle count always exceeds c, so when every attempt overshoots
+    the best instance is returned with meta["removal_budget_met"] = False.
     """
     if n < 2 or s < 1 or g < 2:
         raise ValueError("need n >= 2, s >= 1, g >= 2")
@@ -526,7 +521,7 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
         params = params_for(c_override)
         if params is None:
             raise ValueError("c_override makes the edge probability >= 1/2")
-        certified = (failure_bound(params, a) < threshold
+        certified = (failure_bound(params, a) < 0.5
                      and c_override >= sp.c_min)
     else:
         params = None
@@ -536,7 +531,7 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
             cand = params_for(c)
             if cand is not None:
                 params = cand
-                if failure_bound(cand, a) < threshold and c >= sp.c_min:
+                if failure_bound(cand, a) < 0.5 and c >= sp.c_min:
                     certified = True
                     break
             c *= 2
@@ -559,8 +554,8 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
         for cyc in _short_cycles(universe, edges, g):
             edges.discard(max(cyc, key=sorted))
             removed += 1
-        if len(edges) < floor:
-            last_error = f"only {len(edges)} edges < floor {floor}"
+        if not edges:
+            last_error = "only 0 edges < floor 1"
             continue
         meta = {
             "n": n, "s": s, "g": g, "seed": seed, "attempt": attempt,
@@ -577,7 +572,7 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
         last_error = f"removed {removed} >= c = {c} edges"
         if best is None or removed < best.meta["removed_edges"]:
             best = out
-    if best is not None and not strict_removals:
+    if best is not None:
         return best
     raise GenerationError(f"all {max_attempts} attempts failed: {last_error}")
 

@@ -572,6 +572,8 @@ class ClassSpec:
         for F in forb:
             if F.signature != signature:
                 raise SignatureMismatch("forbidden structure signature mismatch")
+            if F.size == 0:
+                raise ValueError("forbidden structures must have a vertex")
             if not is_irreducible(F):
                 raise ValueError("forbidden structures must be irreducible")
         self.signature = signature
@@ -704,31 +706,29 @@ def realisation_set(S: Structure, params: Iterable[int], p: QfType) -> list[int]
 
 
 # ---------------------------------------------------------------------------
-# Enumerating class members up to isomorphism (needed by the 3-DAP checker)
+# Completions in a class and class members up to isomorphism
 
 
-def one_point_extensions(S: Structure, K: ClassSpec,
-                         budget: int = 1 << 20) -> Iterator[Structure]:
-    """All extensions of S by one vertex that stay in K, one per atom set,
-    in lexicographic order of the added tuple set."""
-    v = S.size
-    slots = []
-    for name, arity in S.signature.relations:
-        for t in itertools.product(range(v + 1), repeat=arity):
-            if v in t:
-                slots.append((name, t))
-    slots.sort()
-    if 2 ** len(slots) > budget:
-        raise BudgetExceeded(f"{2 ** len(slots)} extension atom sets exceed budget")
-    base = {name: set(ts) for name, ts in S.relations.items()}
-    for r in range(len(slots) + 1):
-        for chosen in itertools.combinations(slots, r):
-            rels = {n: set(ts) for n, ts in base.items()}
+def _slots(sig: Signature, size: int, keep: Callable[[tuple], bool]) -> list[tuple]:
+    """The sorted (relation, tuple) pairs over vertices 0..size-1 whose tuple
+    `keep` accepts."""
+    return sorted((name, t) for name, arity in sig.relations
+                  for t in itertools.product(range(size), repeat=arity) if keep(t))
+
+
+def _completions(S: Structure, free: Sequence[tuple],
+                 K: ClassSpec) -> Iterator[tuple[tuple, Structure]]:
+    """(chosen, T) for each subset `chosen` of the (relation, tuple) pairs
+    `free` whose completion T, S plus the chosen tuples, is in K; subsets
+    by size, then lexicographically in the order of `free`."""
+    for r in range(len(free) + 1):
+        for chosen in itertools.combinations(free, r):
+            rels = {n: set(ts) for n, ts in S.relations.items()}
             for name, t in chosen:
                 rels[name].add(t)
-            T = Structure(S.signature, v + 1, rels)
-            if satisfies_class_at(T, K, v):
-                yield T
+            T = Structure(S.signature, S.size, rels)
+            if satisfies_class(T, K):
+                yield chosen, T
 
 
 def enumerate_class_members(K: ClassSpec, max_size: int,
@@ -736,16 +736,17 @@ def enumerate_class_members(K: ClassSpec, max_size: int,
     """All members of K with 1..max_size vertices, up to isomorphism,
     ordered by (size, canonical form)."""
     by_size: list[list[Structure]] = [[Structure(K.signature, 0)]]
-    for _ in range(max_size):
+    for v in range(max_size):
+        slots = _slots(K.signature, v + 1, lambda t: v in t)
+        if by_size[-1] and 2 ** len(slots) > budget:
+            raise BudgetExceeded(f"{2 ** len(slots)} extension atom sets exceed budget")
         nxt = {}
         for S in by_size[-1]:
-            for T in one_point_extensions(S, K, budget):
+            grown = Structure(K.signature, v + 1, S.relations)
+            for _, T in _completions(grown, slots, K):
                 nxt.setdefault(canonical_form(T), T)
         by_size.append([nxt[k] for k in sorted(nxt)])
-    out = []
-    for size_list in by_size[1:]:
-        out.extend(size_list)
-    return out
+    return [S for size_list in by_size[1:] for S in size_list]
 
 
 # ---------------------------------------------------------------------------
@@ -783,58 +784,49 @@ class ThreeDapReport:
 def _pair_amalgams(A: Structure, B: Structure, K: ClassSpec,
                    budget: int) -> list[Structure]:
     """All completions of the disjoint union A + B by cross tuples that stay
-    in K, deduplicated under Aut(A) x Aut(B), in deterministic order."""
+    in K, one per Aut(A) x Aut(B) orbit of cross tuple sets: the orbit's
+    least set by (size, sorted tuples), the amalgams in that order.
+
+    A + B grows one B-vertex at a time, adding B's tuples through the new
+    vertex and completing it by the cross tuples through it, so a partial
+    amalgam outside K is dropped where it appears.  An orbit lies wholly
+    inside K or wholly outside it, so each orbit in K keeps the least set
+    that a search over all cross tuple sets would keep."""
     sig = K.signature
-    na = A.size
-    size = na + B.size
-    base = {name: set(A.relations[name]) for name in sig.names}
-    for name in sig.names:
-        base[name].update(tuple(x + na for x in t) for t in B.relations[name])
-    cross = []
-    for name, arity in sig.relations:
-        for t in itertools.product(range(size), repeat=arity):
-            touched_a = any(x < na for x in t)
-            touched_b = any(x >= na for x in t)
-            if touched_a and touched_b:
-                cross.append((name, t))
-    cross.sort()
+    na, size = A.size, A.size + B.size
+    cross = _slots(sig, size, lambda t: min(t) < na <= max(t))
     if 2 ** len(cross) > budget:
         raise BudgetExceeded(f"{2 ** len(cross)} pair amalgams exceed budget")
+    members = [((), A)]
+    for v in range(na, size):
+        own = {n: [tuple(x + na for x in t) for t in B.relations[n] if max(t) == v - na]
+               for n in sig.names}
+        free = [(n, t) for n, t in cross if max(t) == v]
+        grown = []
+        for chosen, S in members:
+            base = Structure(sig, v + 1, {n: S.relations[n].union(own[n])
+                                          for n in sig.names})
+            grown.extend((chosen + more, T) for more, T in _completions(base, free, K))
+        members = grown
 
-    auts = []
-    for pa in automorphisms(A):
-        for pb in automorphisms(B):
-            perm = list(pa.map) + [x + na for x in pb.map]
-            auts.append(perm)
+    auts = [pa.map + tuple(x + na for x in pb.map)
+            for pa in automorphisms(A) for pb in automorphisms(B)]
 
-    seen = set()
-    out = []
-    for r in range(len(cross) + 1):
-        for chosen in itertools.combinations(cross, r):
-            orbit_min = min(
-                tuple(sorted((name, tuple(perm[x] for x in t)) for name, t in chosen))
-                for perm in auts
-            )
-            if orbit_min in seen:
-                continue
-            seen.add(orbit_min)
-            rels = {n: set(ts) for n, ts in base.items()}
-            for name, t in chosen:
-                rels[name].add(t)
-            C = Structure(sig, size, rels)
-            if satisfies_class(C, K):
-                out.append(C)
-    return out
+    def key(chosen, perm):
+        return len(chosen), sorted((n, tuple(perm[x] for x in t)) for n, t in chosen)
+
+    least = [(key(chosen, range(size)), C) for chosen, C in members
+             if key(chosen, range(size)) == min(key(chosen, perm) for perm in auts)]
+    return [C for _, C in sorted(least, key=lambda kc: kc[0])]
 
 
 def _spanning_tuples(sides: Sequence[Structure], K: ClassSpec,
                      budget: int) -> list[tuple]:
-    """The sorted tuples of arity >= 3 meeting all three sides, which no pair
-    amalgam holds; raises BudgetExceeded if their subsets exceed the budget."""
+    """The sorted tuples meeting all three sides, which no pair amalgam
+    holds; raises BudgetExceeded if their subsets exceed the budget."""
     a0, a1, a2 = (s.size for s in sides)
-    free = sorted((name, t) for name, arity in K.signature.relations if arity >= 3
-                  for t in itertools.product(range(a0 + a1 + a2), repeat=arity)
-                  if len({(x >= a0) + (x >= a0 + a1) for x in t}) == 3)
+    free = _slots(K.signature, a0 + a1 + a2,
+                  lambda t: len({(x >= a0) + (x >= a0 + a1) for x in t}) == 3)
     if 2 ** len(free) > budget:
         raise BudgetExceeded(f"{2 ** len(free)} completions exceed budget")
     return free
@@ -858,16 +850,9 @@ def _three_dap_amalgam_exists(family: ThreeDapFamily, K: ClassSpec,
         for name in sig.names:
             rels[name].update(tuple(glob(x) for x in t) for t in amal.relations[name])
 
+    union = Structure(sig, a0 + a1 + a2, rels)
     free = _spanning_tuples(family.sides, K, budget)
-    for r in range(len(free) + 1):
-        for chosen in itertools.combinations(free, r):
-            cand = {n: set(ts) for n, ts in rels.items()}
-            for name, t in chosen:
-                cand[name].add(t)
-            C = Structure(sig, a0 + a1 + a2, cand)
-            if satisfies_class(C, K):
-                return True
-    return False
+    return any(True for _ in _completions(union, free, K))
 
 
 def _splittings(F: Structure) -> list[tuple[Structure, ...]]:

@@ -35,8 +35,8 @@ from .structures import (
     _iter_embedding_maps,
     are_isomorphic,
     colour_classes,
+    enumerate_class_members,
     find_embeddings,
-    one_point_extensions,
     qf_type,
     satisfies_class,
 )
@@ -182,8 +182,7 @@ def paste(H: PartitionedHypergraph, B: Structure, K: ClassSpec) -> PastedStructu
 def class_is_transitive(K: ClassSpec) -> bool:
     """A forbidden-substructure class has one vertex type iff it admits
     exactly one one-vertex structure."""
-    points = one_point_extensions(Structure(K.signature, 0), K)
-    return sum(1 for _ in points) == 1
+    return len(enumerate_class_members(K, 1)) == 1
 
 
 def build_witness_chain(K: ClassSpec, B: Structure, k: int, seed: int,

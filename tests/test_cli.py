@@ -266,6 +266,21 @@ def test_dead_end_class_is_a_pipeline_failure(tmp_path, capsys):
     assert "no admissible vertex" in _one_error_line(capsys)
 
 
+def test_class_forbidding_the_empty_structure_is_a_usage_error(tmp_path, capsys):
+    # the empty structure embeds into everything, so nothing could be
+    # generated; the class file itself is bad input
+    sig = [{"name": "E", "arity": 2}]
+    spec = {"name": "empty", "signature": sig,
+            "forbidden": [{"signature": sig, "size": 0}]}
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run(["gen", "--klass", "@" + str(path), "--size", "3", "--seed", "1",
+                "--out", str(out)]) == 2
+    assert "forbidden structures must have a vertex" in _one_error_line(capsys)
+    assert not (out / "structure.json").exists()
+
+
 def test_paste_internal_inconsistency_is_a_pipeline_failure(tmp_path, capsys,
                                                              monkeypatch):
     gen_dir = tmp_path / "gen"

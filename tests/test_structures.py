@@ -382,6 +382,13 @@ def test_classspec_rejects_reducible_forbidden():
         ClassSpec(catalog.GRAPH_SIG, [catalog.path_graph(3)])
 
 
+def test_classspec_rejects_forbidden_without_vertices():
+    # it embeds everywhere, so the class would be empty, yet an anchored
+    # check has no vertex of it to pin and lets one-vertex structures in
+    with pytest.raises(ValueError, match="^forbidden structures must have a vertex$"):
+        ClassSpec(catalog.GRAPH_SIG, [Structure(catalog.GRAPH_SIG, 0)])
+
+
 # ---------------------------------------------------------------------------
 # Quantifier-free types
 
@@ -452,9 +459,66 @@ def test_3dap_oriented_graphs_pass_at_bound_one():
     assert report.passed
 
 
+def brute_class_members(K, max_size):
+    """Oracle: grow members one vertex at a time by every atom set through
+    the new vertex, checked by the anchored search, deduplicated by
+    canonical form."""
+    by_size = [[Structure(K.signature, 0)]]
+    for v in range(max_size):
+        slots = sorted((name, t) for name, arity in K.signature.relations
+                       for t in itertools.product(range(v + 1), repeat=arity) if v in t)
+        nxt = {}
+        for S in by_size[-1]:
+            for r in range(len(slots) + 1):
+                for chosen in itertools.combinations(slots, r):
+                    rels = {n: set(ts) for n, ts in S.relations.items()}
+                    for name, t in chosen:
+                        rels[name].add(t)
+                    T = Structure(K.signature, v + 1, rels)
+                    if satisfies_class_at(T, K, v):
+                        nxt.setdefault(canonical_form(T), T)
+        by_size.append([nxt[k] for k in sorted(nxt)])
+    return [S for size_list in by_size[1:] for S in size_list]
+
+
+def brute_pair_amalgams(A, B, K):
+    """Oracle: every set of cross tuples on A + B, in order of size and then
+    lexicographically, keeping the first set of each Aut(A) x Aut(B) orbit
+    whose completion is in K."""
+    sig = K.signature
+    na = A.size
+    size = na + B.size
+    base = {name: set(A.relations[name]) for name in sig.names}
+    for name in sig.names:
+        base[name].update(tuple(x + na for x in t) for t in B.relations[name])
+    cross = sorted((name, t) for name, arity in sig.relations
+                   for t in itertools.product(range(size), repeat=arity)
+                   if any(x < na for x in t) and any(x >= na for x in t))
+    auts = [list(pa.map) + [x + na for x in pb.map]
+            for pa in automorphisms(A) for pb in automorphisms(B)]
+    seen = set()
+    out = []
+    for r in range(len(cross) + 1):
+        for chosen in itertools.combinations(cross, r):
+            orbit_min = min(
+                tuple(sorted((name, tuple(perm[x] for x in t)) for name, t in chosen))
+                for perm in auts)
+            if orbit_min in seen:
+                continue
+            seen.add(orbit_min)
+            rels = {n: set(ts) for n, ts in base.items()}
+            for name, t in chosen:
+                rels[name].add(t)
+            C = Structure(sig, size, rels)
+            if satisfies_class(C, K):
+                out.append(C)
+    return out
+
+
 def _family_by_family_3dap(K, size_bound, budget=1 << 20):
     """Oracle: the checker before the split rule, which builds and decides
-    every family and recomputes the pair amalgams for every side triple."""
+    every family and recomputes the pair amalgams, by brute force, for
+    every side triple."""
     reps = enumerate_class_members(K, size_bound, budget)
     checked = 0
     for i0 in range(len(reps)):
@@ -462,9 +526,9 @@ def _family_by_family_3dap(K, size_bound, budget=1 << 20):
             for i2 in range(i1, len(reps)):
                 sides = (reps[i0], reps[i1], reps[i2])
                 pair_opts = {
-                    (0, 1): _pair_amalgams(sides[0], sides[1], K, budget),
-                    (0, 2): _pair_amalgams(sides[0], sides[2], K, budget),
-                    (1, 2): _pair_amalgams(sides[1], sides[2], K, budget),
+                    (0, 1): brute_pair_amalgams(sides[0], sides[1], K),
+                    (0, 2): brute_pair_amalgams(sides[0], sides[2], K),
+                    (1, 2): brute_pair_amalgams(sides[1], sides[2], K),
                 }
                 for a01 in pair_opts[(0, 1)]:
                     for a02 in pair_opts[(0, 2)]:
@@ -477,10 +541,19 @@ def _family_by_family_3dap(K, size_bound, budget=1 << 20):
     return ThreeDapReport(True, None, checked)
 
 
+def _keys(structures):
+    return [S._key for S in structures]
+
+
 _ORACLE_3DAP: dict = {}
 
 
 def _assert_same_3dap(K, size_bound):
+    reps = enumerate_class_members(K, size_bound)
+    assert _keys(reps) == _keys(brute_class_members(K, size_bound))
+    for A, B in itertools.combinations_with_replacement(reps, 2):
+        assert (_keys(_pair_amalgams(A, B, K, 1 << 20))
+                == _keys(brute_pair_amalgams(A, B, K)))
     # the verdict does not depend on the order of the forbidden structures
     key = (K.signature, frozenset(K.forbidden), size_bound)
     if key not in _ORACLE_3DAP:
@@ -555,6 +628,13 @@ def test_3dap_matches_family_by_family_on_random_classes(data):
 def test_3dap_oriented_graphs_pass_at_bound_two():
     report = check_3dap_over_empty(catalog.oriented_graphs(), 2)
     assert report.passed and report.families_checked == 780_165
+
+
+def test_3dap_graphs_pass_and_k3free_fails_at_bound_three():
+    graphs = check_3dap_over_empty(catalog.all_graphs(), 3)
+    assert graphs.passed and graphs.families_checked == 26_720_023
+    k3free = check_3dap_over_empty(catalog.kn_free(3), 3)
+    assert not k3free.passed and k3free.families_checked == 8
 
 
 def test_3dap_pair_amalgam_budget():
