@@ -56,6 +56,12 @@ COMMANDS = [
                       "--seed", "5"]),
     ("gen-f-free", ["gen", "--klass", "f-free-3hyper", "--size", "8",
                     "--seed", "5"]),
+    ("gen-two-colour", ["gen", "--klass", "@{tmp}/two-colour.json", "--size", "10",
+                        "--seed", "7"]),
+    ("partition-knfree", ["partition", "--structure", "{gen-knfree}/structure.json",
+                          "--scheme", "neighbourhood", "--anchor", "0",
+                          "--klass", "knfree:3", "--probes", "k2",
+                          "--base-bound", "1"]),
     ("3dap-graphs", ["check-3dap", "--klass", "graphs", "--bound", "2"]),
     ("3dap-knfree", ["check-3dap", "--klass", "knfree:3", "--bound", "1"]),
     ("3dap-rb", ["check-3dap", "--klass", "rb-bichrome", "--bound", "1"]),
@@ -89,6 +95,8 @@ EXPECTED = {
     "gen-knfree": [0, "21880ecd1f44c2565515ab351728cd16a18667835681c75cdbd6689f5ff8bda8"],
     "gen-oriented": [0, "9f524023e464a742e10f89c6ce85cd68b7ddae10b1c8a9d6454d94cd7c5c734b"],
     "gen-f-free": [0, "78e00d9e259351e3ea17dbd0bc4eff60b7eebd8d43f2d6297e758c7ef759b30b"],
+    "gen-two-colour": [0, "b5dc5cdc1f2aa087cd75b805bb8d19d1f18002b1872ce02ef8cb44110b88e5ca"],
+    "partition-knfree": [0, "521af2708ef5815ff006b9793b9f043907c34a821325b9f26985b92d7b06b9e7"],
     "3dap-graphs": [0, "d4910e28fd25681ce349c392c0549bb558e27a95ca4a2e2f95e77a21a07f944b"],
     "3dap-knfree": [1, "bcb34b8c1ca64d194afa21ceec91961e6f05f9e7a629a9e684ed5c1f3eb723f3"],
     "3dap-rb": [1, "0bbebc5d90a2f4a932fac7ba8779ecb71e01c1d01ff1cd4df8c92730275e2f13"],
@@ -112,6 +120,21 @@ def _write_presentations(tmp: Path) -> None:
         (tmp / f"{name}.json").write_text(json.dumps({"k": 2, "sets": sets}))
 
 
+def _two_colour_class() -> dict:
+    """Graphs with a unary colour P and no edge between the colours, as a
+    class file: E symmetric and loop-free, and no edge from a P vertex to
+    a vertex outside P."""
+    sig = [{"name": "P", "arity": 1}, {"name": "E", "arity": 2}]
+
+    def forbid(size, P, E):
+        return {"signature": sig, "size": size, "relations": {"P": P, "E": E}}
+
+    forbidden = [forbid(1, [], [[0, 0]]), forbid(1, [[0]], [[0, 0]])]
+    forbidden += [forbid(2, P, [[0, 1]]) for P in ([], [[0]], [[1]], [[0], [1]])]
+    forbidden.append(forbid(2, [[0]], [[0, 1], [1, 0]]))
+    return {"signature": sig, "forbidden": forbidden, "name": "two-colour-graphs"}
+
+
 def _digest(out: Path) -> str:
     h = hashlib.sha256()
     for path in sorted(out.iterdir()):
@@ -127,6 +150,7 @@ def run_all(tmp: Path, hash_seed: str) -> dict:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
     qtype = {"parameters": [0], "positives": [["E", [-1, 0]], ["E", [0, -1]]]}
     (tmp / "type.json").write_text(json.dumps(qtype))
+    (tmp / "two-colour.json").write_text(json.dumps(_two_colour_class()))
     dirs = {"tmp": str(tmp)}
     results = {}
     for label, argv in COMMANDS:

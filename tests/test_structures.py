@@ -1,6 +1,7 @@
 """Core structure model: validation, Gaifman graphs, embedding search,
 amalgams, class membership, types and the 3-amalgamation checker."""
 
+import hashlib
 import itertools
 import random
 
@@ -635,6 +636,17 @@ def test_3dap_graphs_pass_and_k3free_fails_at_bound_three():
     assert graphs.passed and graphs.families_checked == 26_720_023
     k3free = check_3dap_over_empty(catalog.kn_free(3), 3)
     assert not k3free.passed and k3free.families_checked == 8
+
+
+def test_pair_amalgams_of_the_largest_oriented_sides_are_pinned():
+    # the last two 3-vertex oriented members: each of the nine cross pairs
+    # carries no arc or one of two, so 3^9 = 19,683 completions are in the
+    # class, 3,414 of them up to the sides' automorphisms
+    reps = enumerate_class_members(catalog.oriented_graphs(), 3)
+    out = _pair_amalgams(reps[-2], reps[-1], catalog.oriented_graphs(), 1 << 20)
+    assert len(out) == 3414
+    assert (hashlib.sha256(repr(_keys(out)).encode()).hexdigest()
+            == "8883435bc8e409c68b77560c3dfd76a38c96e26e6f09c505b9f0b3e0ff7f82f7")
 
 
 def test_3dap_pair_amalgam_budget():
