@@ -7,7 +7,8 @@ timings, which is enough to reproduce the run bit for bit.
 Exit codes: 0 success or pass, 1 verified counterexample found, 2 usage
 error, 3 budget exceeded, 4 pipeline failure (extraction failed,
 generation gave up or hit a dead end, or pasting left the class), all
-chosen so CI can tell a genuine counterexample from a breakdown.
+chosen so CI can tell a genuine counterexample from a breakdown.  Exits 3
+and 4 print one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ class _Run:
         }
         (self.out / f"{self.command}-manifest.json").write_text(jsonio.dumps(manifest))
         return exit_code
+
+    def fail(self, exit_code: int, error) -> int:
+        """Print one `error:` line, write it to error.json and finish."""
+        print(f"error: {error}", file=sys.stderr)
+        self.write("error.json", {"error": str(error)})
+        return self.finish(exit_code)
 
 
 def _load_class(run: _Run, spec: str):
@@ -203,8 +210,7 @@ def _cmd_enumerate(args) -> int:
     try:
         pres = list(enumerate_presentations(C, args.k, args.budget))
     except BudgetExceeded as e:
-        run.write("error.json", {"error": str(e)})
-        return run.finish(EXIT_BUDGET)
+        return run.fail(EXIT_BUDGET, e)
     run.write("presentations.json", {
         "count": len(pres),
         "presentations": [jsonio.presentation_to_json(P)["sets"] for P in pres],
@@ -227,8 +233,7 @@ def _cmd_verify_witness(args) -> int:
                                  trials=args.trials, seed=args.seed or 0,
                                  ground_budget=args.budget)
     except BudgetExceeded as e:
-        run.write("error.json", {"error": str(e)})
-        return run.finish(EXIT_BUDGET)
+        return run.fail(EXIT_BUDGET, e)
     run.write("verdict.json", {"passed": verdict.passed, "checked": verdict.checked})
     if verdict.passed:
         return run.finish(EXIT_OK)
@@ -251,8 +256,7 @@ def _cmd_hypergraph(args) -> int:
             H = gen_witness_hypergraph(args.n, args.s, args.g, args.seed,
                                        c_override=args.c, c_cap=args.c_cap)
         except GenerationError as e:
-            run.write("error.json", {"error": str(e)})
-            return run.finish(EXIT_PIPELINE)
+            return run.fail(EXIT_PIPELINE, e)
         run.write("hypergraph.json", jsonio.hypergraph_to_json(H))
         return run.finish(EXIT_OK)
     H = run.load(jsonio.hypergraph_from_json, args.input)
@@ -267,15 +271,12 @@ def _cmd_hypergraph(args) -> int:
                                        trials=args.trials, seed=args.seed or 0,
                                        budget=args.budget)
         except BudgetExceeded as e:
-            run.write("error.json", {"error": str(e)})
-            return run.finish(EXIT_BUDGET)
+            return run.fail(EXIT_BUDGET, e)
         if result is None:
             run.write("adversary.json", {"counterexample": None})
             return run.finish(EXIT_OK)
         if not is_counterexample_tuple(H, result):
-            run.write("error.json",
-                      {"error": "adversary result failed re-validation"})
-            return run.finish(EXIT_PIPELINE)
+            return run.fail(EXIT_PIPELINE, "adversary result failed re-validation")
         payload = [[list(block) for block in partition] for partition in result]
         run.write("adversary.json", {"counterexample": payload})
         return run.finish(EXIT_COUNTEREXAMPLE)
@@ -315,14 +316,14 @@ def _cmd_extract(args) -> int:
     try:
         cert, trace = extract_sunflower(chain, P, level)
     except ExtractionFailed as e:
+        print(f"error: {e}", file=sys.stderr)
         run.write("counterexample.json",
                   jsonio.presentation_to_json(e.presentation))
         return run.finish(EXIT_PIPELINE)
     run.write("certificate.json", jsonio.cert_to_json(cert))
     run.write("trace.json", jsonio.trace_to_json(trace))
     if not verify_certificate(cert, chain.target, P):
-        run.write("error.json", {"error": "certificate failed re-validation"})
-        return run.finish(EXIT_PIPELINE)
+        return run.fail(EXIT_PIPELINE, "certificate failed re-validation")
     return run.finish(EXIT_OK)
 
 
@@ -354,8 +355,7 @@ def _cmd_check_3dap(args) -> int:
     try:
         report = check_3dap_over_empty(K, args.bound, budget=args.budget)
     except BudgetExceeded as e:
-        run.write("error.json", {"error": str(e)})
-        return run.finish(EXIT_BUDGET)
+        return run.fail(EXIT_BUDGET, e)
     if report.passed:
         run.write("3dap.json", {"passed": True,
                                 "families_checked": report.families_checked})
@@ -506,13 +506,10 @@ def run(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except BudgetExceeded:
-        return EXIT_BUDGET
-    except (ExtractionFailed, GenerationError):
-        return EXIT_PIPELINE
-    except (NoAdmissibleExtension, InternalConsistencyError) as e:
+    except (BudgetExceeded, ExtractionFailed, GenerationError,
+            NoAdmissibleExtension, InternalConsistencyError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PIPELINE
+        return EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_PIPELINE
     except (ValueError, KeyError, FileNotFoundError) as e:
         # str() of a KeyError is the repr of its message
         print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}",

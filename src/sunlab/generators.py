@@ -25,10 +25,10 @@ from .structures import (
     QfType,
     Signature,
     Structure,
+    _completions,
     _slots,
     qf_type,
     satisfies_class,
-    satisfies_class_at,
 )
 
 
@@ -70,146 +70,35 @@ class MissingType:
 #
 # The atom slots for a new vertex are grouped into orbits keyed by
 # (relation, support multiset); choices are made orbit by orbit in sorted
-# order.  A candidate subset is vetted first against the induced window on
-# the orbit's support and then, if it survives, against the whole
-# structure.  The window pass is complete for every forbidden structure
-# whose tuples all span its vertex set (the validity windows enforcing
-# symmetry, irreflexivity and the like), because a new violation of such a
-# pattern always sits exactly on the support of one of the tuples being
-# added; only the remaining "wide" patterns need the anchored search.
-#
-# Pruning a candidate prunes all its completions, which is exhaustive for
-# classes whose invalid windows stay invalid under later additions; every
-# catalog class is of this kind.
+# order, each orbit's options being the completions that
+# structures._completions keeps.
 
 
-def _extension_orbits(sig: Signature, size: int) -> list[tuple[tuple, tuple]]:
+def _extension_orbits(sig: Signature, size: int) -> list[list[tuple]]:
     groups: dict[tuple, list] = {}
     for name, t in _slots(sig, size + 1, lambda t: size in t):
-        groups.setdefault((name, tuple(sorted(t))), []).append(t)
-    return sorted((k, tuple(ts)) for k, ts in groups.items())
-
-
-class _ClassChecker:
-    """Memoized admissibility checks for one class."""
-
-    def __init__(self, K: ClassSpec):
-        from .structures import canonical_form
-        self.K = K
-        arities = [a for _, a in K.signature.relations]
-        self.max_window = max(arities, default=0)
-        self.window_bad = {canonical_form(F) for F in K.forbidden
-                           if F.size <= self.max_window}
-        self.general = [F for F in K.forbidden if not self._spans_itself(F)]
-        self._canon = canonical_form
-        self.memo: dict = {}
-
-    @staticmethod
-    def _spans_itself(F: Structure) -> bool:
-        verts = set(range(F.size))
-        tuples = [t for n in F.signature.names for t in F.relations[n]]
-        return bool(tuples) and all(set(t) == verts for t in tuples)
-
-    def window_ok(self, W: Structure) -> bool:
-        key = W._key
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        ok = True
-        for r in range(1, W.size + 1):
-            for sub in itertools.combinations(range(W.size), r):
-                if self._canon(W.induced(sub)) in self.window_bad:
-                    ok = False
-                    break
-            if not ok:
-                break
-        self.memo[key] = ok
-        return ok
-
-    def general_ok_incremental(self, S: Structure, name: str, new_tuples) -> bool:
-        """No wide forbidden pattern embeds using one of the new tuples.
-
-        A fresh violation must reflect some pattern tuple onto a newly
-        added tuple (an image carrying only old tuples embedded already),
-        so the search runs once per way of pinning a pattern tuple onto a
-        new one.
-        """
-        from .structures import _iter_embedding_maps
-        for F in (F for F in self.general if F.size <= S.size):
-            pins = set()
-            for tF in F.relations[name]:
-                for t_new in new_tuples:
-                    m = {}
-                    ok = True
-                    for p, q in zip(tF, t_new):
-                        if m.get(p, q) != q:
-                            ok = False
-                            break
-                        m[p] = q
-                    if ok and len(set(m.values())) == len(m):
-                        pins.add(tuple(sorted(m.items())))
-            for pin in sorted(pins):
-                pinned = dict(pin)
-                pools = [[pinned[d]] if d in pinned else None
-                         for d in range(F.size)]
-                for _ in _iter_embedding_maps(F, S, candidates=pools):
-                    return False
-        return True
-
-
-def _orbit_options(cur: Structure, checker: _ClassChecker, orbit_key,
-                   orbit_tuples, v: int) -> list[tuple[Structure, tuple]]:
-    """Admissible (structure, chosen tuple set) continuations for one orbit."""
-    name, support = orbit_key
-    window = tuple(sorted(set(support)))
-    wset = set(window)
-    widx = {x: i for i, x in enumerate(window)}
-    sig = cur.signature
-    base_window = {n: [tuple(widx[q] for q in t) for t in cur.relations[n]
-                       if set(t) <= wset]
-                   for n in sig.names}
-    options = []
-    for r in range(len(orbit_tuples) + 1):
-        for chosen in itertools.combinations(orbit_tuples, r):
-            wrels = {n: list(ts) for n, ts in base_window.items()}
-            wrels[name] = wrels[name] + [tuple(widx[q] for q in t) for t in chosen]
-            W = Structure(sig, len(window), wrels)
-            if not checker.window_ok(W):
-                continue
-            if not chosen:
-                options.append((cur, chosen))
-                continue
-            rels = {n: set(ts) for n, ts in cur.relations.items()}
-            rels[name].update(chosen)
-            trial = Structure(sig, cur.size, rels)
-            if not checker.general_ok_incremental(trial, name, chosen):
-                continue
-            options.append((trial, chosen))
-    return options
+        groups.setdefault((name, tuple(sorted(t))), []).append((name, t))
+    return [groups[k] for k in sorted(groups)]
 
 
 def admissible_extensions(S: Structure, K: ClassSpec) -> Iterator[Structure]:
     """All extensions of S by a fresh vertex that stay in K, one per
     admissible atomic diagram, in deterministic orbit-lexicographic order."""
-    # structures.enumerate_class_members enumerates the same diagrams unpruned
-    # and stays separate: this walk is complete only for classes whose invalid
-    # windows stay invalid under later additions, that one for any class
-    # (@file classes too), so check-3dap on such classes relies on it.
+    # Pruning an orbit's option prunes all its completions, so this walk is
+    # complete only for classes whose invalid windows stay invalid under
+    # later additions; every catalog class is of this kind.
     v = S.size
-    start = Structure(S.signature, v + 1, S.relations)
     orbits = _extension_orbits(S.signature, v)
-    checker = _ClassChecker(K)
 
     def rec(cur: Structure, idx: int) -> Iterator[Structure]:
         if idx == len(orbits):
             yield cur
             return
-        key, tuples = orbits[idx]
-        for trial, _ in _orbit_options(cur, checker, key, tuples, v):
-            yield from rec(trial, idx + 1)
+        for _, T in _completions(cur, orbits[idx], K):
+            yield from rec(T, idx + 1)
 
-    if satisfies_class_at(start, K, v):
-        yield from rec(start, 0)
+    if satisfies_class(Structure(S.signature, 1), K):
+        yield from rec(Structure(S.signature, v + 1, S.relations), 0)
 
 
 def admissible_point_types(base: Structure, K: ClassSpec) -> list[QfType]:
@@ -266,19 +155,16 @@ def gen_generic(K: ClassSpec, size: int, seed: int,
         raise ValueError("size must be >= 1")
     if rng is None:
         rng = random.Random(f"generic|{K.name}|{size}|{seed}")
-    checker = _ClassChecker(K)
+    # a structure of K plus a bare vertex is in K iff the bare point is, and
+    # then every orbit keeps at least its empty choice
+    if not satisfies_class(Structure(K.signature, 1), K):
+        raise NoAdmissibleExtension("no admissible vertex 0")
     S = Structure(K.signature, 0)
     for _ in range(size):
-        v = S.size
-        cur = Structure(S.signature, v + 1, S.relations)
-        if not satisfies_class_at(cur, K, v):
-            raise NoAdmissibleExtension(f"no admissible vertex {v}")
-        for key, tuples in _extension_orbits(S.signature, v):
-            options = _orbit_options(cur, checker, key, tuples, v)
-            if not options:
-                raise NoAdmissibleExtension(f"no admissible choice at orbit {key}")
-            cur = options[rng.randrange(len(options))][0]
-        S = cur
+        S = Structure(S.signature, S.size + 1, S.relations)
+        for orbit in _extension_orbits(S.signature, S.size - 1):
+            options = list(_completions(S, orbit, K))
+            S = options[rng.randrange(len(options))][1]
     return S.with_meta(generator="generic", klass=K.name, size=size, seed=seed)
 
 

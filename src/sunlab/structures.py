@@ -564,7 +564,7 @@ class ClassSpec:
     class closed under free amalgams, and construction rejects violations.
     """
 
-    __slots__ = ("signature", "forbidden", "name")
+    __slots__ = ("signature", "forbidden", "name", "_tests")
 
     def __init__(self, signature: Signature, forbidden: Iterable[Structure] = (),
                  name: str = ""):
@@ -579,6 +579,7 @@ class ClassSpec:
         self.signature = signature
         self.forbidden = forb
         self.name = name
+        self._tests = None
 
     def __eq__(self, other):
         return (isinstance(other, ClassSpec)
@@ -716,19 +717,100 @@ def _slots(sig: Signature, size: int, keep: Callable[[tuple], bool]) -> list[tup
                   for t in itertools.product(range(size), repeat=arity) if keep(t))
 
 
+# A cap on the window memo of each class.  Generation and 3-DAP checks meet
+# a few thousand windows at most, but when many free tuples share one
+# support each completion has its own (ternary class members on three
+# vertices try 2^19).
+_WINDOW_MEMO = 1 << 12
+
+
+def _class_tests(K: ClassSpec) -> tuple:
+    """K's incremental tests, built once: the canonical forms of the
+    forbidden structures that fit in one tuple's support, the forbidden
+    structures with a tuple not spanning all their vertices, and a memo of
+    window verdicts."""
+    if K._tests is None:
+        width = max((a for _, a in K.signature.relations), default=0)
+        small = {canonical_form(F) for F in K.forbidden if F.size <= width}
+        wide = [F for F in K.forbidden
+                if any(len(set(t)) < F.size for ts in F.relations.values() for t in ts)]
+        K._tests = (small, wide, {})
+    return K._tests
+
+
 def _completions(S: Structure, free: Sequence[tuple],
                  K: ClassSpec) -> Iterator[tuple[tuple, Structure]]:
     """(chosen, T) for each subset `chosen` of the (relation, tuple) pairs
-    `free` whose completion T, S plus the chosen tuples, is in K; subsets
-    by size, then lexicographically in the order of `free`."""
-    for r in range(len(free) + 1):
+    `free` whose completion T, S plus the chosen tuples, has no forbidden
+    copy through a chosen tuple; subsets by size, then lexicographically in
+    the order of `free`.  Each completion dropped is outside K, and if S is
+    in K, those yielded are exactly the completions in K.
+
+    A copy of a forbidden F that S lacks holds a chosen tuple, the image of
+    a tuple of F.  If every tuple of F spans F, the copy is the window of T
+    on that tuple's support, so each such window is matched against the
+    small forbidden structures, sub-windows included, before T is built;
+    the verdicts are memoised per window.  Every other F is searched in T
+    with one of its tuples pinned on a chosen tuple."""
+    small, wide, memo = _class_tests(K)
+    sig = S.signature
+    frames: dict = {}
+
+    def window_ok(chosen, sup):
+        if sup not in frames:
+            frames[sup] = S.induced(sup)
+        frame = frames[sup]
+        added = frozenset((n, tuple(sup.index(x) for x in t))
+                          for n, t in chosen if set(t) <= set(sup))
+        key = (frame._key, added)
+        verdict = memo.get(key)
+        if verdict is None:
+            rels = {n: set(frame.relations[n]) for n in sig.names}
+            for n, t in added:
+                rels[n].add(t)
+            W = Structure(sig, len(sup), rels)
+            verdict = not any(
+                canonical_form(W.induced(sub)) in small
+                for r in range(1, W.size + 1)
+                for sub in itertools.combinations(range(W.size), r))
+            if len(memo) < _WINDOW_MEMO:
+                memo[key] = verdict
+        return verdict
+
+    yield (), S
+    for r in range(1, len(free) + 1):
         for chosen in itertools.combinations(free, r):
+            if small and not all(window_ok(chosen, tuple(sorted(set(t))))
+                                 for _, t in chosen):
+                continue
             rels = {n: set(ts) for n, ts in S.relations.items()}
             for name, t in chosen:
                 rels[name].add(t)
-            T = Structure(S.signature, S.size, rels)
-            if satisfies_class(T, K):
+            T = Structure(sig, S.size, rels)
+            if not _pinned_copy(T, chosen, wide):
                 yield chosen, T
+
+
+def _pinned_copy(T: Structure, chosen: Sequence[tuple],
+                 forbidden: Sequence[Structure]) -> bool:
+    """Whether some F in `forbidden` embeds into T with one of its tuples on
+    one of the chosen (relation, tuple) pairs."""
+    for F in forbidden:
+        if F.size > T.size:
+            continue
+        pins = set()
+        for name, t in chosen:
+            for tF in F.relations[name]:
+                pairs = frozenset(zip(tF, t))
+                if len(pairs) == len(set(tF)) == len(set(t)):
+                    pins.add(pairs)
+        for pin in pins:
+            pools = [None] * F.size
+            for p, q in pin:
+                pools[p] = [q]
+            for _ in _iter_embedding_maps(F, T, candidates=pools):
+                return True
+    return False
 
 
 def enumerate_class_members(K: ClassSpec, max_size: int,
@@ -736,6 +818,10 @@ def enumerate_class_members(K: ClassSpec, max_size: int,
     """All members of K with 1..max_size vertices, up to isomorphism,
     ordered by (size, canonical form)."""
     by_size: list[list[Structure]] = [[Structure(K.signature, 0)]]
+    # S plus a bare vertex is in K iff the bare point is; if it is not, a
+    # completion with a chosen tuple is still decided exactly, since each
+    # chosen tuple's window holds the new vertex alone as a sub-window
+    point = satisfies_class(Structure(K.signature, 1), K)
     for v in range(max_size):
         slots = _slots(K.signature, v + 1, lambda t: v in t)
         if by_size[-1] and 2 ** len(slots) > budget:
@@ -743,8 +829,9 @@ def enumerate_class_members(K: ClassSpec, max_size: int,
         nxt = {}
         for S in by_size[-1]:
             grown = Structure(K.signature, v + 1, S.relations)
-            for _, T in _completions(grown, slots, K):
-                nxt.setdefault(canonical_form(T), T)
+            for chosen, T in _completions(grown, slots, K):
+                if chosen or point:
+                    nxt.setdefault(canonical_form(T), T)
         by_size.append([nxt[k] for k in sorted(nxt)])
     return [S for size_list in by_size[1:] for S in size_list]
 
@@ -789,7 +876,9 @@ def _pair_amalgams(A: Structure, B: Structure, K: ClassSpec,
 
     A + B grows one B-vertex at a time, adding B's tuples through the new
     vertex and completing it by the cross tuples through it, so a partial
-    amalgam outside K is dropped where it appears.  An orbit lies wholly
+    amalgam outside K is dropped where it appears.  Each base so completed
+    is the free amalgam of a partial amalgam and a piece of B, both in K,
+    so it is in K and the incremental test decides.  An orbit lies wholly
     inside K or wholly outside it, so each orbit in K keeps the least set
     that a search over all cross tuple sets would keep."""
     sig = K.signature
@@ -852,7 +941,8 @@ def _three_dap_amalgam_exists(family: ThreeDapFamily, K: ClassSpec,
 
     union = Structure(sig, a0 + a1 + a2, rels)
     free = _spanning_tuples(family.sides, K, budget)
-    return any(True for _ in _completions(union, free, K))
+    # the union can lie outside K, so what the completions keep is checked whole
+    return any(satisfies_class(T, K) for _, T in _completions(union, free, K))
 
 
 def _splittings(F: Structure) -> list[tuple[Structure, ...]]:

@@ -148,7 +148,7 @@ def test_build_extract_verify_roundtrip(tmp_path):
                 "--trace", str(ext / "trace.json"), "--out", str(trace_dir)]) == 0
 
 
-def test_extract_failure_exit_code(tmp_path):
+def test_extract_failure_exit_code(tmp_path, capsys):
     # a 6-vertex pure-set top admits the two-triangle presentation, which
     # carries no sunflower triple: extraction must exit 4 and hand the
     # presentation back
@@ -166,6 +166,7 @@ def test_extract_failure_exit_code(tmp_path):
                 "--out", str(out)]) == 4
     ce = read(out / "counterexample.json")
     assert ce["sets"] == pres["sets"]
+    assert capsys.readouterr().err.count("error: ") == 1
 
 
 def test_check_3dap_exit_codes(tmp_path):
@@ -264,6 +265,33 @@ def test_dead_end_class_is_a_pipeline_failure(tmp_path, capsys):
     assert run(["gen", "--klass", "@" + str(path), "--size", "3", "--seed", "0",
                 "--out", str(tmp_path / "out")]) == 4
     assert "no admissible vertex" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["build-witness", "--klass", "graphs", "--target", "k2", "--k", "2",
+      "--seed", "1", "--c-cap", "2"],
+     4, "error: no admissible part size at or below the cap\n"),
+    (["check-3dap", "--klass", "graphs", "--bound", "2", "--budget", "255"],
+     3, "error: 256 pair amalgams exceed budget\n")],
+    ids=["witness-part-cap", "3dap-budget"])
+def test_budget_and_pipeline_exits_print_one_error_line(tmp_path, capsys,
+                                                        argv, code, line):
+    # the witness build used to exit 4 with nothing on stderr and no files
+    assert run(argv + ["--out", str(tmp_path)]) == code
+    assert _one_error_line(capsys) == line
+
+
+def test_budget_raised_inside_a_command_prints_one_error_line(tmp_path, capsys,
+                                                              monkeypatch):
+    import sunlab.cli as cli
+
+    def over(*args):
+        raise cli.BudgetExceeded("over budget")
+
+    monkeypatch.setattr(cli, "gen_generic", over)
+    assert run(["gen", "--klass", "graphs", "--size", "3", "--seed", "1",
+                "--out", str(tmp_path)]) == 3
+    assert _one_error_line(capsys) == "error: over budget\n"
 
 
 def test_class_forbidding_the_empty_structure_is_a_usage_error(tmp_path, capsys):

@@ -1,13 +1,18 @@
 """Seeded generators: determinism, defining-class conformance, and the
 extension-defect scanner."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_structures import COLOUR_SIG, irreducible_structures
 
 from sunlab import catalog
 from sunlab.generators import (
     NoAdmissibleExtension,
+    admissible_extensions,
     admissible_point_types,
     extension_defects,
     gen_generic,
@@ -18,6 +23,7 @@ from sunlab.structures import (
     ClassSpec,
     Structure,
     embeds,
+    enumerate_class_members,
     find_embeddings,
     qf_type,
     satisfies_class,
@@ -134,6 +140,64 @@ def test_gen_generic_reports_dead_end():
         gen_generic(K, 1, 0)
 
 
+def brute_extensions(S, K):
+    """Oracle: S plus a bare vertex, if that is in K, then each orbit of
+    atom slots through the new vertex in sorted (relation, support) order,
+    every subset of it kept whose completion passes the full class check."""
+    v = S.size
+    orbits = {}
+    for name, arity in K.signature.relations:
+        for t in itertools.product(range(v + 1), repeat=arity):
+            if v in t:
+                orbits.setdefault((name, tuple(sorted(t))), []).append((name, t))
+    walk = [T for T in [Structure(K.signature, v + 1, S.relations)]
+            if satisfies_class(T, K)]
+    for key in sorted(orbits):
+        slots = sorted(orbits[key])
+        grown = []
+        for cur in walk:
+            for r in range(len(slots) + 1):
+                for chosen in itertools.combinations(slots, r):
+                    rels = {n: set(ts) for n, ts in cur.relations.items()}
+                    for name, t in chosen:
+                        rels[name].add(t)
+                    T = Structure(K.signature, v + 1, rels)
+                    if satisfies_class(T, K):
+                        grown.append(T)
+        walk = grown
+    return walk
+
+
+def _assert_extensions_match(K, bases):
+    for S in [Structure(K.signature, 0)] + bases:
+        assert list(admissible_extensions(S, K)) == brute_extensions(S, K)
+
+
+@pytest.mark.parametrize("name, max_size", [
+    ("pure", 3), ("graphs", 3), ("oriented", 3), ("knfree:3", 3),
+    ("rb-bichrome", 3), ("3hypergraphs", 2), ("k4h3free", 2),
+    ("f-free-3hyper", 2)])
+def test_admissible_extensions_match_brute_force(name, max_size):
+    K = catalog.class_by_name(name)
+    bases = enumerate_class_members(K, max_size)
+    if max_size == 2:
+        # the 3-vertex members are the empty hypergraph and one hyperedge;
+        # listing them tries 2^19 completions, so the hyperedge is added here
+        bases.append(catalog.complete_hypergraph3(3))
+    _assert_extensions_match(K, bases)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_admissible_extensions_match_brute_force_on_random_classes(data):
+    sig = data.draw(st.sampled_from([catalog.GRAPH_SIG, COLOUR_SIG]))
+    forbidden = data.draw(st.lists(irreducible_structures(sig, False), max_size=3))
+    if data.draw(st.booleans()):
+        forbidden.append(Structure(sig, 1))
+    K = ClassSpec(sig, forbidden)
+    _assert_extensions_match(K, enumerate_class_members(K, 2))
+
+
 # ---------------------------------------------------------------------------
 # Extension defects
 
@@ -174,7 +238,6 @@ def test_no_defects_means_all_types_realised():
     S = gen_named("random-graph", 7, 9)
     defects = {(d.base, d.qftype.positives)
                for d in extension_defects(S, K, 1)}
-    import itertools
     for A in [()] + [(v,) for v in range(S.size)]:
         base = S.induced(A)
         for t in admissible_point_types(base, K):
