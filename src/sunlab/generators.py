@@ -25,8 +25,8 @@ from .structures import (
     QfType,
     Signature,
     Structure,
+    _atoms_through,
     _completions,
-    _slots,
     qf_type,
     satisfies_class,
 )
@@ -34,14 +34,6 @@ from .structures import (
 
 class NoAdmissibleExtension(RuntimeError):
     """The class admits no one-point extension of the current structure."""
-
-
-GENERATOR_NAMES = (
-    "random-graph", "knfree", "random-tournament", "random-oriented",
-    "generic-poset", "generic-ordered-graph", "equivalence-omega",
-    "double-equivalence", "local-order", "rb-bichrome", "f-free-3hyper",
-    "pure-set",
-)
 
 
 class MissingType:
@@ -76,7 +68,7 @@ class MissingType:
 
 def _extension_orbits(sig: Signature, size: int) -> list[list[tuple]]:
     groups: dict[tuple, list] = {}
-    for name, t in _slots(sig, size + 1, lambda t: size in t):
+    for name, t in _atoms_through(sig, size):
         groups.setdefault((name, tuple(sorted(t))), []).append((name, t))
     return [groups[k] for k in sorted(groups)]
 
@@ -105,15 +97,7 @@ def admissible_point_types(base: Structure, K: ClassSpec) -> list[QfType]:
     """All class-admissible one-point types over the whole of `base`
     (parameters 0..|base|-1), in deterministic order."""
     b = base.size
-    out = []
-    for ext in admissible_extensions(base, K):
-        positives = []
-        for name in base.signature.names:
-            for t in ext.relations[name]:
-                if b in t:
-                    positives.append((name, tuple(-1 if x == b else x for x in t)))
-        out.append(QfType(range(b), positives))
-    return out
+    return [qf_type(ext, b, range(b)) for ext in admissible_extensions(base, K)]
 
 
 def extension_defects(S: Structure, K: ClassSpec, base_bound: int) -> list[MissingType]:
@@ -387,7 +371,7 @@ def gen_named(name: str, size: int, seed: int) -> Structure:
 
 
 # ---------------------------------------------------------------------------
-# Defining-property checks for generator outputs (used by tests and the CLI)
+# Defining-property checks for generator outputs (used by tests)
 
 
 def _is_strict_poset(S: Structure) -> bool:

@@ -36,6 +36,7 @@ from .structures import (
     SignatureMismatch,
     Structure,
     _iter_embedding_maps,
+    embedding_defect,
 )
 
 DEFAULT_GROUND_BUDGET = 18
@@ -180,7 +181,6 @@ def verify_sunflower_cert(cert: SunflowerCert, B: Structure, P: Presentation) ->
         return False
     if tuple(cert.iso.map) != tuple(petals):
         return False
-    from .structures import embedding_defect
     return embedding_defect(B, P.base, cert.iso.map) is None
 
 
@@ -342,8 +342,9 @@ def verify_witness(C: Structure, B: Structure, k: int,
     sunflower-free prefixes, a copy in a new prefix must use its newest
     vertex: each B-depth in turn is pinned to that vertex and the others
     range over the older ones, on prefix structures built once per call.
-    A target with no vertices has a copy in every prefix and is searched
-    unanchored.  Random mode samples presentations.
+    A target with no vertices has a copy in every presentation, the empty
+    one included, so the walk stops at its one root candidate.  Random
+    mode samples presentations.
     """
     if B.signature != C.signature:
         raise SignatureMismatch("witness check needs matching signatures")
@@ -362,6 +363,8 @@ def verify_witness(C: Structure, B: Structure, k: int,
         raise ValueError(f"unknown mode {mode!r}")
     if k * C.size > ground_budget:
         raise BudgetExceeded(f"ground set {k * C.size} exceeds budget {ground_budget}")
+    if B.size == 0:
+        return WitnessVerdict(True, None, 1)
 
     prefixes = [C.induced(range(i)) for i in range(C.size + 1)]
     sets: list[tuple[int, ...]] = []
@@ -370,9 +373,6 @@ def verify_witness(C: Structure, B: Structure, k: int,
     checked = 0
 
     def has_new_copy(i: int) -> bool:
-        if B.size == 0:
-            prefix = Presentation(prefixes[i], k, sets)
-            return bool(find_sunflower_copies(prefix, B, limit=1))
         older = range(i - 1)
         for d in range(B.size):
             pools = [older] * B.size

@@ -95,9 +95,6 @@ class Colouring:
 # ---------------------------------------------------------------------------
 # Named partitions
 
-SCHEMES = ("neighbourhood", "out-neighbourhood", "class-minus-point",
-           "first-edge-colour", "rational-cut")
-
 
 def named_partition(S: Structure, scheme: str, anchor: Optional[int] = None) -> Partition:
     """Build one of the named counterexample partitions on a finite input."""

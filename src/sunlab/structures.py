@@ -81,8 +81,7 @@ class Structure:
     """
 
     __slots__ = ("signature", "size", "relations", "meta",
-                 "_key", "_hash", "_by_vertex", "_adj", "_canon",
-                 "_src", "_scan")
+                 "_key", "_hash", "_by_vertex", "_adj", "_canon", "_src")
 
     def __init__(self, signature: Signature, size: int,
                  relations: Optional[dict] = None, meta: Optional[dict] = None):
@@ -111,7 +110,6 @@ class Structure:
         self._adj = None
         self._canon = None
         self._src = None
-        self._scan = None
 
     @property
     def vertices(self) -> range:
@@ -232,23 +230,25 @@ def gaifman(S: Structure) -> frozenset:
 def gaifman_adjacency(S: Structure) -> list[set[int]]:
     if S._adj is None:
         adj = [set() for _ in range(S.size)]
-        for e in gaifman(S):
-            u, v = tuple(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        bits = []
-        for v in range(S.size):
-            m = 0
-            for w in adj[v]:
-                m |= 1 << w
-            bits.append(m)
-        S._adj = (adj, bits)
+        bits = [0] * S.size
+        pair_bits = [0] * S.size
+        for name in S.signature.names:
+            for t in S.relations[name]:
+                sup = set(t)
+                for u, v in itertools.permutations(sup, 2):
+                    adj[u].add(v)
+                    bits[u] |= 1 << v
+                    if len(sup) == 2:
+                        pair_bits[u] |= 1 << v
+        S._adj = (adj, bits, pair_bits)
     return S._adj[0]
 
 
-def _adjacency_bits(S: Structure) -> list[int]:
+def _adjacency_bits(S: Structure) -> tuple[list[int], list[int]]:
+    """Per vertex, the bitmask of its Gaifman neighbours and of the
+    vertices it shares a tuple with whose support is exactly the pair."""
     gaifman_adjacency(S)
-    return S._adj[1]
+    return S._adj[1], S._adj[2]
 
 
 def is_irreducible(S: Structure) -> bool:
@@ -262,22 +262,18 @@ def is_irreducible(S: Structure) -> bool:
 
 CandidateFilter = Callable[[int, int, list[int]], bool]
 
-_PATTERNS: dict = {}
+
+def _slots(sig: Signature, size: int, keep: Callable[[tuple], bool]) -> list[tuple]:
+    """The sorted (relation, tuple) pairs over vertices 0..size-1 whose tuple
+    `keep` accepts."""
+    return sorted((name, t) for name, arity in sig.relations
+                  for t in itertools.product(range(size), repeat=arity) if keep(t))
 
 
-def _patterns_through(sig: Signature, d: int) -> tuple:
-    """Atom patterns over vertices 0..d that mention d, per relation."""
-    key = (sig.relations, d)
-    hit = _PATTERNS.get(key)
-    if hit is None:
-        per = []
-        for name, arity in sig.relations:
-            pats = tuple(p for p in itertools.product(range(d + 1), repeat=arity)
-                         if d in p)
-            per.append((name, pats))
-        hit = tuple(per)
-        _PATTERNS[key] = hit
-    return hit
+@functools.cache
+def _atoms_through(sig: Signature, n: int) -> tuple[tuple, ...]:
+    """The sorted (relation, tuple) atoms over vertices 0..n that mention n."""
+    return tuple(_slots(sig, n + 1, lambda t: n in t))
 
 
 def _iter_embedding_maps(A: Structure, B: Structure,
@@ -292,13 +288,16 @@ def _iter_embedding_maps(A: Structure, B: Structure,
     `candidates[depth]` may restrict the pool outright (in any order: the
     pool becomes a bitmask, always scanned in ascending order).
 
-    Induced embeddings transport the Gaifman graph exactly in both
-    directions, so candidates are pruned by bitmask: the image of an
-    A-neighbour forces adjacency, the image of an A-non-neighbour forces
-    non-adjacency.  The remaining tuple-level check enumerates atom
-    patterns over the partial image (cost independent of the target's
-    tuple count) whenever that is cheaper than scanning the target's
-    tuples through the candidate.
+    Candidates are pruned by bitmask: the image of an A-neighbour in the
+    Gaifman graph must be a B-neighbour, and if A-vertices u < d share no
+    tuple whose support is exactly {u, d}, neither may their images, since
+    such a tuple of B would lie inside the image.  (A tuple of
+    arity 3 or more can join two image vertices through a vertex outside
+    the image, so Gaifman non-adjacency is not transported.)  Each
+    remaining candidate gets one test, the VF2-style check of the new pair
+    against the vertices already mapped (Cordella et al. 2004): every atom
+    over A-vertices 0..d that mentions d holds in A iff it holds on the
+    image.
     """
     if A.signature != B.signature:
         raise SignatureMismatch("embedding search needs matching signatures")
@@ -309,32 +308,18 @@ def _iter_embedding_maps(A: Structure, B: Structure,
     if nA > B.size:
         return
 
-    sig = A.signature
-    names = sig.names
     if A._src is None:
-        # A-tuples become fully mapped exactly when their max vertex is
-        # mapped; atom patterns are shared per (signature, depth).
-        complete_at: list[list] = [[] for _ in range(nA)]
-        for name in names:
-            for t in A.relations[name]:
-                complete_at[max(t)].append((name, t))
-        pattern_at = [_patterns_through(sig, d) for d in range(nA)]
-        npat_at = [sum(len(p) for _, p in per) for per in pattern_at]
-        adj_a = gaifman_adjacency(A)
-        nbrs_at = []
-        non_nbrs_at = []
-        for d in range(nA):
-            nbrs_at.append([u for u in range(d) if u in adj_a[d]])
-            non_nbrs_at.append([u for u in range(d) if u not in adj_a[d]])
-        A._src = (complete_at, pattern_at, npat_at, nbrs_at, non_nbrs_at)
-    complete_at, pattern_at, npat_at, nbrs_at, non_nbrs_at = A._src
+        # per depth d: the atoms through d with their truth in A, the
+        # earlier Gaifman neighbours and the earlier non-pair-neighbours
+        bits_a, pair_a = _adjacency_bits(A)
+        A._src = [([(name, p, p in A.relations[name])
+                    for name, p in _atoms_through(A.signature, d)],
+                   [u for u in range(d) if bits_a[d] >> u & 1],
+                   [u for u in range(d) if not pair_a[d] >> u & 1])
+                  for d in range(nA)]
+    src = A._src
 
-    if B._scan is None:
-        B._scan = [sum(len(B.tuples_by_vertex(name, v)) for name in names)
-                   for v in range(B.size)]
-    scan_b = B._scan
-
-    adj_bits = _adjacency_bits(B)
+    adj_bits, pair_bits = _adjacency_bits(B)
     full_mask = (1 << B.size) - 1
     pool_masks = None
     if candidates is not None:
@@ -349,57 +334,40 @@ def _iter_embedding_maps(A: Structure, B: Structure,
             pool_masks.append(m)
 
     partial: list[int] = []
-    a_rel = A.relations
     b_rel = B.relations
 
-    def consistent(depth: int, v: int) -> bool:
+    def consistent(atoms: list, v: int) -> bool:
         trial = partial + [v]
-        if npat_at[depth] <= scan_b[v]:
-            # membership of every atom pattern through the new point must
-            # agree between A and the image
-            for name, pats in pattern_at[depth]:
-                bt = b_rel[name]
-                at = a_rel[name]
-                for p in pats:
-                    if len(p) == 2:
-                        mapped = (trial[p[0]], trial[p[1]])
-                    elif len(p) == 3:
-                        mapped = (trial[p[0]], trial[p[1]], trial[p[2]])
-                    else:
-                        mapped = tuple(trial[x] for x in p)
-                    if (mapped in bt) != (p in at):
-                        return False
-            return True
-        for name, t in complete_at[depth]:
-            if tuple(trial[x] for x in t) not in b_rel[name]:
+        for name, p, held in atoms:
+            if len(p) == 2:
+                mapped = (trial[p[0]], trial[p[1]])
+            elif len(p) == 3:
+                mapped = (trial[p[0]], trial[p[1]], trial[p[2]])
+            else:
+                mapped = tuple(trial[x] for x in p)
+            if (mapped in b_rel[name]) != held:
                 return False
-        img_pos = {x: i for i, x in enumerate(trial)}
-        for name in names:
-            at = a_rel[name]
-            for t in B.tuples_by_vertex(name, v):
-                if all(x in img_pos for x in t):
-                    if tuple(img_pos[x] for x in t) not in at:
-                        return False
         return True
 
     def rec(depth: int, used_mask: int) -> Iterator[tuple[int, ...]]:
         if depth == nA:
             yield tuple(partial)
             return
+        atoms, nbrs, non_pairs = src[depth]
         m = full_mask & ~used_mask
         if pool_masks is not None and pool_masks[depth] is not None:
             m &= pool_masks[depth]
-        for u in nbrs_at[depth]:
+        for u in nbrs:
             m &= adj_bits[partial[u]]
-        for u in non_nbrs_at[depth]:
-            m &= ~adj_bits[partial[u]]
+        for u in non_pairs:
+            m &= ~pair_bits[partial[u]]
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
             if candidate_filter is not None and not candidate_filter(depth, v, partial):
                 continue
-            if not consistent(depth, v):
+            if not consistent(atoms, v):
                 continue
             partial.append(v)
             yield from rec(depth + 1, used_mask | low)
@@ -620,28 +588,15 @@ def satisfies_class_at(S: Structure, K: ClassSpec, v: int) -> bool:
 # Quantifier-free 1-types
 
 
-def type_patterns(signature: Signature, nparams: int) -> list[tuple[str, tuple[int, ...]]]:
-    """All (relation, pattern) atoms of a 1-type with `nparams` parameters.
-
-    Pattern entries are -1 for the new point and j >= 0 for the j-th
-    parameter; every pattern mentions the new point at least once.
-    Equality atoms are excluded (the new point is distinct from all
-    parameters by convention).
-    """
-    pats = []
-    for name, arity in signature.relations:
-        for pat in itertools.product(range(-1, nparams), repeat=arity):
-            if -1 in pat:
-                pats.append((name, pat))
-    return pats
-
-
 class QfType:
     """The quantifier-free type of a new point over an ordered parameter
     sequence: a complete truth assignment to every atom pattern.
 
-    Only the positive atoms are stored; the atom universe is determined by
-    the signature and the parameter count.
+    A pattern's entries are -1 for the new point and j >= 0 for the j-th
+    parameter, and it mentions the new point.  Only the positive atoms are
+    stored; the atom universe is determined by the signature and the
+    parameter count.  Equality atoms are excluded (the new point is
+    distinct from all parameters by convention).
     """
 
     __slots__ = ("parameters", "positives")
@@ -683,12 +638,12 @@ def qf_type(S: Structure, v: int, params: Iterable[int]) -> QfType:
         raise ValueError("the new point must not be a parameter")
     if any(a < 0 or a >= S.size for a in A) or v < 0 or v >= S.size:
         raise ValueError("vertex out of range")
-    pos = []
-    for name, pat in type_patterns(S.signature, len(A)):
-        actual = tuple(v if j == -1 else A[j] for j in pat)
-        if actual in S.relations[name]:
-            pos.append((name, pat))
-    return QfType(A, pos)
+    # atoms through vertex n = |A| over 0..n, with n standing for the point
+    n = len(A)
+    at = A + (v,)
+    return QfType(A, [(name, tuple(-1 if j == n else j for j in t))
+                      for name, t in _atoms_through(S.signature, n)
+                      if tuple(at[j] for j in t) in S.relations[name]])
 
 
 def realisation_set(S: Structure, params: Iterable[int], p: QfType) -> list[int]:
@@ -708,13 +663,6 @@ def realisation_set(S: Structure, params: Iterable[int], p: QfType) -> list[int]
 
 # ---------------------------------------------------------------------------
 # Completions in a class and class members up to isomorphism
-
-
-def _slots(sig: Signature, size: int, keep: Callable[[tuple], bool]) -> list[tuple]:
-    """The sorted (relation, tuple) pairs over vertices 0..size-1 whose tuple
-    `keep` accepts."""
-    return sorted((name, t) for name, arity in sig.relations
-                  for t in itertools.product(range(size), repeat=arity) if keep(t))
 
 
 # A cap on the window memo of each class.  Generation and 3-DAP checks meet
@@ -823,7 +771,7 @@ def enumerate_class_members(K: ClassSpec, max_size: int,
     # chosen tuple's window holds the new vertex alone as a sub-window
     point = satisfies_class(Structure(K.signature, 1), K)
     for v in range(max_size):
-        slots = _slots(K.signature, v + 1, lambda t: v in t)
+        slots = _atoms_through(K.signature, v)
         if by_size[-1] and 2 ** len(slots) > budget:
             raise BudgetExceeded(f"{2 ** len(slots)} extension atom sets exceed budget")
         nxt = {}

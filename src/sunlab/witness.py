@@ -313,11 +313,9 @@ def _extract(chain: WitnessChain, P: Presentation, level: int,
             f = tuple(t if j == i else 0 for j in range(n))
             steps.append(TraceStep(level, "mono", part=i, f=f,
                                    shared=shared, copy=vmap))
-            sub_iso = are_isomorphic(D, sub.base)
-            if sub_iso is None:
-                steps.pop()
-                continue
-            rec = _extract(chain, sub, level - 1, sub_iso, steps)
+            # vmap is an induced embedding of D, so sub.base is D itself
+            rec = _extract(chain, sub, level - 1,
+                           Embedding(D, sub.base, range(n), validate=False), steps)
             if rec is None:
                 steps.pop()
                 continue

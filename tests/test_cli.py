@@ -49,6 +49,12 @@ def test_verify_witness_pass_and_fail(tmp_path):
     assert ce["k"] == 2 and len(ce["sets"]) == 6
 
 
+def test_verify_witness_empty_witness_passes(tmp_path):
+    assert run(["verify-witness", "--c-size", "0", "--b-size", "0", "--k", "1",
+                "--out", str(tmp_path)]) == 0
+    assert read(tmp_path / "verdict.json")["passed"] is True
+
+
 def test_enumerate_presentations(tmp_path):
     assert run(["enumerate-presentations", "--size", "2", "--k", "2",
                 "--out", str(tmp_path)]) == 0

@@ -319,6 +319,8 @@ def _rebuild_verify(C, B, k, ground_budget=18):
         return None
 
     assert k * C.size <= ground_budget
+    if find_sunflower_copies(Presentation(C.induced(()), k, []), B, limit=1):
+        return True, 1, None  # every presentation holds the empty one's copy
     counterexample = rec(0, 0)
     return (counterexample is None, checked,
             None if counterexample is None else counterexample.sets)
@@ -338,6 +340,7 @@ ANCHORED_CASES = [
     ("pure-4-0", catalog.pure_set(4), catalog.pure_set(0), 2, 18),
     ("pure-4-1", catalog.pure_set(4), catalog.pure_set(1), 2, 18),
     ("empty-0", catalog.pure_set(0), catalog.pure_set(0), 2, 18),
+    ("empty-1", catalog.pure_set(0), catalog.pure_set(1), 2, 18),
     # paths and stars are not vertex-transitive, so every depth of the
     # target must take its turn at the newest vertex
     ("c4-p3", catalog.cycle_graph(4), catalog.graph(3, [(0, 1), (0, 2)]), 2, 18),

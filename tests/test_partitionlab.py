@@ -178,6 +178,15 @@ def test_colour_copy_search_equivalence_classes():
     assert rep.hetero_count > 0
 
 
+def test_colour_copy_search_counts_pairs_inside_a_hyperedge():
+    # every pair of K_3^(3) is an edgeless copy: its hyperedge has a third
+    # vertex outside the pair
+    S = catalog.complete_hypergraph3(3)
+    rep = colour_copy_search(S, Colouring([0, 0, 0]), Structure(catalog.HYPER3_SIG, 2))
+    assert rep.mono_count == 3
+    assert rep.mono_witness == (0, 1)
+
+
 def test_two_colours_never_heterochromatic_for_triples():
     rng = random.Random(6)
     S = gen_named("random-graph", 12, 8)

@@ -153,6 +153,14 @@ def test_embeddings_match_brute_force():
         assert got == sorted(got)
 
 
+def test_ternary_tuple_through_an_outside_vertex_does_not_block_a_copy():
+    # the two vertices of the edgeless source are joined in the target only
+    # by hyperedges through the third vertex, which no copy holds
+    maps = [e.map for e in find_embeddings(Structure(catalog.HYPER3_SIG, 2),
+                                           catalog.complete_hypergraph3(3))]
+    assert maps == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+
+
 def test_embeddings_limit_and_signature_mismatch():
     with pytest.raises(SignatureMismatch):
         find_embeddings(catalog.pure_set(1), catalog.complete_graph(2))
@@ -233,6 +241,26 @@ def test_are_isomorphic_finds_the_least_isomorphism(pair):
     assert (iso is None) == (not brute)
     if brute:
         assert iso.map == brute[0]
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=repr)
+@ORACLE
+@given(st.data())
+def test_embeddings_match_brute_force_on_every_signature(sig, data):
+    """Sources of every density down to 0, half of them pieces of the
+    target, so that a tuple of arity 3 often joins two vertices of a copy
+    through a vertex outside it."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    B = random_structure(sig, data.draw(st.integers(0, 5)), rng,
+                         data.draw(st.sampled_from([0.1, 0.2, 0.4, 0.7])))
+    density = data.draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    if B.size and data.draw(st.booleans()):
+        piece = B.induced(rng.sample(range(B.size), rng.randint(1, min(3, B.size))))
+        A = Structure(sig, piece.size, {n: [t for t in ts if rng.random() < density]
+                                        for n, ts in piece.relations.items()})
+    else:
+        A = random_structure(sig, data.draw(st.integers(0, 3)), rng, density)
+    assert [e.map for e in find_embeddings(A, B)] == brute_embeddings(A, B)
 
 
 @ORACLE
@@ -405,6 +433,25 @@ def test_qf_type_examples():
     t2 = qf_type(de, 1, (0,))
     assert ("E0", (-1, 0)) in t2.positives
     assert ("E1", (-1, 0)) not in t2.positives
+
+
+@ORACLE
+@given(st.data())
+def test_qf_type_is_the_tuples_through_the_point_inside_the_parameters(data):
+    sig = data.draw(st.sampled_from(SIGNATURES + [COLOUR_SIG]))
+    S = data.draw(structures(sig, min_size=1))
+    v = data.draw(st.integers(0, S.size - 1))
+    others = [u for u in range(S.size) if u != v]
+    A = data.draw(st.permutations(others).flatmap(
+        lambda p: st.integers(0, len(p)).map(lambda n: tuple(p[:n]))))
+    index = {a: j for j, a in enumerate(A)}
+    index[v] = -1
+    expected = {(name, tuple(index[x] for x in t))
+                for name in sig.names for t in S.relations[name]
+                if v in t and set(t) <= set(index)}
+    p = qf_type(S, v, A)
+    assert p.parameters == A
+    assert p.positives == expected
 
 
 def test_qf_type_rejects_parameter_point():
