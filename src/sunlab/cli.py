@@ -1,14 +1,17 @@
 """Command-line surface.
 
 Every run writes its outputs plus a `<command>-manifest.json` recording
-the command, parameters, seed, input hashes, output files, versions and
-timings, which is enough to reproduce the run bit for bit.
+the command, parameters, seed, input hashes, output files, versions,
+timings and exit code, which is enough to reproduce the run bit for bit.
 
 Exit codes: 0 success or pass, 1 verified counterexample found, 2 usage
 error, 3 budget exceeded, 4 pipeline failure (extraction failed,
 generation gave up or hit a dead end, or pasting left the class), all
 chosen so CI can tell a genuine counterexample from a breakdown.  Exits 3
-and 4 print one `error:` line on stderr.
+and 4 print one `error:` line on stderr and leave `error.json` and the
+manifest in `--out`; a usage error (exit 2) prints its `error:` line and
+writes nothing.  `run` alone decides the exit: handlers return 0 or 1 and
+raise on failure.
 """
 
 from __future__ import annotations
@@ -55,12 +58,12 @@ EXIT_PIPELINE = 4
 
 
 class _Run:
-    """Collects manifest data and writes output files."""
+    """Collects manifest data and writes output files; `--out` is created
+    at the first write."""
 
     def __init__(self, command: str, args: argparse.Namespace):
         self.command = command
-        self.out = Path(getattr(args, "out", ".") or ".")
-        self.out.mkdir(parents=True, exist_ok=True)
+        self.out = Path(args.out)
         self.params = {k: v for k, v in vars(args).items()
                        if k not in ("func", "out") and v is not None}
         self.inputs = []
@@ -79,8 +82,12 @@ class _Run:
             raise ValueError(
                 f"{path}: malformed JSON ({type(e).__name__}: {e})") from e
 
+    def _path(self, name: str) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
+
     def write(self, name: str, payload) -> Path:
-        path = self.out / name
+        path = self._path(name)
         if isinstance(payload, str):
             path.write_text(payload)
         else:
@@ -100,7 +107,7 @@ class _Run:
             "timings": {"wall_seconds": round(time.time() - self.t0, 6)},
             "exit_code": exit_code,
         }
-        (self.out / f"{self.command}-manifest.json").write_text(jsonio.dumps(manifest))
+        self._path(f"{self.command}-manifest.json").write_text(jsonio.dumps(manifest))
         return exit_code
 
     def fail(self, exit_code: int, error) -> int:
@@ -126,48 +133,44 @@ def _load_structure(run: _Run, spec: str):
 # Command handlers
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(run: _Run, args) -> int:
     if not args.id and not args.klass:
-        print("error: gen needs --id or --klass", file=sys.stderr)
-        return EXIT_USAGE
-    run = _Run("gen", args)
+        raise ValueError("gen needs --id or --klass")
     if args.klass:
         K = _load_class(run, args.klass)
         S = gen_generic(K, args.size, args.seed)
     else:
         S = gen_named(args.id, args.size, args.seed)
     run.write("structure.json", jsonio.structure_to_json(S))
-    return run.finish(EXIT_OK)
+    return EXIT_OK
 
 
-def _cmd_partition(args) -> int:
-    run = _Run("partition", args)
+def _cmd_partition(run: _Run, args) -> int:
     S = run.load(jsonio.structure_from_json, args.structure)
+    if args.klass:  # every input is read before the first write
+        K = _load_class(run, args.klass)
+        probes = [_load_structure(run, p) for p in (args.probes or [])]
     P = named_partition(S, args.scheme, args.anchor)
     run.write("partition.json", jsonio.partition_to_json(P))
     if args.klass:
-        K = _load_class(run, args.klass)
-        probes = [_load_structure(run, p) for p in (args.probes or [])]
         report = partition_report(S, P, K, probes, args.base_bound)
         if args.format == "csv":
             run.write("report.csv", jsonio.partition_report_to_csv(report))
         else:
             run.write("report.json", jsonio.partition_report_to_json(report))
-    return run.finish(EXIT_OK)
+    return EXIT_OK
 
 
-def _cmd_open_set(args) -> int:
-    run = _Run("open-set", args)
+def _cmd_open_set(run: _Run, args) -> int:
     S = run.load(jsonio.structure_from_json, args.structure)
     p = run.load(jsonio.qftype_from_json, args.type)
     params = [int(x) for x in args.params.split(",")] if args.params else []
     vertices = realisation_set(S, params, p)
     run.write("open_set.json", {"vertices": vertices})
-    return run.finish(EXIT_OK)
+    return EXIT_OK
 
 
-def _cmd_min_colouring(args) -> int:
-    run = _Run("min-colouring", args)
+def _cmd_min_colouring(run: _Run, args) -> int:
     S = run.load(jsonio.structure_from_json, args.structure)
     A = run.load(jsonio.structure_from_json, args.pattern)
     p = run.load(jsonio.qftype_from_json, args.type)
@@ -178,48 +181,41 @@ def _cmd_min_colouring(args) -> int:
         "flagged": list(res.flagged),
         "embedding_count": res.embedding_count,
     })
-    return run.finish(EXIT_OK)
+    return EXIT_OK
 
 
-def _cmd_encode(args) -> int:
-    run = _Run("encode", args)
+def _cmd_encode(run: _Run, args) -> int:
     S = run.load(jsonio.structure_from_json, args.structure)
     chi = run.load(jsonio.colouring_from_json, args.colouring)
     P = encode_colouring(S, chi)
     run.write("presentation.json", jsonio.presentation_to_json(P))
-    return run.finish(EXIT_OK)
+    return EXIT_OK
 
 
-def _cmd_sunflower_check(args) -> int:
-    run = _Run("sunflower-check", args)
+def _cmd_sunflower_check(run: _Run, args) -> int:
     S = run.load(jsonio.structure_from_json, args.structure)
     P = run.load(jsonio.presentation_from_json, args.presentation, S)
     B = _load_structure(run, args.target)
     certs = find_sunflower_copies(P, B, limit=args.limit)
     run.write("certificates.json",
               {"count": len(certs), "certificates": [jsonio.cert_to_json(c) for c in certs]})
-    return run.finish(EXIT_OK)
+    return EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
-    run = _Run("enumerate-presentations", args)
+def _cmd_enumerate(run: _Run, args) -> int:
     if args.structure:
         C = run.load(jsonio.structure_from_json, args.structure)
     else:
         C = catalog.pure_set(args.size)
-    try:
-        pres = list(enumerate_presentations(C, args.k, args.budget))
-    except BudgetExceeded as e:
-        return run.fail(EXIT_BUDGET, e)
+    pres = list(enumerate_presentations(C, args.k, args.budget))
     run.write("presentations.json", {
         "count": len(pres),
         "presentations": [jsonio.presentation_to_json(P)["sets"] for P in pres],
     })
-    return run.finish(EXIT_OK)
+    return EXIT_OK
 
 
-def _cmd_verify_witness(args) -> int:
-    run = _Run("verify-witness", args)
+def _cmd_verify_witness(run: _Run, args) -> int:
     if args.b_size is not None:
         B = catalog.pure_set(args.b_size)
     else:
@@ -228,63 +224,46 @@ def _cmd_verify_witness(args) -> int:
         C = catalog.pure_set(args.c_size)
     else:
         C = run.load(jsonio.structure_from_json, args.witness)
-    try:
-        verdict = verify_witness(C, B, args.k, mode=args.mode,
-                                 trials=args.trials, seed=args.seed or 0,
-                                 ground_budget=args.budget)
-    except BudgetExceeded as e:
-        return run.fail(EXIT_BUDGET, e)
+    verdict = verify_witness(C, B, args.k, mode=args.mode,
+                             trials=args.trials, seed=args.seed or 0,
+                             ground_budget=args.budget)
     run.write("verdict.json", {"passed": verdict.passed, "checked": verdict.checked})
     if verdict.passed:
-        return run.finish(EXIT_OK)
+        return EXIT_OK
     run.write("counterexample.json",
               jsonio.presentation_to_json(verdict.counterexample))
-    return run.finish(EXIT_COUNTEREXAMPLE)
+    return EXIT_COUNTEREXAMPLE
 
 
-def _cmd_hypergraph(args) -> int:
-    if args.action == "generate" and args.seed is None:
-        print("error: hypergraph generate needs an explicit --seed",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.action in ("girth", "adversary") and not args.input:
-        print(f"error: hypergraph {args.action} needs --input", file=sys.stderr)
-        return EXIT_USAGE
-    run = _Run(f"hypergraph-{args.action}", args)
+def _cmd_hypergraph(run: _Run, args) -> int:
     if args.action == "generate":
-        try:
-            H = gen_witness_hypergraph(args.n, args.s, args.g, args.seed,
-                                       c_override=args.c, c_cap=args.c_cap)
-        except GenerationError as e:
-            return run.fail(EXIT_PIPELINE, e)
+        if args.seed is None:
+            raise ValueError("hypergraph generate needs an explicit --seed")
+        H = gen_witness_hypergraph(args.n, args.s, args.g, args.seed,
+                                   c_override=args.c, c_cap=args.c_cap)
         run.write("hypergraph.json", jsonio.hypergraph_to_json(H))
-        return run.finish(EXIT_OK)
+        return EXIT_OK
+    if not args.input:
+        raise ValueError(f"hypergraph {args.action} needs --input")
     H = run.load(jsonio.hypergraph_from_json, args.input)
     if args.action == "girth":
         g = hypergraph_girth(H, cap=args.cap)
         run.write("girth.json", {"girth": None if g == float("inf") else g,
                                  "cap": args.cap})
-        return run.finish(EXIT_OK)
-    if args.action == "adversary":
-        try:
-            result = witness_adversary(H, args.s, mode=args.mode,
-                                       trials=args.trials, seed=args.seed or 0,
-                                       budget=args.budget)
-        except BudgetExceeded as e:
-            return run.fail(EXIT_BUDGET, e)
-        if result is None:
-            run.write("adversary.json", {"counterexample": None})
-            return run.finish(EXIT_OK)
-        if not is_counterexample_tuple(H, result):
-            return run.fail(EXIT_PIPELINE, "adversary result failed re-validation")
-        payload = [[list(block) for block in partition] for partition in result]
-        run.write("adversary.json", {"counterexample": payload})
-        return run.finish(EXIT_COUNTEREXAMPLE)
-    raise AssertionError(args.action)
+        return EXIT_OK
+    result = witness_adversary(H, args.s, mode=args.mode, trials=args.trials,
+                               seed=args.seed or 0, budget=args.budget)
+    if result is None:
+        run.write("adversary.json", {"counterexample": None})
+        return EXIT_OK
+    if not is_counterexample_tuple(H, result):
+        raise InternalConsistencyError("adversary result failed re-validation")
+    payload = [[list(block) for block in partition] for partition in result]
+    run.write("adversary.json", {"counterexample": payload})
+    return EXIT_COUNTEREXAMPLE
 
 
-def _cmd_paste(args) -> int:
-    run = _Run("paste", args)
+def _cmd_paste(run: _Run, args) -> int:
     H = run.load(jsonio.hypergraph_from_json, args.hypergraph)
     B = _load_structure(run, args.target)
     K = _load_class(run, args.klass)
@@ -292,21 +271,19 @@ def _cmd_paste(args) -> int:
     out = jsonio.structure_to_json(pasted.structure)
     run.write("pasted.json", {"structure": out,
                               "parts": [list(p) for p in pasted.parts]})
-    return run.finish(EXIT_OK)
+    return EXIT_OK
 
 
-def _cmd_build_witness(args) -> int:
-    run = _Run("build-witness", args)
+def _cmd_build_witness(run: _Run, args) -> int:
     B = _load_structure(run, args.target)
     K = _load_class(run, args.klass)
     chain = build_witness_chain(K, B, args.k, args.seed, c_override=args.c,
                                 c_cap=args.c_cap)
     run.write("chain.json", jsonio.chain_to_json(chain))
-    return run.finish(EXIT_OK)
+    return EXIT_OK
 
 
-def _cmd_extract(args) -> int:
-    run = _Run("extract", args)
+def _cmd_extract(run: _Run, args) -> int:
     chain = run.load(jsonio.chain_from_json, args.chain)
     level = chain.k if args.level is None else args.level
     if not 1 <= level <= chain.k:
@@ -316,50 +293,43 @@ def _cmd_extract(args) -> int:
     try:
         cert, trace = extract_sunflower(chain, P, level)
     except ExtractionFailed as e:
-        print(f"error: {e}", file=sys.stderr)
         run.write("counterexample.json",
                   jsonio.presentation_to_json(e.presentation))
-        return run.finish(EXIT_PIPELINE)
+        raise
     run.write("certificate.json", jsonio.cert_to_json(cert))
     run.write("trace.json", jsonio.trace_to_json(trace))
     if not verify_certificate(cert, chain.target, P):
-        return run.fail(EXIT_PIPELINE, "certificate failed re-validation")
-    return run.finish(EXIT_OK)
+        raise InternalConsistencyError("certificate failed re-validation")
+    return EXIT_OK
 
 
-def _cmd_verify_trace(args) -> int:
-    run = _Run("verify-trace", args)
+def _cmd_verify_trace(run: _Run, args) -> int:
     chain = run.load(jsonio.chain_from_json, args.chain)
     base = chain.top()
     P = run.load(jsonio.presentation_from_json, args.presentation, base)
     trace = run.load(jsonio.trace_from_json, args.trace)
     ok = replay_trace(chain, P, trace)
     run.write("trace_verdict.json", {"replay_ok": ok})
-    return run.finish(EXIT_OK if ok else EXIT_COUNTEREXAMPLE)
+    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 
 
-def _cmd_verify_cert(args) -> int:
-    run = _Run("verify-cert", args)
+def _cmd_verify_cert(run: _Run, args) -> int:
     S = run.load(jsonio.structure_from_json, args.structure)
     P = run.load(jsonio.presentation_from_json, args.presentation, S)
     B = _load_structure(run, args.target)
     cert = run.load(jsonio.cert_from_json, args.cert, B, S)
     ok = verify_certificate(cert, B, P)
     run.write("cert_verdict.json", {"valid": ok})
-    return run.finish(EXIT_OK if ok else EXIT_COUNTEREXAMPLE)
+    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 
 
-def _cmd_check_3dap(args) -> int:
-    run = _Run("check-3dap", args)
+def _cmd_check_3dap(run: _Run, args) -> int:
     K = _load_class(run, args.klass)
-    try:
-        report = check_3dap_over_empty(K, args.bound, budget=args.budget)
-    except BudgetExceeded as e:
-        return run.fail(EXIT_BUDGET, e)
+    report = check_3dap_over_empty(K, args.bound, budget=args.budget)
     if report.passed:
         run.write("3dap.json", {"passed": True,
                                 "families_checked": report.families_checked})
-        return run.finish(EXIT_OK)
+        return EXIT_OK
     fam = report.counterexample
     run.write("3dap.json", {
         "passed": False,
@@ -368,7 +338,7 @@ def _cmd_check_3dap(args) -> int:
         "pair_amalgams": {f"{i}{j}": jsonio.structure_to_json(a)
                           for (i, j), a in sorted(fam.amalgams.items())},
     })
-    return run.finish(EXIT_COUNTEREXAMPLE)
+    return EXIT_COUNTEREXAMPLE
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +474,15 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    current = _Run(f"hypergraph-{args.action}" if args.command == "hypergraph"
+                   else args.command, args)
     try:
-        return args.func(args)
-    except (BudgetExceeded, ExtractionFailed, GenerationError,
-            NoAdmissibleExtension, InternalConsistencyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_PIPELINE
+        return current.finish(args.func(current, args))
+    except BudgetExceeded as e:
+        return current.fail(EXIT_BUDGET, e)
+    except (ExtractionFailed, GenerationError, NoAdmissibleExtension,
+            InternalConsistencyError) as e:
+        return current.fail(EXIT_PIPELINE, e)
     except (ValueError, KeyError, FileNotFoundError) as e:
         # str() of a KeyError is the repr of its message
         print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}",

@@ -25,11 +25,11 @@ from .structures import (
     QfType,
     SignatureMismatch,
     Structure,
+    _adjacency_bits,
     _iter_embedding_maps,
     colour_classes,
     embeds,
     find_embeddings,
-    gaifman_adjacency,
     qf_type,
     realisation_set,
 )
@@ -100,9 +100,9 @@ def named_partition(S: Structure, scheme: str, anchor: Optional[int] = None) -> 
     """Build one of the named counterexample partitions on a finite input."""
     if scheme == "neighbourhood":
         v = _need_anchor(S, anchor)
-        nbrs = gaifman_adjacency(S)[v]
-        rest = [u for u in S.vertices if u not in nbrs]
-        return Partition(S.size, [rest, sorted(nbrs)])
+        nbrs = _adjacency_bits(S)[0][v]
+        rest = [u for u in S.vertices if not nbrs >> u & 1]
+        return Partition(S.size, [rest, [u for u in S.vertices if nbrs >> u & 1]])
     if scheme == "out-neighbourhood":
         v = _need_anchor(S, anchor)
         out = {w for (u, w) in S.relations["E"] if u == v}

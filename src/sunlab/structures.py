@@ -81,7 +81,7 @@ class Structure:
     """
 
     __slots__ = ("signature", "size", "relations", "meta",
-                 "_key", "_hash", "_by_vertex", "_adj", "_canon", "_src")
+                 "_key", "_hash", "_adj", "_canon", "_src")
 
     def __init__(self, signature: Signature, size: int,
                  relations: Optional[dict] = None, meta: Optional[dict] = None):
@@ -106,7 +106,6 @@ class Structure:
         self._key = (signature.relations, size,
                      tuple((n, tuple(sorted(rels[n]))) for n in signature.names))
         self._hash = hash(self._key)
-        self._by_vertex = None
         self._adj = None
         self._canon = None
         self._src = None
@@ -117,18 +116,6 @@ class Structure:
 
     def tuples(self, name: str) -> frozenset:
         return self.relations[name]
-
-    def tuples_by_vertex(self, name: str, v: int) -> tuple:
-        """All tuples of `name` containing vertex v (cached)."""
-        if self._by_vertex is None:
-            by = {n: [[] for _ in range(self.size)] for n in self.signature.names}
-            for n in self.signature.names:
-                for t in self.relations[n]:
-                    for x in set(t):
-                        by[n][x].append(t)
-            self._by_vertex = {n: tuple(tuple(l) for l in lists)
-                               for n, lists in by.items()}
-        return self._by_vertex[name][v]
 
     def induced(self, vertices: Iterable[int]) -> "Structure":
         """Induced substructure; new vertex i is the i-th entry of `vertices`."""
@@ -217,44 +204,36 @@ def embedding_defect(A: Structure, B: Structure, vmap: tuple[int, ...]) -> Optio
 # Gaifman graphs and irreducibility
 
 
-def gaifman(S: Structure) -> frozenset:
-    """The Gaifman graph as a set of 2-element frozensets of vertices."""
-    edges = set()
-    for name in S.signature.names:
-        for t in S.relations[name]:
-            for u, v in itertools.combinations(set(t), 2):
-                edges.add(frozenset((u, v)))
-    return frozenset(edges)
-
-
-def gaifman_adjacency(S: Structure) -> list[set[int]]:
+def _adjacency_bits(S: Structure) -> tuple[list[int], list[int]]:
+    """Per vertex, the bitmask of its Gaifman neighbours and of the
+    vertices it shares a tuple with whose support is exactly the pair
+    (cached: the one Gaifman view of a structure)."""
     if S._adj is None:
-        adj = [set() for _ in range(S.size)]
         bits = [0] * S.size
         pair_bits = [0] * S.size
-        for name in S.signature.names:
-            for t in S.relations[name]:
+        for ts in S.relations.values():
+            for t in ts:
                 sup = set(t)
                 for u, v in itertools.permutations(sup, 2):
-                    adj[u].add(v)
                     bits[u] |= 1 << v
                     if len(sup) == 2:
                         pair_bits[u] |= 1 << v
-        S._adj = (adj, bits, pair_bits)
-    return S._adj[0]
+        S._adj = (bits, pair_bits)
+    return S._adj
 
 
-def _adjacency_bits(S: Structure) -> tuple[list[int], list[int]]:
-    """Per vertex, the bitmask of its Gaifman neighbours and of the
-    vertices it shares a tuple with whose support is exactly the pair."""
-    gaifman_adjacency(S)
-    return S._adj[1], S._adj[2]
+def gaifman(S: Structure) -> frozenset:
+    """The Gaifman graph as a set of 2-element frozensets of vertices."""
+    bits = _adjacency_bits(S)[0]
+    return frozenset(frozenset((u, v)) for v in S.vertices for u in range(v)
+                     if bits[v] >> u & 1)
 
 
 def is_irreducible(S: Structure) -> bool:
     """True iff the Gaifman graph is a clique (size <= 1 counts)."""
-    n = S.size
-    return len(gaifman(S)) == n * (n - 1) // 2
+    bits = _adjacency_bits(S)[0]
+    full = (1 << S.size) - 1
+    return all(bits[v] | 1 << v == full for v in S.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +371,15 @@ def embeds(A: Structure, B: Structure) -> bool:
     return bool(find_embeddings(A, B, limit=1))
 
 
-def _vertex_profile(S: Structure, v: int) -> tuple:
-    prof = []
-    for name, arity in S.signature.relations:
-        pos_counts = [0] * arity
-        for t in S.tuples_by_vertex(name, v):
+def _vertex_profiles(S: Structure) -> list[tuple]:
+    """Per vertex, per relation, the number of tuples holding the vertex at
+    each position, counted in one pass over the tuples."""
+    counts = [[[0] * arity for _, arity in S.signature.relations] for _ in S.vertices]
+    for r, (name, _) in enumerate(S.signature.relations):
+        for t in S.relations[name]:
             for i, x in enumerate(t):
-                if x == v:
-                    pos_counts[i] += 1
-        prof.append(tuple(pos_counts))
-    return tuple(prof)
+                counts[x][r][i] += 1
+    return [tuple(map(tuple, per_relation)) for per_relation in counts]
 
 
 def are_isomorphic(A: Structure, B: Structure) -> Optional[Embedding]:
@@ -420,8 +398,7 @@ def are_isomorphic(A: Structure, B: Structure) -> Optional[Embedding]:
     for name in A.signature.names:
         if len(A.relations[name]) != len(B.relations[name]):
             return None
-    prof_a = [_vertex_profile(A, v) for v in A.vertices]
-    prof_b = [_vertex_profile(B, v) for v in B.vertices]
+    prof_a, prof_b = _vertex_profiles(A), _vertex_profiles(B)
     if sorted(prof_a) != sorted(prof_b):
         return None
     pools = _profile_pools(prof_a, prof_b)
@@ -456,7 +433,7 @@ def colour_classes(vertices: Iterable[int], colour: Sequence[int],
 
 def automorphisms(S: Structure) -> list[Embedding]:
     """All automorphisms (useful for small dedup work only)."""
-    prof = [_vertex_profile(S, v) for v in S.vertices]
+    prof = _vertex_profiles(S)
     pools = _profile_pools(prof, prof)
     return [Embedding(S, S, m, validate=False)
             for m in _iter_embedding_maps(S, S, candidates=pools)]
@@ -674,14 +651,18 @@ _WINDOW_MEMO = 1 << 12
 
 def _class_tests(K: ClassSpec) -> tuple:
     """K's incremental tests, built once: the canonical forms of the
-    forbidden structures that fit in one tuple's support, the forbidden
-    structures with a tuple not spanning all their vertices, and a memo of
-    window verdicts."""
+    forbidden structures that fit in one tuple's support, each forbidden
+    structure with a tuple not spanning all its vertices paired with those
+    tuples by relation, and a memo of window verdicts."""
     if K._tests is None:
         width = max((a for _, a in K.signature.relations), default=0)
         small = {canonical_form(F) for F in K.forbidden if F.size <= width}
-        wide = [F for F in K.forbidden
-                if any(len(set(t)) < F.size for ts in F.relations.values() for t in ts)]
+        wide = []
+        for F in K.forbidden:
+            loose = {n: [t for t in ts if len(set(t)) < F.size]
+                     for n, ts in F.relations.items()}
+            if any(loose.values()):
+                wide.append((F, loose))
         K._tests = (small, wide, {})
     return K._tests
 
@@ -695,11 +676,12 @@ def _completions(S: Structure, free: Sequence[tuple],
     in K, those yielded are exactly the completions in K.
 
     A copy of a forbidden F that S lacks holds a chosen tuple, the image of
-    a tuple of F.  If every tuple of F spans F, the copy is the window of T
-    on that tuple's support, so each such window is matched against the
-    small forbidden structures, sub-windows included, before T is built;
-    the verdicts are memoised per window.  Every other F is searched in T
-    with one of its tuples pinned on a chosen tuple."""
+    a tuple of F.  If that tuple spans F, the copy is the window of T on
+    the chosen tuple's support (and F is small), so each such window is
+    matched against the small forbidden structures, sub-windows included,
+    before T is built; the verdicts are memoised per window.  Every other
+    copy is searched in T with a tuple of F not spanning F pinned on a
+    chosen tuple."""
     small, wide, memo = _class_tests(K)
     sig = S.signature
     frames: dict = {}
@@ -740,15 +722,16 @@ def _completions(S: Structure, free: Sequence[tuple],
 
 
 def _pinned_copy(T: Structure, chosen: Sequence[tuple],
-                 forbidden: Sequence[Structure]) -> bool:
-    """Whether some F in `forbidden` embeds into T with one of its tuples on
-    one of the chosen (relation, tuple) pairs."""
-    for F in forbidden:
+                 forbidden: Sequence[tuple]) -> bool:
+    """Whether, for some (F, loose) in `forbidden`, F embeds into T with a
+    tuple of `loose` (F's tuples by relation) on a chosen (relation, tuple)
+    pair."""
+    for F, loose in forbidden:
         if F.size > T.size:
             continue
         pins = set()
         for name, t in chosen:
-            for tF in F.relations[name]:
+            for tF in loose[name]:
                 pairs = frozenset(zip(tF, t))
                 if len(pairs) == len(set(tF)) == len(set(t)):
                     pins.add(pairs)

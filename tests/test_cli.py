@@ -172,7 +172,7 @@ def test_extract_failure_exit_code(tmp_path, capsys):
                 "--out", str(out)]) == 4
     ce = read(out / "counterexample.json")
     assert ce["sets"] == pres["sets"]
-    assert capsys.readouterr().err.count("error: ") == 1
+    assert "no sunflower" in _failed_run(out, capsys, "extract", 4)
 
 
 def test_check_3dap_exit_codes(tmp_path):
@@ -221,7 +221,7 @@ def test_open_set_command(tmp_path):
     assert isinstance(data["vertices"], list)
 
 
-def test_adversary_result_is_revalidated(tmp_path, monkeypatch):
+def test_adversary_result_is_revalidated(tmp_path, capsys, monkeypatch):
     gen_dir = tmp_path / "h"
     assert run(["hypergraph", "generate", "--n", "2", "--c", "5", "--seed", "3",
                 "--out", str(gen_dir)]) == 0
@@ -235,7 +235,7 @@ def test_adversary_result_is_revalidated(tmp_path, monkeypatch):
     out = tmp_path / "adv"
     assert run(["hypergraph", "adversary", "--input", str(gen_dir / "hypergraph.json"),
                 "--s", "1", "--out", str(out)]) == 4
-    assert "re-validation" in read(out / "error.json")["error"]
+    assert "re-validation" in _failed_run(out, capsys, "hypergraph-adversary", 4)
     assert not (out / "adversary.json").exists()
 
 
@@ -260,6 +260,17 @@ def _one_error_line(capsys) -> str:
     return err
 
 
+def _failed_run(out: Path, capsys, command: str, code: int) -> str:
+    """The one `error:` line of a run that exited with `code`, checked
+    against the error.json and the manifest the run left in `out`."""
+    line = _one_error_line(capsys)
+    assert read(out / "error.json") == {"error": line[len("error: "):-1]}
+    manifest = read(out / f"{command}-manifest.json")
+    assert manifest["exit_code"] == code
+    assert str(out / "error.json") in manifest["outputs"]
+    return line
+
+
 def test_dead_end_class_is_a_pipeline_failure(tmp_path, capsys):
     # forbidding both one-vertex graph structures leaves no first vertex
     sig = [{"name": "E", "arity": 2}]
@@ -270,7 +281,7 @@ def test_dead_end_class_is_a_pipeline_failure(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert run(["gen", "--klass", "@" + str(path), "--size", "3", "--seed", "0",
                 "--out", str(tmp_path / "out")]) == 4
-    assert "no admissible vertex" in _one_error_line(capsys)
+    assert "no admissible vertex" in _failed_run(tmp_path / "out", capsys, "gen", 4)
 
 
 @pytest.mark.parametrize("argv, code, line", [
@@ -282,9 +293,8 @@ def test_dead_end_class_is_a_pipeline_failure(tmp_path, capsys):
     ids=["witness-part-cap", "3dap-budget"])
 def test_budget_and_pipeline_exits_print_one_error_line(tmp_path, capsys,
                                                         argv, code, line):
-    # the witness build used to exit 4 with nothing on stderr and no files
     assert run(argv + ["--out", str(tmp_path)]) == code
-    assert _one_error_line(capsys) == line
+    assert _failed_run(tmp_path, capsys, argv[0], code) == line
 
 
 def test_budget_raised_inside_a_command_prints_one_error_line(tmp_path, capsys,
@@ -297,7 +307,7 @@ def test_budget_raised_inside_a_command_prints_one_error_line(tmp_path, capsys,
     monkeypatch.setattr(cli, "gen_generic", over)
     assert run(["gen", "--klass", "graphs", "--size", "3", "--seed", "1",
                 "--out", str(tmp_path)]) == 3
-    assert _one_error_line(capsys) == "error: over budget\n"
+    assert _failed_run(tmp_path, capsys, "gen", 3) == "error: over budget\n"
 
 
 def test_class_forbidding_the_empty_structure_is_a_usage_error(tmp_path, capsys):
@@ -328,7 +338,7 @@ def test_paste_internal_inconsistency_is_a_pipeline_failure(tmp_path, capsys,
     assert run(["paste", "--hypergraph", str(gen_dir / "hypergraph.json"),
                 "--target", "k2", "--klass", "graphs",
                 "--out", str(tmp_path / "paste")]) == 4
-    assert "left the class" in _one_error_line(capsys)
+    assert "left the class" in _failed_run(tmp_path / "paste", capsys, "paste", 4)
 
 
 @pytest.mark.parametrize("module", ["sunlab", "sunlab.cli"])
@@ -402,16 +412,25 @@ def test_extract_rejects_level_outside_the_chain(tmp_path, capsys, level):
 
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_gen_klass_rejects_size_below_one(tmp_path, capsys, size):
-    # used to exit 0 with an empty structure whose meta recorded the size
+    # used to exit 0 with an empty structure whose meta recorded the size;
+    # a usage error writes nothing, not even the output directory
     out = tmp_path / "out"
     assert run(["gen", "--klass", "knfree:3", "--size", size, "--seed", "1",
                 "--out", str(out)]) == 2
     assert _one_error_line(capsys) == "error: size must be >= 1\n"
-    assert not (out / "structure.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["check-3dap", "--bound", "1"],
-                                  ["gen", "--size", "3", "--seed", "1"]])
+                                  ["gen", "--size", "3", "--seed", "1"],
+                                  ["partition", "--structure", "{s}",
+                                   "--scheme", "neighbourhood", "--anchor", "0"]])
 def test_unknown_class_error_has_no_stray_quotes(tmp_path, capsys, argv):
-    assert run(argv + ["--klass", "nosuch", "--out", str(tmp_path)]) == 2
+    structure = tmp_path / "s.json"
+    structure.write_text(json.dumps({"signature": [{"name": "E", "arity": 2}],
+                                     "size": 2}))
+    out = tmp_path / "out"
+    assert run([a.format(s=structure) for a in argv]
+               + ["--klass", "nosuch", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: unknown class 'nosuch'\n"
+    assert not out.exists()

@@ -1,14 +1,20 @@
 """Round trips for every serialised artifact."""
 
+import itertools
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunlab import catalog, jsonio
 from sunlab.generators import gen_named
 from sunlab.ksets import Presentation, find_sunflower_copies, random_presentation
 from sunlab.partitionlab import Colouring, Partition
-from sunlab.ramsey import gen_witness_hypergraph
-from sunlab.structures import QfType, qf_type
+from sunlab.ramsey import PartitionedHypergraph, gen_witness_hypergraph
+from sunlab.structures import ClassSpec, QfType, Structure, gaifman, qf_type
 from sunlab.witness import build_witness_chain, extract_sunflower
+
+from test_structures import SIGNATURES, structures
 
 import random
 
@@ -87,3 +93,126 @@ def test_dumps_sorted_and_stable():
     b = jsonio.dumps(jsonio.structure_to_json(catalog.complete_graph(3)))
     assert a == b
     assert a.index('"relations"') < a.index('"signature"') < a.index('"size"')
+
+
+# ---------------------------------------------------------------------------
+# Property round trips: x -> dumps -> loads -> from_json gives x back
+
+ROUND_TRIP = settings(max_examples=60, deadline=None, derandomize=True)
+signatures = st.sampled_from(SIGNATURES)
+metas = st.dictionaries(
+    st.text(max_size=4),
+    st.integers() | st.text(max_size=4) | st.lists(st.integers(), max_size=3),
+    max_size=3)
+
+
+def through_text(data):
+    return json.loads(jsonio.dumps(data))
+
+
+def same(a, b) -> bool:
+    """Equal with equal types, field by field through the public slots, so
+    that meta, names and the classes without __eq__ are compared too."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    slots = [f for f in getattr(type(a), "__slots__", ()) if not f.startswith("_")]
+    if slots:
+        return all(same(getattr(a, f), getattr(b, f)) for f in slots)
+    return a == b
+
+
+@st.composite
+def structures_with_meta(draw, sig, min_size=0, max_size=5):
+    S = draw(structures(sig, min_size, max_size))
+    return S.with_meta(**draw(metas))
+
+
+@st.composite
+def class_specs(draw, sig):
+    """A class over `sig`: each drawn forbidden structure is made
+    irreducible by a tuple of the first relation of arity >= 2 on every
+    pair of vertices sharing no tuple."""
+    joins = [(n, a) for n, a in sig.relations if a >= 2]
+    forbidden = []
+    for F in draw(st.lists(structures(sig, 1, 3 if joins else 1), max_size=3)):
+        rels = {n: set(F.relations[n]) for n in sig.names}
+        edges = gaifman(F)
+        for u, v in itertools.combinations(F.vertices, 2):
+            if frozenset((u, v)) not in edges:
+                name, arity = joins[0]
+                rels[name].add((u,) + (v,) * (arity - 1))
+        forbidden.append(Structure(sig, F.size, rels))
+    return ClassSpec(sig, forbidden, name=draw(st.text(max_size=8)))
+
+
+@ROUND_TRIP
+@given(signatures.flatmap(structures_with_meta))
+def test_structure_round_trip_on_every_signature(S):
+    assert same(jsonio.structure_from_json(through_text(jsonio.structure_to_json(S))), S)
+
+
+@ROUND_TRIP
+@given(signatures.flatmap(class_specs))
+def test_classspec_round_trip_on_every_signature(K):
+    assert same(jsonio.classspec_from_json(through_text(jsonio.classspec_to_json(K))), K)
+
+
+@ROUND_TRIP
+@given(st.data())
+def test_qftype_round_trip(data):
+    S = data.draw(signatures.flatmap(lambda sig: structures(sig, 1, 4)))
+    v = data.draw(st.integers(0, S.size - 1))
+    others = data.draw(st.permutations([u for u in S.vertices if u != v]))
+    p = qf_type(S, v, others[:data.draw(st.integers(0, len(others)))])
+    assert same(jsonio.qftype_from_json(through_text(jsonio.qftype_to_json(p))), p)
+
+
+@ROUND_TRIP
+@given(st.lists(st.integers(0, 9), max_size=8).map(Colouring))
+def test_colouring_round_trip(chi):
+    assert same(jsonio.colouring_from_json(through_text(jsonio.colouring_to_json(chi))), chi)
+
+
+@ROUND_TRIP
+@given(st.data())
+def test_presentation_and_certificate_round_trip(data):
+    S = data.draw(signatures.flatmap(lambda sig: structures(sig, 1, 4)))
+    P = random_presentation(S, data.draw(st.integers(1, 3)),
+                            random.Random(data.draw(st.integers(0, 2 ** 32))))
+    P2 = jsonio.presentation_from_json(through_text(jsonio.presentation_to_json(P)), S)
+    assert same(P2, P)
+    # one or two petals always form a sunflower, so a copy exists
+    B = S.induced(sorted(data.draw(st.sets(st.sampled_from(S.vertices),
+                                           min_size=1, max_size=2))))
+    cert = find_sunflower_copies(P, B, limit=1)[0]
+    back = jsonio.cert_from_json(through_text(jsonio.cert_to_json(cert)), B, S)
+    assert same(back, cert)
+
+
+@st.composite
+def hypergraphs(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    edge = st.frozensets(st.integers(0, n * m - 1), min_size=n, max_size=n)
+    return PartitionedHypergraph(n, [range(i * m, (i + 1) * m) for i in range(n)],
+                                 draw(st.sets(edge, max_size=6)), draw(metas))
+
+
+@ROUND_TRIP
+@given(hypergraphs())
+def test_hypergraph_round_trip(H):
+    assert same(jsonio.hypergraph_from_json(through_text(jsonio.hypergraph_to_json(H))), H)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 2), st.integers(0, 2 ** 32), st.integers(0, 2 ** 32))
+def test_chain_and_trace_round_trip(k, seed, draw_seed):
+    chain = build_witness_chain(catalog.all_graphs(), catalog.complete_graph(2), k, seed)
+    chain2 = jsonio.chain_from_json(through_text(jsonio.chain_to_json(chain)))
+    assert same(chain2, chain)
+    P = random_presentation(chain.top(), k, random.Random(draw_seed))
+    _, trace = extract_sunflower(chain, P)
+    assert same(jsonio.trace_from_json(through_text(jsonio.trace_to_json(trace))), trace)

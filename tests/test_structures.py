@@ -23,6 +23,7 @@ from sunlab.structures import (
     ThreeDapReport,
     _pair_amalgams,
     _three_dap_amalgam_exists,
+    _vertex_profiles,
     are_isomorphic,
     automorphisms,
     canonical_form,
@@ -230,6 +231,20 @@ def brute_isomorphisms(A, B):
 @given(st.sampled_from(SIGNATURES).flatmap(structures))
 def test_automorphisms_match_brute_force(S):
     assert [a.map for a in automorphisms(S)] == brute_isomorphisms(S, S)
+
+
+@ORACLE
+@given(st.sampled_from(SIGNATURES).flatmap(structures))
+def test_gaifman_and_vertex_profiles_match_their_definitions(S):
+    # the Gaifman graph joins every two vertices of a tuple; a profile
+    # counts, per relation and position, the tuples holding the vertex
+    # there, so (v, v, u) counts for v at two positions
+    assert gaifman(S) == {frozenset(e) for ts in S.relations.values() for t in ts
+                          for e in itertools.combinations(set(t), 2)}
+    assert _vertex_profiles(S) == [
+        tuple(tuple(sum(t[i] == v for t in S.relations[n]) for i in range(a))
+              for n, a in S.signature.relations)
+        for v in S.vertices]
 
 
 @ORACLE
