@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-witness", _cmd_verify_witness,
             help="check that every presentation carries a sunflower copy")
-    p.add_argument("--klass", "--class", dest="klass", default="pure")
     p.add_argument("--target", help="target structure name or @file")
     p.add_argument("--b-size", type=int, help="pure-set target size shortcut")
     p.add_argument("--witness", help="witness structure @file")

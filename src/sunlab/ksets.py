@@ -11,15 +11,15 @@ canonical form introduces ground labels in increasing order of first
 appearance (vertices in index order, each set read in increasing order)
 and keeps the lexicographically least representative of each orbit.
 
-Both presentation walks grow a family one set at a time and settle each
-prefix once.  Set i of a relabelled family depends only on the orders
-chosen for the new elements of the sets before it, so the canonical form
-of a prefix is the prefix of the canonical form: every prefix of a
-canonical family is canonical, and the enumerator descends only into
-canonical prefixes (orderly generation; Read 1978, McKay 1998).  The
-witness check descends only from prefixes without a sunflower copy, so a
-copy in a longer prefix must pass through its newest vertex, and that is
-the only place it looks.
+One presentation walk serves enumeration and witness checks: it grows a
+family one set at a time and settles each prefix once.  Set i of a
+relabelled family depends only on the orders chosen for the new elements
+of the sets before it, so the canonical form of a prefix is the prefix of
+the canonical form: every prefix of a canonical family is canonical, and
+the enumerator descends only into canonical prefixes (orderly generation;
+Read 1978, McKay 1998).  The witness check descends only from prefixes
+without a sunflower copy, so a copy in a longer prefix must pass through
+its newest vertex, and that is the only place it looks.
 """
 
 from __future__ import annotations
@@ -258,41 +258,45 @@ def _normal_form_candidates(prev_sets: list[tuple[int, ...]], k: int,
     return out
 
 
+def _normal_form_walk(C: Structure, k: int, keep) -> Iterator[list[tuple[int, ...]]]:
+    """Every normal-form family of |C| k-sets whose prefixes `keep` all
+    accepts, in lexicographic order.
+
+    The walk appends sets depth first and calls `keep(sets)` as soon as a
+    set is appended, descending only if it holds.  Each family is yielded
+    as the walk's own list, which changes once the walk resumes.
+    """
+    sets: list[tuple[int, ...]] = []
+
+    def rec(next_label: int) -> Iterator[list[tuple[int, ...]]]:
+        if len(sets) == C.size:
+            yield sets
+            return
+        for cand in _normal_form_candidates(sets, k, next_label):
+            sets.append(cand)
+            if keep(sets):
+                yield from rec(max(next_label, cand[-1] + 1))
+            sets.pop()
+
+    return rec(0)
+
+
 def enumerate_presentations(C: Structure, k: int,
                             ground_budget: int = DEFAULT_GROUND_BUDGET,
                             ) -> Iterator[Presentation]:
     """All presentations of C on k-sets up to ground bijections, exactly
     once: the stream yields canonical representatives only.
 
-    The walk appends normal-form sets depth first and tests each prefix as
-    soon as it is appended.  The canonical form of a prefix is the prefix
-    of the canonical form, so a non-canonical prefix has no canonical
-    family below it and is dropped; every leaf reached is canonical.
+    The canonical form of a prefix is the prefix of the canonical form, so
+    a non-canonical prefix has no canonical family below it and the walk
+    drops it; every leaf reached is canonical.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k * C.size > ground_budget:
         raise BudgetExceeded(f"ground set {k * C.size} exceeds budget {ground_budget}")
-
-    sets: list[tuple[int, ...]] = []
-
-    def rec(i: int, next_label: int) -> Iterator[Presentation]:
-        if i == C.size:
-            yield Presentation(C, k, sets)
-            return
-        for cand in _normal_form_candidates(sets, k, next_label):
-            sets.append(cand)
-            if _is_canonical(sets):
-                yield from rec(i + 1, max(next_label, cand[-1] + 1))
-            sets.pop()
-
-    yield from rec(0, 0)
-
-
-def canonicalise_presentation(P: Presentation) -> Presentation:
-    """Relabel the ground set to canonical first-appearance labels (used
-    before comparing presentations from external files)."""
-    return Presentation(P.base, P.k, canonical_sets(P.sets))
+    for sets in _normal_form_walk(C, k, _is_canonical):
+        yield Presentation(C, k, sets)
 
 
 def random_presentation(C: Structure, k: int, rng: random.Random) -> Presentation:
@@ -340,11 +344,11 @@ def verify_witness(C: Structure, B: Structure, k: int,
     does too), so it visits exactly the sunflower-free prefixes; a leaf is
     a counterexample presentation.  Because the walk only extends
     sunflower-free prefixes, a copy in a new prefix must use its newest
-    vertex: each B-depth in turn is pinned to that vertex and the others
-    range over the older ones, on prefix structures built once per call.
-    A target with no vertices has a copy in every presentation, the empty
-    one included, so the walk stops at its one root candidate.  Random
-    mode samples presentations.
+    vertex: one B-depth per Aut(B) orbit in turn is pinned to that vertex
+    and the others range over the older ones, on prefix structures built
+    once per call.  A target with no vertices has a copy in every
+    presentation, the empty one included, so the walk stops at its one
+    root candidate.  Random mode samples presentations.
     """
     if B.signature != C.signature:
         raise SignatureMismatch("witness check needs matching signatures")
@@ -367,39 +371,35 @@ def verify_witness(C: Structure, B: Structure, k: int,
         return WitnessVerdict(True, None, 1)
 
     prefixes = [C.induced(range(i)) for i in range(C.size + 1)]
-    sets: list[tuple[int, ...]] = []
     members: list[frozenset] = []
     flt = _centre_filter(members)
+    # A copy f with the newest vertex at depth d and an automorphism s of B
+    # give the copy f . s^-1, with the same image and that vertex at s(d);
+    # the centre filter reads only the image, so only the least depth of
+    # each Aut(B) orbit is pinned: one that no embedding of B in itself (an
+    # automorphism) sends lower.
+    depths = range(B.size)
+    pins = [d for d in depths if next(_iter_embedding_maps(
+        B, B, None, [range(d) if e == d else depths for e in depths]), None) is None]
     checked = 0
 
-    def has_new_copy(i: int) -> bool:
+    def sunflower_free(sets: list[tuple[int, ...]]) -> bool:
+        nonlocal checked
+        checked += 1
+        i = len(sets)
+        members[i - 1:] = [frozenset(sets[-1])]
         older = range(i - 1)
-        for d in range(B.size):
+        for d in pins:
             pools = [older] * B.size
             pools[d] = (i - 1,)
             if next(_iter_embedding_maps(B, prefixes[i], flt, pools), None) is not None:
-                return True
-        return False
+                return False
+        return True
 
-    def rec(i: int, next_label: int) -> Optional[Presentation]:
-        nonlocal checked
-        if i == C.size:
-            checked += 1
-            return Presentation(C, k, sets)
-        for cand in _normal_form_candidates(sets, k, next_label):
-            sets.append(cand)
-            members.append(frozenset(cand))
-            checked += 1
-            if not has_new_copy(i + 1):
-                found = rec(i + 1, max(next_label, cand[-1] + 1))
-                if found is not None:
-                    return found
-            members.pop()
-            sets.pop()
-        return None
-
-    counterexample = rec(0, 0)
-    return WitnessVerdict(counterexample is None, counterexample, checked)
+    leaf = next(_normal_form_walk(C, k, sunflower_free), None)
+    if leaf is None:
+        return WitnessVerdict(True, None, checked)
+    return WitnessVerdict(False, Presentation(C, k, leaf), checked + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +417,3 @@ def encode_colouring(M: Structure, chi: Colouring) -> Presentation:
         raise ValueError("colouring does not fit the structure")
     sets = [(2 * v, 2 * chi(v) + 1) for v in range(M.size)]
     return Presentation(M, 2, sets)
-
-
-def decode_vertex(code: int) -> int:
-    if code % 2 != 0:
-        raise ValueError("not a vertex code")
-    return code // 2
-
-
-def decode_colour(code: int) -> int:
-    if code % 2 != 1:
-        raise ValueError("not a colour code")
-    return (code - 1) // 2

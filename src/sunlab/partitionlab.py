@@ -105,13 +105,16 @@ def named_partition(S: Structure, scheme: str, anchor: Optional[int] = None) -> 
         return Partition(S.size, [rest, [u for u in S.vertices if nbrs >> u & 1]])
     if scheme == "out-neighbourhood":
         v = _need_anchor(S, anchor)
-        out = {w for (u, w) in S.relations["E"] if u == v}
+        arcs, = _binary_relations(S, scheme, "E")
+        out = {w for (u, w) in arcs if u == v}
         rest = [u for u in S.vertices if u not in out]
         return Partition(S.size, [sorted(out), rest])
     if scheme == "class-minus-point":
         v = _need_anchor(S, anchor)
-        name = S.signature.names[0]
-        cls = {u for (u, w) in S.relations[name] if w == v} | {v}
+        # the first relation, E on an equivalence structure
+        names = S.signature.names
+        equiv, = _binary_relations(S, scheme, names[0] if names else "E")
+        cls = {u for (u, w) in equiv if w == v} | {v}
         c_block = [u for u in S.vertices if u not in cls or u == v]
         d_block = sorted(cls - {v})
         return Partition(S.size, [c_block, d_block])
@@ -128,6 +131,15 @@ def named_partition(S: Structure, scheme: str, anchor: Optional[int] = None) -> 
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _binary_relations(S: Structure, scheme: str, *names: str) -> list[frozenset]:
+    """The tuples of the binary relations a scheme reads, in order."""
+    sig = S.signature
+    if not all(n in sig.names and sig.arity(n) == 2 for n in names):
+        raise ValueError(f"scheme {scheme} needs the binary relation"
+                         f"{'s' if len(names) > 1 else ''} {' and '.join(names)}")
+    return [S.relations[n] for n in names]
+
+
 def _need_anchor(S: Structure, anchor: Optional[int]) -> int:
     if anchor is None:
         raise ValueError("this scheme needs an anchor vertex")
@@ -142,8 +154,7 @@ def _first_edge_colour_partition(S: Structure) -> Partition:
     and E collects the vertices with no earlier edge at all.  Two vertices
     of E can never be adjacent: the later one would have an earlier edge.
     """
-    red = S.relations["R"]
-    blue = S.relations["B"]
+    red, blue = _binary_relations(S, "first-edge-colour", "R", "B")
     c_block, d_block, e_block = [], [], []
     for v in range(S.size):
         first = None

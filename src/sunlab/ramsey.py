@@ -164,15 +164,6 @@ def suitable_params(n: int, a1: Fraction) -> SuitableParams:
     return SuitableParams(n, a1, eps, a0, high)
 
 
-def suitable_params_hold(sp: SuitableParams) -> bool:
-    """Re-check both defining inequalities under exact arithmetic."""
-    first = (1 - sp.n * sp.epsilon) ** sp.n > 1 - sp.a1
-    second = (falling_binomial(sp.c_min * sp.epsilon, sp.n)
-              - sp.a0 * Fraction(sp.c_min) ** sp.n > 0)
-    positive = sp.c_min * sp.epsilon > sp.n - 1
-    return first and second and positive and 0 < sp.a0 < 1
-
-
 # ---------------------------------------------------------------------------
 # Counting monochromatic part n-sets and heterochromatic transversals
 

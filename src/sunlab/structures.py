@@ -114,9 +114,6 @@ class Structure:
     def vertices(self) -> range:
         return range(self.size)
 
-    def tuples(self, name: str) -> frozenset:
-        return self.relations[name]
-
     def induced(self, vertices: Iterable[int]) -> "Structure":
         """Induced substructure; new vertex i is the i-th entry of `vertices`."""
         vs = list(vertices)

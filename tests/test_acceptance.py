@@ -30,12 +30,12 @@ from sunlab.ramsey import (
     gen_witness_hypergraph,
     hypergraph_girth,
     suitable_params,
-    suitable_params_hold,
     witness_adversary,
 )
 from sunlab.structures import check_3dap_over_empty, embeds, gaifman, satisfies_class
 from sunlab.witness import build_witness_chain, extract_sunflower, verify_certificate
 from test_ksets import signature_key
+from test_ramsey import suitable_params_hold
 
 
 def report(line):

@@ -37,12 +37,12 @@ def test_gen_reproducible(tmp_path):
 
 
 def test_verify_witness_pass_and_fail(tmp_path):
-    ok = run(["verify-witness", "--klass", "pure", "--b-size", "3", "--k", "2",
+    ok = run(["verify-witness", "--b-size", "3", "--k", "2",
               "--c-size", "7", "--mode", "exhaustive", "--out", str(tmp_path / "p")])
     assert ok == 0
     assert read(tmp_path / "p" / "verdict.json")["passed"] is True
 
-    bad = run(["verify-witness", "--klass", "pure", "--b-size", "3", "--k", "2",
+    bad = run(["verify-witness", "--b-size", "3", "--k", "2",
                "--c-size", "6", "--mode", "exhaustive", "--out", str(tmp_path / "f")])
     assert bad == 1
     ce = read(tmp_path / "f" / "counterexample.json")
@@ -433,4 +433,23 @@ def test_unknown_class_error_has_no_stray_quotes(tmp_path, capsys, argv):
     assert run([a.format(s=structure) for a in argv]
                + ["--klass", "nosuch", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: unknown class 'nosuch'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme, needs", [
+    ("class-minus-point", "binary relation E"),
+    ("out-neighbourhood", "binary relation E"),
+    ("first-edge-colour", "binary relations R and B")])
+def test_partition_scheme_names_the_relation_it_needs(tmp_path, capsys,
+                                                      scheme, needs):
+    # on a pure set, class-minus-point used to end in an IndexError
+    # traceback and the other two printed only the missing relation name
+    gen_dir = tmp_path / "g"
+    assert run(["gen", "--id", "pure-set", "--size", "3", "--seed", "1",
+                "--out", str(gen_dir)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["partition", "--structure", str(gen_dir / "structure.json"),
+                "--scheme", scheme, "--anchor", "0", "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"error: scheme {scheme} needs the {needs}\n"
     assert not out.exists()

@@ -17,7 +17,7 @@ from sunlab.generators import (
     extension_defects,
     gen_generic,
     gen_named,
-    validate_named_output,
+    parse_generator_id,
 )
 from sunlab.structures import (
     ClassSpec,
@@ -28,6 +28,82 @@ from sunlab.structures import (
     qf_type,
     satisfies_class,
 )
+
+
+# ---------------------------------------------------------------------------
+# Defining-property checks for generator outputs
+
+
+def _is_strict_poset(S: Structure) -> bool:
+    less = S.relations["<"]
+    for u, v in less:
+        if u == v or (v, u) in less:
+            return False
+    for (a, b), (c, d) in itertools.product(less, less):
+        if b == c and (a, d) not in less:
+            return False
+    return True
+
+
+def _is_tournament(S: Structure) -> bool:
+    arcs = S.relations["E"]
+    for u, v in itertools.combinations(range(S.size), 2):
+        if ((u, v) in arcs) == ((v, u) in arcs):
+            return False
+    return not any(u == v for u, v in arcs)
+
+
+def _is_equivalence(S: Structure, name: str) -> bool:
+    rel = S.relations[name]
+    if any(u == v for u, v in rel):
+        return False
+    # union-find the classes, then demand the relation is exactly
+    # "same class, distinct" (gives symmetry and transitivity in one go)
+    parent = list(range(S.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in rel:
+        parent[find(u)] = find(v)
+    expected = {(u, v) for u in range(S.size) for v in range(S.size)
+                if u != v and find(u) == find(v)}
+    return rel == frozenset(expected)
+
+
+def validate_named_output(name: str, S: Structure) -> bool:
+    """Check that a generated structure satisfies its defining class."""
+    head, arg = parse_generator_id(name)
+    if head == "random-graph":
+        return satisfies_class(S, catalog.all_graphs())
+    if head == "knfree":
+        return satisfies_class(S, catalog.kn_free(arg))
+    if head in ("random-tournament", "local-order"):
+        return _is_tournament(S)
+    if head == "random-oriented":
+        return satisfies_class(S, catalog.oriented_graphs())
+    if head == "generic-poset":
+        return _is_strict_poset(S)
+    if head == "generic-ordered-graph":
+        order_ok = all(((u, v) in S.relations["<"]) == (u < v)
+                       for u in range(S.size) for v in range(S.size) if u != v)
+        graph_part = Structure(catalog.GRAPH_SIG, S.size, {"E": S.relations["E"]})
+        return order_ok and satisfies_class(graph_part, catalog.all_graphs())
+    if head == "equivalence-omega":
+        return _is_equivalence(S, "E")
+    if head == "double-equivalence":
+        return _is_equivalence(S, "E0") and _is_equivalence(S, "E1")
+    if head == "rb-bichrome":
+        return satisfies_class(S, catalog.rb_bichrome())
+    if head == "f-free-3hyper":
+        return satisfies_class(S, catalog.f_free_3hypergraphs())
+    if head == "pure-set":
+        return S.signature == catalog.PURE_SIG
+    raise ValueError(f"unknown generator {name!r}")
+
 
 SMALL_CASES = [
     ("random-graph", 18), ("knfree:3", 30), ("knfree:4", 18),

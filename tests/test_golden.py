@@ -73,9 +73,9 @@ COMMANDS = [
     ("3dap-k4h3free", ["check-3dap", "--klass", "k4h3free", "--bound", "1"]),
     ("3dap-budget", ["check-3dap", "--klass", "graphs", "--bound", "2",
                      "--budget", "255"]),
-    ("witness-7-3", ["verify-witness", "--klass", "pure", "--b-size", "3",
+    ("witness-7-3", ["verify-witness", "--b-size", "3",
                      "--k", "2", "--c-size", "7"]),
-    ("witness-6-3", ["verify-witness", "--klass", "pure", "--b-size", "3",
+    ("witness-6-3", ["verify-witness", "--b-size", "3",
                      "--k", "2", "--c-size", "6"]),
     ("enumerate", ["enumerate-presentations", "--size", "4", "--k", "3"]),
 ]

