@@ -66,6 +66,17 @@ COMMANDS = [
                           "--scheme", "neighbourhood", "--anchor", "0",
                           "--klass", "f-free-3hyper", "--probes", "hyperedge3",
                           "--base-bound", "2"]),
+    ("partition-csv", ["partition", "--structure", "{gen-knfree}/structure.json",
+                       "--scheme", "neighbourhood", "--anchor", "0",
+                       "--klass", "knfree:3", "--probes", "k2",
+                       "--base-bound", "1", "--format", "csv"]),
+    ("gen-equivalence", ["gen", "--id", "equivalence-omega", "--size", "9",
+                         "--seed", "1"]),
+    ("partition-class-minus-point", ["partition", "--structure",
+                                     "{gen-equivalence}/structure.json",
+                                     "--scheme", "class-minus-point",
+                                     "--anchor", "0", "--klass", "graphs",
+                                     "--probes", "k2", "--base-bound", "2"]),
     ("3dap-graphs", ["check-3dap", "--klass", "graphs", "--bound", "2"]),
     ("3dap-knfree", ["check-3dap", "--klass", "knfree:3", "--bound", "1"]),
     ("3dap-rb", ["check-3dap", "--klass", "rb-bichrome", "--bound", "1"]),
@@ -102,6 +113,9 @@ EXPECTED = {
     "gen-two-colour": [0, "b5dc5cdc1f2aa087cd75b805bb8d19d1f18002b1872ce02ef8cb44110b88e5ca"],
     "partition-knfree": [0, "521af2708ef5815ff006b9793b9f043907c34a821325b9f26985b92d7b06b9e7"],
     "partition-f-free": [0, "6898c658aa3ec33580ef83f819f6a02d8044167dded595735624d0ea64b120e8"],
+    "partition-csv": [0, "b48b7d8b478b030054d0b3a4c081d41e49efa3682b24ff636d96b830efa81193"],
+    "gen-equivalence": [0, "ad55e66d6262480fe4933dfefd6f4a0f281332ee68e36f258d1bfe0ed042bd4c"],
+    "partition-class-minus-point": [0, "158337dbdafb811ec1730e8d6777ae11d3958b43c47e2b713296471eafaeafa2"],
     "3dap-graphs": [0, "d4910e28fd25681ce349c392c0549bb558e27a95ca4a2e2f95e77a21a07f944b"],
     "3dap-knfree": [1, "bcb34b8c1ca64d194afa21ceec91961e6f05f9e7a629a9e684ed5c1f3eb723f3"],
     "3dap-rb": [1, "0bbebc5d90a2f4a932fac7ba8779ecb71e01c1d01ff1cd4df8c92730275e2f13"],
