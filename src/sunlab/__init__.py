@@ -24,7 +24,6 @@ from .structures import (
 )
 from .catalog import class_by_name, structure_by_name
 from .generators import (
-    MissingType,
     NoAdmissibleExtension,
     extension_defects,
     gen_generic,

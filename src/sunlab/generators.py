@@ -27,6 +27,7 @@ from .structures import (
     Structure,
     _atoms_through,
     _completions,
+    _type_classes,
     qf_type,
     satisfies_class,
 )
@@ -34,27 +35,6 @@ from .structures import (
 
 class NoAdmissibleExtension(RuntimeError):
     """The class admits no one-point extension of the current structure."""
-
-
-class MissingType:
-    """A one-point type over a base that the class admits but the structure
-    does not realise: adjoining it as a fresh vertex stays in the class."""
-
-    __slots__ = ("base", "qftype")
-
-    def __init__(self, base, qftype: QfType):
-        self.base = tuple(base)
-        self.qftype = qftype
-
-    def __eq__(self, other):
-        return (isinstance(other, MissingType)
-                and self.base == other.base and self.qftype == other.qftype)
-
-    def __hash__(self):
-        return hash((self.base, self.qftype))
-
-    def __repr__(self):
-        return f"MissingType(base={self.base})"
 
 
 # ---------------------------------------------------------------------------
@@ -100,25 +80,26 @@ def admissible_point_types(base: Structure, K: ClassSpec) -> list[QfType]:
     return [qf_type(ext, b, range(b)) for ext in admissible_extensions(base, K)]
 
 
-def extension_defects(S: Structure, K: ClassSpec, base_bound: int) -> list[MissingType]:
-    """All (base, type) pairs with |base| <= base_bound where the type is
-    class-admissible over the base but realised by no vertex of S.
+def extension_defects(S: Structure, K: ClassSpec, base_bound: int) -> list[QfType]:
+    """The one-point types over bases A with |A| <= base_bound, each type's
+    parameters its base, that are class-admissible over A (as far as
+    admissible_extensions lists them) but realised by no vertex of S.
 
     Bases are enumerated as ascending vertex tuples (types over reorderings
     are permutations of each other and would only duplicate the report).
     """
+    if base_bound < 0:
+        raise ValueError("base_bound must be >= 0")
     if not satisfies_class(S, K):
         raise ValueError("structure is not in the class")
     defects = []
     for b in range(base_bound + 1):
-        for A in itertools.combinations(range(S.size), b):
-            base = S.induced(A)
-            admissible = admissible_point_types(base, K)
-            realised = {qf_type(S, v, A).positives
-                        for v in range(S.size) if v not in A}
+        for A in itertools.combinations(S.vertices, b):
+            realised = _type_classes(S, A)
+            admissible = admissible_point_types(S.induced(A), K)
             for t in sorted(admissible, key=lambda t: sorted(t.positives)):
                 if t.positives not in realised:
-                    defects.append(MissingType(A, QfType(A, t.positives)))
+                    defects.append(QfType(A, t.positives))
     return defects
 
 

@@ -167,8 +167,8 @@ def partition_report_to_json(report: PartitionReport) -> dict:
             "index": b.index,
             "vertices": list(b.vertices),
             "probe_embeds": list(b.probe_embeds),
-            "defects": [{"base": list(d.base),
-                         "type": qftype_to_json(d.qftype)} for d in b.defects],
+            "defects": [{"base": list(w.base),
+                         "type": qftype_to_json(w.qftype)} for w in b.open_sets],
             "open_sets": [{"base": list(w.base),
                            "type": qftype_to_json(w.qftype),
                            "realisations": list(w.realisations),
@@ -185,7 +185,7 @@ def partition_report_to_csv(report: PartitionReport) -> str:
         lines.append(f"{b.index},size,,{len(b.vertices)}")
         for i, flag in enumerate(b.probe_embeds):
             lines.append(f"{b.index},probe,{i},{flag}")
-        for d in b.defects:
-            base = " ".join(map(str, d.base))
+        for w in b.open_sets:
+            base = " ".join(map(str, w.base))
             lines.append(f"{b.index},defect,{base},missing")
     return "\n".join(lines) + "\n"

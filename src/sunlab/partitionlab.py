@@ -16,10 +16,11 @@ and the first-earlier-edge-colour rule for two-coloured graphs.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .generators import MissingType, extension_defects
+from .generators import extension_defects
 from .structures import (
     ClassSpec,
     QfType,
@@ -27,11 +28,11 @@ from .structures import (
     Structure,
     _adjacency_bits,
     _iter_embedding_maps,
+    _type_classes,
     colour_classes,
     embeds,
     find_embeddings,
     qf_type,
-    realisation_set,
 )
 
 
@@ -190,13 +191,15 @@ class OpenSetWitness:
 
 
 class BlockReport:
-    __slots__ = ("index", "vertices", "probe_embeds", "defects", "open_sets")
+    """A block's probe verdicts and, per extension defect of the block, the
+    basic open set it pins down."""
 
-    def __init__(self, index, vertices, probe_embeds, defects, open_sets):
+    __slots__ = ("index", "vertices", "probe_embeds", "open_sets")
+
+    def __init__(self, index, vertices, probe_embeds, open_sets):
         self.index = index
         self.vertices = tuple(vertices)
         self.probe_embeds = tuple(probe_embeds)
-        self.defects = tuple(defects)
         self.open_sets = tuple(open_sets)
 
 
@@ -220,21 +223,19 @@ def partition_report(S: Structure, P: Partition, K: ClassSpec,
     for probe in probes:
         if probe.signature != S.signature:
             raise SignatureMismatch("probe signature mismatch")
+    # each base's type classes over S, the empty base shared by all blocks
+    classes = functools.cache(lambda A: _type_classes(S, A))
     reports = []
     for i, block in enumerate(P.blocks):
         vs = sorted(block)
         sub = S.induced(vs)
         probe_flags = [embeds(probe, sub) for probe in probes]
-        local = extension_defects(sub, K, base_bound)
-        defects = []
-        witnesses = []
-        for d in local:
-            base_global = tuple(vs[a] for a in d.base)
-            p_global = QfType(base_global, d.qftype.positives)
-            defects.append(MissingType(base_global, p_global))
-            realised = realisation_set(S, base_global, p_global)
-            witnesses.append(OpenSetWitness(base_global, p_global, realised))
-        reports.append(BlockReport(i, vs, probe_flags, defects, witnesses))
+        open_sets = []
+        for d in extension_defects(sub, K, base_bound):
+            p = d.transport(vs)
+            open_sets.append(OpenSetWitness(p.parameters, p,
+                                            classes(p.parameters).get(p.positives, ())))
+        reports.append(BlockReport(i, vs, probe_flags, open_sets))
     return PartitionReport(reports)
 
 

@@ -356,12 +356,10 @@ def find_embeddings(A: Structure, B: Structure,
                     limit: Optional[int] = None) -> list[Embedding]:
     """All induced embeddings of A into B, lexicographic on the image
     sequence, truncated at `limit` (None means unlimited)."""
-    out = []
-    for vmap in _iter_embedding_maps(A, B):
-        out.append(Embedding(A, B, vmap, validate=False))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
+    return [Embedding(A, B, vmap, validate=False)
+            for vmap in itertools.islice(_iter_embedding_maps(A, B), limit)]
 
 
 def embeds(A: Structure, B: Structure) -> bool:
@@ -620,19 +618,31 @@ def qf_type(S: Structure, v: int, params: Iterable[int]) -> QfType:
                       if tuple(at[j] for j in t) in S.relations[name]])
 
 
+def _type_classes(S: Structure, params: Sequence[int]) -> dict[frozenset, list[int]]:
+    """The vertices outside the parameters grouped by their type over them:
+    each realised type's positives map to its ascending realisations."""
+    A = tuple(params)
+    if any(a < 0 or a >= S.size for a in A):
+        raise ValueError("vertex out of range")
+    n = len(A)
+    atoms = [(name, t, (name, tuple(-1 if j == n else j for j in t)))
+             for name, t in _atoms_through(S.signature, n)]
+    classes: dict = {}
+    for v in S.vertices:
+        if v not in A:
+            at = A + (v,)
+            positives = frozenset(atom for name, t, atom in atoms
+                                  if tuple(at[j] for j in t) in S.relations[name])
+            classes.setdefault(positives, []).append(v)
+    return classes
+
+
 def realisation_set(S: Structure, params: Iterable[int], p: QfType) -> list[int]:
-    """All v outside the parameters whose type over them equals p."""
+    """All v outside the parameters whose type over them equals p, ascending."""
     A = tuple(params)
     if len(A) != p.nparams:
         raise ValueError("parameter count differs from the type's")
-    want = p.positives
-    out = []
-    for v in range(S.size):
-        if v in A:
-            continue
-        if qf_type(S, v, A).positives == want:
-            out.append(v)
-    return out
+    return _type_classes(S, A).get(p.positives, [])
 
 
 # ---------------------------------------------------------------------------

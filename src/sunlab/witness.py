@@ -33,11 +33,11 @@ from .structures import (
     Embedding,
     Structure,
     _iter_embedding_maps,
+    _type_classes,
     are_isomorphic,
     colour_classes,
     enumerate_class_members,
     find_embeddings,
-    qf_type,
     satisfies_class,
 )
 
@@ -151,10 +151,8 @@ def paste(H: PartitionedHypergraph, B: Structure, K: ClassSpec) -> PastedStructu
         raise PastingError("target and class signatures differ")
     if H.n != B.size:
         raise PastingError("hypergraph uniformity must equal the target size")
-    if B.size >= 1:
-        types = {qf_type(B, v, ()).positives for v in B.vertices}
-        if len(types) > 1:
-            raise PastingError("all target vertices must share one empty-base type")
+    if len(_type_classes(B, ())) > 1:
+        raise PastingError("all target vertices must share one empty-base type")
     if find_short_cycle(H, 4) is not None:
         raise PastingError("hypergraph girth must be at least 4")
     if not satisfies_class(B, K):

@@ -286,20 +286,20 @@ def adjacent_both():
 def test_defects_single_edge_all_graphs():
     S = catalog.complete_graph(2)
     defects = extension_defects(S, catalog.all_graphs(), 2)
-    assert any(d.qftype.positives == adjacent_both() and len(d.base) == 2
+    assert any(d.positives == adjacent_both() and len(d.parameters) == 2
                for d in defects)
 
 
 def test_defects_k3_misses_nonneighbour():
     defects = extension_defects(catalog.complete_graph(3), catalog.all_graphs(), 1)
-    assert any(len(d.base) == 1 and d.qftype.positives == frozenset()
+    assert any(len(d.parameters) == 1 and d.positives == frozenset()
                for d in defects)
 
 
 def test_defects_respect_class_admissibility():
     S = catalog.complete_graph(2)
     defects = extension_defects(S, catalog.kn_free(3), 2)
-    assert not any(d.qftype.positives == adjacent_both() for d in defects)
+    assert not any(d.positives == adjacent_both() for d in defects)
 
 
 def test_defects_require_membership():
@@ -312,7 +312,7 @@ def test_no_defects_means_all_types_realised():
     rng = random.Random(2)
     K = catalog.all_graphs()
     S = gen_named("random-graph", 7, 9)
-    defects = {(d.base, d.qftype.positives)
+    defects = {(d.parameters, d.positives)
                for d in extension_defects(S, K, 1)}
     for A in [()] + [(v,) for v in range(S.size)]:
         base = S.induced(A)
@@ -326,5 +326,5 @@ def test_defect_order_deterministic():
     S = catalog.complete_graph(2)
     a = extension_defects(S, catalog.all_graphs(), 2)
     b = extension_defects(S, catalog.all_graphs(), 2)
-    assert [(d.base, sorted(d.qftype.positives)) for d in a] == \
-        [(d.base, sorted(d.qftype.positives)) for d in b]
+    assert [(d.parameters, sorted(d.positives)) for d in a] == \
+        [(d.parameters, sorted(d.positives)) for d in b]
