@@ -147,13 +147,13 @@ def _cmd_gen(run: _Run, args) -> int:
 
 def _cmd_partition(run: _Run, args) -> int:
     S = run.load(jsonio.structure_from_json, args.structure)
-    if args.klass:  # every input is read before the first write
+    P = named_partition(S, args.scheme, args.anchor)
+    if args.klass:  # every input is read and the report made before the first write
         K = _load_class(run, args.klass)
         probes = [_load_structure(run, p) for p in (args.probes or [])]
-    P = named_partition(S, args.scheme, args.anchor)
+        report = partition_report(S, P, K, probes, args.base_bound)
     run.write("partition.json", jsonio.partition_to_json(P))
     if args.klass:
-        report = partition_report(S, P, K, probes, args.base_bound)
         if args.format == "csv":
             run.write("report.csv", jsonio.partition_report_to_csv(report))
         else:
@@ -397,17 +397,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate-presentations", _cmd_enumerate,
             help="canonical presentations of a structure on k-sets")
-    p.add_argument("--structure")
-    p.add_argument("--size", type=int, help="pure-set size shortcut")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--structure")
+    one.add_argument("--size", type=int, help="pure-set size shortcut")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--budget", type=int, default=18)
 
     p = add("verify-witness", _cmd_verify_witness,
             help="check that every presentation carries a sunflower copy")
-    p.add_argument("--target", help="target structure name or @file")
-    p.add_argument("--b-size", type=int, help="pure-set target size shortcut")
-    p.add_argument("--witness", help="witness structure @file")
-    p.add_argument("--c-size", type=int, help="pure-set witness size shortcut")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--target", help="target structure name or @file")
+    one.add_argument("--b-size", type=int, help="pure-set target size shortcut")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--witness", help="witness structure @file")
+    one.add_argument("--c-size", type=int, help="pure-set witness size shortcut")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--trials", type=int, default=1000)

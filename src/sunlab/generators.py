@@ -54,11 +54,14 @@ def _extension_orbits(sig: Signature, size: int) -> list[list[tuple]]:
 
 
 def admissible_extensions(S: Structure, K: ClassSpec) -> Iterator[Structure]:
-    """All extensions of S by a fresh vertex that stay in K, one per
-    admissible atomic diagram, in deterministic orbit-lexicographic order."""
-    # Pruning an orbit's option prunes all its completions, so this walk is
-    # complete only for classes whose invalid windows stay invalid under
-    # later additions; every catalog class is of this kind.
+    """Extensions of S by a fresh vertex that stay in K, one per atomic
+    diagram, in deterministic orbit-lexicographic order.
+
+    An orbit's option is dropped as soon as the diagram leaves K, so every
+    extension in K is listed only if a diagram outside K stays outside
+    whatever later orbits add, as in every catalog class.  With a unary P
+    and no edge between P and the rest, the edge from a P point is dropped
+    before the new vertex's P is chosen, so no new P vertex joins it."""
     v = S.size
     orbits = _extension_orbits(S.signature, v)
 
@@ -81,13 +84,10 @@ def admissible_point_types(base: Structure, K: ClassSpec) -> list[QfType]:
 
 
 def extension_defects(S: Structure, K: ClassSpec, base_bound: int) -> list[QfType]:
-    """The one-point types over bases A with |A| <= base_bound, each type's
-    parameters its base, that are class-admissible over A (as far as
-    admissible_extensions lists them) but realised by no vertex of S.
-
-    Bases are enumerated as ascending vertex tuples (types over reorderings
-    are permutations of each other and would only duplicate the report).
-    """
+    """The one-point types over ascending bases A of at most base_bound
+    vertices (the types' parameters) that admissible_extensions lists over
+    A but no vertex of S realises; a type the walk misses is not reported.
+    Reordered bases are left out, as their types only permute."""
     if base_bound < 0:
         raise ValueError("base_bound must be >= 0")
     if not satisfies_class(S, K):
@@ -112,7 +112,8 @@ def gen_generic(K: ClassSpec, size: int, seed: int,
     """Grow a structure in K by `size` random one-point extensions.
 
     Each new vertex's diagram is sampled orbit by orbit, uniformly among
-    the class-admissible continuations of that orbit.  Raises
+    the class-admissible continuations of that orbit, so it only reaches
+    the diagrams admissible_extensions lists.  Raises
     NoAdmissibleExtension if the class refuses every diagram (it never
     shrinks the request silently).
     """

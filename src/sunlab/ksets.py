@@ -145,6 +145,8 @@ def find_sunflower_copies(P: Presentation, B: Structure,
     certificate per petal vertex set, in deterministic search order."""
     if B.signature != P.base.signature:
         raise SignatureMismatch("target signature mismatch")
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
     sets = P.sets
     out = []
     seen = set()

@@ -113,9 +113,15 @@ def named_partition(S: Structure, scheme: str, anchor: Optional[int] = None) -> 
     if scheme == "class-minus-point":
         v = _need_anchor(S, anchor)
         # the first relation, E on an equivalence structure
-        names = S.signature.names
-        equiv, = _binary_relations(S, scheme, names[0] if names else "E")
-        cls = {u for (u, w) in equiv if w == v} | {v}
+        name = S.signature.names[0] if S.signature.names else "E"
+        equiv, = _binary_relations(S, scheme, name)
+        # an equivalence iff related points share one closed neighbourhood
+        cls_of: dict = {}
+        for u, w in equiv:
+            cls_of.setdefault(u, {u}).add(w)
+        if any(cls_of[u] != cls_of.get(w) for u, w in equiv):
+            raise ValueError(f"scheme {scheme} needs {name} to be an equivalence")
+        cls = cls_of.get(v, {v})
         c_block = [u for u in S.vertices if u not in cls or u == v]
         d_block = sorted(cls - {v})
         return Partition(S.size, [c_block, d_block])
@@ -191,9 +197,6 @@ class OpenSetWitness:
 
 
 class BlockReport:
-    """A block's probe verdicts and, per extension defect of the block, the
-    basic open set it pins down."""
-
     __slots__ = ("index", "vertices", "probe_embeds", "open_sets")
 
     def __init__(self, index, vertices, probe_embeds, open_sets):

@@ -453,3 +453,74 @@ def test_partition_scheme_names_the_relation_it_needs(tmp_path, capsys,
                 "--scheme", scheme, "--anchor", "0", "--out", str(out)]) == 2
     assert _one_error_line(capsys) == f"error: scheme {scheme} needs the {needs}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["enumerate-presentations", "--k", "2"], "--structure --size"),
+    (["verify-witness", "--k", "2", "--c-size", "4"], "--target --b-size"),
+    (["verify-witness", "--k", "2", "--b-size", "2"], "--witness --c-size")])
+def test_commands_need_one_of_each_input_pair(tmp_path, capsys, argv, missing):
+    # each used to end in a TypeError or AttributeError traceback with
+    # exit 1, the counterexample code
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert f"one of the arguments {missing} is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _generated(tmp_path, *argv) -> Path:
+    gen_dir = tmp_path / "g"
+    assert run(["gen", *argv, "--out", str(gen_dir)]) == 0
+    return gen_dir / "structure.json"
+
+
+def test_partition_rejects_negative_base_bound(tmp_path, capsys):
+    # used to exit 0 with a report of no defects
+    structure = _generated(tmp_path, "--id", "knfree:3", "--size", "8", "--seed", "1")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["partition", "--structure", str(structure), "--scheme", "neighbourhood",
+                "--anchor", "0", "--klass", "knfree:3", "--base-bound", "-1",
+                "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "error: base_bound must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_sunflower_check_rejects_limit_below_one(tmp_path, capsys, limit):
+    # used to write "count": 1
+    structure = _generated(tmp_path, "--id", "pure-set", "--size", "3", "--seed", "1")
+    (tmp_path / "pres.json").write_text(json.dumps({"k": 2, "sets": [[1, 2], [1, 3], [1, 4]]}))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["sunflower-check", "--structure", str(structure),
+                "--presentation", str(tmp_path / "pres.json"), "--target", "pure:2",
+                "--limit", limit, "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "error: limit must be >= 1\n"
+    assert not out.exists()
+
+
+def test_open_set_checks_parameters_on_an_empty_structure(tmp_path, capsys):
+    # no vertex used to reach the range check, so this exited 0 with []
+    structure = tmp_path / "empty.json"
+    structure.write_text(json.dumps({"signature": [{"name": "E", "arity": 2}],
+                                     "size": 0}))
+    (tmp_path / "type.json").write_text(json.dumps({"parameters": [0], "positives": []}))
+    out = tmp_path / "out"
+    assert run(["open-set", "--structure", str(structure), "--params", "3",
+                "--type", str(tmp_path / "type.json"), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "error: vertex out of range\n"
+    assert not out.exists()
+
+
+def test_class_minus_point_needs_an_equivalence(tmp_path, capsys):
+    # used to exit 0 with the down-set of the anchor under < as its class
+    structure = _generated(tmp_path, "--id", "generic-ordered-graph", "--size", "5",
+                           "--seed", "1")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["partition", "--structure", str(structure),
+                "--scheme", "class-minus-point", "--anchor", "2", "--out", str(out)]) == 2
+    assert (_one_error_line(capsys)
+            == "error: scheme class-minus-point needs < to be an equivalence\n")
+    assert not out.exists()

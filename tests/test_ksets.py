@@ -95,6 +95,14 @@ def test_find_sunflower_copies_examples():
     assert len(pairs) == 3  # any two distinct sets form a sunflower
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_find_sunflower_copies_rejects_limit_below_one(limit):
+    # both used to return one certificate
+    P = Presentation(catalog.pure_set(3), 2, [(1, 2), (1, 3), (1, 4)])
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        find_sunflower_copies(P, catalog.pure_set(2), limit=limit)
+
+
 def test_certs_revalidate():
     rng = random.Random(1)
     pure3 = catalog.pure_set(3)

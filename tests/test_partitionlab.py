@@ -1,9 +1,13 @@
 """Named partitions, block reports, colour-constrained copy search, basic
 open sets and the least-embedding colouring."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_structures import ORACLE, SIGNATURES, structures
 
 from sunlab import catalog
 from sunlab.generators import gen_named
@@ -110,6 +114,22 @@ def test_scheme_errors():
         named_partition(S, "no-such-scheme", None)
     with pytest.raises(ValueError):
         named_partition(S, "neighbourhood", None)
+
+
+def test_class_minus_point_needs_an_equivalence():
+    # a path is symmetric but not transitive, an order is not symmetric
+    for S in (catalog.path_graph(3), gen_named("generic-poset", 6, 1)):
+        name = S.signature.names[0]
+        with pytest.raises(ValueError, match=f"needs {name} to be an equivalence"):
+            named_partition(S, "class-minus-point", 1)
+
+
+def test_class_minus_point_reads_the_first_equivalence():
+    S = gen_named("double-equivalence", 27, 0)
+    triples = S.meta["triples"]
+    P = named_partition(S, "class-minus-point", anchor=4)
+    assert sorted(P.blocks[1]) == [u for u in range(S.size)
+                                   if u != 4 and triples[u][0] == triples[4][0]]
 
 
 def test_neighbourhood_block_edge_free_in_triangle_free():
@@ -244,20 +264,34 @@ def test_basic_open_set_k3():
     assert realisation_set(k3, (0,), p) == [1, 2]
 
 
-def test_basic_open_set_partitions_complement():
-    S = gen_named("random-graph", 10, 3)
-    A = (0, 4)
+@ORACLE
+@given(st.data())
+def test_basic_open_sets_partition_the_complement(data):
+    # every catalog signature, ternary relations and tuples repeating a
+    # vertex included, over bases of 0-2 vertices
+    sig = data.draw(st.sampled_from(SIGNATURES))
+    S = data.draw(structures(sig))
+    order = data.draw(st.permutations(range(S.size)))
+    A = tuple(order[:data.draw(st.integers(0, min(2, S.size)))])
     seen = {}
     for v in range(S.size):
-        if v in A:
-            continue
-        seen.setdefault(qf_type(S, v, A).positives, []).append(v)
+        if v not in A:
+            seen.setdefault(qf_type(S, v, A).positives, []).append(v)
     covered = []
     for positives, members in seen.items():
         got = realisation_set(S, A, QfType(A, positives))
         assert got == members
         covered.extend(got)
     assert sorted(covered) == [v for v in range(S.size) if v not in A]
+    # a type drawn from all atoms over A, realised or not
+    patterns = [(name, p) for name, arity in sig.relations
+                for p in itertools.product(range(-1, len(A)), repeat=arity) if -1 in p]
+    drawn = frozenset(data.draw(st.sets(st.sampled_from(patterns)))) if patterns else frozenset()
+    assert realisation_set(S, A, QfType(A, drawn)) == seen.get(drawn, [])
+    # parameters are range-checked even when no vertex lies outside them
+    outside = A + (S.size,)
+    with pytest.raises(ValueError, match="vertex out of range"):
+        realisation_set(S, outside, QfType(outside, ()))
 
 
 def test_basic_open_set_out_neighbourhood():

@@ -168,6 +168,13 @@ def test_embeddings_limit_and_signature_mismatch():
     assert len(find_embeddings(catalog.pure_set(2), catalog.pure_set(4), limit=3)) == 3
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_embeddings_reject_limit_below_one(limit):
+    # both used to return one embedding
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        find_embeddings(catalog.pure_set(1), catalog.pure_set(3), limit=limit)
+
+
 def test_embedding_count_invariant_under_relabelling():
     rng = random.Random(3)
     A = catalog.path_graph(3)
