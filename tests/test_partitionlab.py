@@ -57,14 +57,16 @@ def test_out_neighbourhood_scheme():
     assert 0 in P.blocks[1]
 
 
-def test_class_minus_point_scheme():
-    S = gen_named("equivalence-omega", 12, 0)
+@pytest.mark.parametrize("generator, size, first", [
+    ("equivalence-omega", 12, "E"), ("double-equivalence", 27, "E0")])
+def test_class_minus_point_scheme(generator, size, first):
+    S = gen_named(generator, size, 0)
     v = 0
     P = named_partition(S, "class-minus-point", anchor=v)
-    cls = {u for (u, w) in S.relations["E"] if w == v} | {v}
+    cls = {u for (u, w) in S.relations[first] if w == v} | {v}
     assert set(P.blocks[1]) == cls - {v}
     assert v in P.blocks[0]
-    assert set(P.blocks[0]) == (set(range(12)) - cls) | {v}
+    assert set(P.blocks[0]) == (set(range(size)) - cls) | {v}
 
 
 def test_first_edge_colour_scheme_blocks():
@@ -122,14 +124,6 @@ def test_class_minus_point_needs_an_equivalence():
         name = S.signature.names[0]
         with pytest.raises(ValueError, match=f"needs {name} to be an equivalence"):
             named_partition(S, "class-minus-point", 1)
-
-
-def test_class_minus_point_reads_the_first_equivalence():
-    S = gen_named("double-equivalence", 27, 0)
-    triples = S.meta["triples"]
-    P = named_partition(S, "class-minus-point", anchor=4)
-    assert sorted(P.blocks[1]) == [u for u in range(S.size)
-                                   if u != 4 and triples[u][0] == triples[4][0]]
 
 
 def test_neighbourhood_block_edge_free_in_triangle_free():
