@@ -610,12 +610,17 @@ def qf_type(S: Structure, v: int, params: Iterable[int]) -> QfType:
         raise ValueError("the new point must not be a parameter")
     if any(a < 0 or a >= S.size for a in A) or v < 0 or v >= S.size:
         raise ValueError("vertex out of range")
-    # atoms through vertex n = |A| over 0..n, with n standing for the point
-    n = len(A)
-    at = A + (v,)
-    return QfType(A, [(name, tuple(-1 if j == n else j for j in t))
-                      for name, t in _atoms_through(S.signature, n)
-                      if tuple(at[j] for j in t) in S.relations[name]])
+    return QfType(A, _positives(S, A + (v,)))
+
+
+def _positives(S: Structure, at: tuple) -> frozenset:
+    """The positive atoms of the type of at[-1] over at[:-1]: the atoms
+    through vertex n = |at| - 1 over 0..n that hold on `at`, with n
+    standing for the point as -1."""
+    n = len(at) - 1
+    return frozenset((name, tuple(-1 if j == n else j for j in t))
+                     for name, t in _atoms_through(S.signature, n)
+                     if tuple(at[j] for j in t) in S.relations[name])
 
 
 def _type_classes(S: Structure, params: Sequence[int]) -> dict[frozenset, list[int]]:
@@ -624,16 +629,10 @@ def _type_classes(S: Structure, params: Sequence[int]) -> dict[frozenset, list[i
     A = tuple(params)
     if any(a < 0 or a >= S.size for a in A):
         raise ValueError("vertex out of range")
-    n = len(A)
-    atoms = [(name, t, (name, tuple(-1 if j == n else j for j in t)))
-             for name, t in _atoms_through(S.signature, n)]
     classes: dict = {}
     for v in S.vertices:
         if v not in A:
-            at = A + (v,)
-            positives = frozenset(atom for name, t, atom in atoms
-                                  if tuple(at[j] for j in t) in S.relations[name])
-            classes.setdefault(positives, []).append(v)
+            classes.setdefault(_positives(S, A + (v,)), []).append(v)
     return classes
 
 
