@@ -345,23 +345,23 @@ def test_defects_require_membership():
         extension_defects(catalog.complete_graph(3), catalog.kn_free(3), 1)
 
 
-@pytest.mark.parametrize("klass, generator, size, bound", [
-    ("graphs", "random-graph", 7, 1), ("graphs", "random-graph", 7, 2),
-    ("f-free-3hyper", "f-free-3hyper", 6, 2)])
-def test_no_defects_means_all_types_realised(klass, generator, size, bound):
-    # brute re-check of the defect scanner on a small structure
-    K = catalog.class_by_name(klass)
-    S = gen_named(generator, size, 9)
-    expected = set()
-    for b in range(bound + 1):
-        for A in itertools.combinations(range(S.size), b):
-            for t in admissible_point_types(S.induced(A), K):
-                if not any(qf_type(S, v, A).positives == t.positives
-                           for v in range(S.size) if v not in A):
-                    expected.add((A, t.positives))
-    defects = extension_defects(S, K, bound)
-    assert {(d.parameters, d.positives) for d in defects} == expected
-    assert len(defects) == len(expected)
+def test_no_defects_means_all_types_realised():
+    # brute re-check of the defect scanner on small structures
+    for klass, generator, size, bound in [
+            ("graphs", "random-graph", 7, 1), ("graphs", "random-graph", 7, 2),
+            ("f-free-3hyper", "f-free-3hyper", 6, 2)]:
+        K = catalog.class_by_name(klass)
+        S = gen_named(generator, size, 9)
+        expected = set()
+        for b in range(bound + 1):
+            for A in itertools.combinations(range(S.size), b):
+                for t in admissible_point_types(S.induced(A), K):
+                    if not any(qf_type(S, v, A).positives == t.positives
+                               for v in range(S.size) if v not in A):
+                        expected.add((A, t.positives))
+        defects = extension_defects(S, K, bound)
+        assert {(d.parameters, d.positives) for d in defects} == expected
+        assert len(defects) == len(expected)
 
 
 def test_defects_reject_negative_base_bound():
