@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import catalog
 from .structures import (
@@ -28,6 +28,7 @@ from .structures import (
     _atoms_through,
     _completions,
     _type_classes,
+    admissible_extensions,
     qf_type,
     satisfies_class,
 )
@@ -38,12 +39,9 @@ class NoAdmissibleExtension(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# One-point extensions of a structure within a class.
-#
-# The atom slots for a new vertex are grouped into orbits keyed by
-# (relation, support multiset); choices are made orbit by orbit in sorted
-# order, each orbit's options being the completions that
-# structures._completions keeps.
+# One-point extensions within a class: structures.admissible_extensions
+# lists them all, gen_generic samples them orbit by orbit, an orbit being
+# the atoms through the new vertex with one relation and support multiset.
 
 
 def _extension_orbits(sig: Signature, size: int) -> list[list[tuple]]:
@@ -51,29 +49,6 @@ def _extension_orbits(sig: Signature, size: int) -> list[list[tuple]]:
     for name, t in _atoms_through(sig, size):
         groups.setdefault((name, tuple(sorted(t))), []).append((name, t))
     return [groups[k] for k in sorted(groups)]
-
-
-def admissible_extensions(S: Structure, K: ClassSpec) -> Iterator[Structure]:
-    """Extensions of S by a fresh vertex that stay in K, one per atomic
-    diagram, in deterministic orbit-lexicographic order.
-
-    An orbit's option is dropped as soon as the diagram leaves K, so every
-    extension in K is listed only if a diagram outside K stays outside
-    whatever later orbits add, as in every catalog class.  With a unary P
-    and no edge between P and the rest, the edge from a P point is dropped
-    before the new vertex's P is chosen, so no new P vertex joins it."""
-    v = S.size
-    orbits = _extension_orbits(S.signature, v)
-
-    def rec(cur: Structure, idx: int) -> Iterator[Structure]:
-        if idx == len(orbits):
-            yield cur
-            return
-        for _, T in _completions(cur, orbits[idx], K):
-            yield from rec(T, idx + 1)
-
-    if satisfies_class(Structure(S.signature, 1), K):
-        yield from rec(Structure(S.signature, v + 1, S.relations), 0)
 
 
 def admissible_point_types(base: Structure, K: ClassSpec) -> list[QfType]:
@@ -84,10 +59,10 @@ def admissible_point_types(base: Structure, K: ClassSpec) -> list[QfType]:
 
 
 def extension_defects(S: Structure, K: ClassSpec, base_bound: int) -> list[QfType]:
-    """The one-point types over ascending bases A of at most base_bound
-    vertices (the types' parameters) that admissible_extensions lists over
-    A but no vertex of S realises; a type the walk misses is not reported.
-    Reordered bases are left out, as their types only permute."""
+    """Every one-point type over an ascending base A of at most base_bound
+    vertices (the type's parameters) that K admits over A but no vertex of
+    S realises, as admissible_extensions lists them all.  Reordered bases
+    are left out, as their types only permute."""
     if base_bound < 0:
         raise ValueError("base_bound must be >= 0")
     if not satisfies_class(S, K):
@@ -112,10 +87,12 @@ def gen_generic(K: ClassSpec, size: int, seed: int,
     """Grow a structure in K by `size` random one-point extensions.
 
     Each new vertex's diagram is sampled orbit by orbit, uniformly among
-    the class-admissible continuations of that orbit, so it only reaches
-    the diagrams admissible_extensions lists.  Raises
-    NoAdmissibleExtension if the class refuses every diagram (it never
-    shrinks the request silently).
+    the class-admissible continuations of that orbit.  An option leaving K
+    is dropped though a later orbit could repair it, so some diagrams are
+    never reached: with a unary P and no edge between P and the rest, no
+    two P vertices are joined.  Raises NoAdmissibleExtension if the bare
+    point is outside K, even if a vertex with tuples is not, and never
+    shrinks the request silently.
     """
     if size < 1:
         raise ValueError("size must be >= 1")

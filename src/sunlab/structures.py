@@ -648,10 +648,8 @@ def realisation_set(S: Structure, params: Iterable[int], p: QfType) -> list[int]
 # Completions in a class and class members up to isomorphism
 
 
-# A cap on the window memo of each class.  Generation and 3-DAP checks meet
-# a few thousand windows at most, but when many free tuples share one
-# support each completion has its own (ternary class members on three
-# vertices try 2^19).
+# A cap on the window memo of each class, which generation and 3-DAP checks
+# fill with a few thousand windows at most.
 _WINDOW_MEMO = 1 << 12
 
 
@@ -677,24 +675,30 @@ def _completions(S: Structure, free: Sequence[tuple],
                  K: ClassSpec) -> Iterator[tuple[tuple, Structure]]:
     """(chosen, T) for each subset `chosen` of the (relation, tuple) pairs
     `free` whose completion T, S plus the chosen tuples, has no forbidden
-    copy through a chosen tuple; subsets by size, then lexicographically in
-    the order of `free`.  Each completion dropped is outside K, and if S is
-    in K, those yielded are exactly the completions in K.
+    copy through a chosen tuple.  Each completion dropped is outside K, and
+    if S is in K, those yielded are exactly the completions in K.
+
+    The tuples are decided support by support (the set of vertices a tuple
+    mentions), smaller supports first and ties by the sorted support, each
+    support's subsets by size, then lexicographically in the order of
+    `free`; with one support, that is the order of all subsets.
 
     A copy of a forbidden F that S lacks holds a chosen tuple, the image of
-    a tuple of F.  If that tuple spans F, the copy is the window of T on
-    the chosen tuple's support (and F is small), so each such window is
-    matched against the small forbidden structures, sub-windows included,
-    before T is built; the verdicts are memoised per window.  Every other
-    copy is searched in T with a tuple of F not spanning F pinned on a
-    chosen tuple."""
+    a tuple of F.  If that tuple spans F, the copy lies in the window of T
+    on the tuple's support, which is final once its support is decided, so
+    each window is then matched against the small forbidden structures,
+    sub-windows included, with the verdicts memoised.  Every other copy is
+    searched in each complete T with a tuple of F not spanning F pinned on
+    a chosen tuple."""
     small, wide, memo = _class_tests(K)
     sig = S.signature
-    frames: dict = {}
+    groups: dict = {}
+    for name, t in free:
+        groups.setdefault(tuple(sorted(set(t))), []).append((name, t))
+    supports = sorted(groups, key=lambda sup: (len(sup), sup))
+    frames = {sup: S.induced(sup) for sup in supports} if small else {}
 
     def window_ok(chosen, sup):
-        if sup not in frames:
-            frames[sup] = S.induced(sup)
         frame = frames[sup]
         added = frozenset((n, tuple(sup.index(x) for x in t))
                           for n, t in chosen if set(t) <= set(sup))
@@ -713,18 +717,24 @@ def _completions(S: Structure, free: Sequence[tuple],
                 memo[key] = verdict
         return verdict
 
-    yield (), S
-    for r in range(1, len(free) + 1):
-        for chosen in itertools.combinations(free, r):
-            if small and not all(window_ok(chosen, tuple(sorted(set(t))))
-                                 for _, t in chosen):
-                continue
+    def walk(i: int, chosen: tuple) -> Iterator[tuple[tuple, Structure]]:
+        if i < len(supports):
+            group = groups[supports[i]]
+            for r in range(len(group) + 1):
+                for more in itertools.combinations(group, r):
+                    if not (more and small) or window_ok(chosen + more, supports[i]):
+                        yield from walk(i + 1, chosen + more)
+        elif not chosen:
+            yield (), S
+        else:
             rels = {n: set(ts) for n, ts in S.relations.items()}
             for name, t in chosen:
                 rels[name].add(t)
             T = Structure(sig, S.size, rels)
             if not _pinned_copy(T, chosen, wide):
                 yield chosen, T
+
+    yield from walk(0, ())
 
 
 def _pinned_copy(T: Structure, chosen: Sequence[tuple],
@@ -750,27 +760,37 @@ def _pinned_copy(T: Structure, chosen: Sequence[tuple],
     return False
 
 
-def enumerate_class_members(K: ClassSpec, max_size: int,
-                            budget: int = 1 << 20) -> list[Structure]:
+def admissible_extensions(S: Structure, K: ClassSpec) -> Iterator[Structure]:
+    """Every extension of S, a member of K, by a fresh vertex that stays in
+    K, one per atomic diagram, in the order of _completions.  S plus a bare
+    vertex is in K iff the bare point is; if it is not, an extension with a
+    tuple is still decided exactly, as each tuple's window holds the new
+    vertex alone."""
+    v = S.size
+    point = satisfies_class(Structure(S.signature, 1), K)
+    grown = Structure(S.signature, v + 1, S.relations)
+    for chosen, T in _completions(grown, _atoms_through(S.signature, v), K):
+        if chosen or point:
+            yield T
+
+
+def enumerate_class_members(K: ClassSpec, max_size: int) -> list[Structure]:
     """All members of K with 1..max_size vertices, up to isomorphism,
-    ordered by (size, canonical form)."""
-    by_size: list[list[Structure]] = [[Structure(K.signature, 0)]]
-    # S plus a bare vertex is in K iff the bare point is; if it is not, a
-    # completion with a chosen tuple is still decided exactly, since each
-    # chosen tuple's window holds the new vertex alone as a sub-window
-    point = satisfies_class(Structure(K.signature, 1), K)
+    ordered by (size, canonical form).  Each is the first of its class
+    among the admissible_extensions of the members one vertex smaller, by
+    parent, then fewest tuples through the new vertex, then those tuples
+    sorted and compared lexicographically."""
+    members, out = [Structure(K.signature, 0)], []
     for v in range(max_size):
-        slots = _atoms_through(K.signature, v)
-        if by_size[-1] and 2 ** len(slots) > budget:
-            raise BudgetExceeded(f"{2 ** len(slots)} extension atom sets exceed budget")
         nxt = {}
-        for S in by_size[-1]:
-            grown = Structure(K.signature, v + 1, S.relations)
-            for chosen, T in _completions(grown, slots, K):
-                if chosen or point:
-                    nxt.setdefault(canonical_form(T), T)
-        by_size.append([nxt[k] for k in sorted(nxt)])
-    return [S for size_list in by_size[1:] for S in size_list]
+        for S in members:
+            exts = [(sorted((n, t) for n, ts in T.relations.items() for t in ts if v in t), T)
+                    for T in admissible_extensions(S, K)]
+            for _, T in sorted(exts, key=lambda e: (len(e[0]), e[0])):
+                nxt.setdefault(canonical_form(T), T)
+        members = [nxt[k] for k in sorted(nxt)]
+        out.extend(members)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +932,7 @@ def check_3dap_over_empty(K: ClassSpec, size_bound: int,
     """
     if size_bound < 1:
         raise ValueError("size_bound must be >= 1")
-    reps = enumerate_class_members(K, size_bound, budget)
+    reps = enumerate_class_members(K, size_bound)
     splittings = [p for F in K.forbidden for p in _splittings(F)]
     fits = functools.cache(lambda P, i: embeds(P, reps[i]))
     amalgams = functools.cache(lambda i, j: _pair_amalgams(reps[i], reps[j], K, budget))

@@ -12,7 +12,6 @@ from test_structures import COLOUR_SIG, irreducible_structures
 from sunlab import catalog, jsonio
 from sunlab.generators import (
     NoAdmissibleExtension,
-    admissible_extensions,
     admissible_point_types,
     extension_defects,
     gen_generic,
@@ -21,7 +20,10 @@ from sunlab.generators import (
 )
 from sunlab.structures import (
     ClassSpec,
+    Signature,
     Structure,
+    admissible_extensions,
+    canonical_form,
     embeds,
     enumerate_class_members,
     find_embeddings,
@@ -216,80 +218,65 @@ def test_gen_generic_reports_dead_end():
         gen_generic(K, 1, 0)
 
 
-def brute_extensions(S, K):
-    """Oracle: S plus a bare vertex, if that is in K, then each orbit of
-    atom slots through the new vertex in sorted (relation, support) order,
-    every subset of it kept whose completion passes the full class check."""
+def all_one_point_extensions(S, K):
+    """Oracle: every extension of S by a fresh vertex that lies in K, from
+    every subset of the atoms through the new vertex, whatever their order.
+
+    The subsets grow by the atoms of one support at a time, smaller
+    supports first.  A subset is dropped once the full class check fails
+    on the support just completed: the structure it induces there is
+    induced in every completion of the subset, and K is hereditary."""
     v = S.size
-    orbits = {}
+    by_support = {}
     for name, arity in K.signature.relations:
         for t in itertools.product(range(v + 1), repeat=arity):
             if v in t:
-                orbits.setdefault((name, tuple(sorted(t))), []).append((name, t))
-    walk = [T for T in [Structure(K.signature, v + 1, S.relations)]
-            if satisfies_class(T, K)]
-    for key in sorted(orbits):
-        slots = sorted(orbits[key])
+                by_support.setdefault(tuple(sorted(set(t))), []).append((name, t))
+    partial = [Structure(K.signature, v + 1, S.relations)]
+    for sup in sorted(by_support, key=lambda sup: (len(sup), sup)):
+        atoms = by_support[sup]
         grown = []
-        for cur in walk:
-            for r in range(len(slots) + 1):
-                for chosen in itertools.combinations(slots, r):
+        for cur in partial:
+            for r in range(len(atoms) + 1):
+                for chosen in itertools.combinations(atoms, r):
                     rels = {n: set(ts) for n, ts in cur.relations.items()}
                     for name, t in chosen:
                         rels[name].add(t)
                     T = Structure(K.signature, v + 1, rels)
-                    if satisfies_class(T, K):
+                    if satisfies_class(T.induced(sup), K):
                         grown.append(T)
-        walk = grown
-    return walk
+        partial = grown
+    return {T for T in partial if satisfies_class(T, K)}
 
 
 def _assert_extensions_match(K, bases):
     for S in [Structure(K.signature, 0)] + bases:
-        assert list(admissible_extensions(S, K)) == brute_extensions(S, K)
+        assert set(admissible_extensions(S, K)) == all_one_point_extensions(S, K)
 
 
 @pytest.mark.parametrize("name, max_size", [
     ("pure", 3), ("graphs", 3), ("oriented", 3), ("knfree:3", 3),
-    ("rb-bichrome", 3), ("3hypergraphs", 2), ("k4h3free", 2),
-    ("f-free-3hyper", 2)])
+    ("rb-bichrome", 3), ("3hypergraphs", 3), ("k4h3free", 3),
+    ("f-free-3hyper", 3)])
 def test_admissible_extensions_match_brute_force(name, max_size):
     K = catalog.class_by_name(name)
-    bases = enumerate_class_members(K, max_size)
-    if max_size == 2:
-        # the 3-vertex members are the empty hypergraph and one hyperedge;
-        # listing them tries 2^19 completions, so the hyperedge is added here
-        bases.append(catalog.complete_hypergraph3(3))
-    _assert_extensions_match(K, bases)
+    _assert_extensions_match(K, enumerate_class_members(K, max_size))
+
+
+TWO_UNARY_SIG = Signature([("P", 1), ("Q", 1), ("E", 2)])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data())
 def test_admissible_extensions_match_brute_force_on_random_classes(data):
-    sig = data.draw(st.sampled_from([catalog.GRAPH_SIG, COLOUR_SIG]))
+    sig = data.draw(st.sampled_from([catalog.GRAPH_SIG, COLOUR_SIG, TWO_UNARY_SIG]))
     forbidden = data.draw(st.lists(irreducible_structures(sig, False), max_size=3))
     if data.draw(st.booleans()):
         forbidden.append(Structure(sig, 1))
     K = ClassSpec(sig, forbidden)
-    _assert_extensions_match(K, enumerate_class_members(K, 2))
-
-
-def all_one_point_extensions(S, K):
-    """Oracle: every extension of S by a fresh vertex that lies in K, from
-    every subset of the atoms through the new vertex, with no orbit order."""
-    v = S.size
-    atoms = [(name, t) for name, arity in K.signature.relations
-             for t in itertools.product(range(v + 1), repeat=arity) if v in t]
-    out = set()
-    for r in range(len(atoms) + 1):
-        for chosen in itertools.combinations(atoms, r):
-            rels = {n: set(ts) for n, ts in S.relations.items()}
-            for name, t in chosen:
-                rels[name].add(t)
-            T = Structure(K.signature, v + 1, rels)
-            if satisfies_class(T, K):
-                out.add(T)
-    return out
+    # two unary relations give up to 144 members on two vertices, so their
+    # bases stop at one vertex, where a P point meets a new Q vertex
+    _assert_extensions_match(K, enumerate_class_members(K, 1 if sig == TWO_UNARY_SIG else 2))
 
 
 @pytest.mark.parametrize("name, max_size", [
@@ -302,14 +289,76 @@ def test_orbit_walk_lists_every_extension_in_catalog_classes(name, max_size):
         assert set(admissible_extensions(S, K)) == all_one_point_extensions(S, K)
 
 
-@pytest.mark.xfail(strict=True, reason="the walk decides a new vertex's E orbits "
-                   "before its P orbit, so it drops the edge from a P point to a "
-                   "new vertex that is not yet coloured")
 def test_orbit_walk_lists_every_extension_in_the_two_colour_class():
     K = jsonio.classspec_from_json(_two_colour_class())
     P_point = Structure(K.signature, 1, {"P": [(0,)]})
-    # the class has 3 extensions of a P point; the walk lists 2
+    # a P point extends by a bare vertex, a P vertex, or a P vertex joined
+    # to it; the orbit walk used to drop the edge before colouring the
+    # new vertex
+    assert len(all_one_point_extensions(P_point, K)) == 3
     assert set(admissible_extensions(P_point, K)) == all_one_point_extensions(P_point, K)
+
+
+def three_of_four_triples():
+    """3-hypergraphs in which no four vertices carry exactly three of their
+    four triples: a fourth triple undoes a forbidden copy."""
+    three = catalog.hypergraph3(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+    return ClassSpec(catalog.HYPER3_SIG,
+                     catalog._window_forbidden(catalog.HYPER3_SIG,
+                                               catalog._valid_graphlike) + [three],
+                     name="three-of-four")
+
+
+def bare_point_forbidden(K):
+    return ClassSpec(K.signature, K.forbidden + (Structure(K.signature, 1),),
+                     name=f"{K.name}-no-bare-point")
+
+
+@pytest.mark.parametrize("make, max_size", [
+    (lambda: jsonio.classspec_from_json(_two_colour_class()), 3),
+    (lambda: bare_point_forbidden(jsonio.classspec_from_json(_two_colour_class())), 3),
+    (lambda: bare_point_forbidden(ClassSpec(catalog.GRAPH_SIG)), 2),
+    (three_of_four_triples, 3)],
+    ids=["two-colour", "two-colour-no-bare-point", "graphs-with-loops-no-bare-point",
+         "three-of-four"])
+def test_admissible_extensions_match_brute_force_where_orbits_fall_short(make, max_size):
+    # the orbit walk missed extensions in each of these classes
+    K = make()
+    _assert_extensions_match(K, enumerate_class_members(K, max_size))
+
+
+def test_members_reach_the_complete_hypergraph_when_a_triple_undoes_a_copy():
+    # listing 4-vertex members of a ternary class used to exceed its budget,
+    # and the orbit walk never added the fourth triple
+    K = three_of_four_triples()
+    K4 = catalog.complete_hypergraph3(4)
+    assert satisfies_class(K4, K)
+    members = enumerate_class_members(K, 4)
+    assert canonical_form(K4) in {canonical_form(M) for M in members}
+    base = catalog.complete_hypergraph3(3)
+    assert K4 in set(admissible_extensions(base, K))
+
+
+@pytest.mark.xfail(strict=True, reason="gen_generic decides a new vertex's E orbits "
+                   "before its P orbit, so it never joins two P vertices")
+def test_gen_generic_joins_two_p_vertices_in_the_two_colour_class():
+    K = jsonio.classspec_from_json(_two_colour_class())
+    joined = 0
+    for seed in range(20):
+        S = gen_generic(K, 10, seed)
+        joined += any(((u,) in S.relations["P"]) and ((w,) in S.relations["P"])
+                      for u, w in S.relations["E"])
+    assert joined
+
+
+@pytest.mark.xfail(strict=True, raises=NoAdmissibleExtension,
+                   reason="gen_generic refuses a class whose bare point is "
+                   "forbidden before trying a vertex with tuples")
+def test_gen_generic_grows_a_class_that_forbids_the_bare_point():
+    K = bare_point_forbidden(jsonio.classspec_from_json(_two_colour_class()))
+    assert enumerate_class_members(K, 2)
+    S = gen_generic(K, 3, 0)
+    assert S.size == 3 and satisfies_class(S, K)
 
 
 # ---------------------------------------------------------------------------

@@ -589,7 +589,7 @@ def _family_by_family_3dap(K, size_bound, budget=1 << 20):
     """Oracle: the checker before the split rule, which builds and decides
     every family and recomputes the pair amalgams, by brute force, for
     every side triple."""
-    reps = enumerate_class_members(K, size_bound, budget)
+    reps = enumerate_class_members(K, size_bound)
     checked = 0
     for i0 in range(len(reps)):
         for i1 in range(i0, len(reps)):
