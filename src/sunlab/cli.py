@@ -237,8 +237,8 @@ def _cmd_verify_witness(run: _Run, args) -> int:
 
 def _cmd_hypergraph(run: _Run, args) -> int:
     if args.action == "generate":
-        if args.seed is None:
-            raise ValueError("hypergraph generate needs an explicit --seed")
+        if args.seed is None or args.n is None:
+            raise ValueError("hypergraph generate needs --n and an explicit --seed")
         H = gen_witness_hypergraph(args.n, args.s, args.g, args.seed,
                                    c_override=args.c, c_cap=args.c_cap)
         run.write("hypergraph.json", jsonio.hypergraph_to_json(H))

@@ -496,8 +496,8 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
     short-cycle count always exceeds c, so when every attempt overshoots
     the best instance is returned with meta["removal_budget_met"] = False.
     """
-    if n < 2 or s < 1 or g < 2:
-        raise ValueError("need n >= 2, s >= 1, g >= 2")
+    if n < 2 or s < 1 or g < 2 or (c_override is not None and c_override < 1):
+        raise ValueError("need n >= 2, s >= 1, g >= 2 and c >= 1")
     eps = default_epsilon(g)
     sp = suitable_params(n, Fraction(1, 2 * s))
     a = min(sp.a0, Fraction(1, 2))
@@ -611,6 +611,8 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     first counterexample in canonical order, or None if the instance
     really is a witness.
     """
+    if s < 1:
+        raise ValueError("s must be >= 1")
     verts = H.vertices
     V = len(verts)
     pos = {v: i for i, v in enumerate(verts)}

@@ -339,33 +339,33 @@ verify_certificate = verify_sunflower_cert
 
 def replay_trace(chain: WitnessChain, P: Presentation,
                  trace: ExtractionTrace) -> bool:
-    """Re-run the checks recorded at every step of an extraction trace."""
+    """Re-run the checks recorded at every step of an extraction trace.
+
+    Each step must sit at the level of the presentation it reads: a
+    `mono` step strips one shared element and goes one level down, and a
+    `base` step is accepted only on 1-sets.  The trace must end in a
+    `base`, `transversal` or `fallback` step, which proves a sunflower."""
     B = chain.target
     cur = P
     for step in trace.steps:
+        copy = step.copy
+        if step.level != cur.k or len(set(copy)) != len(copy) \
+                or not all(0 <= v < cur.base.size for v in copy):
+            return False
         if step.case == "fallback":
             return bool(find_sunflower_copies(cur, B, limit=1))
         if step.case == "base":
-            sub = cur.base.induced(step.copy)
-            return are_isomorphic(B, sub) is not None
+            return cur.k == 1 and are_isomorphic(B, cur.base.induced(copy)) is not None
+        if step.case not in ("mono", "transversal") or not 2 <= cur.k <= chain.k:
+            return False
+        D = chain.levels[cur.k - 2].structure
+        if are_isomorphic(D, cur.base.induced(copy)) is None:
+            return False
         if step.case == "transversal":
-            sets = [cur.sets[v] for v in step.copy]
-            if any(a & b for a, b in itertools.combinations(sets, 2)):
-                return False
-            D = chain.levels[step.level - 2].structure
-            if are_isomorphic(D, cur.base.induced(step.copy)) is None:
-                return False
-            return True
-        if step.case == "mono":
-            D = chain.levels[step.level - 2].structure
-            if are_isomorphic(D, cur.base.induced(step.copy)) is None:
-                return False
-            if step.shared is None:
-                return False
-            if any(step.shared not in cur.sets[v] for v in step.copy):
-                return False
-            stripped = [cur.sets[v] - {step.shared} for v in step.copy]
-            cur = Presentation(cur.base.induced(step.copy), step.level - 1, stripped)
-            continue
-        return False
-    return True
+            sets = [cur.sets[v] for v in copy]
+            return not any(a & b for a, b in itertools.combinations(sets, 2))
+        if step.shared is None or any(step.shared not in cur.sets[v] for v in copy):
+            return False
+        stripped = [cur.sets[v] - {step.shared} for v in copy]
+        cur = Presentation(cur.base.induced(copy), cur.k - 1, stripped)
+    return False

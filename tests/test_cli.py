@@ -524,3 +524,81 @@ def test_class_minus_point_needs_an_equivalence(tmp_path, capsys):
     assert (_one_error_line(capsys)
             == "error: scheme class-minus-point needs < to be an equivalence\n")
     assert not out.exists()
+
+
+def _graph_chain_and_shared_trace(tmp_path) -> tuple[Path, Path, dict]:
+    """The golden chain-graphs chain, its shared presentation and the
+    extraction trace of that presentation (a mono step, then a base step)."""
+    chain = tmp_path / "chain"
+    assert run(["build-witness", "--klass", "graphs", "--target", "k2", "--k", "2",
+                "--seed", "1", "--out", str(chain)]) == 0
+    top_size = read(chain / "chain.json")["levels"][-1]["structure"]["size"]
+    pres = tmp_path / "shared.json"
+    pres.write_text(json.dumps({"k": 2, "sets": [[v % 3, 10 + v] for v in range(top_size)]}))
+    ext = tmp_path / "ext"
+    assert run(["extract", "--chain", str(chain / "chain.json"),
+                "--presentation", str(pres), "--out", str(ext)]) == 0
+    return chain / "chain.json", pres, read(ext / "trace.json")
+
+
+def _replay(tmp_path, chain: Path, pres: Path, trace: dict) -> int:
+    path = tmp_path / "trace-in.json"
+    path.write_text(json.dumps(trace))
+    out = tmp_path / "verdict"
+    code = run(["verify-trace", "--chain", str(chain), "--presentation", str(pres),
+                "--trace", str(path), "--out", str(out)])
+    assert read(out / "trace_verdict.json") == {"replay_ok": code == 0}
+    return code
+
+
+def test_verify_trace_rejects_traces_that_prove_nothing(tmp_path):
+    # the empty trace and the trace cut after its mono step used to exit 0
+    chain, pres, trace = _graph_chain_and_shared_trace(tmp_path)
+    assert [s["case"] for s in trace["steps"]] == ["mono", "base"]
+    assert _replay(tmp_path, chain, pres, trace) == 0
+    assert _replay(tmp_path, chain, pres, {"steps": []}) == 1
+    assert _replay(tmp_path, chain, pres, {"steps": trace["steps"][:1]}) == 1
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_verify_trace_rejects_a_base_step_on_the_top_level(tmp_path, level):
+    # vertices 0, 1, 2 carry {0,1}, {0,2}, {1,2}, which form no sunflower,
+    # yet a one-step base trace over them used to exit 0
+    chain = tmp_path / "chain"
+    assert run(["build-witness", "--klass", "pure", "--target", "pure:3", "--k", "2",
+                "--seed", "0", "--c", "2", "--out", str(chain)]) == 0
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"k": 2, "sets": [[0, 1], [0, 2], [1, 2],
+                                                 [3, 4], [4, 5], [3, 5]]}))
+    trace = {"steps": [{"level": level, "case": "base", "copy": [0, 1, 2]}]}
+    assert _replay(tmp_path, chain / "chain.json", pres, trace) == 1
+
+
+def _hypergraph_file(tmp_path) -> str:
+    gen_dir = tmp_path / "h"
+    assert run(["hypergraph", "generate", "--n", "2", "--c", "5", "--seed", "3",
+                "--out", str(gen_dir)]) == 0
+    return str(gen_dir / "hypergraph.json")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hypergraph", "generate", "--seed", "1"], "needs --n"),
+    (["hypergraph", "generate", "--n", "2", "--c", "0", "--seed", "1"],
+     "and c >= 1"),
+    (["hypergraph", "generate", "--n", "2", "--c", "-3", "--seed", "1"],
+     "and c >= 1"),
+    (["build-witness", "--klass", "graphs", "--target", "k2", "--k", "2",
+      "--seed", "1", "--c", "0"], "and c >= 1"),
+    (["hypergraph", "adversary", "--input", "{h}", "--s", "0"], "s must be >= 1"),
+    (["hypergraph", "adversary", "--input", "{h}", "--s", "-2"], "s must be >= 1")],
+    ids=["generate-without-n", "c-zero", "c-negative", "build-witness-c-zero",
+         "adversary-s-zero", "adversary-s-negative"])
+def test_hypergraph_inputs_out_of_range_are_usage_errors(tmp_path, capsys, argv, message):
+    # the first four used to end in a TypeError or ZeroDivisionError
+    # traceback with exit 1, the adversary ones in exit 4 and an error.json
+    h = _hypergraph_file(tmp_path) if "{h}" in argv else ""
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([a.format(h=h) for a in argv] + ["--out", str(out)]) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()

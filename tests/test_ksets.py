@@ -13,6 +13,7 @@ from sunlab import catalog
 from sunlab.generators import gen_named
 from sunlab.ksets import (
     Presentation,
+    SunflowerCert,
     _is_canonical,
     _normal_form_candidates,
     canonical_sets,
@@ -25,7 +26,7 @@ from sunlab.ksets import (
     verify_witness,
 )
 from sunlab.partitionlab import Colouring, colour_copy_search
-from sunlab.structures import BudgetExceeded, Structure
+from sunlab.structures import BudgetExceeded, Embedding, Structure
 
 
 def fs(*xs):
@@ -122,6 +123,22 @@ def test_cert_tampering_detected():
     assert not verify_sunflower_cert(bigger, pure3, P)
     k2 = catalog.complete_graph(2)
     assert not verify_sunflower_cert(cert, k2, P)
+
+
+@pytest.mark.parametrize("petals, centre, iso_map, target", [
+    ((0, 0, 1), (1,), (0, 0, 1), None),
+    ((0, 1, 7), (1,), (0, 1, 7), None),
+    ((0, 1, 2), (1,), (1, 0, 2), None),
+    ((0, 1, 2), (1,), (0, 1, 2), catalog.pure_set(4))],
+    ids=["repeated-petal", "petal-out-of-range", "iso-differs-from-petals",
+         "iso-target-not-the-base"])
+def test_cert_check_rejects_each_defect(petals, centre, iso_map, target):
+    pure3 = catalog.pure_set(3)
+    P = Presentation(pure3, 2, [(1, 2), (1, 3), (1, 4)])
+    good = SunflowerCert((0, 1, 2), (1,), Embedding(pure3, P.base, (0, 1, 2)))
+    assert verify_sunflower_cert(good, pure3, P)
+    iso = Embedding(pure3, target or P.base, iso_map, validate=False)
+    assert not verify_sunflower_cert(SunflowerCert(petals, centre, iso), pure3, P)
 
 
 # ---------------------------------------------------------------------------

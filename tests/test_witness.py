@@ -22,8 +22,10 @@ from sunlab.structures import (
 )
 from sunlab.witness import (
     ExtractionFailed,
+    ExtractionTrace,
     NonTransitiveClass,
     PastingError,
+    TraceStep,
     _find_part_mono_copy,
     build_witness_chain,
     extract_sunflower,
@@ -297,6 +299,86 @@ def test_extract_higher_level_with_overrides():
         assert len(cert.centre) < 3
         assert replay_trace(chain, P, trace)
     assert outcomes["ok"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Trace replay
+
+
+@functools.cache
+def _graph_chain():
+    return build_witness_chain(catalog.all_graphs(), catalog.complete_graph(2), 2, seed=1)
+
+
+def _graph_presentation(name):
+    top = _graph_chain().top()
+    if name == "shared":
+        return Presentation(top, 2, [(v % 3, 10 + v) for v in range(top.size)])
+    return Presentation(top, 2, [(2 * v, 2 * v + 1) for v in range(top.size)])
+
+
+def test_replay_accepts_the_extraction_traces():
+    # the shared presentation strips element 1 from the edge 4-31, the
+    # disjoint one finds the transversal edge 0-42
+    for name, cases in (("shared", ["mono", "base"]), ("disjoint", ["transversal"])):
+        P = _graph_presentation(name)
+        _, trace = extract_sunflower(_graph_chain(), P)
+        assert [s.case for s in trace.steps] == cases
+        assert replay_trace(_graph_chain(), P, trace)
+
+
+MONO = TraceStep(2, "mono", shared=1, copy=(4, 31))
+
+
+@pytest.mark.parametrize("presentation, steps", [
+    ("shared", []),
+    ("shared", [MONO]),
+    ("shared", [TraceStep(1, "mono", shared=1, copy=(4, 31))]),
+    ("shared", [TraceStep(1, "base", copy=(4, 31))]),
+    ("shared", [TraceStep(2, "base", copy=(4, 31))]),
+    ("shared", [MONO, TraceStep(2, "base", copy=(0, 1))]),
+    ("shared", [TraceStep(2, "mono", shared=1, copy=(4, 4))]),
+    ("disjoint", [TraceStep(2, "transversal", copy=(0, 999))])],
+    ids=["no-steps", "cut-after-mono", "mono-level", "base-level", "base-at-k2",
+         "base-level-after-mono", "repeated-copy-vertex", "copy-out-of-range"])
+def test_replay_rejects_traces_that_prove_nothing(presentation, steps):
+    # each used to replay as true, or end in an exception
+    assert not replay_trace(_graph_chain(), _graph_presentation(presentation),
+                            ExtractionTrace(steps))
+
+
+def test_replay_rejects_a_base_step_on_the_top_level_sets():
+    # the sets {0,1}, {0,2}, {1,2} of three top vertices form no sunflower
+    chain = build_witness_chain(catalog.pure_sets(), catalog.pure_set(3), 2, seed=0,
+                                c_override=2)
+    P = Presentation(chain.top(), 2, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (3, 5)])
+    for level in (1, 2):
+        assert not replay_trace(chain, P, ExtractionTrace(
+            [TraceStep(level, "base", copy=(0, 1, 2))]))
+    # no fallback rescues this presentation either
+    assert not replay_trace(chain, P, ExtractionTrace([TraceStep(2, "fallback")]))
+
+
+@pytest.mark.parametrize("presentation, step", [
+    ("shared", TraceStep(2, "transversal", copy=(4, 31))),
+    ("disjoint", TraceStep(2, "transversal", copy=(0, 1))),
+    ("shared", TraceStep(2, "mono", shared=1, copy=(0, 1))),
+    ("shared", TraceStep(2, "mono", shared=None, copy=(4, 31))),
+    ("shared", TraceStep(2, "mono", shared=14, copy=(4, 31))),
+    ("shared", TraceStep(2, "bogus", copy=(4, 31)))],
+    ids=["transversal-sets-meet", "transversal-not-a-copy", "mono-not-a-copy",
+         "mono-without-shared", "mono-shared-missing", "unknown-case"])
+def test_replay_rejects_each_bad_step(presentation, step):
+    P = _graph_presentation(presentation)
+    assert step.copy[1] in P.base.vertices
+    assert not replay_trace(_graph_chain(), P, ExtractionTrace([step]))
+
+
+def test_replay_rejects_a_base_step_that_is_no_copy_of_the_target():
+    chain = build_witness_chain(catalog.pure_sets(), catalog.pure_set(3), 1, 0)
+    P = Presentation(catalog.pure_set(3), 1, [(4,), (9,), (7,)])
+    assert replay_trace(chain, P, ExtractionTrace([TraceStep(1, "base", copy=(0, 1, 2))]))
+    assert not replay_trace(chain, P, ExtractionTrace([TraceStep(1, "base", copy=(0, 1))]))
 
 
 # ---------------------------------------------------------------------------
