@@ -314,6 +314,8 @@ def _graph_presentation(name):
     top = _graph_chain().top()
     if name == "shared":
         return Presentation(top, 2, [(v % 3, 10 + v) for v in range(top.size)])
+    if name == "4-sets":
+        return Presentation(top, 4, [range(4 * v, 4 * v + 4) for v in range(top.size)])
     return Presentation(top, 2, [(2 * v, 2 * v + 1) for v in range(top.size)])
 
 
@@ -338,9 +340,11 @@ MONO = TraceStep(2, "mono", shared=1, copy=(4, 31))
     ("shared", [TraceStep(2, "base", copy=(4, 31))]),
     ("shared", [MONO, TraceStep(2, "base", copy=(0, 1))]),
     ("shared", [TraceStep(2, "mono", shared=1, copy=(4, 4))]),
-    ("disjoint", [TraceStep(2, "transversal", copy=(0, 999))])],
+    ("disjoint", [TraceStep(2, "transversal", copy=(0, 999))]),
+    ("4-sets", [TraceStep(4, "transversal", copy=(4, 31))])],
     ids=["no-steps", "cut-after-mono", "mono-level", "base-level", "base-at-k2",
-         "base-level-after-mono", "repeated-copy-vertex", "copy-out-of-range"])
+         "base-level-after-mono", "repeated-copy-vertex", "copy-out-of-range",
+         "sets-wider-than-the-chain"])
 def test_replay_rejects_traces_that_prove_nothing(presentation, steps):
     # each used to replay as true, or end in an exception
     assert not replay_trace(_graph_chain(), _graph_presentation(presentation),
