@@ -17,6 +17,7 @@ from .structures import (
     ClassSpec,
     Signature,
     Structure,
+    are_isomorphic,
     canonical_form,
 )
 
@@ -212,13 +213,16 @@ def f_free_3hypergraphs() -> ClassSpec:
     F = f_hypergraph()
     base_edges = {tuple(sorted(t)) for t in F.relations["E"]}
     missing = [t for t in itertools.combinations(range(5), 3) if t not in base_edges]
-    completions = {}
+    # one completion per isomorphism class, the first found; only the kept
+    # ones get a (120-permutation) canonical form, their sort key
+    kept: list[Structure] = []
     for r in range(len(missing) + 1):
         for extra in itertools.combinations(missing, r):
             C = hypergraph3(5, list(base_edges) + list(extra))
-            completions.setdefault(canonical_form(C), C)
+            if not any(are_isomorphic(C, D) for D in kept):
+                kept.append(C)
     forb = (_window_forbidden(HYPER3_SIG, _valid_graphlike)
-            + [completions[k] for k in sorted(completions)])
+            + sorted(kept, key=canonical_form))
     return ClassSpec(HYPER3_SIG, forb, name="f-free-3hyper")
 
 

@@ -27,6 +27,7 @@ from .structures import (
     Structure,
     _atoms_through,
     _completions,
+    _slots,
     _type_classes,
     admissible_extensions,
     qf_type,
@@ -62,19 +63,28 @@ def extension_defects(S: Structure, K: ClassSpec, base_bound: int) -> list[QfTyp
     """Every one-point type over an ascending base A of at most base_bound
     vertices (the type's parameters) that K admits over A but no vertex of
     S realises, as admissible_extensions lists them all.  Reordered bases
-    are left out, as their types only permute."""
+    are left out, as their types only permute.  The admissible types are
+    found once per base structure, keyed by |A| and the atoms that hold on
+    A, as bases repeat a few structures."""
     if base_bound < 0:
         raise ValueError("base_bound must be >= 0")
     if not satisfies_class(S, K):
         raise ValueError("structure is not in the class")
+    sig, rels = S.signature, S.relations
+    admissible: dict = {}
     defects = []
     for b in range(base_bound + 1):
+        slots = _slots(sig, b, lambda t: True)
         for A in itertools.combinations(S.vertices, b):
+            diagram = (b,) + tuple((n, t) for n, t in slots
+                                   if tuple(A[x] for x in t) in rels[n])
+            if diagram not in admissible:
+                base = Structure(sig, b, {n: [t for m, t in diagram[1:] if m == n]
+                                          for n in sig.names})
+                types = admissible_point_types(base, K)
+                admissible[diagram] = sorted((t.positives for t in types), key=sorted)
             realised = _type_classes(S, A)
-            admissible = admissible_point_types(S.induced(A), K)
-            for t in sorted(admissible, key=lambda t: sorted(t.positives)):
-                if t.positives not in realised:
-                    defects.append(QfType(A, t.positives))
+            defects.extend(QfType(A, p) for p in admissible[diagram] if p not in realised)
     return defects
 
 

@@ -154,8 +154,8 @@ def trace_to_json(trace: ExtractionTrace) -> dict:
 
 
 def trace_from_json(data) -> ExtractionTrace:
-    steps = [TraceStep(d["level"], d["case"], d.get("part"), d.get("f"),
-                       d.get("shared"), d.get("copy", ()))
+    steps = [TraceStep(int(d["level"]), d["case"], d.get("part"), d.get("f"),
+                       d.get("shared"), [int(v) for v in d.get("copy", ())])
              for d in data["steps"]]
     return ExtractionTrace(steps)
 

@@ -625,14 +625,31 @@ def _positives(S: Structure, at: tuple) -> frozenset:
 
 def _type_classes(S: Structure, params: Sequence[int]) -> dict[frozenset, list[int]]:
     """The vertices outside the parameters grouped by their type over them:
-    each realised type's positives map to its ascending realisations."""
+    each realised type's positives map to its ascending realisations.
+
+    Only the Gaifman neighbours of the parameters have their atoms over
+    them checked; any other vertex shares no tuple with them, so its type
+    is its type over the empty base, read from its own tuples, those whose
+    support is itself."""
     A = tuple(params)
     if any(a < 0 or a >= S.size for a in A):
         raise ValueError("vertex out of range")
+    bits = _adjacency_bits(S)[0]
+    near = params_mask = 0
+    for a in A:
+        near |= bits[a]
+        params_mask |= 1 << a
+    own: dict = {}
+    for name, arity in S.signature.relations:
+        ts = S.relations[name]
+        for v in S.vertices:
+            if (v,) * arity in ts:
+                own[v] = own.get(v, frozenset()) | {(name, (-1,) * arity)}
     classes: dict = {}
     for v in S.vertices:
-        if v not in A:
-            classes.setdefault(_positives(S, A + (v,)), []).append(v)
+        if not params_mask >> v & 1:
+            key = _positives(S, A + (v,)) if near >> v & 1 else own.get(v, frozenset())
+            classes.setdefault(key, []).append(v)
     return classes
 
 
@@ -655,18 +672,25 @@ _WINDOW_MEMO = 1 << 12
 
 def _class_tests(K: ClassSpec) -> tuple:
     """K's incremental tests, built once: the canonical forms of the
-    forbidden structures that fit in one tuple's support, each forbidden
-    structure with a tuple not spanning all its vertices paired with those
-    tuples by relation, and a memo of window verdicts."""
+    forbidden structures that fit in one tuple's support, the pins of the
+    others (see _pinned_copy) and a memo of window verdicts.
+
+    A pin pairs a forbidden F with a tuple of F not spanning all its
+    vertices, one per Aut(F) orbit (its least image), filed under its
+    relation and the pattern of its repeated entries.  One tuple per orbit
+    is enough: if an embedding e puts tF on t, then e composed with the
+    inverse of an automorphism s puts s(tF) on t."""
     if K._tests is None:
         width = max((a for _, a in K.signature.relations), default=0)
         small = {canonical_form(F) for F in K.forbidden if F.size <= width}
-        wide = []
+        wide: dict = {}
         for F in K.forbidden:
-            loose = {n: [t for t in ts if len(set(t)) < F.size]
-                     for n, ts in F.relations.items()}
-            if any(loose.values()):
-                wide.append((F, loose))
+            loose = [(n, t) for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size]
+            if loose:
+                auts = [s.map for s in automorphisms(F)]
+                for n, t in sorted({(n, min(tuple(s[x] for x in t) for s in auts))
+                                    for n, t in loose}):
+                    wide.setdefault((n, tuple(map(t.index, t))), []).append((F, t))
         K._tests = (small, wide, {})
     return K._tests
 
@@ -737,21 +761,17 @@ def _completions(S: Structure, free: Sequence[tuple],
     yield from walk(0, ())
 
 
-def _pinned_copy(T: Structure, chosen: Sequence[tuple],
-                 forbidden: Sequence[tuple]) -> bool:
-    """Whether, for some (F, loose) in `forbidden`, F embeds into T with a
-    tuple of `loose` (F's tuples by relation) on a chosen (relation, tuple)
-    pair."""
-    for F, loose in forbidden:
-        if F.size > T.size:
-            continue
-        pins = set()
-        for name, t in chosen:
-            for tF in loose[name]:
-                pairs = frozenset(zip(tF, t))
-                if len(pairs) == len(set(tF)) == len(set(t)):
-                    pins.add(pairs)
-        for pin in pins:
+def _pinned_copy(T: Structure, chosen: Sequence[tuple], wide: dict) -> bool:
+    """Whether some forbidden F embeds into T with a tuple tF of F on a
+    chosen (relation, tuple) pair t, for the (F, tF) that `wide` files under
+    t's relation and pattern of repeated entries, the pattern tF shares."""
+    pins: dict = {}
+    for name, t in chosen:
+        for F, tF in wide.get((name, tuple(map(t.index, t))), ()):
+            if F.size <= T.size:
+                pins.setdefault(F, set()).add(frozenset(zip(tF, t)))
+    for F, ps in pins.items():
+        for pin in ps:
             pools = [None] * F.size
             for p, q in pin:
                 pools[p] = [q]

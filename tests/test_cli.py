@@ -574,6 +574,24 @@ def test_verify_trace_rejects_a_base_step_on_the_top_level(tmp_path, level):
     assert _replay(tmp_path, chain / "chain.json", pres, trace) == 1
 
 
+@pytest.mark.parametrize("step", [
+    {"level": 2, "case": "transversal", "copy": ["a", 1]},
+    {"level": 2, "case": "transversal", "copy": [None, 1]},
+    {"level": "two", "case": "mono", "copy": [0, 1]}],
+    ids=["copy-string", "copy-null", "level-string"])
+def test_verify_trace_rejects_non_integer_steps(tmp_path, capsys, step):
+    # a non-integer copy entry used to end in a TypeError traceback, exit 1
+    chain, pres, _ = _graph_chain_and_shared_trace(tmp_path)
+    path = tmp_path / "trace-in.json"
+    path.write_text(json.dumps({"steps": [step]}))
+    capsys.readouterr()
+    out = tmp_path / "verdict"
+    assert run(["verify-trace", "--chain", str(chain), "--presentation", str(pres),
+                "--trace", str(path), "--out", str(out)]) == 2
+    _one_error_line(capsys)
+    assert not (out / "trace_verdict.json").exists()
+
+
 def _hypergraph_file(tmp_path) -> str:
     gen_dir = tmp_path / "h"
     assert run(["hypergraph", "generate", "--n", "2", "--c", "5", "--seed", "3",

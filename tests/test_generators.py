@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import _two_colour_class
-from test_structures import COLOUR_SIG, irreducible_structures
+from test_structures import COLOUR_SIG, irreducible_structures, structures
 
 from sunlab import catalog, jsonio
 from sunlab.generators import (
@@ -410,6 +410,61 @@ def test_no_defects_means_all_types_realised():
         defects = extension_defects(S, K, bound)
         assert {(d.parameters, d.positives) for d in defects} == expected
         assert len(defects) == len(expected)
+
+
+def defects_by_rebuild(S, K, bound):
+    """Oracle: each base rebuilt as S.induced(A), its admissible types
+    listed afresh and looked for among the types of S's vertices."""
+    out = []
+    for b in range(bound + 1):
+        for A in itertools.combinations(S.vertices, b):
+            realised = {qf_type(S, v, A).positives for v in S.vertices if v not in A}
+            types = sorted(admissible_point_types(S.induced(A), K),
+                           key=lambda t: sorted(t.positives))
+            out += [(A, t.positives) for t in types if t.positives not in realised]
+    return out
+
+
+def loop_graphs():
+    """Every structure with one binary relation, loops included."""
+    return ClassSpec(catalog.GRAPH_SIG, [], name="loop-graphs")
+
+
+@pytest.mark.parametrize("name, size", [
+    ("graphs", 7), ("knfree:3", 7), ("oriented", 6), ("rb-bichrome", 6),
+    ("3hypergraphs", 5), ("two-colour", 7), ("loop-graphs", 5)])
+def test_defects_match_a_rebuild_of_every_base(name, size):
+    if name == "two-colour":
+        K = jsonio.classspec_from_json(_two_colour_class())
+    elif name == "loop-graphs":
+        K = loop_graphs()
+    else:
+        K = catalog.class_by_name(name)
+    for seed in range(2):
+        S = gen_generic(K, size, seed)
+        got = [(d.parameters, d.positives) for d in extension_defects(S, K, 2)]
+        assert got == defects_by_rebuild(S, K, 2)
+
+
+def test_defects_tell_the_empty_base_from_a_bare_vertex():
+    # the empty base and a one-vertex base without a loop hold the same (no)
+    # atoms; a memo keyed by those atoms alone, not by the base size too,
+    # reuses the empty base's types and reports no defect here
+    defects = extension_defects(catalog.graph(3, []), catalog.all_graphs(), 1)
+    assert [(d.parameters, d.positives) for d in defects] == [
+        ((a,), adjacent_both() - {("E", (-1, 1)), ("E", (1, -1))}) for a in range(3)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_defects_match_a_rebuild_of_every_base_on_random_classes(data):
+    # S with loops and colours, in a class of what S omits
+    sig = data.draw(st.sampled_from([catalog.GRAPH_SIG, COLOUR_SIG]))
+    S = data.draw(structures(sig, 0, 5))
+    forbidden = data.draw(st.lists(irreducible_structures(sig, False), max_size=3))
+    K = ClassSpec(sig, [F for F in forbidden if not embeds(F, S)])
+    got = [(d.parameters, d.positives) for d in extension_defects(S, K, 2)]
+    assert got == defects_by_rebuild(S, K, 2)
 
 
 def test_defects_reject_negative_base_bound():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sunlab import catalog
+from sunlab.generators import gen_generic
 from sunlab.structures import (
     BudgetExceeded,
     ClassSpec,
@@ -21,8 +22,11 @@ from sunlab.structures import (
     Structure,
     ThreeDapFamily,
     ThreeDapReport,
+    _class_tests,
     _pair_amalgams,
+    _pinned_copy,
     _three_dap_amalgam_exists,
+    _type_classes,
     _vertex_profiles,
     are_isomorphic,
     automorphisms,
@@ -490,6 +494,108 @@ def test_qftype_transport():
     assert moved.positives == p.positives
     assert p.transport([1]) == moved
     assert p.transport(Embedding(catalog.complete_graph(1), k3, [1])) == moved
+
+
+def type_classes_by_vertex(S, A):
+    """Oracle: every vertex outside A grouped by its full type over A."""
+    classes = {}
+    for v in S.vertices:
+        if v not in A:
+            classes.setdefault(qf_type(S, v, A).positives, []).append(v)
+    return classes
+
+
+@ORACLE
+@given(st.data())
+def test_type_classes_match_the_type_of_every_vertex(data):
+    # loops, unary P, arity 3 and bases of 0-2 vertices in any order
+    sig = data.draw(st.sampled_from(SIGNATURES + [COLOUR_SIG]))
+    S = data.draw(structures(sig, max_size=6))
+    A = tuple(data.draw(st.lists(st.integers(0, S.size - 1), max_size=min(2, S.size),
+                                 unique=True))) if S.size else ()
+    assert list(_type_classes(S, A).items()) == list(type_classes_by_vertex(S, A).items())
+
+
+@pytest.mark.parametrize("name", ["knfree:3", "rb-bichrome", "oriented", "3hypergraphs",
+                                  "two-colour"])
+def test_type_classes_match_the_type_of_every_vertex_on_class_members(name):
+    K = two_colour_graphs() if name == "two-colour" else catalog.class_by_name(name)
+    S = gen_generic(K, 9, 4)
+    for b in range(3):
+        for A in itertools.permutations(range(S.size), b):
+            assert (list(_type_classes(S, A).items())
+                    == list(type_classes_by_vertex(S, A).items()))
+
+
+# ---------------------------------------------------------------------------
+# Pins of the incremental class test
+
+
+def pinned_copy_by_definition(T, chosen, K):
+    """Oracle: whether some forbidden F embeds into T with a tuple of F not
+    spanning F, any of them, on a chosen (relation, tuple) pair."""
+    chosen = set(chosen)
+    return any((name, tuple(e.map[x] for x in tF)) in chosen
+               for F in K.forbidden for e in find_embeddings(F, T)
+               for name, ts in F.relations.items() for tF in ts if len(set(tF)) < F.size)
+
+
+def random_completion(S, rng):
+    """S plus a vertex v and (chosen, T): random tuples through v, mostly
+    closed under permutation and injective, all of them chosen."""
+    sig, v = S.signature, S.size
+    rels = {n: set(ts) for n, ts in S.relations.items()}
+    chosen = set()
+    for name, arity in sig.relations:
+        for others in itertools.combinations(range(v), arity - 1):
+            if rng.random() < 0.5:
+                chosen.update((name, t) for t in itertools.permutations(others + (v,)))
+        for t in itertools.product(range(v + 1), repeat=arity):
+            if v in t and rng.random() < 0.03:
+                chosen.add((name, t))
+    for name, t in chosen:
+        rels[name].add(t)
+    return sorted(chosen), Structure(sig, v + 1, rels)
+
+
+@pytest.mark.parametrize("name", ["knfree:3", "k4h3free", "f-free-3hyper", "rb-bichrome"])
+def test_orbit_pins_find_what_every_loose_tuple_finds(name):
+    # one pinned tuple per Aut(F) orbit decides as every loose tuple does
+    K = catalog.class_by_name(name)
+    wide = _class_tests(K)[1]
+    rng = random.Random(name)
+    verdicts = []
+    for seed in range(3):
+        S = gen_generic(K, 5, seed)
+        for _ in range(12):
+            chosen, T = random_completion(S, rng)
+            verdicts.append(_pinned_copy(T, chosen, wide))
+            assert verdicts[-1] == pinned_copy_by_definition(T, chosen, K)
+    assert any(verdicts) and not all(verdicts)
+    # each forbidden structure keeps one pin per Aut(F) orbit of its loose tuples
+    for F in K.forbidden:
+        auts = brute_isomorphisms(F, F)
+        orbits = {frozenset((n, tuple(p[x] for x in t)) for p in auts)
+                  for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size}
+        assert sum(G == F for pins in wide.values() for G, _ in pins) == len(orbits)
+
+
+@ORACLE
+@given(st.data())
+def test_orbit_pins_find_what_every_loose_tuple_finds_on_random_classes(data):
+    sig = data.draw(st.sampled_from([catalog.GRAPH_SIG, COLOUR_SIG, catalog.HYPER3_SIG]))
+    if sig == catalog.HYPER3_SIG:
+        forbidden = data.draw(st.lists(structures(sig, 1, 4), max_size=3))
+        forbidden = [F for F in forbidden if is_irreducible(F)]
+    else:
+        forbidden = data.draw(st.lists(irreducible_structures(sig, False), max_size=3))
+    K = ClassSpec(sig, forbidden)
+    T = data.draw(structures(sig, 1, 5))
+    v = data.draw(st.integers(0, T.size - 1))
+    through = sorted((n, t) for n, ts in T.relations.items() for t in ts if v in t)
+    chosen = data.draw(st.lists(st.sampled_from(through), unique=True)) if through else []
+    assert (_pinned_copy(T, chosen, _class_tests(K)[1])
+            == pinned_copy_by_definition(T, chosen, K))
 
 
 # ---------------------------------------------------------------------------
