@@ -130,8 +130,8 @@ def _clique_exists(adj: list[set], inside: set, size: int) -> bool:
         return True
     if len(inside) < size:
         return False
-    for u in sorted(inside):
-        if _clique_exists(adj, inside & adj[u] & set(range(u + 1, len(adj))), size - 1):
+    for u in inside:
+        if _clique_exists(adj, {w for w in inside & adj[u] if w > u}, size - 1):
             return True
     return False
 

@@ -11,15 +11,26 @@ canonical form introduces ground labels in increasing order of first
 appearance (vertices in index order, each set read in increasing order)
 and keeps the lexicographically least representative of each orbit.
 
+That representative needs no search.  Read the sets in vertex order and
+keep the labelled elements in cells, consecutive blocks of labels whose
+internal order is still free.  Each set takes the lowest labels of every
+cell it meets, splitting the cell into its present part and then its
+absent part, and its new elements take the next labels as a new last cell.
+Per cell this choice is pointwise least, so the sorted set is least at its
+position, and the relabellings that reach it are exactly the orders inside
+the refined cells; by induction the family is least.  The final cells are
+the classes of elements with the same membership in every set, ordered by
+membership read as a word with "present" before "absent", so one sort
+computes them.
+
 One presentation walk serves enumeration and witness checks: it grows a
-family one set at a time and settles each prefix once.  Set i of a
-relabelled family depends only on the orders chosen for the new elements
-of the sets before it, so the canonical form of a prefix is the prefix of
-the canonical form: every prefix of a canonical family is canonical, and
-the enumerator descends only into canonical prefixes (orderly generation;
-Read 1978, McKay 1998).  The witness check descends only from prefixes
-without a sunflower copy, so a copy in a longer prefix must pass through
-its newest vertex, and that is the only place it looks.
+family one set at a time and settles each prefix once.  The refinement of
+a prefix is the start of the refinement of the family, so every prefix of
+a canonical family is canonical, and the enumerator descends only into
+canonical prefixes (orderly generation; Read 1978, McKay 1998).  The
+witness check descends only from prefixes without a sunflower copy, so a
+copy in a longer prefix must pass through its newest vertex, and that is
+the only place it looks.
 """
 
 from __future__ import annotations
@@ -190,58 +201,22 @@ def verify_sunflower_cert(cert: SunflowerCert, B: Structure, P: Presentation) ->
 # Canonical enumeration of presentations
 
 
-def _least_relabelling(sets: Iterable[Iterable[int]], bound: Optional[tuple] = None,
-                       first: bool = False) -> Optional[tuple]:
-    """The least first-appearance relabelling of a family strictly below
-    `bound` (below nothing when None), or None if there is none; with
-    `first`, the first one found below `bound`.  The walk descends only
-    while the relabelled prefix is no larger than the best one so far."""
-    family = [frozenset(s) for s in sets]
-    n = len(family)
-    best = bound
-    acc: list[tuple[int, ...]] = []
-    assign: dict[int, int] = {}
-
-    def rec(i: int, next_label: int) -> bool:
-        nonlocal best
-        if i == n:
-            cand = tuple(acc)
-            if best is None or cand < best:
-                best = cand
-                return first
-            return False
-        known = sorted(assign[g] for g in family[i] if g in assign)
-        unknown = sorted(g for g in family[i] if g not in assign)
-        t = len(unknown)
-        acc.append(tuple(known) + tuple(range(next_label, next_label + t)))
-        if best is None or tuple(acc) <= best[:i + 1]:
-            for perm in itertools.permutations(unknown):
-                for off, g in enumerate(perm):
-                    assign[g] = next_label + off
-                if rec(i + 1, next_label + t):
-                    return True
-            for g in unknown:
-                del assign[g]
-        acc.pop()
-        return False
-
-    rec(0, 0)
-    return None if best is bound else best
-
-
 def canonical_sets(sets: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """The canonical representative of a family of sets under ground
-    bijections: relabel by first appearance (vertices in index order, each
-    set in increasing order) and take the lexicographic minimum over the
-    orderings of simultaneously-new elements."""
-    return _least_relabelling(sets)
+    bijections: the least first-appearance relabelling, which labels the
+    ground elements in order of their membership words (see the module
+    docstring).  Elements with equal words are interchangeable, so the
+    order of the sort among them never shows in the result."""
+    family = [frozenset(s) for s in sets]
+    ground = sorted(set().union(*family),
+                    key=lambda g: [g not in s for s in family])
+    label = {g: i for i, g in enumerate(ground)}
+    return tuple(tuple(sorted(label[g] for g in s)) for s in family)
 
 
 def _is_canonical(sets: list[tuple[int, ...]]) -> bool:
-    """Whether a family in normal form is its own canonical form.  Such a
-    family is one of its relabellings, so it is canonical iff no
-    relabelling is strictly smaller; the walk stops at the first one."""
-    return _least_relabelling(sets, tuple(sets), first=True) is None
+    """Whether a family in normal form is its own canonical form."""
+    return canonical_sets(sets) == tuple(sets)
 
 
 def _normal_form_candidates(prev_sets: list[tuple[int, ...]], k: int,
@@ -343,14 +318,23 @@ def verify_witness(C: Structure, B: Structure, k: int,
 
     Exhaustive mode walks the normal-form generation tree and prunes any
     prefix that already contains a sunflower copy (every completion then
-    does too), so it visits exactly the sunflower-free prefixes; a leaf is
-    a counterexample presentation.  Because the walk only extends
-    sunflower-free prefixes, a copy in a new prefix must use its newest
-    vertex: one B-depth per Aut(B) orbit in turn is pinned to that vertex
-    and the others range over the older ones, on prefix structures built
-    once per call.  A target with no vertices has a copy in every
-    presentation, the empty one included, so the walk stops at its one
-    root candidate.  Random mode samples presentations.
+    does too); a leaf is a counterexample presentation.  Because the walk
+    only extends sunflower-free prefixes, a copy in a new prefix must use
+    its newest vertex: one B-depth per Aut(B) orbit in turn is pinned to
+    that vertex and the others range over the older ones, on prefix
+    structures built once per call.  A target with no vertices has a copy
+    in every presentation, the empty one included, so the walk stops at
+    its one root candidate.  Random mode samples presentations.
+
+    The walk also drops a prefix whose last two sets i, i+1 are out of
+    order when swapping vertices i and i+1 is an automorphism of C.  This
+    keeps the verdict and the counterexample, the first leaf X of the
+    unpruned walk: were X's sets i, i+1 out of order at such a swap,
+    swapping them and relabelling by first appearance would give another
+    counterexample that agrees with X before i and whose set i is
+    pointwise at most X's set i+1, which is below X's set i; it would come
+    before X.  So X obeys the rule and stays the first leaf, and only
+    `checked`, the number of prefixes the pruned walk settles, falls.
     """
     if B.signature != C.signature:
         raise SignatureMismatch("witness check needs matching signatures")
@@ -383,12 +367,16 @@ def verify_witness(C: Structure, B: Structure, k: int,
     depths = range(B.size)
     pins = [d for d in depths if next(_iter_embedding_maps(
         B, B, None, [range(d) if e == d else depths for e in depths]), None) is None]
+    swaps = [embedding_defect(C, C, (*range(i), i + 1, i, *range(i + 2, C.size)))
+             is None for i in range(C.size - 1)]
     checked = 0
 
     def sunflower_free(sets: list[tuple[int, ...]]) -> bool:
         nonlocal checked
-        checked += 1
         i = len(sets)
+        if i >= 2 and swaps[i - 2] and sets[-2] > sets[-1]:
+            return False
+        checked += 1
         members[i - 1:] = [frozenset(sets[-1])]
         older = range(i - 1)
         for d in pins:

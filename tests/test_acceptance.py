@@ -330,3 +330,20 @@ def test_acceptance_9_enumeration_oracle():
     elapsed = time.time() - t0
     report(f"ACCEPTANCE 9: PASS - presentation enumeration is collision-free "
            f"and canonical forms absorb random relabellings [{elapsed:.1f}s]")
+
+
+def test_acceptance_10_four_petal_sunflower_number():
+    """f(2, 4) = 11 (Chvátal and Hanson, JCTB 1976): ten 2-sets can avoid a
+    4-petal sunflower, eleven cannot.  Exhaustive at ground budget 22."""
+    t0 = time.time()
+    B = catalog.pure_set(4)
+    verdict10 = verify_witness(catalog.pure_set(10), B, 2, ground_budget=22)
+    assert not verdict10.passed
+    assert not find_sunflower_copies(verdict10.counterexample, B, limit=1)
+    verdict11 = verify_witness(catalog.pure_set(11), B, 2, ground_budget=22)
+    assert verdict11.passed
+    elapsed = time.time() - t0
+    assert elapsed < 120
+    report(f"ACCEPTANCE 10: PASS - pure 10/4 has a sunflower-free presentation "
+           f"on 2-sets and pure 11/4 passes after {verdict11.checked} prefixes "
+           f"[{elapsed:.1f}s]")

@@ -124,8 +124,8 @@ EXPECTED = {
     "3dap-k4h3free": [0, "711b6f9c04a3a0dfe8d010010e3dee534e6f37cb67965b1a86bd122b677524bd"],
     "3dap-budget": [3, "58423592f9694cb655716b62be98694637c560b448b43b10dbf2e4f5e914419d"],
     "3dap-k4h3free-budget": [3, "ee590f1850650b719d7127d8a22331fc972ef061fce37c4c7b09f370ca23f7b7"],
-    "witness-7-3": [0, "4998e323d5d53ad11c3feb206f2d4e7c2075e3fa7e23988033668089a3fdc973"],
-    "witness-6-3": [1, "4c2b9ee5ff80adae14f998c5a6a3318bf27ce769f3998770f27cc34c994b4a56"],
+    "witness-7-3": [0, "6f7e123e078d2a1f9c787547f4407b805752ae2b707e94832954667893ae36a2"],
+    "witness-6-3": [1, "66b251003edbc5c0009a62a9c720c43febb5ba5e1f69f0c8635702cd4fb34f29"],
     "enumerate": [0, "96fee7e46d0fd484bb7e9d6530ff58af939d2586587ae2ba981b9e0bcfdf50df"],
 }
 

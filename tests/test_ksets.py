@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sunlab import catalog
@@ -187,6 +187,38 @@ def test_enumeration_no_duplicates_and_complete():
                 tuple(sorted(s)) for s in by_key[key].sets)
 
 
+def least_relabelling(sets):
+    """Oracle for `canonical_sets`: walk every first-appearance relabelling
+    (each set's new elements in every order) and keep the least, descending
+    only while the relabelled prefix is no larger than the best so far."""
+    family = [frozenset(s) for s in sets]
+    best = None
+    acc = []
+    assign = {}
+
+    def rec(i, next_label):
+        nonlocal best
+        if i == len(family):
+            if best is None or tuple(acc) < best:
+                best = tuple(acc)
+            return
+        known = sorted(assign[g] for g in family[i] if g in assign)
+        unknown = sorted(g for g in family[i] if g not in assign)
+        t = len(unknown)
+        acc.append(tuple(known) + tuple(range(next_label, next_label + t)))
+        if best is None or tuple(acc) <= best[:i + 1]:
+            for perm in itertools.permutations(unknown):
+                for off, g in enumerate(perm):
+                    assign[g] = next_label + off
+                rec(i + 1, next_label + t)
+            for g in unknown:
+                del assign[g]
+        acc.pop()
+
+    rec(0, 0)
+    return best
+
+
 def test_canonical_sets_invariant_under_relabelling():
     rng = random.Random(13)
     for _ in range(60):
@@ -201,17 +233,18 @@ def test_canonical_sets_invariant_under_relabelling():
         perm = list(range(8))
         rng.shuffle(perm)
         relabeled = [frozenset(perm[x] for x in s) for s in sets]
-        assert canonical_sets(sets) == canonical_sets(relabeled)
+        assert least_relabelling(sets) == least_relabelling(relabeled) == \
+            canonical_sets(relabeled)
 
 
 def _enumerate_by_leaf_filter(C, k):
     """Reference enumerator: every normal-form family, filtered at the leaf
-    by a full canonical minimisation."""
+    by the tie-walk oracle."""
     sets = []
 
     def rec(i, next_label):
         if i == C.size:
-            if tuple(sets) == canonical_sets(sets):
+            if tuple(sets) == least_relabelling(sets):
                 yield tuple(sets)
             return
         for cand in _normal_form_candidates(sets, k, next_label):
@@ -248,7 +281,7 @@ def normal_form_families(draw):
 
 @given(normal_form_families())
 def test_early_exit_canonicity_matches_full_minimum(sets):
-    assert _is_canonical(sets) == (tuple(sets) == canonical_sets(sets))
+    assert _is_canonical(sets) == (tuple(sets) == least_relabelling(sets))
 
 
 @given(st.data())
@@ -259,7 +292,22 @@ def test_canonical_sets_invariant_under_any_relabelling(data):
     sets = data.draw(st.lists(subsets, max_size=5, unique=True))
     perm = data.draw(st.permutations(range(ground)))
     relabeled = [frozenset(perm[x] for x in s) for s in sets]
-    assert canonical_sets(sets) == canonical_sets(relabeled)
+    assert least_relabelling(sets) == least_relabelling(relabeled) == \
+        canonical_sets(relabeled)
+
+
+@given(st.data())
+def test_canonical_sets_matches_tie_walk(data):
+    """Families not in normal form: arbitrary naturals, sets in any order
+    and each set's elements in any order.  The tie walk branches over
+    every order of each set's new elements, so wider sets get fewer."""
+    k = data.draw(st.integers(1, 4))
+    ground = data.draw(st.lists(st.integers(0, 10**9), min_size=k, max_size=10,
+                                unique=True))
+    subsets = st.lists(st.sampled_from(ground), min_size=k, max_size=k, unique=True)
+    sets = data.draw(st.lists(subsets, max_size={1: 6, 2: 5, 3: 4, 4: 3}[k],
+                              unique_by=frozenset))
+    assert canonical_sets(sets) == least_relabelling(sets)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +369,26 @@ def test_witness_agrees_with_literal_enumeration():
     assert verify_witness(C, k2, 2).passed == literal
 
 
-def _rebuild_verify(C, B, k, ground_budget=18):
+def _adjacent_swaps(C):
+    """Per i, whether swapping vertices i and i+1 maps every relation of C
+    onto itself."""
+    out = []
+    for i in range(C.size - 1):
+        perm = list(range(C.size))
+        perm[i], perm[i + 1] = i + 1, i
+        out.append(all({tuple(perm[x] for x in t) for t in ts} == ts
+                       for ts in C.relations.values()))
+    return out
+
+
+def _rebuild_verify(C, B, k, ground_budget=18, swap_rule=True):
     """Reference exhaustive walk: rebuild every prefix presentation and
-    search it for any sunflower copy."""
+    search it for any sunflower copy.  With `swap_rule`, drop a prefix
+    whose last two sets are out of order at an automorphism swap, as
+    `verify_witness` does."""
     sets = []
     checked = 0
+    swaps = _adjacent_swaps(C)
 
     def rec(i, next_label):
         nonlocal checked
@@ -333,6 +396,8 @@ def _rebuild_verify(C, B, k, ground_budget=18):
             checked += 1
             return Presentation(C, k, sets)
         for cand in _normal_form_candidates(sets, k, next_label):
+            if swap_rule and i >= 1 and swaps[i - 1] and sets[-1] > cand:
+                continue
             sets.append(cand)
             checked += 1
             prefix = Presentation(C.induced(range(len(sets))), k, sets)
@@ -386,6 +451,43 @@ def test_anchored_verify_matches_rebuild(label, C, B, k, budget):
     got = (verdict.passed, verdict.checked,
            None if verdict.counterexample is None else verdict.counterexample.sets)
     assert got == _rebuild_verify(C, B, k, budget)
+
+
+@pytest.mark.parametrize("label,C,B,k,budget", ANCHORED_CASES,
+                         ids=[case[0] for case in ANCHORED_CASES])
+def test_swap_rule_keeps_verdict_and_counterexample(label, C, B, k, budget):
+    pruned = _rebuild_verify(C, B, k, budget)
+    full = _rebuild_verify(C, B, k, budget, swap_rule=False)
+    assert (pruned[0], pruned[2]) == (full[0], full[2])
+    assert pruned[1] <= full[1]
+
+
+@st.composite
+def twin_graphs(draw):
+    """A graph on at most six vertices made from a graph on q vertices by
+    blowing each vertex a up into a run of consecutive twins, joined when
+    (a, a) is drawn as an edge: swapping two vertices of one run is an
+    automorphism, swapping the ends of two runs may or may not be."""
+    q = draw(st.integers(1, 4))
+    runs = draw(st.lists(st.integers(1, 3), min_size=q, max_size=q))
+    q_edges = draw(st.sets(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))))
+    owner = [a for a, r in enumerate(runs) for _ in range(r)][:6]
+    return catalog.graph(len(owner), [
+        (u, v) for u, v in itertools.combinations(range(len(owner)), 2)
+        if (owner[u], owner[v]) in q_edges])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(twin_graphs(), st.integers(2, 3), st.data())
+def test_swap_rule_on_twin_graphs(C, b, data):
+    edges = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(b), 2)))))
+    B = catalog.graph(b, edges)
+    verdict = verify_witness(C, B, 2)
+    got = (verdict.passed, verdict.checked,
+           None if verdict.counterexample is None else verdict.counterexample.sets)
+    assert got == _rebuild_verify(C, B, 2)
+    full = _rebuild_verify(C, B, 2, swap_rule=False)
+    assert (got[0], got[2]) == (full[0], full[2]) and got[1] <= full[1]
 
 
 def canonicalise_presentation(P: Presentation) -> Presentation:

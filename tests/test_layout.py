@@ -11,9 +11,9 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sunlab"
 
-# test oracles that perfbench/tracer.py binds by name: they stay until the
+# a test oracle that perfbench/tracer.py binds by name: it stays until the
 # tracer reads its counters some other way
-EXEMPT = {"satisfies_class_at", "canonical_sets"}
+EXEMPT = {"satisfies_class_at"}
 
 
 def _top_level_names(tree: ast.Module):
