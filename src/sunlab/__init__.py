@@ -52,7 +52,6 @@ from .ramsey import (
     GenParams,
     PartitionedHypergraph,
     count_suitable,
-    count_suitable_enumerate,
     dichotomy_holds,
     failure_bound,
     gen_witness_hypergraph,

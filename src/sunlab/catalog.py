@@ -11,9 +11,11 @@ every class here is closed under free amalgams by construction.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable
 
 from .structures import (
+    BudgetExceeded,
     ClassSpec,
     Signature,
     Structure,
@@ -30,6 +32,15 @@ DOUBLE_EQ_SIG = Signature((("E0", 2), ("E1", 2)))
 RB_SIG = Signature((("R", 2), ("B", 2)))
 HYPER3_SIG = Signature((("E", 3),))
 PURE_SIG = Signature(())
+
+# The most tuples of a complete graph or 3-hypergraph, checked before it is
+# built: knfree:256 and k41h3free are the largest classes forbidding one.
+COMPLETE_TUPLE_CAP = 1 << 16
+
+
+def _check_complete(n: int, arity: int) -> None:
+    if math.perm(max(n, 0), arity) > COMPLETE_TUPLE_CAP:
+        raise BudgetExceeded(f"complete structure on {n} vertices: over {COMPLETE_TUPLE_CAP} tuples")
 
 
 def sym_tuples(base: Iterable[tuple]) -> set:
@@ -50,6 +61,7 @@ def pure_set(size: int) -> Structure:
 
 
 def complete_graph(n: int) -> Structure:
+    _check_complete(n, 2)
     return graph(n, itertools.combinations(range(n), 2))
 
 
@@ -66,6 +78,7 @@ def hypergraph3(size: int, triples: Iterable[tuple]) -> Structure:
 
 
 def complete_hypergraph3(n: int) -> Structure:
+    _check_complete(n, 3)
     return hypergraph3(n, itertools.combinations(range(n), 3))
 
 
@@ -118,10 +131,7 @@ def _window_forbidden(sig: Signature, is_valid: Callable[[Structure], bool]) -> 
             for chosen in itertools.combinations(slots, r):
                 if not any(len(set(t)) == m for _, t in chosen):
                     continue
-                rels = {}
-                for name, t in chosen:
-                    rels.setdefault(name, set()).add(t)
-                W = Structure(sig, m, rels)
+                W = Structure(sig, m)._grown(m, chosen)
                 if is_valid(W):
                     continue
                 key = canonical_form(W)
@@ -176,8 +186,9 @@ def all_graphs() -> ClassSpec:
 def kn_free(n: int) -> ClassSpec:
     if n < 3:
         raise ValueError("kn_free needs n >= 3")
-    forb = _window_forbidden(GRAPH_SIG, _valid_graphlike) + [complete_graph(n)]
-    return ClassSpec(GRAPH_SIG, forb, name=f"knfree:{n}")
+    top = complete_graph(n)  # first, so an n over the cap builds nothing
+    return ClassSpec(GRAPH_SIG, _window_forbidden(GRAPH_SIG, _valid_graphlike) + [top],
+                     name=f"knfree:{n}")
 
 
 def oriented_graphs() -> ClassSpec:
@@ -194,8 +205,9 @@ def knr_free_hypergraphs3(n: int) -> ClassSpec:
     """Finite 3-hypergraphs omitting the complete 3-hypergraph on n vertices."""
     if n < 4:
         raise ValueError("needs n >= 4")
-    forb = _window_forbidden(HYPER3_SIG, _valid_graphlike) + [complete_hypergraph3(n)]
-    return ClassSpec(HYPER3_SIG, forb, name=f"k{n}h3free")
+    top = complete_hypergraph3(n)  # first, so an n over the cap builds nothing
+    return ClassSpec(HYPER3_SIG, _window_forbidden(HYPER3_SIG, _valid_graphlike) + [top],
+                     name=f"k{n}h3free")
 
 
 def rb_bichrome() -> ClassSpec:

@@ -79,8 +79,7 @@ def extension_defects(S: Structure, K: ClassSpec, base_bound: int) -> list[QfTyp
             diagram = (b,) + tuple((n, t) for n, t in slots
                                    if tuple(A[x] for x in t) in rels[n])
             if diagram not in admissible:
-                base = Structure(sig, b, {n: [t for m, t in diagram[1:] if m == n]
-                                          for n in sig.names})
+                base = Structure(sig, b)._grown(b, diagram[1:])
                 types = admissible_point_types(base, K)
                 admissible[diagram] = sorted((t.positives for t in types), key=sorted)
             realised = _type_classes(S, A)
@@ -114,7 +113,7 @@ def gen_generic(K: ClassSpec, size: int, seed: int,
         raise NoAdmissibleExtension("no admissible vertex 0")
     S = Structure(K.signature, 0)
     for _ in range(size):
-        S = Structure(S.signature, S.size + 1, S.relations)
+        S = S._grown(S.size + 1)
         for orbit in _extension_orbits(S.signature, S.size - 1):
             options = list(_completions(S, orbit, K))
             S = options[rng.randrange(len(options))][1]

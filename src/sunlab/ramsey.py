@@ -303,43 +303,6 @@ def count_suitable(parts, colourings, budget: int = 10 ** 7) -> SuitableCounts:
     return SuitableCounts(mono, hetero, joint_mono, joint_hetero)
 
 
-def count_suitable_enumerate(parts, colourings) -> SuitableCounts:
-    """The same tallies by direct enumeration of all n-subsets (oracle for
-    small instances)."""
-    n = len(parts)
-    part_of = {}
-    for i, p in enumerate(parts):
-        for v in p:
-            part_of[v] = i
-    vertices = sorted(part_of)
-    s = len(colourings)
-    mono = [[0] * n for _ in range(s)]
-    hetero = [0] * s
-    joint_mono = [0] * n
-    joint_hetero = 0
-    for sub in itertools.combinations(vertices, n):
-        owners = {part_of[v] for v in sub}
-        inside = len(owners) == 1
-        transversal = len(owners) == n
-        mono_flags = []
-        het_flags = []
-        for r, chi in enumerate(colourings):
-            cols = [chi[v] for v in sub]
-            is_mono = len(set(cols)) == 1
-            is_het = len(set(cols)) == n
-            mono_flags.append(is_mono)
-            het_flags.append(is_het)
-            if inside and is_mono:
-                mono[r][next(iter(owners))] += 1
-            if transversal and is_het:
-                hetero[r] += 1
-        if inside and all(mono_flags):
-            joint_mono[next(iter(owners))] += 1
-        if transversal and all(het_flags):
-            joint_hetero += 1
-    return SuitableCounts(mono, hetero, joint_mono, joint_hetero)
-
-
 def dichotomy_holds(parts, colouring, sp: SuitableParams) -> bool:
     """The counting dichotomy for one colouring on n equal parts: some part
     has > a0*c^n monochromatic n-sets, or there are > (1-a1)*c^n

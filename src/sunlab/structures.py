@@ -12,7 +12,9 @@ irreducible substructures, quantifier-free 1-types over a parameter
 sequence, and an exhaustive checker for the disjoint 3-amalgamation
 property over the empty base.
 
-All values are immutable after construction and safe to share.
+All values are immutable after construction and safe to share: a structure
+grown from another shares the relation frozensets it does not add to, and
+equality compares those frozensets, whose hashes are computed on first use.
 """
 
 from __future__ import annotations
@@ -77,11 +79,12 @@ class Structure:
     `relations` maps each relation name to a set of tuples; absent names
     get the empty set.  `meta` is a free-form dict carried along for
     provenance (generator id, seed, labels, ...) and is excluded from
-    equality and hashing.
+    equality and hashing.  Equality compares relation frozensets, which
+    `_grown` shares, and the hash is built from theirs on first use.
     """
 
     __slots__ = ("signature", "size", "relations", "meta",
-                 "_key", "_hash", "_adj", "_canon", "_src")
+                 "_hash", "_adj", "_canon", "_src")
 
     def __init__(self, signature: Signature, size: int,
                  relations: Optional[dict] = None, meta: Optional[dict] = None):
@@ -91,11 +94,7 @@ class Structure:
         given = dict(relations or {})
         for name, arity in signature.relations:
             tuples = frozenset(tuple(int(x) for x in t) for t in given.pop(name, ()))
-            for t in tuples:
-                if len(t) != arity:
-                    raise ValueError(f"tuple {t} has wrong length for {name!r}/{arity}")
-                if any(x < 0 or x >= size for x in t):
-                    raise ValueError(f"tuple {t} of {name!r} out of range 0..{size - 1}")
+            _check_tuples(name, arity, tuples, size)
             rels[name] = tuples
         if given:
             raise ValueError(f"tuples for undeclared relations: {sorted(given)}")
@@ -103,12 +102,26 @@ class Structure:
         self.size = size
         self.relations = rels
         self.meta = dict(meta) if meta else {}
-        self._key = (signature.relations, size,
-                     tuple((n, tuple(sorted(rels[n]))) for n in signature.names))
-        self._hash = hash(self._key)
-        self._adj = None
-        self._canon = None
-        self._src = None
+        self._hash = self._adj = self._canon = self._src = None
+
+    def _grown(self, size: int, added: Iterable[tuple] = ()) -> "Structure":
+        """This structure on `size` >= self.size vertices plus the (relation,
+        tuple) pairs `added`, with no meta, checking only those; untouched
+        relations share its frozensets, and a built Gaifman view extends."""
+        extra: dict = {}
+        for name, t in added:
+            extra.setdefault(name, []).append(t)
+        T = Structure.__new__(Structure)
+        T.signature, T.size, T.meta, T.relations = self.signature, size, {}, dict(self.relations)
+        T._hash = T._adj = T._canon = T._src = None
+        for name, ts in extra.items():
+            _check_tuples(name, self.signature.arity(name), ts, size)
+            T.relations[name] = T.relations[name].union(ts)
+        if self._adj is not None:
+            pad = [0] * (size - self.size)
+            T._adj = _with_tuples((self._adj[0] + pad, self._adj[1] + pad),
+                                  itertools.chain.from_iterable(extra.values()))
+        return T
 
     @property
     def vertices(self) -> range:
@@ -128,19 +141,30 @@ class Structure:
         return Structure(self.signature, len(vs), rels)
 
     def with_meta(self, **meta) -> "Structure":
-        merged = dict(self.meta)
-        merged.update(meta)
-        return Structure(self.signature, self.size, self.relations, merged)
+        T = self._grown(self.size)
+        T.meta = {**self.meta, **meta}
+        return T
 
     def __eq__(self, other):
-        return isinstance(other, Structure) and self._key == other._key
+        return (isinstance(other, Structure) and self.size == other.size
+                and self.relations == other.relations and self.signature == other.signature)
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.size, frozenset(self.relations.items())))
         return self._hash
 
     def __repr__(self):
         counts = {n: len(ts) for n, ts in self.relations.items() if ts}
         return f"Structure(size={self.size}, tuples={counts})"
+
+
+def _check_tuples(name: str, arity: int, tuples: Iterable[tuple], size: int) -> None:
+    for t in tuples:
+        if len(t) != arity:
+            raise ValueError(f"tuple {t} has wrong length for {name!r}/{arity}")
+        if any(x < 0 or x >= size for x in t):
+            raise ValueError(f"tuple {t} of {name!r} out of range 0..{size - 1}")
 
 
 class Embedding:
@@ -206,17 +230,21 @@ def _adjacency_bits(S: Structure) -> tuple[list[int], list[int]]:
     vertices it shares a tuple with whose support is exactly the pair
     (cached: the one Gaifman view of a structure)."""
     if S._adj is None:
-        bits = [0] * S.size
-        pair_bits = [0] * S.size
-        for ts in S.relations.values():
-            for t in ts:
-                sup = set(t)
-                for u, v in itertools.permutations(sup, 2):
-                    bits[u] |= 1 << v
-                    if len(sup) == 2:
-                        pair_bits[u] |= 1 << v
-        S._adj = (bits, pair_bits)
+        S._adj = _with_tuples(([0] * S.size, [0] * S.size),
+                              itertools.chain.from_iterable(S.relations.values()))
     return S._adj
+
+
+def _with_tuples(adj: tuple[list[int], list[int]], tuples: Iterable[tuple]) -> tuple:
+    """The Gaifman view `adj`, updated in place with the tuples' adjacencies."""
+    bits, pair_bits = adj
+    for t in tuples:
+        sup = set(t)
+        for u, v in itertools.permutations(sup, 2):
+            bits[u] |= 1 << v
+            if len(sup) == 2:
+                pair_bits[u] |= 1 << v
+    return adj
 
 
 def gaifman(S: Structure) -> frozenset:
@@ -484,12 +512,8 @@ def free_amalgam(A: Structure, f0: Embedding, f1: Embedding) -> Structure:
         else:
             to_c[v] = fresh
             fresh += 1
-    rels = {}
-    for name in A.signature.names:
-        ts = set(B0.relations[name])
-        ts.update(tuple(to_c[x] for x in t) for t in B1.relations[name])
-        rels[name] = ts
-    return Structure(A.signature, fresh, rels)
+    return B0._grown(fresh, [(name, tuple(to_c[x] for x in t))
+                             for name, ts in B1.relations.items() for t in ts])
 
 
 # ---------------------------------------------------------------------------
@@ -671,28 +695,32 @@ _WINDOW_MEMO = 1 << 12
 
 
 def _class_tests(K: ClassSpec) -> tuple:
-    """K's incremental tests, built once: the canonical forms of the
-    forbidden structures that fit in one tuple's support, the pins of the
-    others (see _pinned_copy) and a memo of window verdicts.
-
-    A pin pairs a forbidden F with a tuple of F not spanning all its
-    vertices, one per Aut(F) orbit (its least image), filed under its
-    relation and the pattern of its repeated entries.  One tuple per orbit
-    is enough: if an embedding e puts tF on t, then e composed with the
-    inverse of an automorphism s puts s(tF) on t."""
+    """K's incremental tests, built once: canonical forms of the forbidden
+    structures fitting one tuple's support, each F filed by relation and
+    pattern of repeated entries of its tuples not spanning F, F's pins (listed
+    once a completion has room for F, see _orbit_pins) and window verdicts."""
     if K._tests is None:
         width = max((a for _, a in K.signature.relations), default=0)
         small = {canonical_form(F) for F in K.forbidden if F.size <= width}
         wide: dict = {}
         for F in K.forbidden:
-            loose = [(n, t) for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size]
-            if loose:
-                auts = [s.map for s in automorphisms(F)]
-                for n, t in sorted({(n, min(tuple(s[x] for x in t) for s in auts))
-                                    for n, t in loose}):
-                    wide.setdefault((n, tuple(map(t.index, t))), []).append((F, t))
-        K._tests = (small, wide, {})
+            for key in {(n, tuple(map(t.index, t))) for n, ts in F.relations.items()
+                        for t in ts if len(set(t)) < F.size}:
+                wide.setdefault(key, []).append(F)
+        K._tests = (small, wide, functools.cache(_orbit_pins), {})
     return K._tests
+
+
+def _orbit_pins(F: Structure) -> dict:
+    """F's tuples not spanning F, one per Aut(F) orbit (its least image),
+    filed like F in _class_tests: if an embedding e puts tF on t, then e
+    composed with the inverse of an automorphism s puts s(tF) on t."""
+    auts = [s.map for s in automorphisms(F)]
+    pins: dict = {}
+    for n, t in sorted({(n, min(tuple(s[x] for x in t) for s in auts))
+                        for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size}):
+        pins.setdefault((n, tuple(map(t.index, t))), []).append(t)
+    return pins
 
 
 def _completions(S: Structure, free: Sequence[tuple],
@@ -711,28 +739,28 @@ def _completions(S: Structure, free: Sequence[tuple],
     a tuple of F.  If that tuple spans F, the copy lies in the window of T
     on the tuple's support, which is final once its support is decided, so
     each window is then matched against the small forbidden structures,
-    sub-windows included, with the verdicts memoised.  Every other copy is
-    searched in each complete T with a tuple of F not spanning F pinned on
-    a chosen tuple."""
-    small, wide, memo = _class_tests(K)
+    sub-windows included, with the verdicts memoised; a window reads S on
+    its own slots only.  Every other copy is searched in each complete T
+    with a tuple of F not spanning F pinned on a chosen tuple."""
+    small, _, _, memo = _class_tests(K)
     sig = S.signature
     groups: dict = {}
     for name, t in free:
         groups.setdefault(tuple(sorted(set(t))), []).append((name, t))
     supports = sorted(groups, key=lambda sup: (len(sup), sup))
-    frames = {sup: S.induced(sup) for sup in supports} if small else {}
+    frames = {sup: frozenset((n, p) for j in range(len(sup))
+                             for n, p in _atoms_through(sig, j)
+                             if tuple(sup[x] for x in p) in S.relations[n])
+              for sup in supports} if small else {}
 
     def window_ok(chosen, sup):
-        frame = frames[sup]
-        added = frozenset((n, tuple(sup.index(x) for x in t))
-                          for n, t in chosen if set(t) <= set(sup))
-        key = (frame._key, added)
+        pos = {x: i for i, x in enumerate(sup)}
+        added = frozenset((n, tuple(pos[x] for x in t))
+                          for n, t in chosen if pos.keys() >= set(t))
+        key = (len(sup), frames[sup], added)
         verdict = memo.get(key)
         if verdict is None:
-            rels = {n: set(frame.relations[n]) for n in sig.names}
-            for n, t in added:
-                rels[n].add(t)
-            W = Structure(sig, len(sup), rels)
+            W = Structure(sig, len(sup))._grown(len(sup), frames[sup] | added)
             verdict = not any(
                 canonical_form(W.induced(sub)) in small
                 for r in range(1, W.size + 1)
@@ -751,25 +779,25 @@ def _completions(S: Structure, free: Sequence[tuple],
         elif not chosen:
             yield (), S
         else:
-            rels = {n: set(ts) for n, ts in S.relations.items()}
-            for name, t in chosen:
-                rels[name].add(t)
-            T = Structure(sig, S.size, rels)
-            if not _pinned_copy(T, chosen, wide):
+            T = S._grown(S.size, chosen)
+            if not _pinned_copy(T, chosen, K):
                 yield chosen, T
 
     yield from walk(0, ())
 
 
-def _pinned_copy(T: Structure, chosen: Sequence[tuple], wide: dict) -> bool:
-    """Whether some forbidden F embeds into T with a tuple tF of F on a
-    chosen (relation, tuple) pair t, for the (F, tF) that `wide` files under
-    t's relation and pattern of repeated entries, the pattern tF shares."""
+def _pinned_copy(T: Structure, chosen: Sequence[tuple], K: ClassSpec) -> bool:
+    """Whether some forbidden F of K embeds into T with a tuple tF of F on
+    a chosen (relation, tuple) pair t, for the pins tF of each F with room
+    in T that share t's relation and pattern of repeated entries."""
+    _, wide, orbit_pins, _ = _class_tests(K)
     pins: dict = {}
     for name, t in chosen:
-        for F, tF in wide.get((name, tuple(map(t.index, t))), ()):
+        key = (name, tuple(map(t.index, t)))
+        for F in wide.get(key, ()):
             if F.size <= T.size:
-                pins.setdefault(F, set()).add(frozenset(zip(tF, t)))
+                for tF in orbit_pins(F)[key]:
+                    pins.setdefault(F, set()).add(frozenset(zip(tF, t)))
     for F, ps in pins.items():
         for pin in ps:
             pools = [None] * F.size
@@ -788,7 +816,7 @@ def admissible_extensions(S: Structure, K: ClassSpec) -> Iterator[Structure]:
     vertex alone."""
     v = S.size
     point = satisfies_class(Structure(S.signature, 1), K)
-    grown = Structure(S.signature, v + 1, S.relations)
+    grown = S._grown(v + 1)
     for chosen, T in _completions(grown, _atoms_through(S.signature, v), K):
         if chosen or point:
             yield T
@@ -865,13 +893,12 @@ def _pair_amalgams(A: Structure, B: Structure, K: ClassSpec,
         raise BudgetExceeded(f"{2 ** len(cross)} pair amalgams exceed budget")
     members = [((), A)]
     for v in range(na, size):
-        own = {n: [tuple(x + na for x in t) for t in B.relations[n] if max(t) == v - na]
-               for n in sig.names}
+        own = [(n, tuple(x + na for x in t)) for n in sig.names
+               for t in B.relations[n] if max(t) == v - na]
         free = [(n, t) for n, t in cross if max(t) == v]
         grown = []
         for chosen, S in members:
-            base = Structure(sig, v + 1, {n: S.relations[n].union(own[n])
-                                          for n in sig.names})
+            base = S._grown(v + 1, own)
             grown.extend((chosen + more, T) for more, T in _completions(base, free, K))
         members = grown
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from sunlab import catalog
-from sunlab.generators import gen_named
+from sunlab.generators import gen_generic, gen_named
 from sunlab.ksets import (
     Presentation,
     encode_colouring,
@@ -347,3 +347,17 @@ def test_acceptance_10_four_petal_sunflower_number():
     report(f"ACCEPTANCE 10: PASS - pure 10/4 has a sunflower-free presentation "
            f"on 2-sets and pure 11/4 passes after {verdict11.checked} prefixes "
            f"[{elapsed:.1f}s]")
+
+
+def test_acceptance_11_class_generic_growth():
+    """ROADMAP item 8: gen_generic derives each option from its parent
+    instead of rebuilding it, so an 80-vertex oriented graph no longer
+    takes the 17-19 s that growing as n^4 cost."""
+    K = catalog.oriented_graphs()
+    t0 = time.time()
+    S = gen_generic(K, 80, 1)
+    elapsed = time.time() - t0
+    assert S.size == 80 and satisfies_class(S, K)
+    assert elapsed < 10
+    report(f"ACCEPTANCE 11: PASS - gen_generic grows an 80-vertex oriented graph "
+           f"in the class [{elapsed:.1f}s]")

@@ -2,11 +2,12 @@
 structures, and the parameterised builders must resolve."""
 
 import itertools
+import math
 
 import pytest
 
 from sunlab import catalog
-from sunlab.structures import Structure, is_irreducible, satisfies_class
+from sunlab.structures import BudgetExceeded, Structure, is_irreducible, satisfies_class
 
 
 def test_validity_windows_are_irreducible():
@@ -89,6 +90,30 @@ def test_class_by_name():
     assert catalog.class_by_name("pure").signature == catalog.PURE_SIG
     with pytest.raises(KeyError):
         catalog.class_by_name("nope")
+
+
+# each family's largest parameter whose complete structure fits the cap, and
+# the smallest that does not
+CAPPED_FAMILIES = [("knfree:256", "knfree:257", 2), ("k41h3free", "k42h3free", 3)]
+
+
+@pytest.mark.parametrize("largest, rejected, arity", CAPPED_FAMILIES)
+def test_complete_forbidden_structure_is_capped_before_it_is_built(
+        largest, rejected, arity, monkeypatch):
+    top = catalog.class_by_name(largest).forbidden[-1]
+    n = top.size
+    assert len(top.relations["E"]) == math.perm(n, arity) <= catalog.COMPLETE_TUPLE_CAP
+    assert math.perm(n + 1, arity) > catalog.COMPLETE_TUPLE_CAP
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structure was built")
+
+    monkeypatch.setattr(catalog, "Structure", refuse)
+    for name in (rejected, "k1000h3free", "knfree:100000"):
+        with pytest.raises(BudgetExceeded):
+            catalog.class_by_name(name)
+    with pytest.raises(BudgetExceeded):
+        catalog.structure_by_name("kn:257")
 
 
 def test_structure_by_name():

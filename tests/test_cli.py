@@ -297,6 +297,23 @@ def test_budget_and_pipeline_exits_print_one_error_line(tmp_path, capsys,
     assert _failed_run(tmp_path, capsys, argv[0], code) == line
 
 
+@pytest.mark.parametrize("largest, rejected", [("knfree:256", "knfree:257"),
+                                               ("k41h3free", "k42h3free")])
+def test_gen_caps_the_complete_forbidden_structure(tmp_path, capsys, largest, rejected):
+    # the largest class is built and grows, its complete structure too large
+    # for any completion to need its automorphisms; the next one exits 3
+    # before anything is built
+    assert run(["gen", "--klass", largest, "--size", "2", "--seed", "1",
+                "--out", str(tmp_path / "ok")]) == 0
+    assert read(tmp_path / "ok" / "structure.json")["size"] == 2
+    for name in (rejected, "k1000h3free"):
+        out = tmp_path / name
+        assert run(["gen", "--klass", name, "--size", "2", "--seed", "1",
+                    "--out", str(out)]) == 3
+        line = _failed_run(out, capsys, "gen", 3)
+        assert line.startswith("error: complete structure on ")
+
+
 def test_budget_raised_inside_a_command_prints_one_error_line(tmp_path, capsys,
                                                               monkeypatch):
     import sunlab.cli as cli

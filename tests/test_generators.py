@@ -2,6 +2,7 @@
 extension-defect scanner."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from test_structures import COLOUR_SIG, irreducible_structures, structures
 from sunlab import catalog, jsonio
 from sunlab.generators import (
     NoAdmissibleExtension,
+    _extension_orbits,
     admissible_point_types,
     extension_defects,
     gen_generic,
@@ -216,6 +218,57 @@ def test_gen_generic_reports_dead_end():
     K = ClassSpec(catalog.GRAPH_SIG, [loop, bare])
     with pytest.raises(NoAdmissibleExtension):
         gen_generic(K, 1, 0)
+
+
+def gen_generic_by_rebuild(K, size, seed):
+    """Reference: gen_generic building every option of each orbit afresh
+    with the constructor, as it did before structures grew from their
+    parents, and keeping those a full class check accepts.  An orbit's
+    tuples share one support, so the options come in the order of all its
+    subsets, by size, then lexicographically, and the draws are the same."""
+    rng = random.Random(f"generic|{K.name}|{size}|{seed}")
+    if not satisfies_class(Structure(K.signature, 1), K):
+        raise NoAdmissibleExtension("no admissible vertex 0")
+    S = Structure(K.signature, 0)
+    for _ in range(size):
+        S = Structure(S.signature, S.size + 1, S.relations)
+        for orbit in _extension_orbits(S.signature, S.size - 1):
+            options = []
+            for r in range(len(orbit) + 1):
+                for chosen in itertools.combinations(orbit, r):
+                    rels = {n: set(ts) for n, ts in S.relations.items()}
+                    for name, t in chosen:
+                        rels[name].add(t)
+                    T = Structure(S.signature, S.size, rels)
+                    if satisfies_class(T, K):
+                        options.append(T)
+            S = options[rng.randrange(len(options))]
+    return S
+
+
+@pytest.mark.parametrize("name, size", [
+    ("pure", 4), ("graphs", 7), ("oriented", 7), ("knfree:3", 7), ("knfree:4", 7),
+    ("rb-bichrome", 6), ("3hypergraphs", 4), ("k4h3free", 5), ("f-free-3hyper", 5)])
+def test_gen_generic_matches_a_rebuild_of_every_option(name, size):
+    K = catalog.class_by_name(name)
+    for seed in range(3):
+        S = gen_generic(K, size, seed)
+        assert S == gen_generic_by_rebuild(K, size, seed) and S.size == size
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_gen_generic_matches_a_rebuild_of_every_option_on_random_classes(data):
+    sig = data.draw(st.sampled_from([catalog.GRAPH_SIG, COLOUR_SIG, TWO_UNARY_SIG]))
+    K = ClassSpec(sig, data.draw(st.lists(irreducible_structures(sig, False), max_size=3)))
+    size, seed = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 3))
+    try:
+        expected = gen_generic_by_rebuild(K, size, seed)
+    except NoAdmissibleExtension:
+        with pytest.raises(NoAdmissibleExtension):
+            gen_generic(K, size, seed)
+    else:
+        assert gen_generic(K, size, seed) == expected
 
 
 def all_one_point_extensions(S, K):

@@ -14,8 +14,8 @@ from sunlab.ramsey import (
     SuitableParams,
     _iter_rgs,
     bell_number,
+    SuitableCounts,
     count_suitable,
-    count_suitable_enumerate,
     default_epsilon,
     dichotomy_holds,
     failure_bound,
@@ -31,6 +31,43 @@ from sunlab.ramsey import (
     witness_adversary,
 )
 from sunlab.structures import BudgetExceeded
+
+
+def count_suitable_enumerate(parts, colourings) -> SuitableCounts:
+    """The same tallies by direct enumeration of all n-subsets (oracle for
+    small instances)."""
+    n = len(parts)
+    part_of = {}
+    for i, p in enumerate(parts):
+        for v in p:
+            part_of[v] = i
+    vertices = sorted(part_of)
+    s = len(colourings)
+    mono = [[0] * n for _ in range(s)]
+    hetero = [0] * s
+    joint_mono = [0] * n
+    joint_hetero = 0
+    for sub in itertools.combinations(vertices, n):
+        owners = {part_of[v] for v in sub}
+        inside = len(owners) == 1
+        transversal = len(owners) == n
+        mono_flags = []
+        het_flags = []
+        for r, chi in enumerate(colourings):
+            cols = [chi[v] for v in sub]
+            is_mono = len(set(cols)) == 1
+            is_het = len(set(cols)) == n
+            mono_flags.append(is_mono)
+            het_flags.append(is_het)
+            if inside and is_mono:
+                mono[r][next(iter(owners))] += 1
+            if transversal and is_het:
+                hetero[r] += 1
+        if inside and all(mono_flags):
+            joint_mono[next(iter(owners))] += 1
+        if transversal and all(het_flags):
+            joint_hetero += 1
+    return SuitableCounts(mono, hetero, joint_mono, joint_hetero)
 
 
 # ---------------------------------------------------------------------------

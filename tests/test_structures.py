@@ -22,7 +22,8 @@ from sunlab.structures import (
     Structure,
     ThreeDapFamily,
     ThreeDapReport,
-    _class_tests,
+    _adjacency_bits,
+    _orbit_pins,
     _pair_amalgams,
     _pinned_copy,
     _three_dap_amalgam_exists,
@@ -87,6 +88,13 @@ def test_structure_equality_ignores_meta():
     a = catalog.complete_graph(3)
     b = a.with_meta(note="x")
     assert a == b and hash(a) == hash(b)
+
+
+def test_with_meta_leaves_the_parent_meta_unchanged():
+    a = Structure(catalog.GRAPH_SIG, 2, {"E": [(0, 1), (1, 0)]}, meta={"seed": 1})
+    b = a.with_meta(note="x")
+    assert b.meta == {"seed": 1, "note": "x"} and a.meta == {"seed": 1}
+    assert b == a and b.relations == a.relations
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +244,43 @@ def structure_pairs(draw):
 def brute_isomorphisms(A, B):
     return [p for p in itertools.permutations(range(B.size))
             if embedding_defect(A, B, p) is None]
+
+
+@ORACLE
+@given(st.data())
+def test_grown_structure_is_the_structure_the_constructor_builds(data):
+    sig = data.draw(st.sampled_from(SIGNATURES + [COLOUR_SIG]))
+    S = data.draw(structures(sig, 0, 4))
+    if data.draw(st.booleans()):
+        _adjacency_bits(S)  # a parent with a Gaifman view passes it on
+    parent_adj = None if S._adj is None else tuple(map(list, S._adj))
+    size = S.size + data.draw(st.integers(0, 2))
+    slots = [(n, t) for n, arity in sig.relations
+             for t in itertools.product(range(size), repeat=arity)]
+    added = data.draw(st.lists(st.sampled_from(slots))) if slots else []
+    T = S._grown(size, added)
+    rels = {n: set(ts) for n, ts in S.relations.items()}
+    for name, t in added:
+        rels[name].add(t)
+    fresh = Structure(sig, size, rels)
+    assert T == fresh and fresh == T and hash(T) == hash(fresh)
+    assert T.relations == fresh.relations and T.size == size and T.meta == {}
+    assert all(T.relations[n] is S.relations[n] for n in sig.names
+               if n not in {name for name, _ in added})
+    assert _adjacency_bits(T) == _adjacency_bits(Structure(sig, size, rels))
+    # the parent is untouched
+    assert S == Structure(sig, S.size, S.relations)
+    assert parent_adj is None or tuple(map(list, S._adj)) == parent_adj
+
+
+@pytest.mark.parametrize("t", [(0, 3), (3, 0), (-1, 0), (0,), (0, 1, 2)])
+def test_grown_structure_rejects_what_the_constructor_rejects(t):
+    S = catalog.path_graph(3)
+    with pytest.raises(ValueError) as fresh:
+        Structure(S.signature, 3, {"E": set(S.relations["E"]) | {t}})
+    with pytest.raises(ValueError) as grown:
+        S._grown(3, [("E", t)])
+    assert str(grown.value) == str(fresh.value)
 
 
 @ORACLE
@@ -562,14 +607,13 @@ def random_completion(S, rng):
 def test_orbit_pins_find_what_every_loose_tuple_finds(name):
     # one pinned tuple per Aut(F) orbit decides as every loose tuple does
     K = catalog.class_by_name(name)
-    wide = _class_tests(K)[1]
     rng = random.Random(name)
     verdicts = []
     for seed in range(3):
         S = gen_generic(K, 5, seed)
         for _ in range(12):
             chosen, T = random_completion(S, rng)
-            verdicts.append(_pinned_copy(T, chosen, wide))
+            verdicts.append(_pinned_copy(T, chosen, K))
             assert verdicts[-1] == pinned_copy_by_definition(T, chosen, K)
     assert any(verdicts) and not all(verdicts)
     # each forbidden structure keeps one pin per Aut(F) orbit of its loose tuples
@@ -577,7 +621,7 @@ def test_orbit_pins_find_what_every_loose_tuple_finds(name):
         auts = brute_isomorphisms(F, F)
         orbits = {frozenset((n, tuple(p[x] for x in t)) for p in auts)
                   for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size}
-        assert sum(G == F for pins in wide.values() for G, _ in pins) == len(orbits)
+        assert sum(map(len, _orbit_pins(F).values())) == len(orbits)
 
 
 @ORACLE
@@ -594,7 +638,7 @@ def test_orbit_pins_find_what_every_loose_tuple_finds_on_random_classes(data):
     v = data.draw(st.integers(0, T.size - 1))
     through = sorted((n, t) for n, ts in T.relations.items() for t in ts if v in t)
     chosen = data.draw(st.lists(st.sampled_from(through), unique=True)) if through else []
-    assert (_pinned_copy(T, chosen, _class_tests(K)[1])
+    assert (_pinned_copy(T, chosen, K)
             == pinned_copy_by_definition(T, chosen, K))
 
 
@@ -718,7 +762,11 @@ def _family_by_family_3dap(K, size_bound, budget=1 << 20):
 
 
 def _keys(structures):
-    return [S._key for S in structures]
+    """What equality compares, each relation's tuples sorted, so that the
+    list has a stable repr to hash."""
+    return [(S.signature.relations, S.size,
+             tuple((n, tuple(sorted(ts))) for n, ts in S.relations.items()))
+            for S in structures]
 
 
 _ORACLE_3DAP: dict = {}
