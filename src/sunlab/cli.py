@@ -10,8 +10,11 @@ generation gave up or hit a dead end, or pasting left the class), all
 chosen so CI can tell a genuine counterexample from a breakdown.  Exits 3
 and 4 print one `error:` line on stderr and leave `error.json` and the
 manifest in `--out`; a usage error (exit 2) prints its `error:` line and
-writes nothing.  `run` alone decides the exit: handlers return 0 or 1 and
-raise on failure.
+writes nothing.  An input path that cannot be read and an `--out` that is
+not a directory are usage errors.  `run` alone decides the exit: handlers
+return 0 or 1 and raise on failure.  It builds the parser entry of the
+named command only; the top-level usage line, help and errors still list
+every command.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class _Run:
         self.command = command
         self.out = Path(args.out)
         self.params = {k: v for k, v in vars(args).items()
-                       if k not in ("func", "out") and v is not None}
+                       if k != "out" and v is not None}
         self.inputs = []
         self.outputs = []
         self.t0 = time.time()
@@ -345,133 +348,167 @@ def _cmd_check_3dap(run: _Run, args) -> int:
 # Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _command_table() -> dict:
+    """name -> (handler, function adding its arguments but `--out`, help
+    text), in the order of the top-level help."""
+
+    def gen_args(p):
+        p.add_argument("--id", help="generator name, e.g. knfree:3 or local-order")
+        p.add_argument("--klass", "--class", dest="klass",
+                       help="class name or @file for the generic builder")
+        p.add_argument("--size", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+
+    def partition_args(p):
+        p.add_argument("--structure", required=True)
+        p.add_argument("--scheme", required=True)
+        p.add_argument("--anchor", type=int)
+        p.add_argument("--klass", "--class", dest="klass")
+        p.add_argument("--probes", nargs="*")
+        p.add_argument("--base-bound", type=int, default=1)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def open_set_args(p):
+        p.add_argument("--structure", required=True)
+        p.add_argument("--params", default="")
+        p.add_argument("--type", required=True)
+
+    def min_colouring_args(p):
+        p.add_argument("--structure", required=True)
+        p.add_argument("--pattern", required=True)
+        p.add_argument("--type", required=True)
+
+    def encode_args(p):
+        p.add_argument("--structure", required=True)
+        p.add_argument("--colouring", required=True)
+
+    def sunflower_check_args(p):
+        p.add_argument("--structure", required=True)
+        p.add_argument("--presentation", required=True)
+        p.add_argument("--target", required=True)
+        p.add_argument("--limit", type=int)
+
+    def enumerate_presentations_args(p):
+        one = p.add_mutually_exclusive_group(required=True)
+        one.add_argument("--structure")
+        one.add_argument("--size", type=int, help="pure-set size shortcut")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--budget", type=int, default=18)
+
+    def verify_witness_args(p):
+        one = p.add_mutually_exclusive_group(required=True)
+        one.add_argument("--target", help="target structure name or @file")
+        one.add_argument("--b-size", type=int, help="pure-set target size shortcut")
+        one = p.add_mutually_exclusive_group(required=True)
+        one.add_argument("--witness", help="witness structure @file")
+        one.add_argument("--c-size", type=int, help="pure-set witness size shortcut")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
+        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--budget", type=int, default=18)
+
+    def hypergraph_args(p):
+        p.add_argument("action", choices=("generate", "girth", "adversary"))
+        p.add_argument("--input")
+        p.add_argument("--n", type=int)
+        p.add_argument("--s", type=int, default=1)
+        p.add_argument("--g", type=int, default=4)
+        p.add_argument("--c", type=int)
+        p.add_argument("--c-cap", type=int, default=32)
+        p.add_argument("--cap", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
+        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--budget", type=int, default=2 * 10 ** 10)
+
+    def paste_args(p):
+        p.add_argument("--hypergraph", required=True)
+        p.add_argument("--target", required=True)
+        p.add_argument("--klass", "--class", dest="klass", required=True)
+
+    def build_witness_args(p):
+        p.add_argument("--klass", "--class", dest="klass", required=True)
+        p.add_argument("--target", required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--c", type=int)
+        p.add_argument("--c-cap", type=int, default=32)
+
+    def extract_args(p):
+        p.add_argument("--chain", required=True)
+        p.add_argument("--presentation", required=True)
+        p.add_argument("--level", type=int)
+
+    def verify_trace_args(p):
+        p.add_argument("--chain", required=True)
+        p.add_argument("--presentation", required=True)
+        p.add_argument("--trace", required=True)
+
+    def verify_cert_args(p):
+        p.add_argument("--cert", required=True)
+        p.add_argument("--target", required=True)
+        p.add_argument("--structure", required=True)
+        p.add_argument("--presentation", required=True)
+
+    def check_3dap_args(p):
+        p.add_argument("--klass", "--class", dest="klass", required=True)
+        p.add_argument("--bound", type=int, required=True)
+        p.add_argument("--budget", type=int, default=1 << 20)
+
+    return {
+        "gen": (_cmd_gen, gen_args, "generate a named or class-generic structure"),
+        "partition": (_cmd_partition, partition_args, "apply a named partition scheme"),
+        "open-set": (_cmd_open_set, open_set_args,
+                     "realisations of a type over parameters"),
+        "min-colouring": (_cmd_min_colouring, min_colouring_args,
+                          "least-embedding colouring for a pattern and type"),
+        "encode": (_cmd_encode, encode_args, "encode a colouring as 2-sets"),
+        "sunflower-check": (_cmd_sunflower_check, sunflower_check_args,
+                            "search sunflower copies of a target in a presentation"),
+        "enumerate-presentations": (_cmd_enumerate, enumerate_presentations_args,
+                                    "canonical presentations of a structure on k-sets"),
+        "verify-witness": (_cmd_verify_witness, verify_witness_args,
+                           "check that every presentation carries a sunflower copy"),
+        "hypergraph": (_cmd_hypergraph, hypergraph_args,
+                       "generate / measure / adversarially test witness hypergraphs"),
+        "paste": (_cmd_paste, paste_args, "paste a structure into hypergraph edges"),
+        "build-witness": (_cmd_build_witness, build_witness_args,
+                          "build a witness chain"),
+        "extract": (_cmd_extract, extract_args, "extract a sunflower certificate"),
+        "verify-trace": (_cmd_verify_trace, verify_trace_args,
+                         "replay an extraction trace"),
+        "verify-cert": (_cmd_verify_cert, verify_cert_args,
+                        "re-validate a certificate"),
+        "check-3dap": (_cmd_check_3dap, check_3dap_args,
+                       "exhaustive disjoint 3-amalgamation check over the empty base"),
+    }
+
+
+COMMANDS = _command_table()
+
+
+def build_parser(names=None) -> argparse.ArgumentParser:
+    """The parser with subparsers for the commands `names` (default: all)."""
     top = argparse.ArgumentParser(
         prog="sunlab",
         description="sunflower search workbench for finite relational structures")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    # A partial parser lists every command in its usage line through the
+    # metavar.  The full parser leaves it unset: argparse would name the
+    # command argument by it in the errors only the full parser raises.
+    listed = None if names is None else "{" + ",".join(COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in COMMANDS if names is None else names:
+        _, add_arguments, help_text = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=".", help="output directory")
-        p.set_defaults(func=fn)
-        return p
-
-    p = add("gen", _cmd_gen, help="generate a named or class-generic structure")
-    p.add_argument("--id", help="generator name, e.g. knfree:3 or local-order")
-    p.add_argument("--klass", "--class", dest="klass",
-                   help="class name or @file for the generic builder")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = add("partition", _cmd_partition, help="apply a named partition scheme")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--anchor", type=int)
-    p.add_argument("--klass", "--class", dest="klass")
-    p.add_argument("--probes", nargs="*")
-    p.add_argument("--base-bound", type=int, default=1)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = add("open-set", _cmd_open_set, help="realisations of a type over parameters")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--params", default="")
-    p.add_argument("--type", required=True)
-
-    p = add("min-colouring", _cmd_min_colouring,
-            help="least-embedding colouring for a pattern and type")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--type", required=True)
-
-    p = add("encode", _cmd_encode, help="encode a colouring as 2-sets")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--colouring", required=True)
-
-    p = add("sunflower-check", _cmd_sunflower_check,
-            help="search sunflower copies of a target in a presentation")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--presentation", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--limit", type=int)
-
-    p = add("enumerate-presentations", _cmd_enumerate,
-            help="canonical presentations of a structure on k-sets")
-    one = p.add_mutually_exclusive_group(required=True)
-    one.add_argument("--structure")
-    one.add_argument("--size", type=int, help="pure-set size shortcut")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=18)
-
-    p = add("verify-witness", _cmd_verify_witness,
-            help="check that every presentation carries a sunflower copy")
-    one = p.add_mutually_exclusive_group(required=True)
-    one.add_argument("--target", help="target structure name or @file")
-    one.add_argument("--b-size", type=int, help="pure-set target size shortcut")
-    one = p.add_mutually_exclusive_group(required=True)
-    one.add_argument("--witness", help="witness structure @file")
-    one.add_argument("--c-size", type=int, help="pure-set witness size shortcut")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=18)
-
-    p = add("hypergraph", _cmd_hypergraph,
-            help="generate / measure / adversarially test witness hypergraphs")
-    p.add_argument("action", choices=("generate", "girth", "adversary"))
-    p.add_argument("--input")
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--g", type=int, default=4)
-    p.add_argument("--c", type=int)
-    p.add_argument("--c-cap", type=int, default=32)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--budget", type=int, default=2 * 10 ** 10)
-
-    p = add("paste", _cmd_paste, help="paste a structure into hypergraph edges")
-    p.add_argument("--hypergraph", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--klass", "--class", dest="klass", required=True)
-
-    p = add("build-witness", _cmd_build_witness, help="build a witness chain")
-    p.add_argument("--klass", "--class", dest="klass", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--c", type=int)
-    p.add_argument("--c-cap", type=int, default=32)
-
-    p = add("extract", _cmd_extract, help="extract a sunflower certificate")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--presentation", required=True)
-    p.add_argument("--level", type=int)
-
-    p = add("verify-trace", _cmd_verify_trace, help="replay an extraction trace")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--presentation", required=True)
-    p.add_argument("--trace", required=True)
-
-    p = add("verify-cert", _cmd_verify_cert, help="re-validate a certificate")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--structure", required=True)
-    p.add_argument("--presentation", required=True)
-
-    p = add("check-3dap", _cmd_check_3dap,
-            help="exhaustive disjoint 3-amalgamation check over the empty base")
-    p.add_argument("--klass", "--class", dest="klass", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--budget", type=int, default=1 << 20)
-
+        add_arguments(p)
     return top
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser([argv[0]] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -479,13 +516,16 @@ def run(argv=None) -> int:
     current = _Run(f"hypergraph-{args.action}" if args.command == "hypergraph"
                    else args.command, args)
     try:
-        return current.finish(args.func(current, args))
+        existing = next(p for p in (current.out, *current.out.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"--out {current.out}: {existing} is not a directory")
+        return current.finish(COMMANDS[args.command][0](current, args))
     except BudgetExceeded as e:
         return current.fail(EXIT_BUDGET, e)
     except (ExtractionFailed, GenerationError, NoAdmissibleExtension,
             InternalConsistencyError) as e:
         return current.fail(EXIT_PIPELINE, e)
-    except (ValueError, KeyError, FileNotFoundError) as e:
+    except (ValueError, KeyError, OSError) as e:
         # str() of a KeyError is the repr of its message
         print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}",
               file=sys.stderr)

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, emitted files, manifests and
 reproducibility."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sunlab.cli import run
+from sunlab.cli import COMMANDS, build_parser, run
 
 
 def read(path: Path):
@@ -637,3 +638,120 @@ def test_hypergraph_inputs_out_of_range_are_usage_errors(tmp_path, capsys, argv,
     assert run([a.format(h=h) for a in argv] + ["--out", str(out)]) == 2
     assert message in _one_error_line(capsys)
     assert not out.exists()
+
+
+def test_an_input_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    # used to end in an IsADirectoryError traceback with exit 1
+    out = tmp_path / "out"
+    assert run(["hypergraph", "girth", "--input", str(tmp_path), "--out", str(out)]) == 2
+    assert "Is a directory" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "--id", "knfree:3", "--size", "4", "--seed", "1"], 0),
+    (["enumerate-presentations", "--size", "30", "--k", "2"], 3)],
+    ids=["ok", "budget"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_is_not_a_directory_is_a_usage_error(tmp_path, capsys, argv, code, out):
+    # used to end in a FileExistsError traceback with exit 1 at the first
+    # write; the exits 3 and 4 raised it again while writing error.json
+    (tmp_path / "file").write_text("kept")
+    assert run(argv + ["--out", str(tmp_path / out)]) == 2
+    assert "file is not a directory" in _one_error_line(capsys)
+    assert (tmp_path / "file").read_text() == "kept"
+    assert run(argv + ["--out", str(tmp_path / "dir")]) == code
+
+
+def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    return next(a for a in parser._actions if a.dest == "command").choices[name]
+
+
+def _valid_argv(name: str) -> list:
+    """The command with a value for each required option and group."""
+    p = _subparser(build_parser(), name)
+    required = [a for a in p._actions if a.required]
+    required += [g._group_actions[0] for g in p._mutually_exclusive_groups if g.required]
+    argv = [name]
+    for a in required:
+        argv += a.option_strings[:1] + [a.choices[0] if a.choices else "1"]
+    return argv
+
+
+def _with_bad_choice(name: str) -> list:
+    """One argv per option with choices, given a value outside them."""
+    argv = _valid_argv(name)
+    cases = []
+    for a in _subparser(build_parser(), name)._actions:
+        if a.choices and a.option_strings:
+            cases.append(argv + [a.option_strings[0], "no-such-choice"])
+        elif a.choices:
+            cases.append([v if v != a.choices[0] else "no-such-choice" for v in argv])
+    return cases
+
+
+def _usage_cases():
+    yield "no-command", []
+    yield "unknown-command", ["no-such-command"]
+    yield "top-help", ["--help"]
+    for name in COMMANDS:
+        yield f"{name}-help", [name, "--help"]
+        yield f"{name}-missing-required", [name]
+        yield f"{name}-extra-argument", _valid_argv(name) + ["--no-such-option"]
+        for i, argv in enumerate(_with_bad_choice(name)):
+            yield f"{name}-bad-choice-{i}", argv
+
+
+_USAGE_CASES = dict(_usage_cases())
+
+
+@pytest.mark.parametrize("case", list(_USAGE_CASES))
+def test_usage_output_is_that_of_the_full_parser(tmp_path, capsys, case):
+    # run builds only the named command's parser; what it prints and
+    # returns must be what the parser with every command gives
+    argv = _USAGE_CASES[case] + ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as e:
+        build_parser().parse_args(argv)
+    expected = (e.value.code, capsys.readouterr())
+    assert (run(argv), capsys.readouterr()) == expected
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command'")])
+def test_command_errors_name_the_command_argument(capsys, argv, message):
+    assert run(argv) == 2
+    *usage, error = capsys.readouterr().err.splitlines()
+    assert " ".join(usage).split() == ["usage:", "sunlab", "[-h]",
+                                       "{" + ",".join(COMMANDS) + "}", "..."]
+    assert error.startswith(f"sunlab: error: {message}")
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_command_parser_matches_the_full_parser(name):
+    def actions(p):
+        return [(a.option_strings, a.dest, a.default, a.required, a.choices, a.nargs)
+                for a in p._actions]
+
+    one, full = _subparser(build_parser([name]), name), _subparser(build_parser(), name)
+    assert actions(one) == actions(full)
+    assert one.format_help() == full.format_help()
+    assert one.format_usage() == full.format_usage()
+
+
+def test_a_job_builds_the_top_parser_and_one_subparser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["gen", "--id", "knfree:3", "--size", "4", "--seed", "1",
+                "--out", str(tmp_path)]) == 0
+    assert built == ["sunlab", "sunlab gen"]
+    built.clear()
+    assert run([]) == 2
+    assert len(built) == 1 + len(COMMANDS)
