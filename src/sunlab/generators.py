@@ -23,9 +23,10 @@ from . import catalog
 from .structures import (
     ClassSpec,
     QfType,
-    Signature,
     Structure,
     _atoms_through,
+    _by_support,
+    _class_tests,
     _completions,
     _slots,
     _type_classes,
@@ -40,16 +41,8 @@ class NoAdmissibleExtension(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# One-point extensions within a class: structures.admissible_extensions
-# lists them all, gen_generic samples them orbit by orbit, an orbit being
-# the atoms through the new vertex with one relation and support multiset.
-
-
-def _extension_orbits(sig: Signature, size: int) -> list[list[tuple]]:
-    groups: dict[tuple, list] = {}
-    for name, t in _atoms_through(sig, size):
-        groups.setdefault((name, tuple(sorted(t))), []).append((name, t))
-    return [groups[k] for k in sorted(groups)]
+# One-point extensions within a class, decided support by support:
+# structures.admissible_extensions lists them all, gen_generic samples one.
 
 
 def admissible_point_types(base: Structure, K: ClassSpec) -> list[QfType]:
@@ -95,28 +88,28 @@ def gen_generic(K: ClassSpec, size: int, seed: int,
                 rng: Optional[random.Random] = None) -> Structure:
     """Grow a structure in K by `size` random one-point extensions.
 
-    Each new vertex's diagram is sampled orbit by orbit, uniformly among
-    the class-admissible continuations of that orbit.  An option leaving K
-    is dropped though a later orbit could repair it, so some diagrams are
-    never reached: with a unary P and no edge between P and the rest, no
-    two P vertices are joined.  Raises NoAdmissibleExtension if the bare
-    point is outside K, even if a vertex with tuples is not, and never
-    shrinks the request silently.
+    Each new vertex's atoms are decided support by support in the order
+    of structures._completions, each by a uniform pick among the options
+    that keep the structure in K.  The picks are uniform given the
+    supports before, not over whole one-point diagrams, and an extension
+    in K is drawn iff each of its support prefixes is in K.  Raises
+    NoAdmissibleExtension when a support has no option left.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
     if rng is None:
         rng = random.Random(f"generic|{K.name}|{size}|{seed}")
-    # a structure of K plus a bare vertex is in K iff the bare point is, and
-    # then every orbit keeps at least its empty choice
-    if not satisfies_class(Structure(K.signature, 1), K):
-        raise NoAdmissibleExtension("no admissible vertex 0")
+    *_, point = _class_tests(K)
     S = Structure(K.signature, 0)
-    for _ in range(size):
-        S = S._grown(S.size + 1)
-        for orbit in _extension_orbits(S.signature, S.size - 1):
-            options = list(_completions(S, orbit, K))
-            S = options[rng.randrange(len(options))][1]
+    for v in range(size):
+        S = S._grown(v + 1)
+        # a signature without relations still has the vertex's own support
+        for sup, group in _by_support(_atoms_through(S.signature, v)) or [((v,), [])]:
+            options = [T for chosen, T in _completions(S, group, K)
+                       if chosen or point or sup != (v,)]
+            if not options:
+                raise NoAdmissibleExtension(f"no admissible vertex {v}")
+            S = options[rng.randrange(len(options))]
     return S.with_meta(generator="generic", klass=K.name, size=size, seed=seed)
 
 

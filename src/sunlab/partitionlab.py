@@ -312,6 +312,7 @@ def min_embedding_colouring(S: Structure, A: Structure, p: QfType) -> MinColouri
     realises p (embeddings in the deterministic search order)."""
     if len(p.parameters) != A.size:
         raise ValueError("type is not over the pattern structure")
+    p.check_signature(S.signature)
     embs = find_embeddings(A, S)
     if not embs:
         raise ValueError("pattern does not embed into the structure")

@@ -610,6 +610,12 @@ class QfType:
     def nparams(self) -> int:
         return len(self.parameters)
 
+    def check_signature(self, sig: Signature) -> None:
+        """Raise ValueError unless each atom is a relation of sig at its arity."""
+        for name, pat in sorted(self.positives):
+            if sig._arity.get(name) != len(pat):
+                raise ValueError(f"type atom {name}{list(pat)} does not fit the signature")
+
     def transport(self, f: "Embedding | dict | list") -> "QfType":
         """The type with parameters pushed through an embedding or map."""
         mapping = f.map if isinstance(f, Embedding) else f
@@ -682,6 +688,7 @@ def realisation_set(S: Structure, params: Iterable[int], p: QfType) -> list[int]
     A = tuple(params)
     if len(A) != p.nparams:
         raise ValueError("parameter count differs from the type's")
+    p.check_signature(S.signature)
     return _type_classes(S, A).get(p.positives, [])
 
 
@@ -697,8 +704,8 @@ _WINDOW_MEMO = 1 << 12
 def _class_tests(K: ClassSpec) -> tuple:
     """K's incremental tests, built once: canonical forms of the forbidden
     structures fitting one tuple's support, each F filed by relation and
-    pattern of repeated entries of its tuples not spanning F, F's pins (listed
-    once a completion has room for F, see _orbit_pins) and window verdicts."""
+    pattern of repeated entries of its tuples not spanning F, F's pins on
+    first use (_orbit_pins), window verdicts and whether K admits the bare point."""
     if K._tests is None:
         width = max((a for _, a in K.signature.relations), default=0)
         small = {canonical_form(F) for F in K.forbidden if F.size <= width}
@@ -707,7 +714,8 @@ def _class_tests(K: ClassSpec) -> tuple:
             for key in {(n, tuple(map(t.index, t))) for n, ts in F.relations.items()
                         for t in ts if len(set(t)) < F.size}:
                 wide.setdefault(key, []).append(F)
-        K._tests = (small, wide, functools.cache(_orbit_pins), {})
+        K._tests = (small, wide, functools.cache(_orbit_pins), {},
+                    satisfies_class(Structure(K.signature, 1), K))
     return K._tests
 
 
@@ -723,6 +731,15 @@ def _orbit_pins(F: Structure) -> dict:
     return pins
 
 
+def _by_support(free: Iterable[tuple]) -> list[tuple[tuple, list]]:
+    """(support, pairs) for the (relation, tuple) pairs `free` by support, the
+    sorted set of vertices a tuple mentions: smaller first, ties by support."""
+    groups: dict = {}
+    for name, t in free:
+        groups.setdefault(tuple(sorted(set(t))), []).append((name, t))
+    return sorted(groups.items(), key=lambda g: (len(g[0]), g[0]))
+
+
 def _completions(S: Structure, free: Sequence[tuple],
                  K: ClassSpec) -> Iterator[tuple[tuple, Structure]]:
     """(chosen, T) for each subset `chosen` of the (relation, tuple) pairs
@@ -730,10 +747,10 @@ def _completions(S: Structure, free: Sequence[tuple],
     copy through a chosen tuple.  Each completion dropped is outside K, and
     if S is in K, those yielded are exactly the completions in K.
 
-    The tuples are decided support by support (the set of vertices a tuple
-    mentions), smaller supports first and ties by the sorted support, each
-    support's subsets by size, then lexicographically in the order of
-    `free`; with one support, that is the order of all subsets.
+    The tuples are decided support by support in the order of _by_support,
+    each support's subsets by size, then lexicographically in the order of
+    `free`; with one support, that is the order of all subsets, which is
+    how generators.gen_generic samples a new vertex one support at a time.
 
     A copy of a forbidden F that S lacks holds a chosen tuple, the image of
     a tuple of F.  If that tuple spans F, the copy lies in the window of T
@@ -742,16 +759,13 @@ def _completions(S: Structure, free: Sequence[tuple],
     sub-windows included, with the verdicts memoised; a window reads S on
     its own slots only.  Every other copy is searched in each complete T
     with a tuple of F not spanning F pinned on a chosen tuple."""
-    small, _, _, memo = _class_tests(K)
+    small, _, _, memo, _ = _class_tests(K)
     sig = S.signature
-    groups: dict = {}
-    for name, t in free:
-        groups.setdefault(tuple(sorted(set(t))), []).append((name, t))
-    supports = sorted(groups, key=lambda sup: (len(sup), sup))
+    supports = _by_support(free)
     frames = {sup: frozenset((n, p) for j in range(len(sup))
                              for n, p in _atoms_through(sig, j)
                              if tuple(sup[x] for x in p) in S.relations[n])
-              for sup in supports} if small else {}
+              for sup, _ in supports} if small else {}
 
     def window_ok(chosen, sup):
         pos = {x: i for i, x in enumerate(sup)}
@@ -771,10 +785,10 @@ def _completions(S: Structure, free: Sequence[tuple],
 
     def walk(i: int, chosen: tuple) -> Iterator[tuple[tuple, Structure]]:
         if i < len(supports):
-            group = groups[supports[i]]
+            sup, group = supports[i]
             for r in range(len(group) + 1):
                 for more in itertools.combinations(group, r):
-                    if not (more and small) or window_ok(chosen + more, supports[i]):
+                    if not (more and small) or window_ok(chosen + more, sup):
                         yield from walk(i + 1, chosen + more)
         elif not chosen:
             yield (), S
@@ -790,7 +804,7 @@ def _pinned_copy(T: Structure, chosen: Sequence[tuple], K: ClassSpec) -> bool:
     """Whether some forbidden F of K embeds into T with a tuple tF of F on
     a chosen (relation, tuple) pair t, for the pins tF of each F with room
     in T that share t's relation and pattern of repeated entries."""
-    _, wide, orbit_pins, _ = _class_tests(K)
+    _, wide, orbit_pins, _, _ = _class_tests(K)
     pins: dict = {}
     for name, t in chosen:
         key = (name, tuple(map(t.index, t)))
@@ -815,7 +829,7 @@ def admissible_extensions(S: Structure, K: ClassSpec) -> Iterator[Structure]:
     tuple is still decided exactly, as each tuple's window holds the new
     vertex alone."""
     v = S.size
-    point = satisfies_class(Structure(S.signature, 1), K)
+    *_, point = _class_tests(K)
     grown = S._grown(v + 1)
     for chosen, T in _completions(grown, _atoms_through(S.signature, v), K):
         if chosen or point:

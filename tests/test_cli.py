@@ -531,6 +531,38 @@ def test_open_set_checks_parameters_on_an_empty_structure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("atom", [["Q", [-1, 0]], ["E", [-1, 0, 1]]])
+def test_open_set_rejects_a_type_atom_outside_the_signature(tmp_path, capsys, atom):
+    # used to exit 0 with no vertices
+    structure = _generated(tmp_path, "--id", "random-graph", "--size", "4", "--seed", "1")
+    (tmp_path / "type.json").write_text(json.dumps({"parameters": [0, 1],
+                                                    "positives": [atom]}))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["open-set", "--structure", str(structure), "--params", "0,1",
+                "--type", str(tmp_path / "type.json"), "--out", str(out)]) == 2
+    assert (_one_error_line(capsys)
+            == f"error: type atom {atom[0]}{atom[1]} does not fit the signature\n")
+    assert not out.exists()
+
+
+def test_min_colouring_rejects_a_type_atom_outside_the_signature(tmp_path, capsys):
+    # used to exit 0 with every vertex flagged
+    structure = _generated(tmp_path, "--id", "random-graph", "--size", "6", "--seed", "4")
+    k2 = {"signature": [{"name": "E", "arity": 2}], "size": 2,
+          "relations": {"E": [[0, 1], [1, 0]]}}
+    (tmp_path / "k2.json").write_text(json.dumps(k2))
+    (tmp_path / "type.json").write_text(json.dumps({"parameters": [0, 1],
+                                                    "positives": [["Q", [-1, 0]]]}))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["min-colouring", "--structure", str(structure),
+                "--pattern", str(tmp_path / "k2.json"),
+                "--type", str(tmp_path / "type.json"), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "error: type atom Q[-1, 0] does not fit the signature\n"
+    assert not out.exists()
+
+
 def test_class_minus_point_needs_an_equivalence(tmp_path, capsys):
     # used to exit 0 with the down-set of the anchor under < as its class
     structure = _generated(tmp_path, "--id", "generic-ordered-graph", "--size", "5",

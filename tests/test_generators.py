@@ -13,7 +13,6 @@ from test_structures import COLOUR_SIG, irreducible_structures, structures
 from sunlab import catalog, jsonio
 from sunlab.generators import (
     NoAdmissibleExtension,
-    _extension_orbits,
     admissible_point_types,
     extension_defects,
     gen_generic,
@@ -202,7 +201,7 @@ def test_gen_generic_deterministic():
 
 
 def test_gen_generic_edge_frequency_is_balanced():
-    # for unrestricted graphs the two admissible orbit choices (edge or
+    # for unrestricted graphs the two admissible choices on a pair (edge or
     # not) are picked uniformly, so a fixed pair carries an edge in about
     # half the seeds
     K = catalog.all_graphs()
@@ -218,30 +217,42 @@ def test_gen_generic_reports_dead_end():
     K = ClassSpec(catalog.GRAPH_SIG, [loop, bare])
     with pytest.raises(NoAdmissibleExtension):
         gen_generic(K, 1, 0)
+    # so does forbidding the bare point where no atom lies on a vertex alone
+    with pytest.raises(NoAdmissibleExtension):
+        gen_generic(bare_point_forbidden(catalog.pure_sets()), 1, 0)
 
 
 def gen_generic_by_rebuild(K, size, seed):
-    """Reference: gen_generic building every option of each orbit afresh
+    """Reference: gen_generic building every option of each support afresh
     with the constructor, as it did before structures grew from their
-    parents, and keeping those a full class check accepts.  An orbit's
-    tuples share one support, so the options come in the order of all its
-    subsets, by size, then lexicographically, and the draws are the same."""
+    parents, and keeping those a full class check accepts.  The supports of
+    the atoms through the new vertex v come smaller first, ties by the
+    sorted support, with v's own support even when no atom lies on v alone;
+    a support's options come in the order of all its subsets, by size, then
+    lexicographically, so the draws are the same.  The full check drops the
+    bare option of v's own support when K forbids the bare point."""
     rng = random.Random(f"generic|{K.name}|{size}|{seed}")
-    if not satisfies_class(Structure(K.signature, 1), K):
-        raise NoAdmissibleExtension("no admissible vertex 0")
     S = Structure(K.signature, 0)
-    for _ in range(size):
-        S = Structure(S.signature, S.size + 1, S.relations)
-        for orbit in _extension_orbits(S.signature, S.size - 1):
+    for v in range(size):
+        S = Structure(S.signature, v + 1, S.relations)
+        by_support = {(v,): []}
+        for name, arity in K.signature.relations:
+            for t in itertools.product(range(v + 1), repeat=arity):
+                if v in t:
+                    by_support.setdefault(tuple(sorted(set(t))), []).append((name, t))
+        for sup in sorted(by_support, key=lambda sup: (len(sup), sup)):
+            atoms = sorted(by_support[sup])
             options = []
-            for r in range(len(orbit) + 1):
-                for chosen in itertools.combinations(orbit, r):
+            for r in range(len(atoms) + 1):
+                for chosen in itertools.combinations(atoms, r):
                     rels = {n: set(ts) for n, ts in S.relations.items()}
                     for name, t in chosen:
                         rels[name].add(t)
                     T = Structure(S.signature, S.size, rels)
                     if satisfies_class(T, K):
                         options.append(T)
+            if not options:
+                raise NoAdmissibleExtension(f"no admissible vertex {v}")
             S = options[rng.randrange(len(options))]
     return S
 
@@ -391,8 +402,6 @@ def test_members_reach_the_complete_hypergraph_when_a_triple_undoes_a_copy():
     assert K4 in set(admissible_extensions(base, K))
 
 
-@pytest.mark.xfail(strict=True, reason="gen_generic decides a new vertex's E orbits "
-                   "before its P orbit, so it never joins two P vertices")
 def test_gen_generic_joins_two_p_vertices_in_the_two_colour_class():
     K = jsonio.classspec_from_json(_two_colour_class())
     joined = 0
@@ -403,14 +412,26 @@ def test_gen_generic_joins_two_p_vertices_in_the_two_colour_class():
     assert joined
 
 
-@pytest.mark.xfail(strict=True, raises=NoAdmissibleExtension,
-                   reason="gen_generic refuses a class whose bare point is "
-                   "forbidden before trying a vertex with tuples")
 def test_gen_generic_grows_a_class_that_forbids_the_bare_point():
     K = bare_point_forbidden(jsonio.classspec_from_json(_two_colour_class()))
     assert enumerate_class_members(K, 2)
     S = gen_generic(K, 3, 0)
     assert S.size == 3 and satisfies_class(S, K)
+
+
+@pytest.mark.parametrize("name", [
+    "pure", "graphs", "oriented", "knfree:3", "knfree:4", "rb-bichrome",
+    "3hypergraphs", "k4h3free", "f-free-3hyper", "two-colour"])
+def test_gen_generic_reaches_every_two_vertex_member(name):
+    # orbit-by-orbit sampling never joined two P vertices of the two-colour
+    # class, so it reached 4 of its 5 members on two vertices
+    if name == "two-colour":
+        K = jsonio.classspec_from_json(_two_colour_class())
+    else:
+        K = catalog.class_by_name(name)
+    members = {canonical_form(M) for M in enumerate_class_members(K, 2) if M.size == 2}
+    drawn = {canonical_form(gen_generic(K, 2, seed)) for seed in range(120)}
+    assert drawn == members
 
 
 # ---------------------------------------------------------------------------

@@ -108,13 +108,13 @@ EXPECTED = {
     "trace-shared": [0, "eb79e4966bf87304e356bd7f64e71158360a7f75e91ce6f34f7449f27d2cc141"],
     "graph6": [0, "0bdf0977fb852ca6ebc85820db882448ecb124d30a6eec81439cbf67b3f0b7dc"],
     "open-set": [0, "5d46683cf24ff9ec5f2810662ec8850a46a6ddaef3ef7fba1db73bf4bdfdca31"],
-    "gen-knfree": [0, "21880ecd1f44c2565515ab351728cd16a18667835681c75cdbd6689f5ff8bda8"],
-    "gen-oriented": [0, "9f524023e464a742e10f89c6ce85cd68b7ddae10b1c8a9d6454d94cd7c5c734b"],
-    "gen-f-free": [0, "78e00d9e259351e3ea17dbd0bc4eff60b7eebd8d43f2d6297e758c7ef759b30b"],
-    "gen-two-colour": [0, "b5dc5cdc1f2aa087cd75b805bb8d19d1f18002b1872ce02ef8cb44110b88e5ca"],
-    "partition-knfree": [0, "521af2708ef5815ff006b9793b9f043907c34a821325b9f26985b92d7b06b9e7"],
-    "partition-f-free": [0, "6898c658aa3ec33580ef83f819f6a02d8044167dded595735624d0ea64b120e8"],
-    "partition-csv": [0, "b48b7d8b478b030054d0b3a4c081d41e49efa3682b24ff636d96b830efa81193"],
+    "gen-knfree": [0, "740f7ebbc69948edbffbefdb48d7698e776d03f84c280104be2fc617575ac169"],
+    "gen-oriented": [0, "d100835f854b3b08ec9647351717bc94502c03b38f767e77291dfe5312fc2406"],
+    "gen-f-free": [0, "09db7ca4d7a324107da06c45407412e64d48c67d2c68984071c8493a6c25a0ae"],
+    "gen-two-colour": [0, "079945e5928a2aaada9e32a0d997b1752fa4debf194e4d0e580704c67cd95b53"],
+    "partition-knfree": [0, "bd14f2f28ee71d90436e18f5acd587867982d0623af76efca7bfeba80974f1ec"],
+    "partition-f-free": [0, "03f1ede0e4ed5cc2feda797d17fee1dec465cd185c19b5e0a458f39971522a61"],
+    "partition-csv": [0, "5eb182d2f0b8c41a0a28e1cd72b18ce0c3a0b87665b9d517094e6969eca24edb"],
     "gen-equivalence": [0, "ad55e66d6262480fe4933dfefd6f4a0f281332ee68e36f258d1bfe0ed042bd4c"],
     "partition-class-minus-point": [0, "158337dbdafb811ec1730e8d6777ae11d3958b43c47e2b713296471eafaeafa2"],
     "3dap-graphs": [0, "d4910e28fd25681ce349c392c0549bb558e27a95ca4a2e2f95e77a21a07f944b"],
