@@ -28,7 +28,7 @@ from .structures import (
     _by_support,
     _class_tests,
     _completions,
-    _slots,
+    _diagram,
     _type_classes,
     admissible_extensions,
     qf_type,
@@ -63,16 +63,13 @@ def extension_defects(S: Structure, K: ClassSpec, base_bound: int) -> list[QfTyp
         raise ValueError("base_bound must be >= 0")
     if not satisfies_class(S, K):
         raise ValueError("structure is not in the class")
-    sig, rels = S.signature, S.relations
     admissible: dict = {}
     defects = []
     for b in range(base_bound + 1):
-        slots = _slots(sig, b, lambda t: True)
         for A in itertools.combinations(S.vertices, b):
-            diagram = (b,) + tuple((n, t) for n, t in slots
-                                   if tuple(A[x] for x in t) in rels[n])
+            diagram = (b, _diagram(S, A))
             if diagram not in admissible:
-                base = Structure(sig, b)._grown(b, diagram[1:])
+                base = Structure(S.signature, b)._grown(b, diagram[1])
                 types = admissible_point_types(base, K)
                 admissible[diagram] = sorted((t.positives for t in types), key=sorted)
             realised = _type_classes(S, A)

@@ -21,12 +21,22 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _ints(x, depth: int = 0):
+    """x, checked to be a JSON integer or, at depth d > 0, a list of depth d - 1."""
+    if depth:
+        for y in x:
+            _ints(y, depth - 1)
+    elif type(x) is not int:
+        raise ValueError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 def signature_to_json(sig: Signature) -> list:
     return [{"name": n, "arity": a} for n, a in sig.relations]
 
 
 def signature_from_json(data) -> Signature:
-    return Signature((d["name"], d["arity"]) for d in data)
+    return Signature((d["name"], _ints(d["arity"])) for d in data)
 
 
 def structure_to_json(S: Structure) -> dict:
@@ -42,8 +52,9 @@ def structure_to_json(S: Structure) -> dict:
 
 
 def structure_from_json(data) -> Structure:
-    return Structure(signature_from_json(data["signature"]), data["size"],
-                     data.get("relations", {}), data.get("meta"))
+    rels = {n: _ints(ts, 2) for n, ts in data.get("relations", {}).items()}
+    return Structure(signature_from_json(data["signature"]), _ints(data["size"]),
+                     rels, data.get("meta"))
 
 
 def classspec_to_json(K: ClassSpec) -> dict:
@@ -89,7 +100,7 @@ def presentation_to_json(P: Presentation) -> dict:
 
 
 def presentation_from_json(data, base: Structure) -> Presentation:
-    return Presentation(base, data["k"], data["sets"])
+    return Presentation(base, _ints(data["k"]), _ints(data["sets"], 2))
 
 
 def cert_to_json(cert: SunflowerCert) -> dict:
@@ -102,8 +113,8 @@ def cert_to_json(cert: SunflowerCert) -> dict:
 
 
 def cert_from_json(data, B: Structure, base: Structure) -> SunflowerCert:
-    iso = Embedding(B, base, data["iso"], validate=False)
-    return SunflowerCert(data["petals"], data["centre"], iso,
+    iso = Embedding(B, base, _ints(data["iso"], 1), validate=False)
+    return SunflowerCert(_ints(data["petals"], 1), _ints(data["centre"], 1), iso,
                          data.get("degenerate", False))
 
 
@@ -117,8 +128,8 @@ def hypergraph_to_json(H: PartitionedHypergraph) -> dict:
 
 
 def hypergraph_from_json(data) -> PartitionedHypergraph:
-    return PartitionedHypergraph(data["n"], data["parts"], data["edges"],
-                                 data.get("meta"))
+    return PartitionedHypergraph(_ints(data["n"]), _ints(data["parts"], 2),
+                                 _ints(data["edges"], 2), data.get("meta"))
 
 
 def chain_to_json(chain: WitnessChain) -> dict:
@@ -154,8 +165,9 @@ def trace_to_json(trace: ExtractionTrace) -> dict:
 
 
 def trace_from_json(data) -> ExtractionTrace:
-    steps = [TraceStep(int(d["level"]), d["case"], d.get("part"), d.get("f"),
-                       d.get("shared"), [int(v) for v in d.get("copy", ())])
+    steps = [TraceStep(_ints(d["level"]), d["case"], d.get("part"), d.get("f"),
+                       None if d.get("shared") is None else _ints(d["shared"]),
+                       _ints(d.get("copy", []), 1))
              for d in data["steps"]]
     return ExtractionTrace(steps)
 

@@ -280,6 +280,12 @@ def _atoms_through(sig: Signature, n: int) -> tuple[tuple, ...]:
     return tuple(_slots(sig, n + 1, lambda t: n in t))
 
 
+def _diagram(S: Structure, at: Sequence[int]) -> frozenset:
+    """The (relation, tuple) atoms over positions 0..len(at)-1 that hold on `at`."""
+    return frozenset((n, p) for j in range(len(at)) for n, p in _atoms_through(S.signature, j)
+                     if tuple(at[x] for x in p) in S.relations[n])
+
+
 def _iter_embedding_maps(A: Structure, B: Structure,
                          candidate_filter: Optional[CandidateFilter] = None,
                          candidates: Optional[list[Iterable[int]]] = None,
@@ -696,16 +702,17 @@ def realisation_set(S: Structure, params: Iterable[int], p: QfType) -> list[int]
 # Completions in a class and class members up to isomorphism
 
 
-# A cap on the window memo of each class, which generation and 3-DAP checks
-# fill with a few thousand windows at most.
+# A cap on each class's cache of window options.  A catalog class fills 2-3
+# entries over 16 seeds of its gen --klass job; the cap stays as one entry
+# lists up to 2^|group| subsets, 16,384 at a pair support of a 4-ary relation.
 _WINDOW_MEMO = 1 << 12
 
 
 def _class_tests(K: ClassSpec) -> tuple:
-    """K's incremental tests, built once: canonical forms of the forbidden
-    structures fitting one tuple's support, each F filed by relation and
-    pattern of repeated entries of its tuples not spanning F, F's pins on
-    first use (_orbit_pins), window verdicts and whether K admits the bare point."""
+    """K's incremental tests, built once: each forbidden F filed by relation
+    and pattern of repeated entries of its tuples not spanning F, F's pins
+    on first use (_orbit_pins), a support's options per window frame, cached
+    (_window_options), and whether K admits the bare point."""
     if K._tests is None:
         width = max((a for _, a in K.signature.relations), default=0)
         small = {canonical_form(F) for F in K.forbidden if F.size <= width}
@@ -714,7 +721,8 @@ def _class_tests(K: ClassSpec) -> tuple:
             for key in {(n, tuple(map(t.index, t))) for n, ts in F.relations.items()
                         for t in ts if len(set(t)) < F.size}:
                 wide.setdefault(key, []).append(F)
-        K._tests = (small, wide, functools.cache(_orbit_pins), {},
+        window = functools.partial(_window_options, K.signature, small)
+        K._tests = (wide, functools.cache(_orbit_pins), functools.lru_cache(_WINDOW_MEMO)(window),
                     satisfies_class(Structure(K.signature, 1), K))
     return K._tests
 
@@ -729,6 +737,21 @@ def _orbit_pins(F: Structure) -> dict:
                         for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size}):
         pins.setdefault((n, tuple(map(t.index, t))), []).append(t)
     return pins
+
+
+def _window_options(sig: Signature, small: set, frame: frozenset, group: tuple) -> tuple:
+    """The index subsets of `group`, atoms spanning positions 0..m-1, whose
+    window (those positions with the atoms of `frame` and of the subset) has
+    no induced substructure in `small`, by size, then lexicographically.  The
+    empty subset passes; the proper sub-windows hold no atom of the group."""
+    m = len(set(group[0][1]))
+    W = Structure(sig, m)._grown(m, frame)
+    if any(canonical_form(W.induced(sub)) in small
+           for r in range(1, m) for sub in itertools.combinations(range(m), r)):
+        return ((),)
+    return tuple(idx for r in range(len(group) + 1)
+                 for idx in itertools.combinations(range(len(group)), r)
+                 if not idx or canonical_form(W._grown(m, [group[i] for i in idx])) not in small)
 
 
 def _by_support(free: Iterable[tuple]) -> list[tuple[tuple, list]]:
@@ -754,42 +777,22 @@ def _completions(S: Structure, free: Sequence[tuple],
 
     A copy of a forbidden F that S lacks holds a chosen tuple, the image of
     a tuple of F.  If that tuple spans F, the copy lies in the window of T
-    on the tuple's support, which is final once its support is decided, so
-    each window is then matched against the small forbidden structures,
-    sub-windows included, with the verdicts memoised; a window reads S on
-    its own slots only.  Every other copy is searched in each complete T
-    with a tuple of F not spanning F pinned on a chosen tuple."""
-    small, _, _, memo, _ = _class_tests(K)
-    sig = S.signature
+    on the tuple's support, which is final once its support is decided.
+    So a support's options are listed once per frame, the atoms of S and
+    of the earlier chosen tuples on the support (_window_options).  Every
+    other copy is searched in each complete T with a tuple of F not
+    spanning F pinned on a chosen tuple."""
+    window = _class_tests(K)[2]
     supports = _by_support(free)
-    frames = {sup: frozenset((n, p) for j in range(len(sup))
-                             for n, p in _atoms_through(sig, j)
-                             if tuple(sup[x] for x in p) in S.relations[n])
-              for sup, _ in supports} if small else {}
-
-    def window_ok(chosen, sup):
-        pos = {x: i for i, x in enumerate(sup)}
-        added = frozenset((n, tuple(pos[x] for x in t))
-                          for n, t in chosen if pos.keys() >= set(t))
-        key = (len(sup), frames[sup], added)
-        verdict = memo.get(key)
-        if verdict is None:
-            W = Structure(sig, len(sup))._grown(len(sup), frames[sup] | added)
-            verdict = not any(
-                canonical_form(W.induced(sub)) in small
-                for r in range(1, W.size + 1)
-                for sub in itertools.combinations(range(W.size), r))
-            if len(memo) < _WINDOW_MEMO:
-                memo[key] = verdict
-        return verdict
 
     def walk(i: int, chosen: tuple) -> Iterator[tuple[tuple, Structure]]:
         if i < len(supports):
             sup, group = supports[i]
-            for r in range(len(group) + 1):
-                for more in itertools.combinations(group, r):
-                    if not (more and small) or window_ok(chosen + more, sup):
-                        yield from walk(i + 1, chosen + more)
+            pos = {x: j for j, x in enumerate(sup)}
+            frame = _diagram(S, sup) | {(n, tuple(pos[x] for x in t))
+                                        for n, t in chosen if pos.keys() >= set(t)}
+            for idx in window(frame, tuple((n, tuple(pos[x] for x in t)) for n, t in group)):
+                yield from walk(i + 1, chosen + tuple(group[j] for j in idx))
         elif not chosen:
             yield (), S
         else:
@@ -804,7 +807,7 @@ def _pinned_copy(T: Structure, chosen: Sequence[tuple], K: ClassSpec) -> bool:
     """Whether some forbidden F of K embeds into T with a tuple tF of F on
     a chosen (relation, tuple) pair t, for the pins tF of each F with room
     in T that share t's relation and pattern of repeated entries."""
-    _, wide, orbit_pins, _, _ = _class_tests(K)
+    wide, orbit_pins, _, _ = _class_tests(K)
     pins: dict = {}
     for name, t in chosen:
         key = (name, tuple(map(t.index, t)))

@@ -627,10 +627,12 @@ def test_verify_trace_rejects_a_base_step_on_the_top_level(tmp_path, level):
 @pytest.mark.parametrize("step", [
     {"level": 2, "case": "transversal", "copy": ["a", 1]},
     {"level": 2, "case": "transversal", "copy": [None, 1]},
-    {"level": "two", "case": "mono", "copy": [0, 1]}],
-    ids=["copy-string", "copy-null", "level-string"])
+    {"level": "two", "case": "mono", "copy": [0, 1]},
+    {"level": 2, "case": "mono", "copy": [4, 31], "shared": [1]}],
+    ids=["copy-string", "copy-null", "level-string", "shared-list"])
 def test_verify_trace_rejects_non_integer_steps(tmp_path, capsys, step):
-    # a non-integer copy entry used to end in a TypeError traceback, exit 1
+    # a non-integer copy entry or a list as the shared element of the
+    # trace's real mono step used to end in a TypeError traceback, exit 1
     chain, pres, _ = _graph_chain_and_shared_trace(tmp_path)
     path = tmp_path / "trace-in.json"
     path.write_text(json.dumps({"steps": [step]}))
@@ -787,3 +789,75 @@ def test_a_job_builds_the_top_parser_and_one_subparser(tmp_path, monkeypatch):
     built.clear()
     assert run([]) == 2
     assert len(built) == 1 + len(COMMANDS)
+
+
+_BAD_STRUCTURES = {
+    "size": {"signature": [{"name": "E", "arity": 2}], "size": 2.5},
+    "tuple-entry": {"signature": [{"name": "E", "arity": 2}], "size": 2,
+                    "relations": {"E": [[0, 1.7], [1, 0]]}},
+    "arity": {"signature": [{"name": "E", "arity": 2.5}], "size": 2,
+              "relations": {"E": [[0, 1], [1, 0]]}}}
+
+
+@pytest.mark.parametrize("field", list(_BAD_STRUCTURES))
+def test_open_set_rejects_a_structure_with_a_non_integer_number(tmp_path, capsys, field):
+    # a float size ended in a traceback, exit 1; a float entry or arity was truncated
+    structure = tmp_path / "s.json"
+    structure.write_text(json.dumps(_BAD_STRUCTURES[field]))
+    (tmp_path / "type.json").write_text(json.dumps({"parameters": [0], "positives": []}))
+    out = tmp_path / "out"
+    assert run(["open-set", "--structure", str(structure), "--params", "0",
+                "--type", str(tmp_path / "type.json"), "--out", str(out)]) == 2
+    assert "expected a JSON integer" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_verify_cert_rejects_float_petals(tmp_path, capsys):
+    # float petals ended in a traceback, exit 1
+    chain = tmp_path / "chain"
+    assert run(["build-witness", "--klass", "graphs", "--target", "k2", "--k", "2",
+                "--seed", "1", "--out", str(chain)]) == 0
+    top = read(chain / "chain.json")["levels"][-1]["structure"]
+    (tmp_path / "top.json").write_text(json.dumps(top))
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"k": 2, "sets": [[2 * v, 2 * v + 1] for v in range(top["size"])]}))
+    ext = tmp_path / "ext"
+    assert run(["extract", "--chain", str(chain / "chain.json"), "--presentation", str(pres),
+                "--out", str(ext)]) == 0
+    cert = read(ext / "certificate.json")
+    cert["petals"] = [p + 0.0 for p in cert["petals"]]
+    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    out = tmp_path / "ver"
+    assert run(["verify-cert", "--cert", str(tmp_path / "cert.json"), "--target", "k2",
+                "--structure", str(tmp_path / "top.json"), "--presentation", str(pres),
+                "--out", str(out)]) == 2
+    assert "expected a JSON integer" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_sunflower_check_rejects_float_set_elements(tmp_path, capsys):
+    # {0.5, 1.2} was read as {0, 1}, exit 0
+    structure = _generated(tmp_path, "--id", "pure-set", "--size", "4", "--seed", "1")
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"k": 2, "sets": [[0.5, 1.2], [2, 3], [4, 5], [6, 7]]}))
+    capsys.readouterr()
+    out = tmp_path / "chk"
+    assert run(["sunflower-check", "--structure", str(structure), "--presentation", str(pres),
+                "--target", "pure:2", "--out", str(out)]) == 2
+    assert "expected a JSON integer" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_hypergraph_girth_rejects_float_edges(tmp_path, capsys):
+    # float edge entries were truncated, exit 0
+    path = Path(_hypergraph_file(tmp_path))
+    data = read(path)
+    data["edges"][0] = [x + 0.25 for x in data["edges"][0]]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp_path / "girth"
+    assert run(["hypergraph", "girth", "--input", str(path), "--cap", "3",
+                "--out", str(out)]) == 2
+    assert "expected a JSON integer" in _one_error_line(capsys)
+    assert not out.exists()

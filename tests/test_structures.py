@@ -23,6 +23,7 @@ from sunlab.structures import (
     ThreeDapFamily,
     ThreeDapReport,
     _adjacency_bits,
+    _class_tests,
     _orbit_pins,
     _pair_amalgams,
     _pinned_copy,
@@ -640,6 +641,31 @@ def test_orbit_pins_find_what_every_loose_tuple_finds_on_random_classes(data):
     chosen = data.draw(st.lists(st.sampled_from(through), unique=True)) if through else []
     assert (_pinned_copy(T, chosen, K)
             == pinned_copy_by_definition(T, chosen, K))
+
+
+def _window_cache_outputs(name):
+    K = catalog.class_by_name(name)
+    report = check_3dap_over_empty(K, 2 if K.signature == catalog.GRAPH_SIG else 1)
+    return ([gen_generic(K, 5, seed) for seed in range(4)],
+            [canonical_form(S) for S in enumerate_class_members(K, 3)],
+            (report.passed, report.families_checked), _class_tests(K)[2].cache_info())
+
+
+def test_window_options_are_listed_once_per_frame(monkeypatch):
+    # a support's options are one cache entry per window frame: 16 draws
+    # of k4h3free fill 3 entries, where a memo of single windows held 127
+    K = catalog.class_by_name("k4h3free")
+    for seed in range(16):
+        gen_generic(K, 8, seed)
+    assert _class_tests(K)[2].cache_info().currsize <= 3
+    # a cap of one entry evicts and recomputes, changing no output
+    names = ["knfree:3", "oriented", "k4h3free", "f-free-3hyper"]
+    full = [_window_cache_outputs(name) for name in names]
+    monkeypatch.setattr("sunlab.structures._WINDOW_MEMO", 1)
+    capped = [_window_cache_outputs(name) for name in names]
+    for (*outputs, info), (*outputs_capped, info_capped) in zip(full, capped):
+        assert outputs == outputs_capped
+        assert info_capped.maxsize == 1 and info_capped.misses > info.misses
 
 
 # ---------------------------------------------------------------------------
