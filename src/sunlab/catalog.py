@@ -10,6 +10,7 @@ every class here is closed under free amalgams by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Iterable
@@ -248,9 +249,13 @@ _CLASS_BUILDERS = {
 }
 
 
+@functools.cache
 def class_by_name(name: str) -> ClassSpec:
     """Resolve catalog class names, including parameterised ones like
-    'knfree:3' and 'k4h3free'."""
+    'knfree:3' and 'k4h3free'.  Each name gives one shared ClassSpec per
+    process, to be treated as read-only, so its forbidden list and its
+    memoised tests are built once; the builders (kn_free, ...) give a
+    fresh one.  A name that raises is not cached."""
     if name in _CLASS_BUILDERS:
         return _CLASS_BUILDERS[name]()
     if name.startswith("knfree:"):

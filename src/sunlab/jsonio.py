@@ -80,7 +80,7 @@ def colouring_to_json(chi: Colouring) -> dict:
 
 
 def colouring_from_json(data) -> Colouring:
-    return Colouring(data["values"])
+    return Colouring(_ints(data["values"], 1))
 
 
 def qftype_to_json(p: QfType) -> dict:
@@ -91,8 +91,8 @@ def qftype_to_json(p: QfType) -> dict:
 
 
 def qftype_from_json(data) -> QfType:
-    return QfType(data["parameters"],
-                  [(n, tuple(pat)) for n, pat in data["positives"]])
+    return QfType(_ints(data["parameters"], 1),
+                  [(n, tuple(_ints(pat, 1))) for n, pat in data["positives"]])
 
 
 def presentation_to_json(P: Presentation) -> dict:

@@ -712,7 +712,8 @@ def _class_tests(K: ClassSpec) -> tuple:
     """K's incremental tests, built once: each forbidden F filed by relation
     and pattern of repeated entries of its tuples not spanning F, F's pins
     on first use (_orbit_pins), a support's options per window frame, cached
-    (_window_options), and whether K admits the bare point."""
+    (_window_options), and whether K admits the bare point.  The memos live
+    as long as K: a catalog class, shared per process, keeps them."""
     if K._tests is None:
         width = max((a for _, a in K.signature.relations), default=0)
         small = {canonical_form(F) for F in K.forbidden if F.size <= width}
@@ -806,13 +807,16 @@ def _completions(S: Structure, free: Sequence[tuple],
 def _pinned_copy(T: Structure, chosen: Sequence[tuple], K: ClassSpec) -> bool:
     """Whether some forbidden F of K embeds into T with a tuple tF of F on
     a chosen (relation, tuple) pair t, for the pins tF of each F with room
-    in T that share t's relation and pattern of repeated entries."""
+    in T that share t's relation and pattern of repeated entries.  F has
+    room if it has no more vertices than T and, in each relation, no more
+    tuples: an induced embedding maps F's tuples injectively into T's."""
     wide, orbit_pins, _, _ = _class_tests(K)
     pins: dict = {}
     for name, t in chosen:
         key = (name, tuple(map(t.index, t)))
         for F in wide.get(key, ()):
-            if F.size <= T.size:
+            if F.size <= T.size and all(len(ts) <= len(T.relations[n])
+                                        for n, ts in F.relations.items()):
                 for tF in orbit_pins(F)[key]:
                     pins.setdefault(F, set()).add(frozenset(zip(tF, t)))
     for F, ps in pins.items():

@@ -92,6 +92,24 @@ def test_class_by_name():
         catalog.class_by_name("nope")
 
 
+CATALOG_NAMES = [*catalog._CLASS_BUILDERS, "knfree:3", "knfree:5", "k4h3free", "k5h3free"]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_class_by_name_shares_one_class_per_name(name):
+    K = catalog.class_by_name(name)
+    assert K is catalog.class_by_name(name) and K.name == name
+
+
+@pytest.mark.parametrize("name, error", [("nope", KeyError), ("knfree:2", ValueError),
+                                         ("knfree:257", BudgetExceeded)])
+def test_class_by_name_raises_on_every_call(name, error):
+    # a name that raises is not cached, so it raises again
+    for _ in range(3):
+        with pytest.raises(error):
+            catalog.class_by_name(name)
+
+
 # each family's largest parameter whose complete structure fits the cap, and
 # the smallest that does not
 CAPPED_FAMILIES = [("knfree:256", "knfree:257", 2), ("k41h3free", "k42h3free", 3)]

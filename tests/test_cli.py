@@ -861,3 +861,32 @@ def test_hypergraph_girth_rejects_float_edges(tmp_path, capsys):
                 "--out", str(out)]) == 2
     assert "expected a JSON integer" in _one_error_line(capsys)
     assert not out.exists()
+
+
+def test_encode_rejects_float_colours(tmp_path, capsys):
+    # 0.5 was read as colour 0 and 1.7 as 1, exit 0
+    structure = _generated(tmp_path, "--id", "pure-set", "--size", "4", "--seed", "1")
+    (tmp_path / "col.json").write_text(json.dumps({"values": [0, 0.5, 1.7, 2]}))
+    capsys.readouterr()
+    out = tmp_path / "enc"
+    assert run(["encode", "--structure", str(structure),
+                "--colouring", str(tmp_path / "col.json"), "--out", str(out)]) == 2
+    assert "expected a JSON integer" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("qtype", [
+    {"parameters": [0.9, 1], "positives": []},
+    {"parameters": [0, 1], "positives": [["E", [-1, 0.5]]]}],
+    ids=["parameter", "atom-entry"])
+def test_open_set_rejects_float_type_numbers(tmp_path, capsys, qtype):
+    # a float parameter was truncated and a float atom entry matched no
+    # vertex, both exit 0
+    structure = _generated(tmp_path, "--id", "random-graph", "--size", "4", "--seed", "1")
+    (tmp_path / "type.json").write_text(json.dumps(qtype))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["open-set", "--structure", str(structure), "--params", "0,1",
+                "--type", str(tmp_path / "type.json"), "--out", str(out)]) == 2
+    assert "expected a JSON integer" in _one_error_line(capsys)
+    assert not out.exists()

@@ -195,6 +195,42 @@ def test_golden_outputs(tmp_path, hash_seed):
     assert not wrong, wrong
 
 
+# class jobs that share catalog classes and their memos when they run in
+# one process; "{tmp}" holds the partition's input structure
+CLASS_JOBS = [
+    ("gen-knfree", ["gen", "--klass", "knfree:3", "--size", "14", "--seed", "3"]),
+    ("gen-oriented", ["gen", "--klass", "oriented", "--size", "12", "--seed", "3"]),
+    ("gen-k4h3free", ["gen", "--klass", "k4h3free", "--size", "7", "--seed", "3"]),
+    ("gen-f-free", ["gen", "--klass", "f-free-3hyper", "--size", "6", "--seed", "3"]),
+    ("3dap-graphs", ["check-3dap", "--klass", "graphs", "--bound", "2"]),
+    ("3dap-knfree", ["check-3dap", "--klass", "knfree:3", "--bound", "1"]),
+    ("partition", ["partition", "--structure", "{tmp}/structure.json",
+                   "--scheme", "neighbourhood", "--anchor", "0",
+                   "--klass", "knfree:3", "--probes", "k2", "--base-bound", "1"]),
+]
+
+
+def test_class_jobs_do_not_depend_on_what_ran_before_in_the_process(tmp_path):
+    from sunlab.cli import run  # imported here so the re-baseline script needs no PYTHONPATH
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    assert run(["gen", "--id", "knfree:3", "--size", "30", "--seed", "2",
+                "--out", str(tmp_path)]) == 0
+    fresh = {}
+    for label, argv in CLASS_JOBS:
+        out = tmp_path / "fresh" / label
+        args = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]
+        proc = subprocess.run([sys.executable, "-c", _RUNNER, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        fresh[label] = [proc.returncode, _digest(out)]
+    for order, jobs in (("forward", CLASS_JOBS), ("backward", CLASS_JOBS[::-1])):
+        got = {}
+        for label, argv in jobs:
+            out = tmp_path / order / label
+            code = run([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)])
+            got[label] = [code, _digest(out)]
+        assert got == fresh, order
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as d:

@@ -24,6 +24,7 @@ from sunlab.structures import (
     ThreeDapReport,
     _adjacency_bits,
     _class_tests,
+    _iter_embedding_maps,
     _orbit_pins,
     _pair_amalgams,
     _pinned_copy,
@@ -643,8 +644,37 @@ def test_orbit_pins_find_what_every_loose_tuple_finds_on_random_classes(data):
             == pinned_copy_by_definition(T, chosen, K))
 
 
+def test_pinned_copy_skips_forbidden_structures_without_room(monkeypatch):
+    # the red triangle has 6 R tuples; a T with 4 cannot hold it, however
+    # many B tuples it has, so no search is made in T, and one with 6 gets
+    # one per chosen tuple
+    searched = []
+
+    def counting(A, B, *args, **kwargs):
+        searched.append(B)
+        return _iter_embedding_maps(A, B, *args, **kwargs)
+
+    monkeypatch.setattr("sunlab.structures._iter_embedding_maps", counting)
+    K = catalog.rb_bichrome()
+    blue = [(0, 2), (0, 3), (1, 3)]
+    chosen = [("R", (0, 1)), ("R", (1, 0))]
+    for red, searches in (([(0, 1), (1, 2)], 0), ([(0, 1), (1, 2), (2, 3)], 2)):
+        T = catalog.rb_structure(4, red, blue)
+        searched.clear()
+        assert not _pinned_copy(T, chosen, K)
+        assert sum(B is T for B in searched) == searches
+        assert not pinned_copy_by_definition(T, chosen, K)
+
+
+# fresh classes, so each test sees its own memos and the _WINDOW_MEMO it sets
+FRESH_CLASSES = {"knfree:3": lambda: catalog.kn_free(3),
+                 "oriented": catalog.oriented_graphs,
+                 "k4h3free": lambda: catalog.knr_free_hypergraphs3(4),
+                 "f-free-3hyper": catalog.f_free_3hypergraphs}
+
+
 def _window_cache_outputs(name):
-    K = catalog.class_by_name(name)
+    K = FRESH_CLASSES[name]()
     report = check_3dap_over_empty(K, 2 if K.signature == catalog.GRAPH_SIG else 1)
     return ([gen_generic(K, 5, seed) for seed in range(4)],
             [canonical_form(S) for S in enumerate_class_members(K, 3)],
@@ -654,7 +684,7 @@ def _window_cache_outputs(name):
 def test_window_options_are_listed_once_per_frame(monkeypatch):
     # a support's options are one cache entry per window frame: 16 draws
     # of k4h3free fill 3 entries, where a memo of single windows held 127
-    K = catalog.class_by_name("k4h3free")
+    K = FRESH_CLASSES["k4h3free"]()
     for seed in range(16):
         gen_generic(K, 8, seed)
     assert _class_tests(K)[2].cache_info().currsize <= 3
