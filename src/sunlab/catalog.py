@@ -10,7 +10,6 @@ every class here is closed under free amalgams by construction.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Callable, Iterable
@@ -20,8 +19,6 @@ from .structures import (
     ClassSpec,
     Signature,
     Structure,
-    are_isomorphic,
-    canonical_form,
 )
 
 GRAPH_SIG = Signature((("E", 2),))
@@ -130,15 +127,15 @@ def _window_forbidden(sig: Signature, is_valid: Callable[[Structure], bool]) -> 
             continue
         for r in range(1, len(slots) + 1):
             for chosen in itertools.combinations(slots, r):
-                if not any(len(set(t)) == m for _, t in chosen):
+                if not any(len(set(t)) == m for _, t in chosen) or frozenset(chosen) in seen:
                     continue
                 W = Structure(sig, m)._grown(m, chosen)
                 if is_valid(W):
                     continue
-                key = canonical_form(W)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(W)
+                # W's relabellings are the windows isomorphic to it, and invalid
+                seen.update(frozenset((n, tuple(p[x] for x in t)) for n, t in chosen)
+                            for p in itertools.permutations(range(m)))
+                out.append(W)
     return out
 
 
@@ -219,23 +216,26 @@ def rb_bichrome() -> ClassSpec:
     return ClassSpec(RB_SIG, forb, name="rb-bichrome")
 
 
+# The edges that F's edge-supersets on its five vertices add to F: one
+# superset per isomorphism class, the first in order of size and then
+# lexicographically, the classes sorted by canonical form.  The table
+# spares every class build 120-permutation canonical forms; a test in
+# tests/test_catalog.py derives it by brute force.
+F_EXTENSIONS = (((0, 2, 4), (0, 3, 4), (1, 2, 4), (1, 3, 4)),
+                ((0, 2, 4), (0, 3, 4), (1, 2, 4)),
+                ((0, 2, 4), (0, 3, 4)),
+                ((0, 2, 4), (1, 3, 4)),
+                ((0, 2, 4),),
+                ())
+
+
 def f_free_3hypergraphs() -> ClassSpec:
     """3-hypergraphs with no copy of the five-vertex hypergraph F, not even
     non-induced: the forbidden list holds every edge-superset of F on its
     five vertices, so the induced test captures the subgraph condition."""
-    F = f_hypergraph()
-    base_edges = {tuple(sorted(t)) for t in F.relations["E"]}
-    missing = [t for t in itertools.combinations(range(5), 3) if t not in base_edges]
-    # one completion per isomorphism class, the first found; only the kept
-    # ones get a (120-permutation) canonical form, their sort key
-    kept: list[Structure] = []
-    for r in range(len(missing) + 1):
-        for extra in itertools.combinations(missing, r):
-            C = hypergraph3(5, list(base_edges) + list(extra))
-            if not any(are_isomorphic(C, D) for D in kept):
-                kept.append(C)
+    base_edges = {tuple(sorted(t)) for t in f_hypergraph().relations["E"]}
     forb = (_window_forbidden(HYPER3_SIG, _valid_graphlike)
-            + sorted(kept, key=canonical_form))
+            + [hypergraph3(5, list(base_edges) + list(extra)) for extra in F_EXTENSIONS])
     return ClassSpec(HYPER3_SIG, forb, name="f-free-3hyper")
 
 
@@ -249,13 +249,9 @@ _CLASS_BUILDERS = {
 }
 
 
-@functools.cache
 def class_by_name(name: str) -> ClassSpec:
     """Resolve catalog class names, including parameterised ones like
-    'knfree:3' and 'k4h3free'.  Each name gives one shared ClassSpec per
-    process, to be treated as read-only, so its forbidden list and its
-    memoised tests are built once; the builders (kn_free, ...) give a
-    fresh one.  A name that raises is not cached."""
+    'knfree:3' and 'k4h3free'.  Each call builds a fresh class."""
     if name in _CLASS_BUILDERS:
         return _CLASS_BUILDERS[name]()
     if name.startswith("knfree:"):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -709,19 +710,21 @@ _WINDOW_MEMO = 1 << 12
 
 
 def _class_tests(K: ClassSpec) -> tuple:
-    """K's incremental tests, built once: each forbidden F filed by relation
-    and pattern of repeated entries of its tuples not spanning F, F's pins
-    on first use (_orbit_pins), a support's options per window frame, cached
+    """K's incremental tests, built once: each forbidden F, with its counts
+    of vertices and of tuples per relation, filed by relation and pattern
+    of repeated entries of its tuples not spanning F, F's pins on first use
+    (_orbit_pins), a support's options per window frame, cached
     (_window_options), and whether K admits the bare point.  The memos live
-    as long as K: a catalog class, shared per process, keeps them."""
+    as long as K."""
     if K._tests is None:
         width = max((a for _, a in K.signature.relations), default=0)
         small = {canonical_form(F) for F in K.forbidden if F.size <= width}
         wide: dict = {}
         for F in K.forbidden:
+            need = (F.size, *(len(F.relations[n]) for n in K.signature.names))
             for key in {(n, tuple(map(t.index, t))) for n, ts in F.relations.items()
                         for t in ts if len(set(t)) < F.size}:
-                wide.setdefault(key, []).append(F)
+                wide.setdefault(key, []).append((F, need))
         window = functools.partial(_window_options, K.signature, small)
         K._tests = (wide, functools.cache(_orbit_pins), functools.lru_cache(_WINDOW_MEMO)(window),
                     satisfies_class(Structure(K.signature, 1), K))
@@ -811,12 +814,12 @@ def _pinned_copy(T: Structure, chosen: Sequence[tuple], K: ClassSpec) -> bool:
     room if it has no more vertices than T and, in each relation, no more
     tuples: an induced embedding maps F's tuples injectively into T's."""
     wide, orbit_pins, _, _ = _class_tests(K)
+    have = (T.size, *(len(T.relations[n]) for n in K.signature.names))
     pins: dict = {}
     for name, t in chosen:
         key = (name, tuple(map(t.index, t)))
-        for F in wide.get(key, ()):
-            if F.size <= T.size and all(len(ts) <= len(T.relations[n])
-                                        for n, ts in F.relations.items()):
+        for F, need in wide.get(key, ()):
+            if all(map(operator.le, need, have)):
                 for tF in orbit_pins(F)[key]:
                     pins.setdefault(F, set()).add(frozenset(zip(tF, t)))
     for F, ps in pins.items():

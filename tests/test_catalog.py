@@ -7,7 +7,15 @@ import math
 import pytest
 
 from sunlab import catalog
-from sunlab.structures import BudgetExceeded, Structure, is_irreducible, satisfies_class
+from sunlab.structures import (
+    BudgetExceeded,
+    Signature,
+    Structure,
+    are_isomorphic,
+    canonical_form,
+    is_irreducible,
+    satisfies_class,
+)
 
 
 def test_validity_windows_are_irreducible():
@@ -90,24 +98,62 @@ def test_class_by_name():
     assert catalog.class_by_name("pure").signature == catalog.PURE_SIG
     with pytest.raises(KeyError):
         catalog.class_by_name("nope")
+    # each call builds a fresh class, so a process keeps none it has resolved
+    assert catalog.class_by_name("knfree:3") is not catalog.class_by_name("knfree:3")
 
 
-CATALOG_NAMES = [*catalog._CLASS_BUILDERS, "knfree:3", "knfree:5", "k4h3free", "k5h3free"]
+def f_extensions_by_definition() -> list:
+    """The edge-supersets of F on its five vertices, one per isomorphism
+    class (the first in order of size, then lexicographically), sorted by
+    canonical form, as the edges each adds to F."""
+    F = catalog.f_hypergraph()
+    base = {tuple(sorted(t)) for t in F.relations["E"]}
+    missing = [t for t in itertools.combinations(range(5), 3) if t not in base]
+    kept = []
+    for r in range(len(missing) + 1):
+        for extra in itertools.combinations(missing, r):
+            C = catalog.hypergraph3(5, list(base) + list(extra))
+            if not any(are_isomorphic(C, D) for D, _ in kept):
+                kept.append((C, extra))
+    return [extra for _, extra in sorted(kept, key=lambda k: canonical_form(k[0]))]
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_class_by_name_shares_one_class_per_name(name):
-    K = catalog.class_by_name(name)
-    assert K is catalog.class_by_name(name) and K.name == name
+def test_f_extension_table_is_derived_by_brute_force():
+    assert list(catalog.F_EXTENSIONS) == f_extensions_by_definition()
+    forbidden = catalog.f_free_3hypergraphs().forbidden
+    assert len(forbidden) == len(catalog.hypergraphs3().forbidden) + len(catalog.F_EXTENSIONS)
 
 
-@pytest.mark.parametrize("name, error", [("nope", KeyError), ("knfree:2", ValueError),
-                                         ("knfree:257", BudgetExceeded)])
-def test_class_by_name_raises_on_every_call(name, error):
-    # a name that raises is not cached, so it raises again
-    for _ in range(3):
-        with pytest.raises(error):
-            catalog.class_by_name(name)
+def window_forbidden_by_definition(sig, is_valid) -> list:
+    """Every invalid window of _window_forbidden's enumeration whose
+    canonical form is new, in enumeration order."""
+    max_arity = max(a for _, a in sig.relations)
+    out, seen = [], set()
+    for m in range(1, max_arity + 1):
+        slots = [(name, t) for name, arity in sig.relations
+                 for t in itertools.product(range(m), repeat=arity)
+                 if not (m == max_arity == arity and len(set(t)) != arity)]
+        for r in range(1, len(slots) + 1):
+            for chosen in itertools.combinations(slots, r):
+                if any(len(set(t)) == m for _, t in chosen):
+                    W = Structure(sig, m, {n: [t for k, t in chosen if k == n]
+                                           for n in sig.names})
+                    if not is_valid(W) and canonical_form(W) not in seen:
+                        seen.add(canonical_form(W))
+                        out.append(W)
+    return out
+
+
+@pytest.mark.parametrize("sig, is_valid", [
+    (catalog.GRAPH_SIG, catalog._valid_graphlike),
+    (catalog.ARC_SIG, catalog._valid_oriented),
+    (catalog.HYPER3_SIG, catalog._valid_graphlike),
+    (catalog.RB_SIG, catalog._valid_rb),
+    (Signature((("P", 1), ("E", 2))), catalog._valid_graphlike),
+])
+def test_window_forbidden_keeps_the_first_window_of_each_isomorphism_class(sig, is_valid):
+    assert (catalog._window_forbidden(sig, is_valid)
+            == window_forbidden_by_definition(sig, is_valid))
 
 
 # each family's largest parameter whose complete structure fits the cap, and

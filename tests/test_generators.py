@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import _two_colour_class
-from test_structures import COLOUR_SIG, FRESH_CLASSES, irreducible_structures, structures
+from test_structures import COLOUR_SIG, irreducible_structures, structures
 
 from sunlab import catalog, jsonio
 from sunlab.generators import (
@@ -25,7 +25,6 @@ from sunlab.structures import (
     Structure,
     admissible_extensions,
     canonical_form,
-    check_3dap_over_empty,
     embeds,
     enumerate_class_members,
     find_embeddings,
@@ -433,30 +432,6 @@ def test_gen_generic_reaches_every_two_vertex_member(name):
     members = {canonical_form(M) for M in enumerate_class_members(K, 2) if M.size == 2}
     drawn = {canonical_form(gen_generic(K, 2, seed)) for seed in range(120)}
     assert drawn == members
-
-
-def _class_job_bytes(K: ClassSpec) -> list:
-    """The JSON bytes of a few gen_generic draws, of the members of K on up
-    to 3 vertices and of K's 3-DAP report at bound 1."""
-    def dump(structures):
-        return jsonio.dumps([jsonio.structure_to_json(S) for S in structures])
-
-    report = check_3dap_over_empty(K, 1)
-    fam = report.counterexample
-    return [dump(gen_generic(K, 6, seed) for seed in range(3)),
-            dump(enumerate_class_members(K, 3)),
-            (report.passed, report.families_checked,
-             fam and dump([*fam.sides, *(a for _, a in sorted(fam.amalgams.items()))]))]
-
-
-@pytest.mark.parametrize("name", list(FRESH_CLASSES))
-def test_shared_catalog_class_gives_what_a_fresh_one_gives(name):
-    # the shared class keeps its memos from job to job; serving other jobs
-    # first must change no output
-    shared = catalog.class_by_name(name)
-    gen_generic(shared, 8, 101)
-    enumerate_class_members(shared, 4)
-    assert _class_job_bytes(shared) == _class_job_bytes(FRESH_CLASSES[name]())
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,8 @@ def test_golden_outputs(tmp_path, hash_seed):
     assert not wrong, wrong
 
 
-# class jobs that share catalog classes and their memos when they run in
-# one process; "{tmp}" holds the partition's input structure
+# class jobs that run in one process, as the benchmark runs them, must give
+# what they give in fresh interpreters; "{tmp}" holds the partition's input
 CLASS_JOBS = [
     ("gen-knfree", ["gen", "--klass", "knfree:3", "--size", "14", "--seed", "3"]),
     ("gen-oriented", ["gen", "--klass", "oriented", "--size", "12", "--seed", "3"]),

@@ -666,15 +666,10 @@ def test_pinned_copy_skips_forbidden_structures_without_room(monkeypatch):
         assert not pinned_copy_by_definition(T, chosen, K)
 
 
-# fresh classes, so each test sees its own memos and the _WINDOW_MEMO it sets
-FRESH_CLASSES = {"knfree:3": lambda: catalog.kn_free(3),
-                 "oriented": catalog.oriented_graphs,
-                 "k4h3free": lambda: catalog.knr_free_hypergraphs3(4),
-                 "f-free-3hyper": catalog.f_free_3hypergraphs}
+WINDOW_CLASSES = ["knfree:3", "oriented", "k4h3free", "f-free-3hyper"]
 
 
-def _window_cache_outputs(name):
-    K = FRESH_CLASSES[name]()
+def _window_cache_outputs(K):
     report = check_3dap_over_empty(K, 2 if K.signature == catalog.GRAPH_SIG else 1)
     return ([gen_generic(K, 5, seed) for seed in range(4)],
             [canonical_form(S) for S in enumerate_class_members(K, 3)],
@@ -684,18 +679,28 @@ def _window_cache_outputs(name):
 def test_window_options_are_listed_once_per_frame(monkeypatch):
     # a support's options are one cache entry per window frame: 16 draws
     # of k4h3free fill 3 entries, where a memo of single windows held 127
-    K = FRESH_CLASSES["k4h3free"]()
+    K = catalog.class_by_name("k4h3free")
     for seed in range(16):
         gen_generic(K, 8, seed)
     assert _class_tests(K)[2].cache_info().currsize <= 3
     # a cap of one entry evicts and recomputes, changing no output
-    names = ["knfree:3", "oriented", "k4h3free", "f-free-3hyper"]
-    full = [_window_cache_outputs(name) for name in names]
+    full = [_window_cache_outputs(catalog.class_by_name(name)) for name in WINDOW_CLASSES]
     monkeypatch.setattr("sunlab.structures._WINDOW_MEMO", 1)
-    capped = [_window_cache_outputs(name) for name in names]
+    capped = [_window_cache_outputs(catalog.class_by_name(name)) for name in WINDOW_CLASSES]
     for (*outputs, info), (*outputs_capped, info_capped) in zip(full, capped):
         assert outputs == outputs_capped
         assert info_capped.maxsize == 1 and info_capped.misses > info.misses
+
+
+@pytest.mark.parametrize("name", WINDOW_CLASSES)
+def test_a_class_that_served_other_jobs_gives_what_a_fresh_one_gives(name):
+    # a class keeps its pins and window options from job to job; serving
+    # other jobs first must change no output
+    used = catalog.class_by_name(name)
+    gen_generic(used, 8, 101)
+    enumerate_class_members(used, 4)
+    assert (_window_cache_outputs(used)[:-1]
+            == _window_cache_outputs(catalog.class_by_name(name))[:-1])
 
 
 # ---------------------------------------------------------------------------
