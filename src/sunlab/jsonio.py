@@ -8,6 +8,7 @@ exactly as held in memory.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .ksets import Presentation, SunflowerCert
@@ -18,7 +19,31 @@ from .witness import ExtractionTrace, TraceStep, WitnessChain, WitnessLevel
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Exactly `json.dumps(obj, sort_keys=True, indent=2)` plus a newline,
+    without the pure-Python encoder that `indent` selects in CPython: plain
+    ints (not bools) are written with `str`, lists of them joined in one
+    step, strings are escaped by `json`'s C escaper and other scalars go
+    through `json.dumps`.  Keys must be strings; any other key raises
+    TypeError."""
+    return _dump(obj, "\n") + "\n"
+
+
+def _dump(obj, nl: str) -> str:
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = (map(str, obj) if all(type(x) is int for x in obj)
+                 else [_dump(x, inner) for x in obj])
+    elif isinstance(obj, dict):
+        brackets = "{}"
+        items = [_quote(key) + ": " + _dump(x, inner) for key, x in sorted(obj.items())]
+    else:
+        return str(obj) if type(obj) is int else json.dumps(obj)
+    if not obj:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
 
 
 def _ints(x, depth: int = 0):
@@ -31,12 +56,18 @@ def _ints(x, depth: int = 0):
     return x
 
 
+def _name(x) -> str:
+    if type(x) is not str:
+        raise ValueError(f"expected a JSON string, got {x!r}")
+    return x
+
+
 def signature_to_json(sig: Signature) -> list:
     return [{"name": n, "arity": a} for n, a in sig.relations]
 
 
 def signature_from_json(data) -> Signature:
-    return Signature((d["name"], _ints(d["arity"])) for d in data)
+    return Signature((_name(d["name"]), _ints(d["arity"])) for d in data)
 
 
 def structure_to_json(S: Structure) -> dict:
@@ -92,7 +123,7 @@ def qftype_to_json(p: QfType) -> dict:
 
 def qftype_from_json(data) -> QfType:
     return QfType(_ints(data["parameters"], 1),
-                  [(n, tuple(_ints(pat, 1))) for n, pat in data["positives"]])
+                  [(_name(n), tuple(_ints(pat, 1))) for n, pat in data["positives"]])
 
 
 def presentation_to_json(P: Presentation) -> dict:
@@ -147,10 +178,15 @@ def chain_to_json(chain: WitnessChain) -> dict:
 
 def chain_from_json(data) -> WitnessChain:
     levels = []
-    for d in data["levels"]:
-        levels.append(WitnessLevel(structure_from_json(d["structure"]),
-                                   d.get("parts"), d.get("colourings"),
-                                   d.get("hypergraph_meta")))
+    for i, d in enumerate(data["levels"]):
+        S, parts = structure_from_json(d["structure"]), d.get("parts")
+        if i and (len(_ints(parts, 2)) != levels[-1].structure.size
+                  or sorted(v for p in parts for v in p) != list(range(S.size))):
+            raise ValueError(f"chain level {i + 1}: parts must split its vertices, "
+                             f"one part per vertex of level {i}")
+        levels.append(WitnessLevel(S, parts, d.get("colourings"), d.get("hypergraph_meta")))
+    if not levels:
+        raise ValueError("a chain needs at least one level")
     return WitnessChain(classspec_from_json(data["class"]), levels,
                         data.get("seed"))
 

@@ -36,6 +36,7 @@ the only place it looks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Iterable, Iterator, Optional
 
@@ -94,19 +95,20 @@ class Presentation:
     __slots__ = ("base", "k", "sets", "_sorted")
 
     def __init__(self, base: Structure, k: int, sets: Iterable[Iterable[int]]):
-        fam = tuple(frozenset(int(x) for x in s) for s in sets)
+        fam = tuple([frozenset(map(int, s)) for s in sets])
         if len(fam) != base.size:
             raise ValueError("one k-set per vertex required")
         if any(len(s) != k for s in fam):
             raise ValueError(f"every set must have exactly {k} elements")
         if len(set(fam)) != len(fam):
             raise ValueError("the k-sets must be pairwise distinct")
-        if any(x < 0 for s in fam for x in s):
+        srt = tuple(map(tuple, map(sorted, fam)))
+        if k and any(t[0] < 0 for t in srt):
             raise ValueError("ground elements are naturals")
         self.base = base
         self.k = k
         self.sets = fam
-        self._sorted = tuple(tuple(sorted(s)) for s in fam)
+        self._sorted = srt
 
     def sorted_set(self, v: int) -> tuple[int, ...]:
         return self._sorted[v]
@@ -278,17 +280,28 @@ def enumerate_presentations(C: Structure, k: int,
 
 def random_presentation(C: Structure, k: int, rng: random.Random) -> Presentation:
     """A uniformly random assignment of distinct k-subsets of a ground set
-    of k * |C| naturals (every intersection pattern is reachable)."""
+    of k * |C| naturals (every intersection pattern is reachable).  Each
+    set takes the `rng.randrange` draws of CPython 3.11's
+    `rng.sample(range(ground), k)`, so a seed gives the same sets as in
+    earlier versions, which called `sample`."""
     if k < 1:
         raise ValueError("k must be >= 1")
     ground = max(k * C.size, k)
-    chosen: list[frozenset] = []
-    seen = set()
+    pooled = ground <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    draw = rng.randrange
+    chosen: dict[frozenset, None] = {}  # distinct sets in order of first draw
     while len(chosen) < C.size:
-        s = frozenset(rng.sample(range(ground), k))
-        if s not in seen:
-            seen.add(s)
-            chosen.append(s)
+        if pooled:  # sample's pool; `moved` holds the slots refilled so far
+            moved, picks = {}, []
+            for n in range(ground, ground - k, -1):
+                j = draw(n)
+                picks.append(moved.get(j, j))
+                moved[j] = moved.get(n - 1, n - 1)
+        else:  # sample's rejection method
+            picks = set()
+            while len(picks) < k:
+                picks.add(draw(ground))
+        chosen[frozenset(picks)] = None
     return Presentation(C, k, chosen)
 
 

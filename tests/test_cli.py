@@ -890,3 +890,73 @@ def test_open_set_rejects_float_type_numbers(tmp_path, capsys, qtype):
                 "--type", str(tmp_path / "type.json"), "--out", str(out)]) == 2
     assert "expected a JSON integer" in _one_error_line(capsys)
     assert not out.exists()
+
+
+def _drop_parts(chain):
+    del chain["levels"][1]["parts"]
+
+
+def _nested_part(chain):
+    chain["levels"][1]["parts"][0] = [[]]
+
+
+def _no_levels(chain):
+    chain["levels"] = []
+
+
+def _one_part_short(chain):
+    chain["levels"][1]["parts"].pop()
+
+
+@pytest.mark.parametrize("command, mutate, message", [
+    ("extract", _drop_parts, "NoneType"),
+    ("extract", _nested_part, "expected a JSON integer, got []"),
+    ("verify-trace", _no_levels, "a chain needs at least one level"),
+    ("extract", _one_part_short, "parts must split its vertices, one part per vertex")],
+    ids=["parts-missing", "part-nested", "no-levels", "part-short"])
+def test_malformed_chains_exit_2(tmp_path, capsys, command, mutate, message):
+    # the first three ended in a traceback: a TypeError in extraction for
+    # both parts mutations, an IndexError in WitnessChain.top for the empty
+    # chain; a missing part ended in the bare KeyError line "error: 64"
+    built = tmp_path / "chain"
+    assert run(["build-witness", "--klass", "pure", "--target", "pure:3", "--k", "2",
+                "--seed", "1", "--out", str(built)]) == 0
+    chain = read(built / "chain.json")
+    top_size = chain["levels"][-1]["structure"]["size"]
+    mutate(chain)
+    (tmp_path / "chain.json").write_text(json.dumps(chain))
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"k": 2, "sets": [[2 * v, 2 * v + 1] for v in range(top_size)]}))
+    (tmp_path / "trace.json").write_text(json.dumps({"steps": []}))
+    extra = ["--trace", str(tmp_path / "trace.json")] if command == "verify-trace" else []
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, "--chain", str(tmp_path / "chain.json"), "--presentation", str(pres),
+                *extra, "--out", str(out)]) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_partition_rejects_a_relation_named_by_a_non_string(tmp_path, capsys):
+    # the name null was read as the relation "None", exit 0
+    structure = tmp_path / "s.json"
+    structure.write_text(json.dumps({"signature": [{"name": None, "arity": 2}], "size": 3,
+                                     "relations": {}}))
+    out = tmp_path / "out"
+    assert run(["partition", "--structure", str(structure), "--scheme", "neighbourhood",
+                "--anchor", "0", "--out", str(out)]) == 2
+    assert "expected a JSON string, got None" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_open_set_rejects_a_type_atom_named_by_a_non_string(tmp_path, capsys):
+    # the name 1 was read as "1" and rejected as not fitting the signature
+    structure = _generated(tmp_path, "--id", "random-graph", "--size", "4", "--seed", "1")
+    (tmp_path / "type.json").write_text(json.dumps({"parameters": [0, 1],
+                                                    "positives": [[1, [-1, 0]]]}))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["open-set", "--structure", str(structure), "--params", "0,1",
+                "--type", str(tmp_path / "type.json"), "--out", str(out)]) == 2
+    assert "expected a JSON string, got 1" in _one_error_line(capsys)
+    assert not out.exists()

@@ -3,6 +3,7 @@
 import itertools
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,3 +217,31 @@ def test_chain_and_trace_round_trip(k, seed, draw_seed):
     P = random_presentation(chain.top(), k, random.Random(draw_seed))
     _, trace = extract_sunflower(chain, P)
     assert same(jsonio.trace_from_json(through_text(jsonio.trace_to_json(trace))), trace)
+
+
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(-2 ** 80, 2 ** 80) | st.floats()
+                | st.text(st.characters(), max_size=6)
+                | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "é", " ", "😀"]))
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(st.integers(), max_size=4)
+                   | st.dictionaries(st.text(st.characters(), max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_documents)
+def test_dumps_gives_the_bytes_of_json_dumps(doc):
+    assert jsonio.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False),
+                       json_scalars, min_size=1, max_size=3))
+def test_dumps_rejects_non_string_keys(doc):
+    # json.dumps would write these keys as strings; every file this
+    # library writes has string keys only
+    with pytest.raises(TypeError):
+        jsonio.dumps({"nested": doc})

@@ -114,6 +114,31 @@ def test_certs_revalidate():
             assert verify_sunflower_cert(cert, pure3, P)
 
 
+def sampled_presentation(C, k, rng):
+    """Oracle for `random_presentation`: each k-set from `rng.sample`."""
+    ground = max(k * C.size, k)
+    chosen = []
+    while len(chosen) < C.size:
+        s = frozenset(rng.sample(range(ground), k))
+        if s not in chosen:
+            chosen.append(s)
+    return chosen
+
+
+# ground 21 is the last that sample draws from a pool when k <= 5, and
+# 22 the first it draws by rejection; k > 5 widens the pool threshold
+# (to 85 for k = 6..21), crossed here by k = 6 at sizes 14 and 15
+@pytest.mark.parametrize("size, k", [
+    (0, 1), (1, 1), (21, 1), (22, 1), (7, 3), (10, 2), (11, 2), (5, 4), (6, 4),
+    (96, 2), (3, 6), (14, 6), (15, 6), (4, 8), (12, 9), (2, 12), (9, 12)])
+def test_random_presentation_draws_what_sample_draws(size, k):
+    C = catalog.pure_set(size)
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert random_presentation(C, k, ours).sets == tuple(sampled_presentation(C, k, theirs))
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_cert_tampering_detected():
     pure3 = catalog.pure_set(3)
     P = Presentation(pure3, 2, [(1, 2), (1, 3), (1, 4)])

@@ -4,6 +4,7 @@ amalgams, class membership, types and the 3-amalgamation checker."""
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -430,6 +431,17 @@ def test_free_amalgam_gaifman_union():
         for e in gaifman(out):
             u, v = tuple(e)
             assert not ({u, v} & private0 and {u, v} & private1)
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("graphs", [1, 2, 4, 11, 34]),               # OEIS A000088
+    ("knfree:3", [1, 2, 3, 7, 14, 38]),          # A006785, triangle-free graphs
+    ("oriented", [1, 2, 7, 42]),                 # A001174
+    ("3hypergraphs", [1, 1, 2, 5, 34])])         # A000665, 3-uniform hypergraphs
+def test_class_member_counts_match_oeis(name, counts):
+    members = enumerate_class_members(catalog.class_by_name(name), len(counts))
+    sizes = Counter(S.size for S in members)
+    assert [sizes[n] for n in range(1, len(counts) + 1)] == counts
 
 
 def test_free_amalgam_stays_in_class_exhaustively():
