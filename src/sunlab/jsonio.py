@@ -179,12 +179,15 @@ def chain_to_json(chain: WitnessChain) -> dict:
 def chain_from_json(data) -> WitnessChain:
     levels = []
     for i, d in enumerate(data["levels"]):
-        S, parts = structure_from_json(d["structure"]), d.get("parts")
+        S, parts, s = structure_from_json(d["structure"]), d.get("parts"), d.get("colourings")
+        if not i and parts is not None:
+            raise ValueError("chain level 1: parts must be null")
         if i and (len(_ints(parts, 2)) != levels[-1].structure.size
                   or sorted(v for p in parts for v in p) != list(range(S.size))):
             raise ValueError(f"chain level {i + 1}: parts must split its vertices, "
                              f"one part per vertex of level {i}")
-        levels.append(WitnessLevel(S, parts, d.get("colourings"), d.get("hypergraph_meta")))
+        levels.append(WitnessLevel(S, parts, None if s is None else _ints(s),
+                                   d.get("hypergraph_meta")))
     if not levels:
         raise ValueError("a chain needs at least one level")
     return WitnessChain(classspec_from_json(data["class"]), levels,

@@ -168,7 +168,8 @@ def suitable_params(n: int, a1: Fraction) -> SuitableParams:
 # Counting monochromatic part n-sets and heterochromatic transversals
 
 
-def _iter_rgs(n: int, whole=None, trans=None) -> Iterator[tuple[list[int], int]]:
+def _iter_rgs(n: int, whole=None, trans=None,
+              full: bool = False) -> Iterator[tuple[list[int], int]]:
     """Restricted growth strings of length n in lexicographic order, each
     with a kill mask (one list, mutated in place between yields).
 
@@ -176,7 +177,9 @@ def _iter_rgs(n: int, whole=None, trans=None) -> Iterator[tuple[list[int], int]]
     vertex is i being listed at depth i by its other vertices: a prefix
     making an edge of whole[i] monochromatic is dropped with all its
     completions, and the bit of each (bit, edge) in trans[i] joins the
-    mask once that edge has a repeated label."""
+    mask once that edge has a repeated label.  With `full`, a prefix is
+    also dropped when an edge of trans[i] is still heterochromatic, so the
+    walk yields exactly the strings whose mask has every bit of trans."""
     whole = whole or [()] * n
     trans = trans or [()] * n
     rgs = [0] * n
@@ -192,6 +195,8 @@ def _iter_rgs(n: int, whole=None, trans=None) -> Iterator[tuple[list[int], int]]
             labels = {rgs[j] for j in e}
             if len(labels) < len(e):
                 mask |= bit
+            elif full:  # only a label already on e can repeat one
+                bad.update(set(range(maxval + 2)) - labels)
             for b in labels:
                 kill[b] = kill.get(b, 0) | bit
         for b in range(maxval + 2):
@@ -440,13 +445,40 @@ def default_epsilon(g: int) -> Fraction:
     return Fraction(1, 2 ** t)
 
 
+_CHUNK = 4096  # draws per randbytes call, so memory stays 32 KB
+
+
+def _draws_below(rng: random.Random, total: int, p: float) -> bytearray:
+    """Flags f, f[i] = 1 iff the i-th of `total` rng.random() draws is below
+    p (0 <= p < 1), making exactly those draws in bulk: randbytes yields
+    the same Mersenne Twister words a, b per draw, little-endian, and
+    random() is X / 2^53 with X = (a >> 5) * 2^26 + (b >> 6).  X >> 45 is
+    a's top byte, byte 8i + 3, so only draws with that byte at most
+    int(p * 2^53) >> 45 are candidates, each then decided exactly."""
+    limit = p * 9007199254740992.0  # 2^53: exact, and int < float compares exactly
+    top = int(limit) >> 45
+    table = b"\x01" * (top + 1) + bytes(255 - top)
+    flags = bytearray()
+    for start in range(0, total, _CHUNK):
+        data = rng.randbytes(8 * min(_CHUNK, total - start))
+        chunk = bytearray(data[3::8].translate(table))
+        for i in itertools.compress(range(len(chunk)), chunk):
+            w = int.from_bytes(data[8 * i:8 * i + 8], "little")  # a + 2^32 b
+            chunk[i] = ((w & 0xFFFFFFFF) >> 5 << 26) + (w >> 38) < limit
+        flags += chunk
+    return flags
+
+
 def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
                            c_override: Optional[int] = None, c_cap: int = 32,
                            max_attempts: int = 10) -> PartitionedHypergraph:
     """Sample an n-uniform hypergraph on n parts of size c with edges drawn
     i.i.d. at p = c^(1-n+eps), then delete one edge per short cycle until
-    the Berge girth reaches g.  Each attempt runs one cycle search that
-    resumes after every deletion (`_short_cycles`) instead of restarting.
+    the Berge girth reaches g.  An attempt keeps each n-subset, in
+    lexicographic order, whose rng.random() draw is below p, reading the
+    draws in bulk (`_draws_below`).  Its one cycle search resumes after
+    every deletion (`_short_cycles`) instead of restarting, and stops once
+    the attempt has removed as many edges as the best one so far.
 
     The theory certifies success only for part sizes far beyond desk
     scale, so c is chosen as the first power of two whose failure bound
@@ -501,13 +533,16 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
     best = None
     for attempt in range(max_attempts):
         rng = random.Random(f"hypergraph|{n}|{s}|{g}|{seed}|{attempt}")
-        edges = {frozenset(comb)
-                 for comb in itertools.combinations(universe, n)
-                 if rng.random() < p_float}
+        keep = _draws_below(rng, math.comb(len(universe), n), p_float)
+        edges = set(map(frozenset, itertools.compress(
+            itertools.combinations(universe, n), keep)))
         removed = 0
-        for cyc in _short_cycles(universe, edges, g):
+        bar = None if best is None else best.meta["removed_edges"]
+        for cyc in itertools.islice(_short_cycles(universe, edges, g), bar):
             edges.discard(max(cyc, key=sorted))
             removed += 1
+        if removed == bar:  # it can neither succeed nor become the best
+            continue
         if not edges:
             last_error = "only 0 edges < floor 1"
             continue
@@ -524,8 +559,7 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
         if removed < c:
             return out
         last_error = f"removed {removed} >= c = {c} edges"
-        if best is None or removed < best.meta["removed_edges"]:
-            best = out
+        best = out
     if best is not None:
         return best
     raise GenerationError(f"all {max_attempts} attempts failed: {last_error}")
@@ -567,12 +601,14 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     over set partitions.  Exhaustive mode walks the restricted growth
     strings depth first in lexicographic order, dropping a prefix as soon
     as a within-part edge whose largest vertex is at that depth turns
-    monochromatic and ORing in the kill bits of transversal edges completed
-    there.  It keeps the first partition for each bitmask of killed
-    transversal edges, stops at once on a partition killing them all, and
-    then looks for at most s masks covering everything; it returns the
-    first counterexample in canonical order, or None if the instance
-    really is a witness.
+    monochromatic.  A first walk also drops each prefix leaving a
+    transversal edge completed at its depth heterochromatic, so its first
+    partition, if any, is the first that kills every transversal edge.
+    Only if there is none does a second walk OR in the kill bits of
+    transversal edges completed at each depth, keep the first partition
+    for each bitmask of killed transversal edges, and look for at most s
+    masks covering everything.  It returns the first counterexample in
+    canonical order, or None if the instance really is a witness.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -609,12 +645,12 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     if bell_number(V) ** s > budget:
         raise BudgetExceeded(f"Bell({V})^{s} exceeds budget {budget}")
 
+    for rgs, _ in _iter_rgs(V, whole, trans, full=True):
+        return [blocks_of(rgs)] * s
     mask_rep: dict[int, tuple] = {}
     for rgs, mask in _iter_rgs(V, whole, trans):
         if mask not in mask_rep:
             mask_rep[mask] = blocks_of(rgs)
-        if mask == full:
-            return [mask_rep[full]] * s
 
     if not mask_rep:
         return None

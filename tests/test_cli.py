@@ -908,16 +908,28 @@ def _one_part_short(chain):
     chain["levels"][1]["parts"].pop()
 
 
+def _string_colourings(chain):
+    chain["levels"][1]["colourings"] = "x"
+
+
+def _first_level_parts(chain):
+    chain["levels"][0]["parts"] = [[0, 1, 2]]
+
+
 @pytest.mark.parametrize("command, mutate, message", [
     ("extract", _drop_parts, "NoneType"),
     ("extract", _nested_part, "expected a JSON integer, got []"),
     ("verify-trace", _no_levels, "a chain needs at least one level"),
-    ("extract", _one_part_short, "parts must split its vertices, one part per vertex")],
-    ids=["parts-missing", "part-nested", "no-levels", "part-short"])
+    ("extract", _one_part_short, "parts must split its vertices, one part per vertex"),
+    ("extract", _string_colourings, "expected a JSON integer, got 'x'"),
+    ("extract", _first_level_parts, "chain level 1: parts must be null")],
+    ids=["parts-missing", "part-nested", "no-levels", "part-short", "colourings-string",
+         "first-level-parts"])
 def test_malformed_chains_exit_2(tmp_path, capsys, command, mutate, message):
     # the first three ended in a traceback: a TypeError in extraction for
     # both parts mutations, an IndexError in WitnessChain.top for the empty
-    # chain; a missing part ended in the bare KeyError line "error: 64"
+    # chain; a missing part ended in the bare KeyError line "error: 64";
+    # the last two exited 0
     built = tmp_path / "chain"
     assert run(["build-witness", "--klass", "pure", "--target", "pure:3", "--k", "2",
                 "--seed", "1", "--out", str(built)]) == 0

@@ -12,7 +12,10 @@ from sunlab.ramsey import (
     GenParams,
     PartitionedHypergraph,
     SuitableParams,
+    _CHUNK,
+    _draws_below,
     _iter_rgs,
+    _short_cycles,
     bell_number,
     SuitableCounts,
     count_suitable,
@@ -299,10 +302,34 @@ def test_generated_hypergraph_properties():
         assert "removed_edges" in H.meta
 
 
-def _restart_removal(n, s, g, seed, c, max_attempts):
-    """Oracle: generation with the cycle search restarted from scratch on a
-    rebuilt hypergraph after every deleted edge; returns the chosen
-    attempt, its edges and its removal count."""
+@pytest.mark.parametrize("n,c", [(2, 5), (3, 16), (4, 6)])
+@pytest.mark.parametrize("p", [0.4999999, 0.25, 1e-4, 3e-7])
+def test_bulk_draws_match_one_by_one(n, c, p):
+    # 45 draws are fewer than one chunk; 17,296 and 10,626 are not multiples of it
+    for total in (0, math.comb(n * c, n), 2 * _CHUNK):
+        for seed in range(3):
+            one, bulk = random.Random(seed), random.Random(seed)
+            expect = bytearray(one.random() < p for _ in range(total))
+            assert _draws_below(bulk, total, p) == expect
+            assert bulk.getstate() == one.getstate()
+
+
+def test_bulk_draws_decide_a_draw_equal_to_p():
+    # random() < p is strict, and the candidate byte of p itself is kept
+    rng = random.Random(9)
+    values = [rng.random() for _ in range(300)]
+    for i, v in enumerate(values):
+        if v < 0.5:
+            for q, below in ((v, False), (math.nextafter(v, 1), True)):
+                assert _draws_below(random.Random(9), 300, q)[i] == below
+
+
+def _restart_removal(n, s, g, seed, c, max_attempts, resume=False):
+    """Oracle: generation with one rng.random() call per n-subset and every
+    attempt's cycle removal run to the end, the cycle search restarted
+    from scratch on a rebuilt hypergraph after every deleted edge (or, with
+    `resume`, resumed by `_short_cycles`); returns the chosen attempt's
+    edges and the meta entries that depend on the draws."""
     p = float(GenParams(n, s, g, default_epsilon(g), c).p)
     universe = list(range(n * c))
     parts = [universe[i * c:(i + 1) * c] for i in range(n)]
@@ -312,14 +339,24 @@ def _restart_removal(n, s, g, seed, c, max_attempts):
         edges = {frozenset(comb) for comb in itertools.combinations(universe, n)
                  if rng.random() < p}
         removed = 0
-        while (cyc := find_short_cycle(hg(n, parts, edges), g)) is not None:
+        cycles = (_short_cycles(universe, edges, g) if resume else
+                  iter(lambda: find_short_cycle(hg(n, parts, edges), g), None))
+        for cyc in cycles:
             edges.discard(max(cyc, key=sorted))
             removed += 1
-        if removed < c:
-            return attempt, edges, removed
-        results.append((removed, attempt, edges))
+        if edges and removed < c:
+            results = [(removed, attempt, edges)]
+            break
+        if edges:
+            results.append((removed, attempt, edges))
     removed, attempt, edges = min(results, key=lambda r: r[:2])
-    return attempt, edges, removed
+    return edges, {"attempt": attempt, "removed_edges": removed,
+                   "edge_count": len(edges), "removal_budget_met": removed < c}
+
+
+def _drawn_meta(H):
+    return {key: H.meta[key] for key in
+            ("attempt", "removed_edges", "edge_count", "removal_budget_met")}
 
 
 @pytest.mark.parametrize("n,c", [(2, 8), (2, 12), (3, 6), (3, 8), (4, 3), (4, 4)])
@@ -327,10 +364,24 @@ def _restart_removal(n, s, g, seed, c, max_attempts):
 def test_resumed_removal_matches_restarts(n, c, g):
     for seed in range(2):
         H = gen_witness_hypergraph(n, 1, g, seed, c_override=c, max_attempts=3)
-        attempt, edges, removed = _restart_removal(n, 1, g, seed, c, 3)
-        assert H.meta["attempt"] == attempt
+        edges, meta = _restart_removal(n, 1, g, seed, c, 3)
         assert H.edges == edges
-        assert H.meta["removed_edges"] == removed
+        assert _drawn_meta(H) == meta
+
+
+def test_early_stop_matches_generation_without_it():
+    # at n=3, c=16 and n=4, c=4 every attempt removes at least c edges, so
+    # all ten run and every attempt after the first can stop early
+    overshot = 0
+    cases = [(3, s, 16, seed) for s in (1, 2) for seed in range(3)]
+    cases += [(2, 1, 5, seed) for seed in range(3)] + [(4, 1, 4, seed) for seed in range(3)]
+    for n, s, c, seed in cases:
+        H = gen_witness_hypergraph(n, s, 4, seed, c_override=c)
+        edges, meta = _restart_removal(n, s, 4, seed, c, 10, resume=True)
+        assert H.edges == edges
+        assert _drawn_meta(H) == meta
+        overshot += not meta["removal_budget_met"]
+    assert overshot == 9
 
 
 def test_generation_deterministic():
@@ -394,6 +445,9 @@ def test_adversary_budget():
     H = gen_witness_hypergraph(2, 1, 4, 0, c_override=6)
     with pytest.raises(BudgetExceeded):
         witness_adversary(H, 2, budget=10)
+    # checked before the walk, even when a partition kills every edge
+    with pytest.raises(BudgetExceeded):
+        witness_adversary(hg(2, [[0], [1]], [(0, 1)]), 1, budget=1)
 
 
 def test_adversary_random_mode():
@@ -434,6 +488,7 @@ def _kill_mask(rgs, whole, trans):
 
 def test_steered_rgs_walk_matches_filtered_strings():
     rng = random.Random(43)
+    full_kills = 0
     for _ in range(60):
         V = rng.randint(0, 6)
         edges = [sorted(rng.sample(range(V), rng.randint(1, min(V, 3))))
@@ -448,6 +503,11 @@ def test_steered_rgs_walk_matches_filtered_strings():
         walk = [(list(r), m) for r, m in _iter_rgs(V, *by_depth)]
         expect = [(r, _kill_mask(r, whole, trans)) for r in _all_rgs(V)]
         assert walk == [(r, m) for r, m in expect if m is not None]
+        full = (1 << len(trans)) - 1
+        steered = [(list(r), m) for r, m in _iter_rgs(V, *by_depth, full=True)]
+        assert steered == [(r, m) for r, m in walk if m == full]
+        full_kills += bool(steered)
+    assert 0 < full_kills < 60
 
 
 def _full_scan_adversary(H, s):
@@ -501,9 +561,19 @@ def test_adversary_matches_full_scan():
         edges = [e for e in pool if rng.random() < rng.choice([0.15, 0.3])]
         instances.append(hg(n, [universe[i * c:(i + 1) * c] for i in range(n)],
                             edges))
+    # denser graphs, where no single colouring kills every transversal edge
+    rng = random.Random(38)
+    for _ in range(8):
+        c = rng.choice([3, 4])
+        edges = [e for e in itertools.combinations(range(2 * c), 2) if rng.random() < 0.6]
+        instances.append(hg(2, [range(c), range(c, 2 * c)], edges))
+    full_kill = 0
     for H in instances:
         for s in (1, 2):
             assert witness_adversary(H, s) == _full_scan_adversary(H, s)
+        # one colouring defeats H exactly when it kills every transversal edge
+        full_kill += _full_scan_adversary(H, 1) is not None
+    assert (full_kill, len(instances) - full_kill) == (24, 11)
 
 
 def test_adversary_matches_brute_force():
