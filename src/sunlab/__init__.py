@@ -40,6 +40,7 @@ from .partitionlab import (
 from .ksets import (
     Presentation,
     SunflowerCert,
+    canonical_sets,
     encode_colouring,
     enumerate_presentations,
     find_sunflower_copies,

@@ -27,10 +27,11 @@ One presentation walk serves enumeration and witness checks: it grows a
 family one set at a time and settles each prefix once.  The refinement of
 a prefix is the start of the refinement of the family, so every prefix of
 a canonical family is canonical, and the enumerator descends only into
-canonical prefixes (orderly generation; Read 1978, McKay 1998).  The
-witness check descends only from prefixes without a sunflower copy, so a
-copy in a longer prefix must pass through its newest vertex, and that is
-the only place it looks.
+canonical prefixes (orderly generation; Read 1978, McKay 1998), testing
+each new set against the cells its parent prefix kept.  The witness check
+descends only from prefixes without a sunflower copy, so a copy in a
+longer prefix must pass through its newest vertex, and that is the only
+place it looks, one meet class of older sets at a time.
 """
 
 from __future__ import annotations
@@ -141,13 +142,26 @@ class SunflowerCert:
 def _centre_filter(sets) -> CandidateFilter:
     """Kernel filter for sunflower images: a vertex joins a partial image of
     two or more only if its set meets every earlier one in the centre of
-    the first two, so every complete image is a sunflower."""
+    the first two, so every complete image is a sunflower.
+
+    The centre is computed once per depth-2 node, so `sets` must not change
+    while the filter is in use.  The kernel searches depth first, so every
+    deeper call shares `partial[0:2]` with the latest depth-2 call and
+    reads the centre that call left."""
+    first = second = centre = None
 
     def flt(depth, v, partial):
+        nonlocal first, second, centre
         if depth < 2:
             return True
-        centre = sets[partial[0]] & sets[partial[1]]
-        return all(sets[u] & sets[v] == centre for u in partial)
+        if depth == 2 and (partial[0] != first or partial[1] != second):
+            first, second = partial
+            centre = sets[first] & sets[second]
+        s = sets[v]
+        for u in partial:
+            if sets[u] & s != centre:
+                return False
+        return True
 
     return flt
 
@@ -216,9 +230,15 @@ def canonical_sets(sets: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(sorted(label[g] for g in s)) for s in family)
 
 
-def _is_canonical(sets: list[tuple[int, ...]]) -> bool:
-    """Whether a family in normal form is its own canonical form."""
-    return canonical_sets(sets) == tuple(sets)
+def _refine_cells(cells: frozenset, s: tuple[int, ...]) -> Optional[frozenset]:
+    """The cells of a canonical prefix extended by the normal-form set `s`,
+    or None if that is not canonical.  A cell is given by its first label,
+    and so is the next fresh label.  `s` must take the lowest labels of
+    every cell it meets, so each run of consecutive labels in `s` starts a
+    cell, and the cell where a run ends splits there."""
+    if any(x not in cells and x - 1 not in s for x in s):
+        return None
+    return cells.union([x + 1 for x in s if x + 1 not in s])
 
 
 def _normal_form_candidates(prev_sets: list[tuple[int, ...]], k: int,
@@ -274,7 +294,13 @@ def enumerate_presentations(C: Structure, k: int,
         raise ValueError("k must be >= 1")
     if k * C.size > ground_budget:
         raise BudgetExceeded(f"ground set {k * C.size} exceeds budget {ground_budget}")
-    for sets in _normal_form_walk(C, k, _is_canonical):
+    cells = [frozenset([0])]
+
+    def canonical(sets: list[tuple[int, ...]]) -> bool:
+        cells[len(sets):] = [_refine_cells(cells[len(sets) - 1], sets[-1])]
+        return cells[-1] is not None
+
+    for sets in _normal_form_walk(C, k, canonical):
         yield Presentation(C, k, sets)
 
 
@@ -334,9 +360,13 @@ def verify_witness(C: Structure, B: Structure, k: int,
     does too); a leaf is a counterexample presentation.  Because the walk
     only extends sunflower-free prefixes, a copy in a new prefix must use
     its newest vertex: one B-depth per Aut(B) orbit in turn is pinned to
-    that vertex and the others range over the older ones, on prefix
-    structures built once per call.  A target with no vertices has a copy
-    in every presentation, the empty one included, so the walk stops at
+    that vertex and the others range over one meet class of older vertices,
+    those whose sets meet the newest set in the same Y, which is then the
+    copy's centre.  Each class with |B| - 1 members or more gets its own
+    pinned searches, on prefix structures built once per call; pairs
+    inside a class are checked against Y only when |B| > 2 and
+    |Y| < k - 1.  A target with no vertices has a copy in every
+    presentation, the empty one included, so the walk stops at
     its one root candidate.  Random mode samples presentations.
 
     The walk also drops a prefix whose last two sets i, i+1 are out of
@@ -371,11 +401,10 @@ def verify_witness(C: Structure, B: Structure, k: int,
 
     prefixes = [C.induced(range(i)) for i in range(C.size + 1)]
     members: list[frozenset] = []
-    flt = _centre_filter(members)
     # A copy f with the newest vertex at depth d and an automorphism s of B
     # give the copy f . s^-1, with the same image and that vertex at s(d);
-    # the centre filter reads only the image, so only the least depth of
-    # each Aut(B) orbit is pinned: one that no embedding of B in itself (an
+    # the searches read only the image, so only the least depth of each
+    # Aut(B) orbit is pinned: one that no embedding of B in itself (an
     # automorphism) sends lower.
     depths = range(B.size)
     pins = [d for d in depths if next(_iter_embedding_maps(
@@ -384,19 +413,40 @@ def verify_witness(C: Structure, B: Structure, k: int,
              is None for i in range(C.size - 1)]
     checked = 0
 
+    def meets_in(centre: frozenset) -> CandidateFilter:
+        def flt(depth, v, partial):
+            s = members[v]
+            for u in partial:
+                if members[u] & s != centre:
+                    return False
+            return True
+        return flt
+
     def sunflower_free(sets: list[tuple[int, ...]]) -> bool:
         nonlocal checked
         i = len(sets)
         if i >= 2 and swaps[i - 2] and sets[-2] > sets[-1]:
             return False
         checked += 1
-        members[i - 1:] = [frozenset(sets[-1])]
-        older = range(i - 1)
-        for d in pins:
-            pools = [older] * B.size
-            pools[d] = (i - 1,)
-            if next(_iter_embedding_maps(B, prefixes[i], flt, pools), None) is not None:
-                return False
+        new = frozenset(sets[-1])
+        members[i - 1:] = [new]
+        if B.size == 1:  # a copy is the newest vertex alone
+            classes = {new: ()}
+        else:
+            classes = {}
+            for u in range(i - 1):
+                classes.setdefault(members[u] & new, []).append(u)
+        for centre, pool in classes.items():
+            if len(pool) < B.size - 1:
+                continue
+            # only pairs inside the pool can miss the centre, and distinct
+            # k-sets through a (k-1)-set meet in exactly that set
+            flt = None if B.size <= 2 or len(centre) == k - 1 else meets_in(centre)
+            for d in pins:
+                pools = [pool] * B.size
+                pools[d] = (i - 1,)
+                if next(_iter_embedding_maps(B, prefixes[i], flt, pools), None) is not None:
+                    return False
         return True
 
     leaf = next(_normal_form_walk(C, k, sunflower_free), None)

@@ -25,6 +25,7 @@ from .ksets import (
     Presentation,
     SunflowerCert,
     find_sunflower_copies,
+    sunflower_centre,
     verify_sunflower_cert,
 )
 from .ramsey import find_short_cycle, gen_witness_hypergraph, PartitionedHypergraph
@@ -36,6 +37,7 @@ from .structures import (
     _type_classes,
     are_isomorphic,
     colour_classes,
+    embedding_defect,
     enumerate_class_members,
     find_embeddings,
     satisfies_class,
@@ -344,7 +346,9 @@ def replay_trace(chain: WitnessChain, P: Presentation,
     Each step must sit at the level of the presentation it reads: a
     `mono` step strips one shared element and goes one level down, and a
     `base` step is accepted only on 1-sets.  The trace must end in a
-    `base`, `transversal` or `fallback` step, which proves a sunflower."""
+    `base`, `transversal` or `fallback` step, which proves a sunflower; a
+    `fallback` step's copy must itself be a copy of the target whose sets
+    form a sunflower."""
     B = chain.target
     cur = P
     for step in trace.steps:
@@ -353,7 +357,8 @@ def replay_trace(chain: WitnessChain, P: Presentation,
                 or not all(0 <= v < cur.base.size for v in copy):
             return False
         if step.case == "fallback":
-            return bool(find_sunflower_copies(cur, B, limit=1))
+            return embedding_defect(B, cur.base, copy) is None and \
+                sunflower_centre(cur.sets[v] for v in copy).centre is not None
         if step.case == "base":
             return cur.k == 1 and are_isomorphic(B, cur.base.induced(copy)) is not None
         if step.case not in ("mono", "transversal") or not 2 <= cur.k <= chain.k:

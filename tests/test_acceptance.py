@@ -349,6 +349,29 @@ def test_acceptance_10_four_petal_sunflower_number():
            f"[{elapsed:.1f}s]")
 
 
+def test_acceptance_10b_five_petal_lower_bound():
+    """f(2, 5) = 21 (Chvátal and Hanson, JCTB 1976): twenty 2-sets can
+    avoid a 5-petal sunflower.  The counterexample is re-checked without
+    the embedding search: five 2-sets form a sunflower iff they share one
+    element or are pairwise disjoint."""
+    t0 = time.time()
+    verdict = verify_witness(catalog.pure_set(20), catalog.pure_set(5), 2,
+                             ground_budget=40)
+    assert not verdict.passed
+    sets = verdict.counterexample.sets
+    degree = {}
+    for s in sets:
+        for x in s:
+            degree[x] = degree.get(x, 0) + 1
+    assert len(sets) == 20 and max(degree.values()) <= 4
+    assert not any(len(frozenset().union(*five)) == 10
+                   for five in itertools.combinations(sets, 5))
+    elapsed = time.time() - t0
+    assert elapsed < 10
+    report(f"ACCEPTANCE 10b: PASS - pure 20/5 has a sunflower-free presentation "
+           f"on 2-sets after {verdict.checked} prefixes [{elapsed:.1f}s]")
+
+
 def test_acceptance_11_class_generic_growth():
     """ROADMAP item 8: gen_generic derives each option from its parent
     instead of rebuilding it, so an 80-vertex oriented graph no longer

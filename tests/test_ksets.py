@@ -14,8 +14,8 @@ from sunlab.generators import gen_named
 from sunlab.ksets import (
     Presentation,
     SunflowerCert,
-    _is_canonical,
     _normal_form_candidates,
+    _refine_cells,
     canonical_sets,
     encode_colouring,
     enumerate_presentations,
@@ -280,8 +280,8 @@ def _enumerate_by_leaf_filter(C, k):
     return list(rec(0, 0))
 
 
-@pytest.mark.parametrize("size,k", [(2, 2), (3, 2), (4, 2), (5, 2),
-                                    (3, 3), (4, 3), (3, 4)])
+@pytest.mark.parametrize("size,k", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2),
+                                    (3, 3), (4, 3), (3, 4), (2, 5)])
 def test_orderly_enumeration_matches_leaf_filter(size, k):
     C = catalog.pure_set(size)
     stream = [tuple(tuple(sorted(s)) for s in P.sets)
@@ -306,7 +306,23 @@ def normal_form_families(draw):
 
 @given(normal_form_families())
 def test_early_exit_canonicity_matches_full_minimum(sets):
-    assert _is_canonical(sets) == (tuple(sets) == least_relabelling(sets))
+    """Refine the cells set by set: each prefix is canonical iff the tie
+    walk finds no smaller relabelling, and then its cells are the runs of
+    labels with equal membership words."""
+    cells = frozenset([0])
+    for i in range(1, len(sets) + 1):
+        prefix = sets[:i]
+        canonical = tuple(prefix) == least_relabelling(prefix)
+        if cells is None:  # no extension of a non-canonical prefix is canonical
+            assert not canonical
+            continue
+        cells = _refine_cells(cells, prefix[-1])
+        assert (cells is not None) == canonical
+        if canonical:
+            labels = range(max(map(max, prefix)) + 1)
+            words = [tuple(g in s for s in prefix) for g in labels]
+            assert cells == {0, *(g for g in labels[1:] if words[g - 1] != words[g]),
+                             len(labels)}
 
 
 @given(st.data())
@@ -466,6 +482,12 @@ ANCHORED_CASES = [
      catalog.graph(4, [(0, 1), (0, 2), (0, 3)]), 2, 18),
     ("k4-p3", catalog.graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)]),
      catalog.path_graph(3), 3, 18),
+    ("pure-20-5", catalog.pure_set(20), catalog.pure_set(5), 2, 40),
+    # at k=3 a meet class through a 2-set needs no pairwise check, one
+    # through a smaller set does
+    ("pure-7-3-k3", catalog.pure_set(7), catalog.pure_set(3), 3, 21),
+    ("pure-5-3-k3", catalog.pure_set(5), catalog.pure_set(3), 3, 15),
+    ("pure-5-1-k3", catalog.pure_set(5), catalog.pure_set(1), 3, 15),
 ]
 
 

@@ -385,6 +385,26 @@ def test_replay_rejects_a_base_step_that_is_no_copy_of_the_target():
     assert not replay_trace(chain, P, ExtractionTrace([TraceStep(1, "base", copy=(0, 1))]))
 
 
+def test_replay_checks_the_recorded_fallback_copy():
+    # both extraction cases fail on this presentation of a small chain, and
+    # the fallback finds the one sunflower (0, 1, 3), with centre {0}
+    small = build_witness_chain(catalog.pure_sets(), catalog.pure_set(3), 2, seed=0,
+                                c_override=2)
+    P = Presentation(small.top(), 2, [(0, 5), (0, 11), (8, 10), (0, 6), (3, 10), (3, 8)])
+    _, trace = extract_sunflower(small, P)
+    assert [(s.case, s.copy) for s in trace.steps] == [("fallback", (0, 1, 3))]
+    assert replay_trace(small, P, trace)
+    for copy in [(0, 1, 2), ()]:
+        assert not replay_trace(small, P, ExtractionTrace([TraceStep(2, "fallback", copy=copy)]))
+    # {60,151}, {33,139} and {40,151} share no centre, although the
+    # presentation holds other sunflower copies
+    chain = _chain("pure-3")
+    P = random_presentation(chain.top(), 2, random.Random(3))
+    assert find_sunflower_copies(P, chain.target, limit=1)
+    for copy in [(0, 1, 17), ()]:
+        assert not replay_trace(chain, P, ExtractionTrace([TraceStep(2, "fallback", copy=copy)]))
+
+
 # ---------------------------------------------------------------------------
 # Monochromatic part search against the filter-based reference
 
