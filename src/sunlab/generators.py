@@ -29,7 +29,8 @@ from .structures import (
     _class_tests,
     _completions,
     _diagram,
-    _type_classes,
+    _own_types,
+    _types_over,
     admissible_extensions,
     qf_type,
     satisfies_class,
@@ -58,11 +59,14 @@ def extension_defects(S: Structure, K: ClassSpec, base_bound: int) -> list[QfTyp
     S realises, as admissible_extensions lists them all.  Reordered bases
     are left out, as their types only permute.  The admissible types are
     found once per base structure, keyed by |A| and the atoms that hold on
-    A, as bases repeat a few structures."""
+    A, as bases repeat a few structures.  The empty-base types are read
+    once per structure; per base, the vertices' types over it are read in
+    ascending order only until each admissible type has been seen."""
     if base_bound < 0:
         raise ValueError("base_bound must be >= 0")
     if not satisfies_class(S, K):
         raise ValueError("structure is not in the class")
+    own = _own_types(S)
     admissible: dict = {}
     defects = []
     for b in range(base_bound + 1):
@@ -72,8 +76,12 @@ def extension_defects(S: Structure, K: ClassSpec, base_bound: int) -> list[QfTyp
                 base = Structure(S.signature, b)._grown(b, diagram[1])
                 types = admissible_point_types(base, K)
                 admissible[diagram] = sorted((t.positives for t in types), key=sorted)
-            realised = _type_classes(S, A)
-            defects.extend(QfType(A, p) for p in admissible[diagram] if p not in realised)
+            missing = set(admissible[diagram])
+            for _, p in _types_over(S, A, own):
+                missing.discard(p)
+                if not missing:
+                    break
+            defects.extend(QfType(A, p) for p in admissible[diagram] if p in missing)
     return defects
 
 
@@ -114,15 +122,14 @@ def gen_generic(K: ClassSpec, size: int, seed: int,
 # Named generators
 
 
-def _clique_exists(adj: list[set], inside: set, size: int) -> bool:
-    if size <= 0:
-        return True
-    if len(inside) < size:
-        return False
-    for u in inside:
-        if _clique_exists(adj, {w for w in inside & adj[u] if w > u}, size - 1):
+def _clique_exists(adj: list[int], inside: int, size: int) -> bool:
+    """Whether the vertex bitmask `inside` holds a clique on `size` vertices."""
+    while inside.bit_count() >= size > 0:
+        u = inside.bit_length() - 1
+        inside ^= 1 << u
+        if _clique_exists(adj, inside & adj[u], size - 1):
             return True
-    return False
+    return size <= 0
 
 
 def _gen_random_graph(size, rng):
@@ -132,21 +139,24 @@ def _gen_random_graph(size, rng):
 
 
 def _gen_knfree(n, size, rng):
-    adj = [set() for _ in range(size)]
+    adj = [0] * size  # neighbourhoods as bitmasks
+    edges = []
     for v in range(size):
         order = list(range(v))
         rng.shuffle(order)
         for u in order:
-            # an edge uv closes a K_n iff the common neighbourhood
-            # already holds a clique on n-2 vertices
-            common = adj[u] & adj[v]
-            choices = [False]
-            if not _clique_exists(adj, common, n - 2):
-                choices.append(True)
-            if rng.choice(choices):
-                adj[u].add(v)
-                adj[v].add(u)
-    return catalog.graph(size, [(u, v) for u in range(size) for v in adj[u] if u < v])
+            # an edge uv closes a K_n iff the common neighbourhood already
+            # holds a clique on n-2 vertices; the draws are rng.choice's
+            # among m = 1 or 2 values: getrandbits(m) until it is below m
+            m = 1 if _clique_exists(adj, adj[u] & adj[v], n - 2) else 2
+            r = rng.getrandbits(m)
+            while r >= m:
+                r = rng.getrandbits(m)
+            if r:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                edges.append((u, v))
+    return catalog.graph(size, edges)
 
 
 def _gen_tournament(size, rng):

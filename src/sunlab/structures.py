@@ -660,33 +660,46 @@ def _positives(S: Structure, at: tuple) -> frozenset:
                      if tuple(at[j] for j in t) in S.relations[name])
 
 
-def _type_classes(S: Structure, params: Sequence[int]) -> dict[frozenset, list[int]]:
-    """The vertices outside the parameters grouped by their type over them:
-    each realised type's positives map to its ascending realisations.
+def _own_types(S: Structure) -> dict[int, frozenset]:
+    """Each vertex's type over the empty base, read from its loop tuples
+    (those whose support is itself); a vertex with none is left out."""
+    own: dict = {}
+    for name, arity in S.signature.relations:
+        for t in S.relations[name]:
+            if t.count(t[0]) == arity:
+                own[t[0]] = own.get(t[0], frozenset()) | {(name, (-1,) * arity)}
+    return own
 
-    Only the Gaifman neighbours of the parameters have their atoms over
-    them checked; any other vertex shares no tuple with them, so its type
-    is its type over the empty base, read from its own tuples, those whose
-    support is itself."""
-    A = tuple(params)
-    if any(a < 0 or a >= S.size for a in A):
-        raise ValueError("vertex out of range")
+
+def _types_over(S: Structure, A: tuple, own: dict) -> Iterator[tuple[int, frozenset]]:
+    """(v, the positives of v's type over A) for each v outside A, ascending.
+
+    Only the Gaifman neighbours of A have their atoms over it read; any
+    other vertex shares no tuple with A, so its type is its own type over
+    the empty base, `own` as _own_types gives it."""
     bits = _adjacency_bits(S)[0]
     near = params_mask = 0
     for a in A:
         near |= bits[a]
         params_mask |= 1 << a
-    own: dict = {}
-    for name, arity in S.signature.relations:
-        ts = S.relations[name]
-        for v in S.vertices:
-            if (v,) * arity in ts:
-                own[v] = own.get(v, frozenset()) | {(name, (-1,) * arity)}
-    classes: dict = {}
     for v in S.vertices:
         if not params_mask >> v & 1:
-            key = _positives(S, A + (v,)) if near >> v & 1 else own.get(v, frozenset())
-            classes.setdefault(key, []).append(v)
+            yield v, _positives(S, A + (v,)) if near >> v & 1 else own.get(v, frozenset())
+
+
+def _type_classes(S: Structure, params: Sequence[int],
+                  own: Optional[dict] = None) -> dict[frozenset, list[int]]:
+    """The vertices outside the parameters grouped by their type over them:
+    each realised type's positives map to its ascending realisations.
+
+    Per structure this reads the empty-base types (`own`, computed here
+    unless given); per base, the atoms over it of its Gaifman neighbours."""
+    A = tuple(params)
+    if any(a < 0 or a >= S.size for a in A):
+        raise ValueError("vertex out of range")
+    classes: dict = {}
+    for v, key in _types_over(S, A, _own_types(S) if own is None else own):
+        classes.setdefault(key, []).append(v)
     return classes
 
 

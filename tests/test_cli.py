@@ -328,6 +328,29 @@ def test_budget_raised_inside_a_command_prints_one_error_line(tmp_path, capsys,
     assert _failed_run(tmp_path, capsys, "gen", 3) == "error: over budget\n"
 
 
+def test_partition_counts_its_bases_before_the_walk(tmp_path, capsys, monkeypatch):
+    # the README structure: blocks of 164 and 36 vertices have 14,198 bases
+    # at bound 2 and 743,102 at bound 3, which used to run for minutes
+    import sunlab.partitionlab as partitionlab
+
+    assert run(["gen", "--id", "knfree:3", "--size", "200", "--seed", "11",
+                "--out", str(tmp_path / "tf")]) == 0
+    monkeypatch.setattr(partitionlab, "extension_defects", lambda *args: [])
+    argv = ["partition", "--structure", str(tmp_path / "tf" / "structure.json"),
+            "--scheme", "neighbourhood", "--anchor", "0", "--klass", "knfree:3"]
+    assert run(argv + ["--base-bound", "2", "--out", str(tmp_path / "b2")]) == 0
+
+    def walked(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(partitionlab, "extension_defects", walked)
+    out = tmp_path / "b3"
+    assert run(argv + ["--base-bound", "3", "--out", str(out)]) == 3
+    line = _failed_run(out, capsys, "partition", 3)
+    assert line == "error: 743102 bases exceed budget 50000\n"
+    assert not (out / "partition.json").exists()
+
+
 def test_class_forbidding_the_empty_structure_is_a_usage_error(tmp_path, capsys):
     # the empty structure embeds into everything, so nothing could be
     # generated; the class file itself is bad input

@@ -13,6 +13,7 @@ from test_structures import COLOUR_SIG, irreducible_structures, structures
 from sunlab import catalog, jsonio
 from sunlab.generators import (
     NoAdmissibleExtension,
+    _gen_knfree,
     admissible_point_types,
     extension_defects,
     gen_generic,
@@ -133,6 +134,41 @@ def test_determinism():
 def test_knfree_triangle_free_spec_example():
     S = gen_named("knfree:3", 30, 77)
     assert satisfies_class(S, catalog.kn_free(3))
+
+
+def _clique_in_sets(adj, inside, size):
+    if size <= 0:
+        return True
+    if len(inside) < size:
+        return False
+    return any(_clique_in_sets(adj, {w for w in inside & adj[u] if w > u}, size - 1)
+               for u in inside)
+
+
+def knfree_by_choice(n, size, rng):
+    """Oracle: the knfree:n draw on neighbour sets, each edge decided by
+    rng.choice among the values that keep the graph K_n-free."""
+    adj = [set() for _ in range(size)]
+    for v in range(size):
+        order = list(range(v))
+        rng.shuffle(order)
+        for u in order:
+            choices = [False]
+            if not _clique_in_sets(adj, adj[u] & adj[v], n - 2):
+                choices.append(True)
+            if rng.choice(choices):
+                adj[u].add(v)
+                adj[v].add(u)
+    return catalog.graph(size, [(u, v) for u in range(size) for v in adj[u] if u < v])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_knfree_matches_the_choice_draw_and_leaves_the_same_state(n):
+    for size in (1, 2, 7, 25, 60):
+        for seed in range(3):
+            ours, theirs = (random.Random(f"{n}|{size}|{seed}") for _ in range(2))
+            assert _gen_knfree(n, size, ours) == knfree_by_choice(n, size, theirs)
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_double_equivalence_side_two():
@@ -539,6 +575,17 @@ def test_defects_match_a_rebuild_of_every_base_on_random_classes(data):
     K = ClassSpec(sig, [F for F in forbidden if not embeds(F, S)])
     got = [(d.parameters, d.positives) for d in extension_defects(S, K, 2)]
     assert got == defects_by_rebuild(S, K, 2)
+
+
+@pytest.mark.parametrize("size, bound", [(40, 1), (25, 2)])
+def test_defects_stopping_early_match_a_rebuild_on_knfree(size, bound):
+    # most bases see every admissible type within a few vertices, and the
+    # scan of such a base stops there
+    K = catalog.kn_free(3)
+    for seed in range(2):
+        S = gen_named("knfree:3", size, seed)
+        got = [(d.parameters, d.positives) for d in extension_defects(S, K, bound)]
+        assert got == defects_by_rebuild(S, K, bound)
 
 
 def test_defects_reject_negative_base_bound():
