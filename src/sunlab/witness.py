@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from operator import itemgetter
 from typing import Optional
 
 from .ksets import (
@@ -36,7 +38,6 @@ from .structures import (
     _iter_embedding_maps,
     _type_classes,
     are_isomorphic,
-    colour_classes,
     embedding_defect,
     enumerate_class_members,
     find_embeddings,
@@ -219,12 +220,19 @@ def build_witness_chain(K: ClassSpec, B: Structure, k: int, seed: int,
 
 def _find_part_mono_copy(P: Presentation, D: Structure, part_vertices,
                          colour) -> Optional[tuple[int, ...]]:
-    # the least of the colour classes' first copies: a later class can only
-    # win below the first vertex of the best copy so far
+    # a copy lies in a colour class of |D| part vertices, which needs |D|-1
+    # repeated colours; the least of the classes' first copies wins, and a
+    # later class can only win below the first vertex of the best copy so far
+    n = D.size
+    cols = itemgetter(*part_vertices)(colour) if len(part_vertices) > 1 else \
+        [colour[v] for v in part_vertices]
+    if len(set(cols)) > len(cols) - (n - 1):
+        return None
     best = None
-    for cls in colour_classes(part_vertices, colour, D.size):
+    for c in [c for c, m in Counter(cols).items() if m >= n]:
+        cls = [v for v, x in zip(part_vertices, cols) if x == c]
         head = cls if best is None else [v for v in cls if v < best[0]]
-        pools = [head] + [cls] * (D.size - 1)
+        pools = [head] + [cls] * (n - 1)
         best = next(_iter_embedding_maps(D, P.base, candidates=pools), best)
     return best
 
@@ -234,9 +242,11 @@ def _find_disjoint_transversal_copy(P: Presentation, D: Structure,
     sets = P.sets
 
     def flt(depth, v, partial):
-        if any(part_of[v] == part_of[u] for u in partial):
-            return False
-        return all(sets[v].isdisjoint(sets[u]) for u in partial)
+        i, s = part_of[v], sets[v]
+        for u in partial:
+            if part_of[u] == i or not s.isdisjoint(sets[u]):
+                return False
+        return True
 
     for vmap in _iter_embedding_maps(D, P.base, candidate_filter=flt):
         return vmap
@@ -260,14 +270,16 @@ def extract_sunflower(chain: WitnessChain, P: Presentation,
         raise ValueError("level out of range")
     if P.k != level:
         raise ValueError(f"presentation must use {level}-sets at level {level}")
-    C = chain.levels[level - 1].structure
-    iso = are_isomorphic(C, P.base)
-    if iso is None:
-        raise ValueError("presentation base is not isomorphic to the level")
+    C, parts = chain.levels[level - 1].structure, chain.levels[level - 1].parts
+    if C != P.base:
+        iso = are_isomorphic(C, P.base)
+        if iso is None:
+            raise ValueError("presentation base is not isomorphic to the level")
+        parts = parts and [[iso.map[v] for v in part] for part in parts]
 
     B = chain.target
     steps: list[TraceStep] = []
-    cert = _extract(chain, P, level, iso, steps)
+    cert = _extract(chain, P, level, parts, steps)
     if cert is not None:
         return cert, ExtractionTrace(steps)
     rescue = find_sunflower_copies(P, B, limit=1)
@@ -281,7 +293,8 @@ def extract_sunflower(chain: WitnessChain, P: Presentation,
 
 
 def _extract(chain: WitnessChain, P: Presentation, level: int,
-             iso: Embedding, steps: list) -> Optional[SunflowerCert]:
+             parts, steps: list) -> Optional[SunflowerCert]:
+    """`parts` are the level's parts as vertex lists of P.base."""
     B = chain.target
     if level == 1:
         embs = find_embeddings(B, P.base, limit=1)
@@ -293,29 +306,25 @@ def _extract(chain: WitnessChain, P: Presentation, level: int,
                              degenerate=len(petals) < 2)
 
     D = chain.levels[level - 2].structure
-    parts = chain.levels[level - 1].parts
     n = D.size
-    part_images = [sorted(iso.map[v] for v in part) for part in parts]
-    part_of = {v: i for i, images in enumerate(part_images) for v in images}
-    coords = list(zip(*map(P.sorted_set, P.base.vertices)))
+    coords = list(zip(*P._sorted))
 
     # A copy inside part i is monochromatic under the coordinate colouring
     # keyed by f iff it is so under f restricted to i, so the search over
     # coordinate functions collapses to one coordinate per part.
-    for i, part_vertices in enumerate(part_images):
+    for i, part_vertices in enumerate(parts):
         for t, colour in enumerate(coords):
             vmap = _find_part_mono_copy(P, D, part_vertices, colour)
             if vmap is None:
                 continue
             shared = colour[vmap[0]]
             stripped = [P.sets[v] - {shared} for v in vmap]
-            sub = Presentation(P.base.induced(vmap), level - 1, stripped)
+            # vmap is an induced copy of D: the stripped sets present D itself
+            sub = Presentation(D, level - 1, stripped)
             f = tuple(t if j == i else 0 for j in range(n))
             steps.append(TraceStep(level, "mono", part=i, f=f,
                                    shared=shared, copy=vmap))
-            # vmap is an induced embedding of D, so sub.base is D itself
-            rec = _extract(chain, sub, level - 1,
-                           Embedding(D, sub.base, range(n), validate=False), steps)
+            rec = _extract(chain, sub, level - 1, chain.levels[level - 2].parts, steps)
             if rec is None:
                 steps.pop()
                 continue
@@ -324,10 +333,13 @@ def _extract(chain: WitnessChain, P: Presentation, level: int,
             return SunflowerCert(petals, rec.centre | {shared}, emb,
                                  degenerate=rec.degenerate)
 
+    part_of = [0] * P.base.size
+    for i, part in enumerate(parts):
+        for v in part:
+            part_of[v] = i
     vmap = _find_disjoint_transversal_copy(P, D, part_of)
     if vmap is not None:
-        pool = sorted(vmap)
-        for bmap in _iter_embedding_maps(B, P.base, candidates=[pool] * B.size):
+        for bmap in _iter_embedding_maps(B, P.base, candidates=[vmap] * B.size):
             steps.append(TraceStep(level, "transversal", copy=vmap))
             emb = Embedding(B, P.base, bmap, validate=False)
             return SunflowerCert(bmap, frozenset(), emb,

@@ -1,5 +1,6 @@
 """Pasting, witness chains, extraction and certificate verification."""
 
+import collections
 import functools
 import itertools
 import random
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sunlab import catalog
+from sunlab.jsonio import structure_from_json, structure_to_json
 from sunlab.ksets import Presentation, find_sunflower_copies, random_presentation
 from sunlab.ramsey import PartitionedHypergraph, gen_witness_hypergraph
 from sunlab.structures import (
@@ -177,6 +179,25 @@ def test_extract_rejects_wrong_arity():
         extract_sunflower(chain, P, level=1)
 
 
+def test_extract_rejects_a_level_out_of_range():
+    chain = pure_chain(2)
+    P = random_presentation(chain.top(), 2, random.Random(0))
+    for level in (0, 3):
+        with pytest.raises(ValueError, match="level out of range"):
+            extract_sunflower(chain, P, level=level)
+
+
+def test_extract_rejects_a_base_that_is_not_the_level():
+    # same vertex count, one edge fewer
+    top = _graph_chain().top()
+    u, v = min(top.relations["E"])
+    edges = top.relations["E"] - {(u, v), (v, u)}
+    base = Structure(top.signature, top.size, {"E": edges})
+    P = random_presentation(base, 2, random.Random(0))
+    with pytest.raises(ValueError, match="not isomorphic to the level"):
+        extract_sunflower(_graph_chain(), P)
+
+
 def test_extraction_soundness_over_random_presentations():
     K = catalog.all_graphs()
     B = catalog.complete_graph(2)
@@ -327,6 +348,94 @@ def test_replay_accepts_the_extraction_traces():
         _, trace = extract_sunflower(_graph_chain(), P)
         assert [s.case for s in trace.steps] == cases
         assert replay_trace(_graph_chain(), P, trace)
+
+
+def test_extractions_build_no_structure(monkeypatch):
+    # a mono step presents the level below on its stripped sets, and that
+    # level is already built
+    chains = [_graph_chain(), _chain("pure-3")]
+    rng = random.Random("no-builds")
+    presentations = [(chains[0], _graph_presentation("shared"))] + [
+        (chain, random_presentation(chain.top(), 2, rng)) for chain in chains for _ in range(20)]
+    built = []
+    init = Structure.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Structure, "__init__", counting)
+    cases = collections.Counter()
+    for chain, P in presentations:
+        _, trace = extract_sunflower(chain, P)
+        assert built == []
+        cases[trace.steps[0].case] += 1
+    assert cases["mono"] > 0 and cases["transversal"] > 0
+
+
+def _relabelled_top():
+    """The graphs-k2 top with three transpositions, one across the parts.
+    (A reversed or shuffled top is out of are_isomorphic's reach: its
+    search ran for more than 15 s.)"""
+    top = _graph_chain().top()
+    order = list(top.vertices)
+    for a, b in [(62, 63), (50, 55), (31, 60)]:
+        order[a], order[b] = order[b], order[a]
+    return top.induced(order)
+
+
+def test_extract_maps_the_parts_onto_a_relabelled_base():
+    chain = _graph_chain()
+    base = _relabelled_top()
+    iso = are_isomorphic(chain.top(), base)
+    assert iso.map != tuple(base.vertices)
+    part_of = {iso.map[v]: i for i, part in enumerate(chain.levels[1].parts) for v in part}
+    rng = random.Random("relabelled")
+    cases = collections.Counter()
+    for _ in range(40):
+        P = random_presentation(base, 2, rng)
+        cert, trace = extract_sunflower(chain, P)
+        assert verify_certificate(cert, chain.target, P)
+        assert replay_trace(chain, P, trace)
+        step = trace.steps[0]
+        cases[step.case] += 1
+        # a mono copy lies inside the part it names, a transversal one
+        # meets each part at most once
+        parts = [part_of[v] for v in step.copy]
+        if step.case == "mono":
+            assert set(parts) == {step.part}
+        else:
+            assert step.case == "transversal" and len(set(parts)) == len(parts)
+    assert cases["mono"] > 0 and cases["transversal"] > 0
+    # the top's 31 and its neighbour 4 share part 0 and are the base's 60
+    # and 4, so a shared element on just these two sets is a mono copy in
+    # part 0, which the unmapped parts would miss
+    assert (iso.map[31], iso.map[4]) == (60, 4)
+    sets = [(2 * v, 2 * v + 1) for v in base.vertices]
+    sets[60] = (8, 1000)
+    P = Presentation(base, 2, sets)
+    _, trace = extract_sunflower(chain, P)
+    assert [(s.case, s.part, s.shared, s.copy) for s in trace.steps] == [
+        ("mono", 0, 8, (4, 60)), ("base", None, None, (0, 1))]
+
+
+def _outcome(cert, trace):
+    return (cert.petals, cert.centre, cert.iso.map, cert.degenerate,
+            [(s.level, s.case, s.part, s.f, s.shared, s.copy) for s in trace.steps])
+
+
+def test_extract_on_an_equal_base_matches_the_top():
+    chain = _graph_chain()
+    top = chain.top()
+    rebuilt = structure_from_json(structure_to_json(top))
+    assert rebuilt == top and rebuilt is not top
+    rng = random.Random("equal-base")
+    for _ in range(20):
+        P = random_presentation(top, 2, rng)
+        Q = Presentation(rebuilt, 2, P.sets)
+        cert, trace = extract_sunflower(chain, Q)
+        assert verify_certificate(cert, chain.target, Q) and replay_trace(chain, Q, trace)
+        assert _outcome(cert, trace) == _outcome(*extract_sunflower(chain, P))
 
 
 MONO = TraceStep(2, "mono", shared=1, copy=(4, 31))
@@ -493,6 +602,33 @@ def test_part_mono_copy_edge_cases():
         Q = random_presentation(deep.top(), 3, rng)
         cases += [(Q, D, images, colour, None)
                   for D, images, colour in _part_searches(deep, 3, Q)]
+    # colours made to measure on a part of the pure-3 top, where any three
+    # vertices are a copy of the target
+    pure = _chain("pure-3")
+    Q = random_presentation(pure.top(), 2, random.Random(6))
+    D = pure.target
+    part = sorted(pure.levels[1].parts[0])
+    p0, a, b, c, d, e = (part[i] for i in (0, 3, 7, 11, 20, 30))
+
+    def recoloured(*classes):
+        colour = list(range(1000, 1000 + pure.top().size))
+        for x, cls in enumerate(classes):
+            for v in cls:
+                colour[v] = x
+        return colour
+
+    cases += [
+        # |D|-2 repeats: skipped outright
+        (Q, D, part, recoloured([a, b]), None),
+        # |D|-1 repeats over two classes: searched, no class big enough
+        (Q, D, part, recoloured([a, b], [c, d]), None),
+        (Q, D, part, recoloured([a, b, c]), (a, b, c)),
+        # images in descending order, where the class met first does not
+        # hold the least copy, and in shuffled order
+        (Q, D, part[::-1], recoloured([c, d, e], [p0, a, b]), (p0, a, b)),
+        (Q, D, random.Random(7).sample(part, len(part)),
+         recoloured([c, d, e], [p0, a, b]), (p0, a, b)),
+    ]
     for P, D, images, colour, expected in cases:
         assert _filter_part_mono_copy(P, D, images, colour) == expected
         assert _find_part_mono_copy(P, D, images, colour) == expected
