@@ -111,6 +111,14 @@ class Presentation:
         self.sets = fam
         self._sorted = srt
 
+    @classmethod
+    def _from_sorted(cls, base: Structure, k: int, sorted_sets) -> Presentation:
+        """Sorted k-sets that the library built valid, without the checks."""
+        P = cls.__new__(cls)
+        P.base, P.k, P._sorted = base, k, tuple(sorted_sets)
+        P.sets = tuple(map(frozenset, P._sorted))
+        return P
+
     def sorted_set(self, v: int) -> tuple[int, ...]:
         return self._sorted[v]
 
@@ -301,34 +309,46 @@ def enumerate_presentations(C: Structure, k: int,
         return cells[-1] is not None
 
     for sets in _normal_form_walk(C, k, canonical):
-        yield Presentation(C, k, sets)
+        yield Presentation._from_sorted(C, k, sets)
+
+
+def _sample_sets(size: int, k: int, rng: random.Random) -> tuple[frozenset, ...]:
+    """The sets of `random_presentation`, as frozensets in draw order."""
+    ground = max(k * size, k)
+    pooled = ground <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    bits = rng.getrandbits
+    draws = [(n, n.bit_length()) for n in range(ground, ground - k, -1)]
+    full = list(range(ground)) if pooled else None
+    chosen: dict[frozenset, None] = {}
+    while len(chosen) < size:
+        if pooled:  # sample's pool: a drawn slot is refilled from the end
+            pool, picks = full[:], []
+            for n, b in draws:
+                j = bits(b)
+                while j >= n:
+                    j = bits(b)
+                picks.append(pool[j])
+                pool[j] = pool[n - 1]
+        else:  # sample's rejection method: redraw until k distinct
+            b = draws[0][1]
+            picks = set()
+            while len(picks) < k:
+                j = bits(b)
+                if j < ground:
+                    picks.add(j)
+        chosen[frozenset(picks)] = None
+    return tuple(chosen)
 
 
 def random_presentation(C: Structure, k: int, rng: random.Random) -> Presentation:
     """A uniformly random assignment of distinct k-subsets of a ground set
     of k * |C| naturals (every intersection pattern is reachable).  Each
-    set takes the `rng.randrange` draws of CPython 3.11's
-    `rng.sample(range(ground), k)`, so a seed gives the same sets as in
-    earlier versions, which called `sample`."""
+    set makes CPython 3.11's `rng.sample(range(ground), k)` draws, each
+    `randrange(n)` as `getrandbits(n.bit_length())` until below n, so a
+    seed gives the same sets and `rng` state as a call of `sample` did."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ground = max(k * C.size, k)
-    pooled = ground <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
-    draw = rng.randrange
-    chosen: dict[frozenset, None] = {}  # distinct sets in order of first draw
-    while len(chosen) < C.size:
-        if pooled:  # sample's pool; `moved` holds the slots refilled so far
-            moved, picks = {}, []
-            for n in range(ground, ground - k, -1):
-                j = draw(n)
-                picks.append(moved.get(j, j))
-                moved[j] = moved.get(n - 1, n - 1)
-        else:  # sample's rejection method
-            picks = set()
-            while len(picks) < k:
-                picks.add(draw(ground))
-        chosen[frozenset(picks)] = None
-    return Presentation(C, k, chosen)
+    return Presentation(C, k, _sample_sets(C.size, k, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +408,9 @@ def verify_witness(C: Structure, B: Structure, k: int,
             raise ValueError("trials must be >= 1")
         rng = random.Random(f"verify-witness|{seed}")
         for i in range(trials):
-            P = random_presentation(C, k, rng)
-            if not find_sunflower_copies(P, B, limit=1):
-                return WitnessVerdict(False, P, i + 1)
+            sets = _sample_sets(C.size, k, rng)
+            if next(_iter_embedding_maps(B, C, _centre_filter(sets)), None) is None:
+                return WitnessVerdict(False, Presentation(C, k, sets), i + 1)
         return WitnessVerdict(True, None, trials)
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
@@ -452,7 +472,7 @@ def verify_witness(C: Structure, B: Structure, k: int,
     leaf = next(_normal_form_walk(C, k, sunflower_free), None)
     if leaf is None:
         return WitnessVerdict(True, None, checked)
-    return WitnessVerdict(False, Presentation(C, k, leaf), checked + 1)
+    return WitnessVerdict(False, Presentation._from_sorted(C, k, leaf), checked + 1)
 
 
 # ---------------------------------------------------------------------------

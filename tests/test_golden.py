@@ -90,6 +90,10 @@ COMMANDS = [
                      "--k", "2", "--c-size", "7"]),
     ("witness-6-3", ["verify-witness", "--b-size", "3",
                      "--k", "2", "--c-size", "6"]),
+    ("witness-6-3-random", ["verify-witness", "--b-size", "3", "--c-size", "6",
+                            "--k", "2", "--mode", "random", "--seed", "5"]),
+    ("witness-10-4-random", ["verify-witness", "--b-size", "4", "--c-size", "10",
+                             "--k", "2", "--mode", "random", "--seed", "1"]),
     ("enumerate", ["enumerate-presentations", "--size", "4", "--k", "3"]),
 ]
 
@@ -128,6 +132,8 @@ EXPECTED = {
     "3dap-k4h3free-budget": [3, "ee590f1850650b719d7127d8a22331fc972ef061fce37c4c7b09f370ca23f7b7"],
     "witness-7-3": [0, "6f7e123e078d2a1f9c787547f4407b805752ae2b707e94832954667893ae36a2"],
     "witness-6-3": [1, "66b251003edbc5c0009a62a9c720c43febb5ba5e1f69f0c8635702cd4fb34f29"],
+    "witness-6-3-random": [1, "4d16db515227459217c37f14a772daf54c1e6b8201592f90aa39b1820ced5058"],
+    "witness-10-4-random": [0, "779db68d982fac8362371e010cef95a711b9ec380e18c731e7adbe8f8270c48e"],
     "enumerate": [0, "96fee7e46d0fd484bb7e9d6530ff58af939d2586587ae2ba981b9e0bcfdf50df"],
 }
 

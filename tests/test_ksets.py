@@ -378,12 +378,51 @@ def test_witness_random_mode():
     B = catalog.pure_set(3)
     assert verify_witness(catalog.pure_set(7), B, 2, mode="random",
                           trials=200, seed=3).passed
+    # at seed 5 sampling stumbles on a bad family of pure 6/3 at sample 618;
+    # the counterexample must genuinely be sunflower-free
     verdict = verify_witness(catalog.pure_set(6), B, 2, mode="random",
-                             trials=4000, seed=3)
-    # sampling usually stumbles on the unique bad family eventually; if it
-    # does, the counterexample must genuinely be sunflower-free
-    if not verdict.passed:
-        assert not find_sunflower_copies(verdict.counterexample, B, limit=1)
+                             trials=4000, seed=5)
+    assert verdict.passed is False
+    assert verdict.checked == 618
+    assert not find_sunflower_copies(verdict.counterexample, B, limit=1)
+
+
+def _k6_minus_edge():
+    k6 = catalog.complete_graph(6)
+    return Structure(k6.signature, 6,
+                     {"E": [t for t in k6.relations["E"] if set(t) != {0, 1}]})
+
+
+def _sampled_verdict(C, B, k, trials, seed):
+    """Random mode spelled out: `random_presentation` samples on random
+    mode's seeded rng and `find_sunflower_copies` searches each sample;
+    (passed, checked, counterexample sets)."""
+    rng = random.Random(f"verify-witness|{seed}")
+    for i in range(trials):
+        P = random_presentation(C, k, rng)
+        if not find_sunflower_copies(P, B, limit=1):
+            return False, i + 1, P.sets
+    return True, trials, None
+
+
+# pure 11/4 at k = 2 has ground 22, so its samples take `sample`'s
+# rejection branch; `failing` counts the seeds whose verdict fails
+@pytest.mark.parametrize("C, B, k, trials, seeds, failing", [
+    (catalog.pure_set(6), catalog.pure_set(3), 2, 300, (0, 12, 13), 2),
+    (catalog.pure_set(7), catalog.pure_set(3), 2, 200, (0, 1), 0),
+    (catalog.pure_set(10), catalog.pure_set(4), 2, 200, (0, 1), 0),
+    (catalog.pure_set(11), catalog.pure_set(4), 2, 200, (0, 1), 0),
+    (catalog.pure_set(5), catalog.pure_set(3), 3, 50, (0, 1, 2, 3), 4),
+    (_k6_minus_edge(), catalog.complete_graph(3), 2, 300, (0, 19, 26), 2),
+])
+def test_random_mode_matches_sampling_oracle(C, B, k, trials, seeds, failing):
+    verdicts = []
+    for seed in seeds:
+        v = verify_witness(C, B, k, mode="random", trials=trials, seed=seed)
+        sets = None if v.counterexample is None else v.counterexample.sets
+        assert (v.passed, v.checked, sets) == _sampled_verdict(C, B, k, trials, seed)
+        verdicts.append(v.passed)
+    assert verdicts.count(False) == failing
 
 
 def test_witness_respects_structure():
@@ -455,12 +494,6 @@ def _rebuild_verify(C, B, k, ground_budget=18, swap_rule=True):
     counterexample = rec(0, 0)
     return (counterexample is None, checked,
             None if counterexample is None else counterexample.sets)
-
-
-def _k6_minus_edge():
-    k6 = catalog.complete_graph(6)
-    return Structure(k6.signature, 6,
-                     {"E": [t for t in k6.relations["E"] if set(t) != {0, 1}]})
 
 
 ANCHORED_CASES = [

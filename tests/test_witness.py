@@ -228,6 +228,7 @@ def test_extraction_las_vegas_contract_tiny_instance():
     no sunflower copy."""
     K = catalog.pure_sets()
     B = catalog.pure_set(3)
+    # the 9-vertex top of c_override=3 is a real witness, as f(2, 3) = 7
     chain = build_witness_chain(K, B, 2, seed=5, c_override=3)
     top = chain.top()
     rng = random.Random(1)
@@ -241,9 +242,15 @@ def test_extraction_las_vegas_contract_tiny_instance():
             assert not find_sunflower_copies(e.presentation, B, limit=1)
             continue
         assert verify_certificate(cert, B, P)
-    # tiny instances are not real witnesses, their verdicts just have to
-    # be honest either way
-    assert failures >= 0
+    assert failures == 0
+    # the 6-vertex top of c_override=2 is not: two triangles of 2-sets
+    # hold no sunflower of three
+    chain = build_witness_chain(K, B, 2, seed=5, c_override=2)
+    P = Presentation(chain.top(), 2, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(ExtractionFailed) as failed:
+        extract_sunflower(chain, P)
+    assert failed.value.presentation == P
+    assert not find_sunflower_copies(failed.value.presentation, B, limit=1)
 
 
 def test_pipeline_las_vegas_pure_sets_contract():
