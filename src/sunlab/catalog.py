@@ -49,9 +49,8 @@ def sym_tuples(base: Iterable[tuple]) -> set:
     return out
 
 
-def graph(size: int, edges: Iterable[tuple], sig: Signature = GRAPH_SIG,
-          relation: str = "E") -> Structure:
-    return Structure(sig, size, {relation: sym_tuples(edges)})
+def graph(size: int, edges: Iterable[tuple]) -> Structure:
+    return Structure(GRAPH_SIG, size, {"E": sym_tuples(edges)})
 
 
 def pure_set(size: int) -> Structure:

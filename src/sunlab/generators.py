@@ -2,9 +2,11 @@
 plus a generic class-constrained random-extension builder and an
 extension-property defect scanner.
 
-Everything is deterministic in (name, size, seed): generators draw from
-``random.Random(f"{name}|{size}|{seed}")``, whose string seeding is stable
-across platforms and runs.
+Everything is deterministic in (name, size, seed): generators draw from a
+``random.Random`` seeded with a string made of the three, and string
+seeding is stable across platforms and runs.  knfree:n and rb-bichrome
+share one greedy sampler whose colour classes are K_n-free: one colour,
+or two with n = 3.
 
 A finite chunk can only approximate a homogeneous limit; the defect
 scanner reports which one-point extensions over small bases are missing,
@@ -124,12 +126,14 @@ def gen_generic(K: ClassSpec, size: int, seed: int,
 
 def _clique_exists(adj: list[int], inside: int, size: int) -> bool:
     """Whether the vertex bitmask `inside` holds a clique on `size` vertices."""
-    while inside.bit_count() >= size > 0:
+    if size <= 1:
+        return inside.bit_count() >= size
+    while inside.bit_count() >= size:
         u = inside.bit_length() - 1
         inside ^= 1 << u
         if _clique_exists(adj, inside & adj[u], size - 1):
             return True
-    return size <= 0
+    return False
 
 
 def _gen_random_graph(size, rng):
@@ -138,25 +142,35 @@ def _gen_random_graph(size, rng):
     return catalog.graph(size, edges)
 
 
-def _gen_knfree(n, size, rng):
-    adj = [0] * size  # neighbourhoods as bitmasks
-    edges = []
+def _greedy_edges(n, colours, size, rng):
+    """Edge lists, one per colour, of a graph whose colour classes are K_n-free.
+
+    Each pair uv, u in a shuffled order of the vertices before v, gets no
+    edge or an edge of a colour in which it closes no K_n (its common
+    neighbourhood, a bitmask, holds no clique on n-2 vertices), uniformly
+    among those options in that order, drawn as rng.randrange(m) draws:
+    getrandbits(m.bit_length()) until the value is below m."""
+    adj = [[0] * size for _ in range(colours)]
+    getrandbits = rng.getrandbits
     for v in range(size):
         order = list(range(v))
         rng.shuffle(order)
         for u in order:
-            # an edge uv closes a K_n iff the common neighbourhood already
-            # holds a clique on n-2 vertices; the draws are rng.choice's
-            # among m = 1 or 2 values: getrandbits(m) until it is below m
-            m = 1 if _clique_exists(adj, adj[u] & adj[v], n - 2) else 2
-            r = rng.getrandbits(m)
+            free = []
+            for bits in adj:
+                if not _clique_exists(bits, bits[u] & bits[v], n - 2):
+                    free.append(bits)
+            m = len(free) + 1
+            k = m.bit_length()
+            r = getrandbits(k)
             while r >= m:
-                r = rng.getrandbits(m)
+                r = getrandbits(k)
             if r:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                edges.append((u, v))
-    return catalog.graph(size, edges)
+                bits = free[r - 1]
+                bits[u] |= 1 << v
+                bits[v] |= 1 << u
+    return [[(u, v) for v in range(size) for u in range(v) if bits[v] >> u & 1]
+            for bits in adj]
 
 
 def _gen_tournament(size, rng):
@@ -180,44 +194,34 @@ def _gen_oriented(size, rng):
 def _gen_poset(size, rng):
     """One-point random extensions of a strict partial order.
 
-    Each existing vertex is placed below, incomparable to, or above the
-    new point, uniformly among the labels compatible with the labels
-    already assigned; the pairwise compatibility conditions are exactly
-    what keeps the extended relation transitive.
-    """
-    less: set[tuple[int, int]] = set()
+    Each existing vertex u, ascending, is placed below, incomparable to or
+    above the new point, uniformly among the labels that keep the order
+    transitive given those placed before.  All sets are bitmasks: lo[u] and
+    hi[u] the vertices below and above u, below, incomp and above each label's."""
+    lo, hi, less = [], [], []
     for v in range(size):
-        label = {}
+        below = incomp = above = 0
         for u in range(v):
             ok = []
-            for cand in ("below", "incomp", "above"):
-                good = True
-                for w, lw in label.items():
-                    pair = {cand, lw}
-                    if pair == {"below", "above"}:
-                        lo, hi = (u, w) if cand == "below" else (w, u)
-                        if (lo, hi) not in less:
-                            good = False
-                    elif pair == {"below", "incomp"}:
-                        c = u if cand == "below" else w
-                        d = w if cand == "below" else u
-                        if (d, c) in less:  # c > d would force d below the point
-                            good = False
-                    elif pair == {"above", "incomp"}:
-                        e = u if cand == "above" else w
-                        d = w if cand == "above" else u
-                        if (e, d) in less:  # e < d would force d above the point
-                            good = False
-                    if not good:
-                        break
-                if good:
-                    ok.append(cand)
-            label[u] = ok[rng.randrange(len(ok))]
-        for u, lu in label.items():
-            if lu == "below":
-                less.add((u, v))
-            elif lu == "above":
-                less.add((v, u))
+            if not (above & ~hi[u] | incomp & lo[u]):
+                ok.append(0)  # below: all of `above` over u, no `incomp` under
+            if not (below & hi[u] | above & lo[u]):
+                ok.append(1)  # incomparable: no `below` over u, no `above` under
+            if not (below & ~lo[u] | incomp & hi[u]):
+                ok.append(2)  # above: all of `below` under u, no `incomp` over
+            label = ok[rng.randrange(len(ok))]
+            if label == 0:
+                below |= 1 << u
+                hi[u] |= 1 << v
+                less.append((u, v))
+            elif label == 1:
+                incomp |= 1 << u
+            else:
+                above |= 1 << u
+                lo[u] |= 1 << v
+                less.append((v, u))
+        lo.append(below)
+        hi.append(above)
     return Structure(catalog.ORDER_SIG, size, {"<": less})
 
 
@@ -266,30 +270,6 @@ def _gen_local_order(size, rng):
     return S.with_meta(angles=[str(f) for f in fracs], denominator=d)
 
 
-def _gen_rb(size, rng):
-    red = [set() for _ in range(size)]
-    blue = [set() for _ in range(size)]
-    for v in range(size):
-        order = list(range(v))
-        rng.shuffle(order)
-        for u in order:
-            choices = ["none"]
-            if not (red[u] & red[v]):
-                choices.append("R")
-            if not (blue[u] & blue[v]):
-                choices.append("B")
-            pick = choices[rng.randrange(len(choices))]
-            if pick == "R":
-                red[u].add(v)
-                red[v].add(u)
-            elif pick == "B":
-                blue[u].add(v)
-                blue[v].add(u)
-    r_edges = [(u, v) for u in range(size) for v in red[u] if u < v]
-    b_edges = [(u, v) for u in range(size) for v in blue[u] if u < v]
-    return catalog.rb_structure(size, r_edges, b_edges)
-
-
 def parse_generator_id(name: str) -> tuple[str, Optional[int]]:
     if ":" in name:
         head, arg = name.split(":", 1)
@@ -311,7 +291,7 @@ def gen_named(name: str, size: int, seed: int) -> Structure:
     elif head == "knfree":
         if arg is None or arg < 3:
             raise ValueError("knfree needs a parameter n >= 3, e.g. knfree:3")
-        S = _gen_knfree(arg, size, rng)
+        S = catalog.graph(size, _greedy_edges(arg, 1, size, rng)[0])
     elif head == "random-tournament":
         S = _gen_tournament(size, rng)
     elif head == "random-oriented":
@@ -327,7 +307,7 @@ def gen_named(name: str, size: int, seed: int) -> Structure:
     elif head == "local-order":
         S = _gen_local_order(size, rng)
     elif head == "rb-bichrome":
-        S = _gen_rb(size, rng)
+        S = catalog.rb_structure(size, *_greedy_edges(3, 2, size, rng))
     elif head == "f-free-3hyper":
         S = gen_generic(catalog.f_free_3hypergraphs(), size, seed,
                         rng=random.Random(f"f-free-3hyper|{size}|{seed}"))

@@ -35,7 +35,6 @@ from .structures import (
     colour_classes,
     embeds,
     find_embeddings,
-    qf_type,
 )
 
 
@@ -328,22 +327,17 @@ def min_embedding_colouring(S: Structure, A: Structure, p: QfType) -> MinColouri
     embs = find_embeddings(A, S)
     if not embs:
         raise ValueError("pattern does not embed into the structure")
-    transported = []
-    for f in embs:
-        params = tuple(f.map[j] for j in p.parameters)
-        transported.append((params, p.positives))
+    # one realisation table per embedding, sharing the empty-base types, until
+    # each vertex holds the least embedding whose class it lies in
+    own = _own_types(S)
     sentinel = len(embs)
-    values = []
-    flagged = []
-    for v in range(S.size):
-        colour = sentinel
-        for i, (params, want) in enumerate(transported):
-            if v in params:
-                continue
-            if qf_type(S, v, params).positives == want:
-                colour = i
-                break
-        if colour == sentinel:
-            flagged.append(v)
-        values.append(colour)
+    values = [sentinel] * S.size
+    for i, f in enumerate(embs):
+        params = [f.map[j] for j in p.parameters]
+        for v in _type_classes(S, params, own).get(p.positives, ()):
+            if values[v] == sentinel:
+                values[v] = i
+        if sentinel not in values:
+            break
+    flagged = [v for v, c in enumerate(values) if c == sentinel]
     return MinColouringResult(Colouring(values), sentinel, flagged, len(embs))

@@ -67,9 +67,6 @@ class PartitionedHypergraph:
     def vertices(self) -> tuple[int, ...]:
         return self._vertices
 
-    def part_of(self, v: int) -> int:
-        return self._part_of[v]
-
     def is_transversal(self, e: Iterable[int]) -> bool:
         return len({self._part_of[v] for v in e}) == self.n
 

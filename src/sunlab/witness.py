@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
-from operator import itemgetter
 from typing import Optional
 
 from .ksets import (
@@ -38,6 +36,7 @@ from .structures import (
     _iter_embedding_maps,
     _type_classes,
     are_isomorphic,
+    colour_classes,
     embedding_defect,
     enumerate_class_members,
     find_embeddings,
@@ -220,17 +219,12 @@ def build_witness_chain(K: ClassSpec, B: Structure, k: int, seed: int,
 
 def _find_part_mono_copy(P: Presentation, D: Structure, part_vertices,
                          colour) -> Optional[tuple[int, ...]]:
-    # a copy lies in a colour class of |D| part vertices, which needs |D|-1
-    # repeated colours; the least of the classes' first copies wins, and a
-    # later class can only win below the first vertex of the best copy so far
+    # a copy lies in a colour class of at least |D| part vertices; the least
+    # of the classes' first copies wins, and a later class can only win
+    # below the first vertex of the best copy so far
     n = D.size
-    cols = itemgetter(*part_vertices)(colour) if len(part_vertices) > 1 else \
-        [colour[v] for v in part_vertices]
-    if len(set(cols)) > len(cols) - (n - 1):
-        return None
     best = None
-    for c in [c for c, m in Counter(cols).items() if m >= n]:
-        cls = [v for v, x in zip(part_vertices, cols) if x == c]
+    for cls in colour_classes(part_vertices, colour, n):
         head = cls if best is None else [v for v in cls if v < best[0]]
         pools = [head] + [cls] * (n - 1)
         best = next(_iter_embedding_maps(D, P.base, candidates=pools), best)

@@ -13,7 +13,8 @@ from test_structures import COLOUR_SIG, irreducible_structures, structures
 from sunlab import catalog, jsonio
 from sunlab.generators import (
     NoAdmissibleExtension,
-    _gen_knfree,
+    _gen_poset,
+    _greedy_edges,
     admissible_point_types,
     extension_defects,
     gen_generic,
@@ -162,13 +163,100 @@ def knfree_by_choice(n, size, rng):
     return catalog.graph(size, [(u, v) for u in range(size) for v in adj[u] if u < v])
 
 
+def rb_by_choice(size, rng):
+    """Oracle: the rb-bichrome draw on neighbour sets, each edge decided by
+    rng.randrange among none, R and B, keeping the colours that close no
+    monochromatic triangle."""
+    red = [set() for _ in range(size)]
+    blue = [set() for _ in range(size)]
+    for v in range(size):
+        order = list(range(v))
+        rng.shuffle(order)
+        for u in order:
+            choices = ["none"]
+            if not (red[u] & red[v]):
+                choices.append("R")
+            if not (blue[u] & blue[v]):
+                choices.append("B")
+            pick = choices[rng.randrange(len(choices))]
+            if pick == "R":
+                red[u].add(v)
+                red[v].add(u)
+            elif pick == "B":
+                blue[u].add(v)
+                blue[v].add(u)
+    r_edges = [(u, v) for u in range(size) for v in red[u] if u < v]
+    b_edges = [(u, v) for u in range(size) for v in blue[u] if u < v]
+    return catalog.rb_structure(size, r_edges, b_edges)
+
+
+def poset_by_labels(size, rng):
+    """Oracle: the generic-poset draw by pairwise label compatibility on a
+    set of pairs, each existing vertex labelled below, incomp or above the
+    new point by rng.randrange among the labels compatible with those
+    already assigned."""
+    less: set[tuple[int, int]] = set()
+    for v in range(size):
+        label = {}
+        for u in range(v):
+            ok = []
+            for cand in ("below", "incomp", "above"):
+                good = True
+                for w, lw in label.items():
+                    pair = {cand, lw}
+                    if pair == {"below", "above"}:
+                        lo, hi = (u, w) if cand == "below" else (w, u)
+                        if (lo, hi) not in less:
+                            good = False
+                    elif pair == {"below", "incomp"}:
+                        c = u if cand == "below" else w
+                        d = w if cand == "below" else u
+                        if (d, c) in less:  # c > d would force d below the point
+                            good = False
+                    elif pair == {"above", "incomp"}:
+                        e = u if cand == "above" else w
+                        d = w if cand == "above" else u
+                        if (e, d) in less:  # e < d would force d above the point
+                            good = False
+                    if not good:
+                        break
+                if good:
+                    ok.append(cand)
+            label[u] = ok[rng.randrange(len(ok))]
+        for u, lu in label.items():
+            if lu == "below":
+                less.add((u, v))
+            elif lu == "above":
+                less.add((v, u))
+    return Structure(catalog.ORDER_SIG, size, {"<": less})
+
+
+ORACLE_SIZES = (0, 1, 2, 7, 25, 60)
+
+
+def _same_draw(ours, theirs, key):
+    """Both samplers give equal structures from equally seeded generators
+    and leave them in equal states."""
+    for size in ORACLE_SIZES:
+        for seed in range(3):
+            a, b = (random.Random(f"{key}|{size}|{seed}") for _ in range(2))
+            assert ours(size, a) == theirs(size, b), (size, seed)
+            assert a.getstate() == b.getstate(), (size, seed)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_knfree_matches_the_choice_draw_and_leaves_the_same_state(n):
-    for size in (1, 2, 7, 25, 60):
-        for seed in range(3):
-            ours, theirs = (random.Random(f"{n}|{size}|{seed}") for _ in range(2))
-            assert _gen_knfree(n, size, ours) == knfree_by_choice(n, size, theirs)
-            assert ours.getstate() == theirs.getstate()
+    _same_draw(lambda size, rng: catalog.graph(size, _greedy_edges(n, 1, size, rng)[0]),
+               lambda size, rng: knfree_by_choice(n, size, rng), n)
+
+
+def test_rb_bichrome_matches_the_set_draw_and_leaves_the_same_state():
+    _same_draw(lambda size, rng: catalog.rb_structure(size, *_greedy_edges(3, 2, size, rng)),
+               rb_by_choice, "rb")
+
+
+def test_generic_poset_matches_the_label_draw_and_leaves_the_same_state():
+    _same_draw(_gen_poset, poset_by_labels, "poset")
 
 
 def test_double_equivalence_side_two():

@@ -53,6 +53,8 @@ COMMANDS = [
                   "--params", "0", "--type", "{tmp}/type.json"]),
     ("gen-knfree", ["gen", "--klass", "knfree:3", "--size", "20", "--seed", "5"]),
     ("gen-named-knfree", ["gen", "--id", "knfree:3", "--size", "60", "--seed", "11"]),
+    ("gen-named-rb", ["gen", "--id", "rb-bichrome", "--size", "40", "--seed", "4"]),
+    ("gen-named-poset", ["gen", "--id", "generic-poset", "--size", "30", "--seed", "2"]),
     ("gen-oriented", ["gen", "--klass", "oriented", "--size", "12",
                       "--seed", "5"]),
     ("gen-f-free", ["gen", "--klass", "f-free-3hyper", "--size", "8",
@@ -115,6 +117,8 @@ EXPECTED = {
     "open-set": [0, "5d46683cf24ff9ec5f2810662ec8850a46a6ddaef3ef7fba1db73bf4bdfdca31"],
     "gen-knfree": [0, "740f7ebbc69948edbffbefdb48d7698e776d03f84c280104be2fc617575ac169"],
     "gen-named-knfree": [0, "a09bb3b32e881e7b0e3dd6bebf9ca63d5e601c4b85d66464876f968fc1e95c08"],
+    "gen-named-rb": [0, "00d117ef575dd2f2bb29b9878e57cfdcf24e3757419634da8af6506f47e17adf"],
+    "gen-named-poset": [0, "7033316abcfe50af4ac6cda51088e0ec5bdba49c0a2a51a77224c547dbcd82c6"],
     "gen-oriented": [0, "d100835f854b3b08ec9647351717bc94502c03b38f767e77291dfe5312fc2406"],
     "gen-f-free": [0, "09db7ca4d7a324107da06c45407412e64d48c67d2c68984071c8493a6c25a0ae"],
     "gen-two-colour": [0, "079945e5928a2aaada9e32a0d997b1752fa4debf194e4d0e580704c67cd95b53"],

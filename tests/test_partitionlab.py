@@ -24,6 +24,7 @@ from sunlab.structures import (
     Structure,
     _iter_embedding_maps,
     embeds,
+    find_embeddings,
     qf_type,
     realisation_set,
 )
@@ -342,3 +343,66 @@ def test_min_colouring_sentinel():
     res = min_embedding_colouring(S, A, p)
     assert res.flagged == (0, 1, 2)
     assert set(res.colouring.values) == {res.sentinel}
+
+
+def min_colouring_by_types(S, A, p):
+    """Oracle: the least-embedding colouring with one qf_type read per
+    (vertex, embedding); (values, flagged vertices)."""
+    embs = find_embeddings(A, S)
+    values = []
+    for v in range(S.size):
+        colour = len(embs)
+        for i, f in enumerate(embs):
+            params = tuple(f.map[j] for j in p.parameters)
+            if v not in params and qf_type(S, v, params).positives == p.positives:
+                colour = i
+                break
+        values.append(colour)
+    return tuple(values), tuple(v for v, c in enumerate(values) if c == len(embs))
+
+
+def _pattern_and_type(S, order, b, params, realised, rng_pick):
+    """The pattern S.induced(order[:b]) and a type over it: the type of
+    order[b] over the pattern's copy in S, or one drawn from all atoms."""
+    A = S.induced(order[:b])
+    if realised:
+        positives = qf_type(S, order[b], [order[j] for j in params]).positives
+    else:
+        patterns = [(name, q) for name, arity in S.signature.relations
+                    for q in itertools.product(range(-1, b), repeat=arity) if -1 in q]
+        positives = rng_pick(patterns)
+    return A, QfType(params, positives)
+
+
+@ORACLE
+@given(st.data())
+def test_min_colouring_matches_the_type_by_type_oracle(data):
+    # every catalog signature, ternary relations and tuples repeating a
+    # vertex included, over patterns of 0-2 vertices
+    sig = data.draw(st.sampled_from(SIGNATURES))
+    S = data.draw(structures(sig, 1, 6))
+    order = data.draw(st.permutations(range(S.size)))
+    b = data.draw(st.integers(0, min(2, S.size - 1)))
+    params = tuple(data.draw(st.permutations(range(b))))
+    A, p = _pattern_and_type(S, order, b, params, data.draw(st.booleans()),
+                             lambda pats: data.draw(st.sets(st.sampled_from(pats)))
+                             if pats else ())
+    res = min_embedding_colouring(S, A, p)
+    assert (res.colouring.values, res.flagged) == min_colouring_by_types(S, A, p)
+    assert res.sentinel == res.embedding_count == len(find_embeddings(A, S))
+
+
+def test_min_colouring_matches_the_oracle_on_seeded_named_structures():
+    rng = random.Random(27)
+    for name, size in [("random-graph", 12), ("generic-poset", 12),
+                       ("rb-bichrome", 10), ("local-order", 9), ("knfree:3", 14)]:
+        for seed in range(3):
+            S = gen_named(name, size, seed)
+            order = rng.sample(range(S.size), S.size)
+            b = rng.randrange(3)
+            params = tuple(rng.sample(range(b), b))
+            A, p = _pattern_and_type(
+                S, order, b, params, rng.random() < 0.7,
+                lambda pats: [q for q in pats if rng.random() < 0.3])
+            res = min_embedding_colouring(S, A, p)
+            assert (res.colouring.values, res.flagged) == min_colouring_by_types(S, A, p)
