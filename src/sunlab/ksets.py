@@ -50,6 +50,7 @@ from .structures import (
     Structure,
     _iter_embedding_maps,
     embedding_defect,
+    vertex_mask,
 )
 
 DEFAULT_GROUND_BUDGET = 18
@@ -428,7 +429,7 @@ def verify_witness(C: Structure, B: Structure, k: int,
     # automorphism) sends lower.
     depths = range(B.size)
     pins = [d for d in depths if next(_iter_embedding_maps(
-        B, B, None, [range(d) if e == d else depths for e in depths]), None) is None]
+        B, B, None, [(1 << d) - 1 if e == d else None for e in depths]), None) is None]
     swaps = [embedding_defect(C, C, (*range(i), i + 1, i, *range(i + 2, C.size)))
              is None for i in range(C.size - 1)]
     checked = 0
@@ -462,9 +463,9 @@ def verify_witness(C: Structure, B: Structure, k: int,
             # only pairs inside the pool can miss the centre, and distinct
             # k-sets through a (k-1)-set meet in exactly that set
             flt = None if B.size <= 2 or len(centre) == k - 1 else meets_in(centre)
+            mask = vertex_mask(pool)
             for d in pins:
-                pools = [pool] * B.size
-                pools[d] = (i - 1,)
+                pools = [1 << (i - 1) if e == d else mask for e in depths]
                 if next(_iter_embedding_maps(B, prefixes[i], flt, pools), None) is not None:
                     return False
         return True

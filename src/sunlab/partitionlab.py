@@ -32,6 +32,7 @@ from .structures import (
     _iter_embedding_maps,
     _own_types,
     _type_classes,
+    _types_over,
     colour_classes,
     embeds,
     find_embeddings,
@@ -285,7 +286,7 @@ def colour_copy_search(S: Structure, chi: Colouring, B: Structure) -> CopySearch
     mono_images = set()
     mono_witness = None
     # the empty copy is monochromatic even when S has no colour classes
-    for cls in colour_classes(range(S.size), chi, B.size) or [[]]:
+    for cls in colour_classes(range(S.size), chi, B.size) or [0]:
         for m in _iter_embedding_maps(B, S, candidates=[cls] * B.size):
             if mono_witness is None or m < mono_witness:
                 mono_witness = m
@@ -327,17 +328,19 @@ def min_embedding_colouring(S: Structure, A: Structure, p: QfType) -> MinColouri
     embs = find_embeddings(A, S)
     if not embs:
         raise ValueError("pattern does not embed into the structure")
-    # one realisation table per embedding, sharing the empty-base types, until
-    # each vertex holds the least embedding whose class it lies in
+    # per embedding, the types of the vertices still at the sentinel only, until
+    # each vertex holds the least embedding under which it realises p
     own = _own_types(S)
     sentinel = len(embs)
     values = [sentinel] * S.size
+    left = (1 << S.size) - 1
     for i, f in enumerate(embs):
-        params = [f.map[j] for j in p.parameters]
-        for v in _type_classes(S, params, own).get(p.positives, ()):
-            if values[v] == sentinel:
+        params = tuple(f.map[j] for j in p.parameters)
+        for v, positives in _types_over(S, params, own, left):
+            if positives == p.positives:
                 values[v] = i
-        if sentinel not in values:
+                left ^= 1 << v
+        if not left:
             break
     flagged = [v for v, c in enumerate(values) if c == sentinel]
     return MinColouringResult(Colouring(values), sentinel, flagged, len(embs))

@@ -85,7 +85,7 @@ class Structure:
     """
 
     __slots__ = ("signature", "size", "relations", "meta",
-                 "_hash", "_adj", "_canon", "_src")
+                 "_hash", "_adj", "_src")
 
     def __init__(self, signature: Signature, size: int,
                  relations: Optional[dict] = None, meta: Optional[dict] = None):
@@ -103,7 +103,7 @@ class Structure:
         self.size = size
         self.relations = rels
         self.meta = dict(meta) if meta else {}
-        self._hash = self._adj = self._canon = self._src = None
+        self._hash = self._adj = self._src = None
 
     def _grown(self, size: int, added: Iterable[tuple] = ()) -> "Structure":
         """This structure on `size` >= self.size vertices plus the (relation,
@@ -114,7 +114,7 @@ class Structure:
             extra.setdefault(name, []).append(t)
         T = Structure.__new__(Structure)
         T.signature, T.size, T.meta, T.relations = self.signature, size, {}, dict(self.relations)
-        T._hash = T._adj = T._canon = T._src = None
+        T._hash = T._adj = T._src = None
         for name, ts in extra.items():
             _check_tuples(name, self.signature.arity(name), ts, size)
             T.relations[name] = T.relations[name].union(ts)
@@ -289,15 +289,16 @@ def _diagram(S: Structure, at: Sequence[int]) -> frozenset:
 
 def _iter_embedding_maps(A: Structure, B: Structure,
                          candidate_filter: Optional[CandidateFilter] = None,
-                         candidates: Optional[list[Iterable[int]]] = None,
+                         candidates: Optional[Sequence[Optional[int]]] = None,
                          ) -> Iterator[tuple[int, ...]]:
     """Backtracking search for induced embeddings of A in B.
 
     Yields image tuples in lexicographic order.  A-vertices are mapped in
     index order; `candidate_filter(depth, v, partial)` may veto target
     vertex v for A-vertex `depth` given the partial image list, and
-    `candidates[depth]` may restrict the pool outright (in any order: the
-    pool becomes a bitmask, always scanned in ascending order).
+    `candidates[depth]`, a bitmask of B-vertices or None for all of them,
+    restricts the pool outright.  Callers build each mask once, where
+    their data is grouped; pools are always scanned in ascending order.
 
     Candidates are pruned by bitmask: the image of an A-neighbour in the
     Gaifman graph must be a B-neighbour, and if A-vertices u < d share no
@@ -332,17 +333,6 @@ def _iter_embedding_maps(A: Structure, B: Structure,
 
     adj_bits, pair_bits = _adjacency_bits(B)
     full_mask = (1 << B.size) - 1
-    pool_masks = None
-    if candidates is not None:
-        pool_masks = []
-        for pool in candidates:
-            if pool is None:
-                pool_masks.append(None)
-                continue
-            m = 0
-            for v in pool:
-                m |= 1 << v
-            pool_masks.append(m)
 
     partial: list[int] = []
     b_rel = B.relations
@@ -366,8 +356,8 @@ def _iter_embedding_maps(A: Structure, B: Structure,
             return
         atoms, nbrs, non_pairs = src[depth]
         m = full_mask & ~used_mask
-        if pool_masks is not None and pool_masks[depth] is not None:
-            m &= pool_masks[depth]
+        if candidates is not None and candidates[depth] is not None:
+            m &= candidates[depth]
         for u in nbrs:
             m &= adj_bits[partial[u]]
         for u in non_pairs:
@@ -423,50 +413,56 @@ def are_isomorphic(A: Structure, B: Structure) -> Optional[Embedding]:
         raise SignatureMismatch("isomorphism test needs matching signatures")
     if A == B:
         return Embedding(A, B, range(A.size), validate=False)
-    if A.size != B.size:
+    pools = _profile_pools(A, B)
+    if pools is None:
         return None
-    for name in A.signature.names:
-        if len(A.relations[name]) != len(B.relations[name]):
-            return None
-    prof_a, prof_b = _vertex_profiles(A), _vertex_profiles(B)
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-    pools = _profile_pools(prof_a, prof_b)
     for vmap in _iter_embedding_maps(A, B, candidates=pools):
         return Embedding(A, B, vmap, validate=False)
     return None
 
 
-def _profile_pools(prof_a: list, prof_b: list) -> list[list[int]]:
-    """Per source vertex, the sorted target vertices sharing its profile."""
+def _profile_pools(A: Structure, B: Structure) -> Optional[list[int]]:
+    """Per vertex of A, the mask of B's vertices sharing its degree profile,
+    or None when the sorted profiles differ.  A relation's tuple count is
+    the sum of its position-0 entries, so equal profiles mean equal counts."""
+    prof_a, prof_b = _vertex_profiles(A), _vertex_profiles(B)
+    if sorted(prof_a) != sorted(prof_b):
+        return None
     by_profile: dict = {}
     for v, prof in enumerate(prof_b):
         by_profile.setdefault(prof, []).append(v)
-    return [by_profile[prof] for prof in prof_a]
+    masks = {prof: vertex_mask(vs) for prof, vs in by_profile.items()}
+    return [masks[prof] for prof in prof_a]
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask of a vertex collection, as the kernel's pools take it."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def colour_classes(vertices: Iterable[int], colour: Sequence[int],
-                   min_size: int) -> list[list[int]]:
-    """The vertices grouped by their colours `colour[v]`, each class
-    ascending and the classes in order of their least vertex, dropping
+                   min_size: int) -> list[int]:
+    """The vertices grouped by their colours `colour[v]`, each class a
+    vertex mask and the classes in order of their least vertex, dropping
     classes with fewer than `min_size` members.
 
     A copy is monochromatic iff it lies inside one class, so searching each
-    class through candidate pools finds exactly the copies a same-colour
+    class as a kernel pool finds exactly the copies a same-colour
     candidate filter would pass, without calling it on every candidate.
     """
     classes: dict = {}
     for v in sorted(vertices):
         classes.setdefault(colour[v], []).append(v)
-    return [c for c in classes.values() if len(c) >= min_size]
+    return [vertex_mask(c) for c in classes.values() if len(c) >= min_size]
 
 
 def automorphisms(S: Structure) -> list[Embedding]:
     """All automorphisms (useful for small dedup work only)."""
-    prof = _vertex_profiles(S)
-    pools = _profile_pools(prof, prof)
     return [Embedding(S, S, m, validate=False)
-            for m in _iter_embedding_maps(S, S, candidates=pools)]
+            for m in _iter_embedding_maps(S, S, candidates=_profile_pools(S, S))]
 
 
 _CANON_MAX = 9
@@ -479,8 +475,6 @@ def canonical_form(S: Structure) -> tuple:
     Brute force over permutations; guarded at 9 vertices (this package
     never needs canonical forms of larger structures).
     """
-    if S._canon is not None:
-        return S._canon
     if S.size > _CANON_MAX:
         raise BudgetExceeded(f"canonical_form limited to {_CANON_MAX} vertices")
     names = S.signature.names
@@ -490,8 +484,7 @@ def canonical_form(S: Structure) -> tuple:
                      for n in names)
         if best is None or cert < best:
             best = cert
-    S._canon = (S.signature.relations, S.size, best)
-    return S._canon
+    return (S.signature.relations, S.size, best)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +573,7 @@ def satisfies_class_at(S: Structure, K: ClassSpec, v: int) -> bool:
         raise SignatureMismatch("structure/class signature mismatch")
     for F in K.forbidden:
         for anchor in range(F.size):
-            pools = [None] * F.size
-            pools[anchor] = [v]
+            pools = [1 << v if d == anchor else None for d in range(F.size)]
             for _ in _iter_embedding_maps(F, S, candidates=pools):
                 return False
     return True
@@ -671,19 +663,22 @@ def _own_types(S: Structure) -> dict[int, frozenset]:
     return own
 
 
-def _types_over(S: Structure, A: tuple, own: dict) -> Iterator[tuple[int, frozenset]]:
-    """(v, the positives of v's type over A) for each v outside A, ascending.
+def _types_over(S: Structure, A: tuple, own: dict,
+                among: Optional[int] = None) -> Iterator[tuple[int, frozenset]]:
+    """(v, the positives of v's type over A) for each v outside A, ascending,
+    only for the v in the vertex mask `among` when one is given.
 
     Only the Gaifman neighbours of A have their atoms over it read; any
     other vertex shares no tuple with A, so its type is its own type over
     the empty base, `own` as _own_types gives it."""
     bits = _adjacency_bits(S)[0]
-    near = params_mask = 0
+    near = 0
+    left = (1 << S.size) - 1 if among is None else among
     for a in A:
         near |= bits[a]
-        params_mask |= 1 << a
+        left &= ~(1 << a)
     for v in S.vertices:
-        if not params_mask >> v & 1:
+        if left >> v & 1:
             yield v, _positives(S, A + (v,)) if near >> v & 1 else own.get(v, frozenset())
 
 
@@ -836,10 +831,8 @@ def _pinned_copy(T: Structure, chosen: Sequence[tuple], K: ClassSpec) -> bool:
                 for tF in orbit_pins(F)[key]:
                     pins.setdefault(F, set()).add(frozenset(zip(tF, t)))
     for F, ps in pins.items():
-        for pin in ps:
-            pools = [None] * F.size
-            for p, q in pin:
-                pools[p] = [q]
+        for pin in map(dict, ps):
+            pools = [1 << pin[p] if p in pin else None for p in range(F.size)]
             for _ in _iter_embedding_maps(F, T, candidates=pools):
                 return True
     return False

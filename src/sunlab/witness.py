@@ -41,6 +41,7 @@ from .structures import (
     enumerate_class_members,
     find_embeddings,
     satisfies_class,
+    vertex_mask,
 )
 
 
@@ -225,7 +226,7 @@ def _find_part_mono_copy(P: Presentation, D: Structure, part_vertices,
     n = D.size
     best = None
     for cls in colour_classes(part_vertices, colour, n):
-        head = cls if best is None else [v for v in cls if v < best[0]]
+        head = cls if best is None else cls & (1 << best[0]) - 1
         pools = [head] + [cls] * (n - 1)
         best = next(_iter_embedding_maps(D, P.base, candidates=pools), best)
     return best
@@ -333,7 +334,7 @@ def _extract(chain: WitnessChain, P: Presentation, level: int,
             part_of[v] = i
     vmap = _find_disjoint_transversal_copy(P, D, part_of)
     if vmap is not None:
-        for bmap in _iter_embedding_maps(B, P.base, candidates=[vmap] * B.size):
+        for bmap in _iter_embedding_maps(B, P.base, candidates=[vertex_mask(vmap)] * B.size):
             steps.append(TraceStep(level, "transversal", copy=vmap))
             emb = Embedding(B, P.base, bmap, validate=False)
             return SunflowerCert(bmap, frozenset(), emb,

@@ -573,16 +573,16 @@ def _chain(name):
     return _CHAINS[name]()
 
 
-def _filter_part_mono_copy(P, D, part_vertices, colour):
-    """The reference: one search over the whole part, a candidate filter
-    rejecting every vertex whose colour differs from the first image's."""
-    pool = sorted(part_vertices)
+def _filter_part_mono_copy(P, D, part_mask, colour):
+    """The reference: one search over the whole part, given as a vertex
+    mask, a candidate filter rejecting every vertex whose colour differs
+    from the first image's."""
 
     def flt(depth, v, partial):
         return depth == 0 or colour[v] == colour[partial[0]]
 
     return next(_iter_embedding_maps(D, P.base, candidate_filter=flt,
-                                     candidates=[pool] * D.size), None)
+                                     candidates=[part_mask] * D.size), None)
 
 
 def _part_searches(chain, level, P):
@@ -608,7 +608,7 @@ def test_part_mono_copy_matches_filter_search(name, k, rounds):
     for _ in range(rounds):
         P = random_presentation(chain.levels[1].structure, k, rng)
         for D, images, colour in _part_searches(chain, 2, P):
-            want = _filter_part_mono_copy(P, D, images, colour)
+            want = _filter_part_mono_copy(P, D, sum(1 << v for v in images), colour)
             assert _find_part_mono_copy(P, D, images, colour) == want
             found += want is not None
             hits = [h for h in (_filter_part_mono_copy(P, D, cls, colour)
@@ -670,7 +670,7 @@ def test_part_mono_copy_edge_cases():
          recoloured([c, d, e], [p0, a, b]), (p0, a, b)),
     ]
     for P, D, images, colour, expected in cases:
-        assert _filter_part_mono_copy(P, D, images, colour) == expected
+        assert _filter_part_mono_copy(P, D, sum(1 << v for v in images), colour) == expected
         assert _find_part_mono_copy(P, D, images, colour) == expected
 
 
