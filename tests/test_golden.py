@@ -96,6 +96,10 @@ COMMANDS = [
                             "--k", "2", "--mode", "random", "--seed", "5"]),
     ("witness-10-4-random", ["verify-witness", "--b-size", "4", "--c-size", "10",
                              "--k", "2", "--mode", "random", "--seed", "1"]),
+    ("witness-p3", ["verify-witness", "--target", "@{tmp}/p3.json",
+                    "--witness", "{tmp}/p3-witness.json", "--k", "2"]),
+    ("witness-p3-minus-8", ["verify-witness", "--target", "@{tmp}/p3.json",
+                            "--witness", "{tmp}/p3-witness-minus-8.json", "--k", "2"]),
     ("enumerate", ["enumerate-presentations", "--size", "4", "--k", "3"]),
 ]
 
@@ -138,6 +142,8 @@ EXPECTED = {
     "witness-6-3": [1, "66b251003edbc5c0009a62a9c720c43febb5ba5e1f69f0c8635702cd4fb34f29"],
     "witness-6-3-random": [1, "4d16db515227459217c37f14a772daf54c1e6b8201592f90aa39b1820ced5058"],
     "witness-10-4-random": [0, "779db68d982fac8362371e010cef95a711b9ec380e18c731e7adbe8f8270c48e"],
+    "witness-p3": [0, "38005ecac8478813a3fa9e66097551e60e60692117400e98dca2a6c7162bfac0"],
+    "witness-p3-minus-8": [1, "f3fbb93cc750393c203050e414457bcd3d3a0fc5265b4b0de563b683dba42e52"],
     "enumerate": [0, "96fee7e46d0fd484bb7e9d6530ff58af939d2586587ae2ba981b9e0bcfdf50df"],
 }
 
@@ -168,6 +174,21 @@ def _two_colour_class() -> dict:
     return {"signature": sig, "forbidden": forbidden, "name": "two-colour-graphs"}
 
 
+def _graph(size: int, edges) -> dict:
+    """A graph file: E symmetric on `edges`."""
+    return {"signature": [{"name": "E", "arity": 2}], "size": size,
+            "relations": {"E": [[u, v] for a, b in edges for u, v in ((a, b), (b, a))]}}
+
+
+def _p3_witness(size: int) -> dict:
+    """The 9-vertex triangle-free witness for P3 at k = 2, with edges
+    {0,1}x{4,5,6,7}, {2,3}x{4,5,8}, 68 and 78, cut to its first `size`
+    vertices."""
+    edges = [(u, v) for u in (0, 1) for v in (4, 5, 6, 7)]
+    edges += [(u, v) for u in (2, 3) for v in (4, 5, 8)] + [(6, 8), (7, 8)]
+    return _graph(size, [(u, v) for u, v in edges if v < size])
+
+
 def _digest(out: Path) -> str:
     h = hashlib.sha256()
     for path in sorted(out.iterdir()):
@@ -184,6 +205,10 @@ def run_all(tmp: Path, hash_seed: str) -> dict:
     qtype = {"parameters": [0], "positives": [["E", [-1, 0]], ["E", [0, -1]]]}
     (tmp / "type.json").write_text(json.dumps(qtype))
     (tmp / "two-colour.json").write_text(json.dumps(_two_colour_class()))
+    # P3 with its middle vertex last: Aut(B) pins depths 0 and 2
+    (tmp / "p3.json").write_text(json.dumps(_graph(3, [(0, 2), (2, 1)])))
+    (tmp / "p3-witness.json").write_text(json.dumps(_p3_witness(9)))
+    (tmp / "p3-witness-minus-8.json").write_text(json.dumps(_p3_witness(8)))
     dirs = {"tmp": str(tmp)}
     results = {}
     for label, argv in COMMANDS:
