@@ -99,7 +99,7 @@ def gen_generic(K: ClassSpec, size: int, seed: int,
     of structures._completions, each by a uniform pick among the options
     that keep the structure in K.  The picks are uniform given the
     supports before, not over whole one-point diagrams, and an extension
-    in K is drawn iff each of its support prefixes is in K.  Raises
+    in K is drawn iff its prefix up to each support is in K.  Raises
     NoAdmissibleExtension when a support has no option left.
     """
     if size < 1:

@@ -27,11 +27,13 @@ One presentation walk serves enumeration and witness checks: it grows a
 family one set at a time and settles each prefix once.  The refinement of
 a prefix is the start of the refinement of the family, so every prefix of
 a canonical family is canonical, and the enumerator descends only into
-canonical prefixes (orderly generation; Read 1978, McKay 1998), testing
+a canonical prefix (orderly generation; Read 1978, McKay 1998), testing
 each new set against the cells its parent prefix kept.  The witness check
-descends only from prefixes without a sunflower copy, so a copy in a
+descends only from a prefix without a sunflower copy, so a copy in a
 longer prefix must pass through its newest vertex, and that is the only
-place it looks, one meet class of older sets at a time.
+place it looks, one meet class of older sets at a time.  It searches C
+itself, with pools inside the prefix and the sunflower filter
+`_centre_filter`.
 """
 
 from __future__ import annotations
@@ -267,8 +269,8 @@ def _normal_form_candidates(prev_sets: list[tuple[int, ...]], k: int,
 
 
 def _normal_form_walk(C: Structure, k: int, keep) -> Iterator[list[tuple[int, ...]]]:
-    """Every normal-form family of |C| k-sets whose prefixes `keep` all
-    accepts, in lexicographic order.
+    """Every normal-form family of |C| k-sets with every prefix accepted by
+    `keep`, in lexicographic order.
 
     The walk appends sets depth first and calls `keep(sets)` as soon as a
     set is appended, descending only if it holds.  Each family is yielded
@@ -379,16 +381,18 @@ def verify_witness(C: Structure, B: Structure, k: int,
     Exhaustive mode walks the normal-form generation tree and prunes any
     prefix that already contains a sunflower copy (every completion then
     does too); a leaf is a counterexample presentation.  Because the walk
-    only extends sunflower-free prefixes, a copy in a new prefix must use
+    only extends a sunflower-free prefix, a copy in a new prefix must use
     its newest vertex: one B-depth per Aut(B) orbit in turn is pinned to
     that vertex and the others range over one meet class of older vertices,
     those whose sets meet the newest set in the same Y, which is then the
     copy's centre.  Each class with |B| - 1 members or more gets its own
-    pinned searches, on prefix structures built once per call; pairs
-    inside a class are checked against Y only when |B| > 2 and
-    |Y| < k - 1.  A target with no vertices has a copy in every
-    presentation, the empty one included, so the walk stops at
-    its one root candidate.  Random mode samples presentations.
+    pinned searches in C itself: every pool lies inside the prefix, and an
+    induced copy there is one in the prefix.  Pairs inside a class are
+    checked by `_centre_filter` only when |B| > 2 and |Y| < k - 1; with
+    the newest vertex pinned, Y is the only centre it can accept.  A
+    target with no vertices has a copy in every presentation, the empty
+    one included, so the walk stops at its one root candidate.  Random
+    mode samples presentations.
 
     The walk also drops a prefix whose last two sets i, i+1 are out of
     order when swapping vertices i and i+1 is an automorphism of C.  This
@@ -398,7 +402,8 @@ def verify_witness(C: Structure, B: Structure, k: int,
     counterexample that agrees with X before i and whose set i is
     pointwise at most X's set i+1, which is below X's set i; it would come
     before X.  So X obeys the rule and stays the first leaf, and only
-    `checked`, the number of prefixes the pruned walk settles, falls.
+    `checked`, the number of prefix families the pruned walk settles,
+    falls.
     """
     if B.signature != C.signature:
         raise SignatureMismatch("witness check needs matching signatures")
@@ -420,7 +425,6 @@ def verify_witness(C: Structure, B: Structure, k: int,
     if B.size == 0:
         return WitnessVerdict(True, None, 1)
 
-    prefixes = [C.induced(range(i)) for i in range(C.size + 1)]
     members: list[frozenset] = []
     # A copy f with the newest vertex at depth d and an automorphism s of B
     # give the copy f . s^-1, with the same image and that vertex at s(d);
@@ -433,15 +437,6 @@ def verify_witness(C: Structure, B: Structure, k: int,
     swaps = [embedding_defect(C, C, (*range(i), i + 1, i, *range(i + 2, C.size)))
              is None for i in range(C.size - 1)]
     checked = 0
-
-    def meets_in(centre: frozenset) -> CandidateFilter:
-        def flt(depth, v, partial):
-            s = members[v]
-            for u in partial:
-                if members[u] & s != centre:
-                    return False
-            return True
-        return flt
 
     def sunflower_free(sets: list[tuple[int, ...]]) -> bool:
         nonlocal checked
@@ -462,11 +457,11 @@ def verify_witness(C: Structure, B: Structure, k: int,
                 continue
             # only pairs inside the pool can miss the centre, and distinct
             # k-sets through a (k-1)-set meet in exactly that set
-            flt = None if B.size <= 2 or len(centre) == k - 1 else meets_in(centre)
+            flt = None if B.size <= 2 or len(centre) == k - 1 else _centre_filter(members)
             mask = vertex_mask(pool)
             for d in pins:
                 pools = [1 << (i - 1) if e == d else mask for e in depths]
-                if next(_iter_embedding_maps(B, prefixes[i], flt, pools), None) is not None:
+                if next(_iter_embedding_maps(B, C, flt, pools), None) is not None:
                     return False
         return True
 

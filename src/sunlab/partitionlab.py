@@ -104,7 +104,7 @@ def named_partition(S: Structure, scheme: str, anchor: Optional[int] = None) -> 
     """Build one of the named counterexample partitions on a finite input."""
     if scheme == "neighbourhood":
         v = _need_anchor(S, anchor)
-        nbrs = _adjacency_bits(S)[0][v]
+        nbrs = _adjacency_bits(S)[v]
         rest = [u for u in S.vertices if not nbrs >> u & 1]
         return Partition(S.size, [rest, [u for u in S.vertices if nbrs >> u & 1]])
     if scheme == "out-neighbourhood":

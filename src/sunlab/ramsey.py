@@ -656,8 +656,8 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     def cover(start: int, acc_mask: int, chosen: list) -> Optional[list]:
         if acc_mask == full:
             return chosen
-        if len(chosen) == s:
-            return None
+        if len(chosen) == s - 1:  # the last slot must finish the cover
+            return next((chosen + [m] for m in masks[start:] if acc_mask | m == full), None)
         for i in range(start, len(masks)):
             m = masks[i]
             if acc_mask | m != acc_mask:

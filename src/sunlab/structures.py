@@ -119,8 +119,7 @@ class Structure:
             _check_tuples(name, self.signature.arity(name), ts, size)
             T.relations[name] = T.relations[name].union(ts)
         if self._adj is not None:
-            pad = [0] * (size - self.size)
-            T._adj = _with_tuples((self._adj[0] + pad, self._adj[1] + pad),
+            T._adj = _with_tuples(self._adj + [0] * (size - self.size),
                                   itertools.chain.from_iterable(extra.values()))
         return T
 
@@ -226,38 +225,33 @@ def embedding_defect(A: Structure, B: Structure, vmap: tuple[int, ...]) -> Optio
 # Gaifman graphs and irreducibility
 
 
-def _adjacency_bits(S: Structure) -> tuple[list[int], list[int]]:
-    """Per vertex, the bitmask of its Gaifman neighbours and of the
-    vertices it shares a tuple with whose support is exactly the pair
-    (cached: the one Gaifman view of a structure)."""
+def _adjacency_bits(S: Structure) -> list[int]:
+    """Per vertex, the bitmask of its Gaifman neighbours (cached: the one
+    Gaifman view of a structure)."""
     if S._adj is None:
-        S._adj = _with_tuples(([0] * S.size, [0] * S.size),
+        S._adj = _with_tuples([0] * S.size,
                               itertools.chain.from_iterable(S.relations.values()))
     return S._adj
 
 
-def _with_tuples(adj: tuple[list[int], list[int]], tuples: Iterable[tuple]) -> tuple:
-    """The Gaifman view `adj`, updated in place with the tuples' adjacencies."""
-    bits, pair_bits = adj
+def _with_tuples(bits: list[int], tuples: Iterable[tuple]) -> list[int]:
+    """The Gaifman view `bits`, updated in place with the tuples' adjacencies."""
     for t in tuples:
-        sup = set(t)
-        for u, v in itertools.permutations(sup, 2):
+        for u, v in itertools.permutations(set(t), 2):
             bits[u] |= 1 << v
-            if len(sup) == 2:
-                pair_bits[u] |= 1 << v
-    return adj
+    return bits
 
 
 def gaifman(S: Structure) -> frozenset:
     """The Gaifman graph as a set of 2-element frozensets of vertices."""
-    bits = _adjacency_bits(S)[0]
+    bits = _adjacency_bits(S)
     return frozenset(frozenset((u, v)) for v in S.vertices for u in range(v)
                      if bits[v] >> u & 1)
 
 
 def is_irreducible(S: Structure) -> bool:
     """True iff the Gaifman graph is a clique (size <= 1 counts)."""
-    bits = _adjacency_bits(S)[0]
+    bits = _adjacency_bits(S)
     full = (1 << S.size) - 1
     return all(bits[v] | 1 << v == full for v in S.vertices)
 
@@ -301,15 +295,12 @@ def _iter_embedding_maps(A: Structure, B: Structure,
     their data is grouped; pools are always scanned in ascending order.
 
     Candidates are pruned by bitmask: the image of an A-neighbour in the
-    Gaifman graph must be a B-neighbour, and if A-vertices u < d share no
-    tuple whose support is exactly {u, d}, neither may their images, since
-    such a tuple of B would lie inside the image.  (A tuple of
-    arity 3 or more can join two image vertices through a vertex outside
-    the image, so Gaifman non-adjacency is not transported.)  Each
-    remaining candidate gets one test, the VF2-style check of the new pair
-    against the vertices already mapped (Cordella et al. 2004): every atom
-    over A-vertices 0..d that mentions d holds in A iff it holds on the
-    image.
+    Gaifman graph must be a B-neighbour.  (A tuple of arity 3 or more can
+    join two image vertices through a vertex outside the image, so Gaifman
+    non-adjacency is not transported.)  Each remaining candidate gets one
+    test, the VF2-style check of the new vertex against the vertices
+    already mapped (Cordella et al. 2004): every atom over A-vertices
+    0..d that mentions d holds in A iff it holds on the image.
     """
     if A.signature != B.signature:
         raise SignatureMismatch("embedding search needs matching signatures")
@@ -321,17 +312,16 @@ def _iter_embedding_maps(A: Structure, B: Structure,
         return
 
     if A._src is None:
-        # per depth d: the atoms through d with their truth in A, the
-        # earlier Gaifman neighbours and the earlier non-pair-neighbours
-        bits_a, pair_a = _adjacency_bits(A)
+        # per depth d: the atoms through d with their truth in A and the
+        # earlier Gaifman neighbours
+        bits_a = _adjacency_bits(A)
         A._src = [([(name, p, p in A.relations[name])
                     for name, p in _atoms_through(A.signature, d)],
-                   [u for u in range(d) if bits_a[d] >> u & 1],
-                   [u for u in range(d) if not pair_a[d] >> u & 1])
+                   [u for u in range(d) if bits_a[d] >> u & 1])
                   for d in range(nA)]
     src = A._src
 
-    adj_bits, pair_bits = _adjacency_bits(B)
+    adj_bits = _adjacency_bits(B)
     full_mask = (1 << B.size) - 1
 
     partial: list[int] = []
@@ -354,14 +344,12 @@ def _iter_embedding_maps(A: Structure, B: Structure,
         if depth == nA:
             yield tuple(partial)
             return
-        atoms, nbrs, non_pairs = src[depth]
+        atoms, nbrs = src[depth]
         m = full_mask & ~used_mask
         if candidates is not None and candidates[depth] is not None:
             m &= candidates[depth]
         for u in nbrs:
             m &= adj_bits[partial[u]]
-        for u in non_pairs:
-            m &= ~pair_bits[partial[u]]
         while m:
             low = m & -m
             m ^= low
@@ -671,7 +659,7 @@ def _types_over(S: Structure, A: tuple, own: dict,
     Only the Gaifman neighbours of A have their atoms over it read; any
     other vertex shares no tuple with A, so its type is its own type over
     the empty base, `own` as _own_types gives it."""
-    bits = _adjacency_bits(S)[0]
+    bits = _adjacency_bits(S)
     near = 0
     left = (1 << S.size) - 1 if among is None else among
     for a in A:

@@ -449,6 +449,25 @@ def test_witness_agrees_with_literal_enumeration():
     assert verify_witness(C, k2, 2).passed == literal
 
 
+def test_exhaustive_witness_walk_builds_no_structure(monkeypatch):
+    # the walk searches C itself under pools inside each prefix
+    k6_minus_edge = catalog.graph(6, [e for e in itertools.combinations(range(6), 2)
+                                      if e != (0, 1)])
+    cases = [(catalog.pure_set(7), catalog.pure_set(3)),
+             (k6_minus_edge, catalog.complete_graph(3))]
+    built = []
+    init = Structure.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Structure, "__init__", counting)
+    for C, B in cases:
+        verify_witness(C, B, 2)
+        assert built == []
+
+
 def _adjacent_swaps(C):
     """Per i, whether swapping vertices i and i+1 maps every relation of C
     onto itself."""

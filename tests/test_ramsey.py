@@ -567,13 +567,18 @@ def test_adversary_matches_full_scan():
         c = rng.choice([3, 4])
         edges = [e for e in itertools.combinations(range(2 * c), 2) if rng.random() < 0.6]
         instances.append(hg(2, [range(c), range(c, 2 * c)], edges))
+    # ten vertices and no counterexample at s=2: the cover search runs
+    # through every pair of masks
+    rng = random.Random(1)
+    edges = [e for e in itertools.combinations(range(10), 2) if rng.random() < 0.5]
+    instances.append(hg(2, [range(5), range(5, 10)], edges))
     full_kill = 0
     for H in instances:
         for s in (1, 2):
             assert witness_adversary(H, s) == _full_scan_adversary(H, s)
         # one colouring defeats H exactly when it kills every transversal edge
         full_kill += _full_scan_adversary(H, 1) is not None
-    assert (full_kill, len(instances) - full_kill) == (24, 11)
+    assert (full_kill, len(instances) - full_kill) == (24, 12)
 
 
 def test_adversary_matches_brute_force():

@@ -27,7 +27,8 @@ from sunlab.ksets import (
     verify_sunflower_cert,
 )
 from sunlab.ramsey import PartitionedHypergraph, is_counterexample_tuple
-from sunlab.structures import Structure
+from sunlab.structures import ClassSpec, Structure, are_isomorphic
+from sunlab.witness import build_witness_chain, extract_sunflower
 
 CLOCK_S = 2
 
@@ -172,3 +173,75 @@ def test_hypergraph_adversary_verdict_survives_relabelling(tmp_path, seed, s, ve
     assert (found is None) == (verdict == 0)
     if verdict:
         assert is_counterexample_tuple(H2, [[tuple(b) for b in p] for p in found])
+
+
+def test_partition_report_survives_relabelling(tmp_path):
+    S = gen_named("knfree:3", 20, 5)
+    S2, order = _relabel_structure(S, random.Random("relabel|partition"))
+    new = {v: i for i, v in enumerate(order)}
+    runs = _pair(tmp_path, lambda d, i: [
+        "partition", "--scheme", "neighbourhood", "--anchor", str((0, new[0])[i]),
+        "--klass", "knfree:3", "--probes", "k2", "--base-bound", "1",
+        "--structure", _write(d / "s.json", jsonio.structure_to_json((S, S2)[i]))])
+    assert _on_clock(*(argv for argv, _ in runs)) == [0, 0]
+    (plain, plain_report), (moved, moved_report) = (
+        (_read(out / "partition.json"), _read(out / "report.json")) for _, out in runs)
+    assert ([{order[v] for v in b} for b in moved["blocks"]]
+            == [set(b) for b in plain["blocks"]])
+    for a, b in ((plain_report, plain), (moved_report, moved)):
+        assert [r["vertices"] for r in a["blocks"]] == b["blocks"]
+    assert ([(r["probe_embeds"], len(r["defects"])) for r in moved_report["blocks"]]
+            == [(r["probe_embeds"], len(r["defects"])) for r in plain_report["blocks"]])
+
+
+@pytest.mark.parametrize("klass, bound, verdict", [
+    ("knfree:3", 1, 1), ("rb-bichrome", 1, 1), ("oriented", 1, 0),
+])
+def test_check_3dap_verdict_survives_relabelling(tmp_path, klass, bound, verdict):
+    K = catalog.class_by_name(klass)
+    rng = random.Random(f"relabel|check-3dap|{klass}")
+    forbidden = [_relabel_structure(F, rng)[0] for F in K.forbidden]
+    rng.shuffle(forbidden)
+    K2 = ClassSpec(K.signature, forbidden, K.name)
+    runs = _pair(tmp_path, lambda d, i: [
+        "check-3dap", "--bound", str(bound),
+        "--klass", "@" + _write(d / "k.json", jsonio.classspec_to_json((K, K2)[i]))])
+    assert _on_clock(*(argv for argv, _ in runs)) == [verdict, verdict]
+    plain, moved = (_read(out / "3dap.json") for _, out in runs)
+    assert (moved["passed"], moved["families_checked"]) == (
+        plain["passed"], plain["families_checked"])
+    assert moved["passed"] == (verdict == 0)
+    if verdict:
+        sides = [[jsonio.structure_from_json(x) for x in r["sides"]] for r in (plain, moved)]
+        assert len(sides[0]) == len(sides[1])
+        assert all(are_isomorphic(a, b) is not None for a, b in zip(*sides))
+
+
+def test_verify_trace_survives_a_ground_bijection(tmp_path):
+    chain = build_witness_chain(catalog.all_graphs(), catalog.complete_graph(2), 2, seed=1)
+    top = chain.top()
+    P = Presentation(top, 2, [(v % 3, 10 + v) for v in range(top.size)])
+    _, trace = extract_sunflower(chain, P)
+    assert trace.steps[0].case == "mono"
+    ground = sorted(set().union(*P.sets))
+    rng = random.Random("relabel|verify-trace")
+    image = dict(zip(ground, rng.sample(range(200, 200 + len(ground)), len(ground))))
+    P2 = Presentation(top, 2, [[image[x] for x in s] for s in P.sets])
+    plain = jsonio.trace_to_json(trace)
+    moved = json.loads(json.dumps(plain))
+    for step in moved["steps"]:
+        if step["shared"] is not None:
+            step["shared"] = image[step["shared"]]
+    # tampered: the relabelled presentation read with the plain trace
+    inputs = [(P, plain), (P2, moved), (P2, plain)]
+    chain_file = _write(tmp_path / "chain.json", jsonio.chain_to_json(chain))
+    argvs = []
+    for i, (Q, steps) in enumerate(inputs):
+        d = tmp_path / str(i)
+        d.mkdir()
+        argvs.append(["verify-trace", "--chain", chain_file,
+                      "--presentation", _write(d / "p.json", jsonio.presentation_to_json(Q)),
+                      "--trace", _write(d / "t.json", steps), "--out", str(d / "out")])
+    assert _on_clock(*argvs) == [0, 0, 1]
+    assert [_read(tmp_path / str(i) / "out" / "trace_verdict.json")["replay_ok"]
+            for i in range(3)] == [True, True, False]
