@@ -149,12 +149,18 @@ def _greedy_edges(n, colours, size, rng):
     edge or an edge of a colour in which it closes no K_n (its common
     neighbourhood, a bitmask, holds no clique on n-2 vertices), uniformly
     among those options in that order, drawn as rng.randrange(m) draws:
-    getrandbits(m.bit_length()) until the value is below m."""
+    getrandbits(m.bit_length()) until the value is below m.  The order is
+    rng.shuffle's, with its draws inline."""
     adj = [[0] * size for _ in range(colours)]
     getrandbits = rng.getrandbits
     for v in range(size):
         order = list(range(v))
-        rng.shuffle(order)
+        for i in range(v - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
         for u in order:
             free = []
             for bits in adj:

@@ -288,19 +288,22 @@ def _iter_embedding_maps(A: Structure, B: Structure,
     """Backtracking search for induced embeddings of A in B.
 
     Yields image tuples in lexicographic order.  A-vertices are mapped in
-    index order; `candidate_filter(depth, v, partial)` may veto target
-    vertex v for A-vertex `depth` given the partial image list, and
-    `candidates[depth]`, a bitmask of B-vertices or None for all of them,
-    restricts the pool outright.  Callers build each mask once, where
-    their data is grouped; pools are always scanned in ascending order.
+    index order; `candidates[depth]`, a bitmask of B-vertices or None for
+    all of them, restricts the pool outright.  Callers build each mask
+    once, where their data is grouped.
 
-    Candidates are pruned by bitmask: the image of an A-neighbour in the
-    Gaifman graph must be a B-neighbour.  (A tuple of arity 3 or more can
-    join two image vertices through a vertex outside the image, so Gaifman
-    non-adjacency is not transported.)  Each remaining candidate gets one
-    test, the VF2-style check of the new vertex against the vertices
-    already mapped (Cordella et al. 2004): every atom over A-vertices
-    0..d that mentions d holds in A iff it holds on the image.
+    The search is one generator frame with an explicit stack: per placed
+    depth, the mask of candidates still to try, beside a `free` mask of
+    unused B-vertices.  A depth's candidates are its free pooled vertices
+    that are B-neighbours of the images of its earlier A-neighbours in the
+    Gaifman graph.  (A tuple of arity 3 or more can join two image
+    vertices through a vertex outside the image, so Gaifman non-adjacency
+    is not transported.)  They are tried in ascending order: first
+    `candidate_filter(depth, v, partial)`, which sees the images of
+    A-vertices 0..depth-1 and may veto v, then the VF2-style atom test of
+    v against the vertices already mapped (Cordella et al. 2004): every
+    atom over A-vertices 0..depth that mentions depth holds in A iff it
+    holds on the image.
     """
     if A.signature != B.signature:
         raise SignatureMismatch("embedding search needs matching signatures")
@@ -322,47 +325,47 @@ def _iter_embedding_maps(A: Structure, B: Structure,
     src = A._src
 
     adj_bits = _adjacency_bits(B)
-    full_mask = (1 << B.size) - 1
-
-    partial: list[int] = []
     b_rel = B.relations
-
-    def consistent(atoms: list, v: int) -> bool:
-        trial = partial + [v]
-        for name, p, held in atoms:
+    last = nA - 1
+    free = (1 << B.size) - 1
+    partial: list[int] = []
+    stack = [free if candidates is None or candidates[0] is None else free & candidates[0]]
+    while stack:
+        m = stack[-1]
+        if not m:
+            stack.pop()
+            if partial:
+                free |= 1 << partial.pop()
+            continue
+        low = m & -m
+        stack[-1] = m ^ low
+        v = low.bit_length() - 1
+        depth = len(partial)
+        if candidate_filter is not None and not candidate_filter(depth, v, partial):
+            continue
+        partial.append(v)
+        for name, p, held in src[depth][0]:
             if len(p) == 2:
-                mapped = (trial[p[0]], trial[p[1]])
+                mapped = (partial[p[0]], partial[p[1]])
             elif len(p) == 3:
-                mapped = (trial[p[0]], trial[p[1]], trial[p[2]])
+                mapped = (partial[p[0]], partial[p[1]], partial[p[2]])
             else:
-                mapped = tuple(trial[x] for x in p)
+                mapped = tuple(partial[x] for x in p)
             if (mapped in b_rel[name]) != held:
-                return False
-        return True
-
-    def rec(depth: int, used_mask: int) -> Iterator[tuple[int, ...]]:
-        if depth == nA:
-            yield tuple(partial)
-            return
-        atoms, nbrs = src[depth]
-        m = full_mask & ~used_mask
-        if candidates is not None and candidates[depth] is not None:
-            m &= candidates[depth]
-        for u in nbrs:
-            m &= adj_bits[partial[u]]
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            if candidate_filter is not None and not candidate_filter(depth, v, partial):
+                partial.pop()
+                break
+        else:
+            if depth == last:
+                yield tuple(partial)
+                partial.pop()
                 continue
-            if not consistent(atoms, v):
-                continue
-            partial.append(v)
-            yield from rec(depth + 1, used_mask | low)
-            partial.pop()
-
-    yield from rec(0, 0)
+            free ^= low
+            m = free
+            if candidates is not None and candidates[depth + 1] is not None:
+                m &= candidates[depth + 1]
+            for u in src[depth + 1][1]:
+                m &= adj_bits[partial[u]]
+            stack.append(m)
 
 
 def find_embeddings(A: Structure, B: Structure,

@@ -24,6 +24,7 @@ from sunlab.structures import (
     ThreeDapFamily,
     ThreeDapReport,
     _adjacency_bits,
+    _atoms_through,
     _class_tests,
     _iter_embedding_maps,
     _orbit_pins,
@@ -335,6 +336,115 @@ def test_embeddings_match_brute_force_on_every_signature(sig, data):
     else:
         A = random_structure(sig, data.draw(st.integers(0, 3)), rng, density)
     assert [e.map for e in find_embeddings(A, B)] == brute_embeddings(A, B)
+
+
+def recursive_embedding_maps(A, B, candidate_filter=None, candidates=None):
+    """Oracle: the kernel as a recursive generator, one frame per search
+    node, with the same pools, filter calls and atom test."""
+    if A.size == 0:
+        yield ()
+        return
+    if A.size > B.size:
+        return
+    bits_a, adj_bits = _adjacency_bits(A), _adjacency_bits(B)
+    src = [([(name, p, p in A.relations[name]) for name, p in _atoms_through(A.signature, d)],
+            [u for u in range(d) if bits_a[d] >> u & 1])
+           for d in range(A.size)]
+    partial = []
+
+    def consistent(atoms, v):
+        trial = partial + [v]
+        return all((tuple(trial[x] for x in p) in B.relations[name]) == held
+                   for name, p, held in atoms)
+
+    def rec(depth, used_mask):
+        if depth == A.size:
+            yield tuple(partial)
+            return
+        atoms, nbrs = src[depth]
+        m = (1 << B.size) - 1 & ~used_mask
+        if candidates is not None and candidates[depth] is not None:
+            m &= candidates[depth]
+        for u in nbrs:
+            m &= adj_bits[partial[u]]
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            if candidate_filter is not None and not candidate_filter(depth, v, partial):
+                continue
+            if not consistent(atoms, v):
+                continue
+            partial.append(v)
+            yield from rec(depth + 1, used_mask | low)
+            partial.pop()
+
+    yield from rec(0, 0)
+
+
+def seeded_veto(seed):
+    """A filter verdict that is a pure function of (depth, v, prefix): int
+    tuples hash the same under every PYTHONHASHSEED."""
+    return lambda depth, v, prefix: hash((seed, depth, v, prefix)) % 4 != 0
+
+
+def logged(veto, log):
+    def flt(depth, v, partial):
+        log.append((depth, v, tuple(partial)))
+        return veto(depth, v, tuple(partial))
+    return flt
+
+
+def assert_kernel_matches_oracles(A, B, veto, pools, brute=True):
+    """The kernel yields the recursive oracle's tuples after the same filter
+    calls, and those tuples are the injections that embed, lie in the pools
+    and pass the filter on every prefix."""
+    got_log, want_log = [], []
+    got = list(_iter_embedding_maps(A, B, veto and logged(veto, got_log), pools))
+    want = list(recursive_embedding_maps(A, B, veto and logged(veto, want_log), pools))
+    assert got == want
+    assert got_log == want_log
+    if brute:
+        assert got == [img for img in brute_embeddings(A, B)
+                       if all(pools is None or pools[d] is None or pools[d] >> v & 1
+                              for d, v in enumerate(img))
+                       and all(veto is None or veto(d, img[d], img[:d])
+                               for d in range(len(img)))]
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=repr)
+@ORACLE
+@given(st.data())
+def test_kernel_with_pools_and_filter_matches_the_recursive_oracle_and_brute_force(sig, data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    B = random_structure(sig, data.draw(st.integers(0, 6)), rng,
+                         data.draw(st.sampled_from([0.1, 0.3, 0.6])))
+    density = data.draw(st.sampled_from([0.0, 0.2, 0.5]))
+    if B.size and data.draw(st.booleans()):
+        piece = B.induced(rng.sample(range(B.size), rng.randint(1, min(4, B.size))))
+        A = Structure(sig, piece.size, {n: [t for t in ts if rng.random() < density]
+                                        for n, ts in piece.relations.items()})
+    else:
+        A = random_structure(sig, data.draw(st.integers(0, 3)), rng, density)
+    pools = None
+    if data.draw(st.booleans()):
+        pools = [None if rng.random() < 0.3 else
+                 sum(1 << v for v in range(B.size) if rng.random() < 0.8)
+                 for _ in range(A.size)]
+    veto = seeded_veto(data.draw(st.integers(0, 1 << 16))) if data.draw(st.booleans()) else None
+    assert_kernel_matches_oracles(A, B, veto, pools)
+
+
+def test_kernel_matches_the_recursive_oracle_on_larger_targets():
+    rng = random.Random(30)
+    for sig in SIGNATURES:
+        for _ in range(4):
+            B = random_structure(sig, rng.randint(8, 12), rng, rng.choice([0.1, 0.3]))
+            A = B.induced(rng.sample(range(B.size), 4))
+            pools = [None if rng.random() < 0.5 else rng.getrandbits(B.size)
+                     for _ in range(A.size)]
+            assert_kernel_matches_oracles(A, B, seeded_veto(rng.getrandbits(16)), pools,
+                                          brute=False)
 
 
 @ORACLE
