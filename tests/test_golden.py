@@ -31,6 +31,10 @@ COMMANDS = [
                "--seed", "3"]),
     ("h3", ["hypergraph", "generate", "--n", "3", "--s", "1", "--c", "16",
             "--seed", "3"]),
+    ("h3s2", ["hypergraph", "generate", "--n", "3", "--s", "2", "--c", "16",
+              "--seed", "5"]),
+    ("paste-h3s2", ["paste", "--hypergraph", "{h3s2}/hypergraph.json",
+                    "--target", "p3", "--klass", "knfree:3"]),
     ("girth-h2-cap", ["hypergraph", "girth", "--input", "{h2}/hypergraph.json",
                       "--cap", "3"]),
     ("girth-h3raw", ["hypergraph", "girth", "--input", "{h3raw}/hypergraph.json"]),
@@ -108,6 +112,8 @@ EXPECTED = {
     "h2c5": [0, "0b0e31a2740193695492fb1caae1ab45da8c43aac438576cb509fa9c3c1b30d2"],
     "h3raw": [0, "1efd52e2673fbf3bc9204ab4a107d582e68e1b4040910ade6f6f396c03cdc03b"],
     "h3": [0, "352beed92c04835ac7f5e15fe3ea0ad2ffe5e4b8f7fa9045618b75c3964eba41"],
+    "h3s2": [0, "80393072f6aa9fc67a7af9df35da40a04bfc9742448a230b4027b4ff3853769e"],
+    "paste-h3s2": [0, "9bc5a7ae5e95227e33e0e1a386d7d812ba3a99de17177b8600fb04f289e450c2"],
     "girth-h2-cap": [0, "088d5b278a990e552b8841b32e2e3484278596720747ddcb86cc979bdabb2301"],
     "girth-h3raw": [0, "fe3fdcda62e605a74d94f158e68d79b104a07b2f5aff72b9d0853b6f15aa8915"],
     "girth-h3": [0, "bbb9dffcef1c95742b0f76caecd9482b864c9412555c61c61151b6548fa2e61e"],
