@@ -369,50 +369,59 @@ def failure_bound(params: GenParams, a: Fraction) -> float:
 
 def _short_cycles(vertices, edges, g: int) -> Iterator[list[frozenset]]:
     """Berge cycles of length < g, in canonical order: lengths ascending,
-    then the first vertex is the least of the cycle, tried in ascending
-    order.  A cycle of length m has m distinct vertices and m distinct edges.
+    then the first vertex v0 is the least of the cycle, tried in ascending
+    order, then edge indices (edges sorted by key=sorted) and vertices
+    ascending along the path.  A cycle of length m has m distinct vertices
+    and m distinct edges.  Each vertex keeps a bitmask of its live edges'
+    indices; a path closes on the lowest edge of inc[cur] & inc[v0] & ~used.
 
     Each cycle yielded loses its victim, the edge max(cycle, key=sorted),
-    once the generator is resumed, and the search then continues at the
-    same (length, least vertex).  Deleting an edge only destroys cycles, so
-    nothing earlier in canonical order can appear, and this yields the same
-    cycles as restarting the search from scratch after every deletion."""
+    once the generator is resumed; the search then resumes at v0's first
+    live edge not below the cycle's first edge, since cycles through earlier
+    first edges were ruled out and deleting an edge only destroys cycles.
+    This yields the same cycles as restarting after every deletion."""
     edges = sorted(edges, key=sorted)
     members = [sorted(e) for e in edges]
-    incident: dict[int, list[int]] = {v: [] for v in vertices}
+    inc = dict.fromkeys(vertices, 0)
     for idx, e in enumerate(members):
         for v in e:
-            incident[v].append(idx)
+            inc[v] |= 1 << idx
 
-    def rec(v0: int, cur: int, m: int, used_e: list[int],
-            in_path: set[int]) -> Optional[list[int]]:
-        if len(used_e) == m - 1:
-            for ei in incident[cur]:
-                if ei not in used_e and v0 in edges[ei]:
-                    return used_e + [ei]
-            return None
-        for ei in incident[cur]:
-            if ei in used_e:
-                continue
+    def rec(v0, cur, left: int, used: int, path: list) -> Optional[list[int]]:
+        if left == 1:
+            close = inc[cur] & inc[v0] & ~used
+            return [(close & -close).bit_length() - 1] if close else None
+        es = inc[cur] & ~used
+        while es:
+            b = es & -es
+            es ^= b
+            ei = b.bit_length() - 1
             for w in members[ei]:
-                if w in in_path or w <= v0:
-                    continue
-                in_path.add(w)
-                used_e.append(ei)
-                found = rec(v0, w, m, used_e, in_path)
-                if found is not None:
-                    return found
-                used_e.pop()
-                in_path.discard(w)
+                if w > v0 and w not in path:
+                    path.append(w)
+                    found = rec(v0, w, left - 1, used | b, path)
+                    path.pop()
+                    if found is not None:
+                        return [ei, *found]
         return None
 
     for m in range(2, g):
         for v0 in vertices:
-            while (found := rec(v0, v0, m, [], {v0})) is not None:
+            es = inc[v0]
+            while es:
+                b = es & -es
+                ei = b.bit_length() - 1
+                for w in members[ei]:
+                    if w > v0 and (found := rec(v0, w, m - 1, b, [v0, w])):
+                        break
+                else:
+                    es ^= b
+                    continue
+                found.insert(0, ei)
                 yield [edges[i] for i in found]
-                victim = max(found)  # the edges are sorted by key=sorted
-                for v in members[victim]:
-                    incident[v].remove(victim)
+                for v in members[victim := max(found)]:
+                    inc[v] &= ~(1 << victim)
+                es = inc[v0] & ~(b - 1)
 
 
 def find_short_cycle(H: PartitionedHypergraph, g: int) -> Optional[list[frozenset]]:
@@ -455,14 +464,14 @@ def _draws_below(rng: random.Random, total: int, p: float) -> bytearray:
     limit = p * 9007199254740992.0  # 2^53: exact, and int < float compares exactly
     top = int(limit) >> 45
     table = b"\x01" * (top + 1) + bytes(255 - top)
-    flags = bytearray()
+    flags = bytearray(total)
     for start in range(0, total, _CHUNK):
         data = rng.randbytes(8 * min(_CHUNK, total - start))
-        chunk = bytearray(data[3::8].translate(table))
-        for i in itertools.compress(range(len(chunk)), chunk):
+        cand = data[3::8].translate(table)
+        i = -1
+        while (i := cand.find(1, i + 1)) >= 0:
             w = int.from_bytes(data[8 * i:8 * i + 8], "little")  # a + 2^32 b
-            chunk[i] = ((w & 0xFFFFFFFF) >> 5 << 26) + (w >> 38) < limit
-        flags += chunk
+            flags[start + i] = ((w & 0xFFFFFFFF) >> 5 << 26) + (w >> 38) < limit
     return flags
 
 
@@ -473,9 +482,10 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
     i.i.d. at p = c^(1-n+eps), then delete one edge per short cycle until
     the Berge girth reaches g.  An attempt keeps each n-subset, in
     lexicographic order, whose rng.random() draw is below p, reading the
-    draws in bulk (`_draws_below`).  Its one cycle search resumes after
-    every deletion (`_short_cycles`) instead of restarting, and stops once
-    the attempt has removed as many edges as the best one so far.
+    draws in bulk (`_draws_below`).  Its one cycle search runs on per-vertex
+    edge masks and, after every deletion, resumes at the current first edge
+    of the cycle's least vertex instead of restarting (`_short_cycles`); it
+    stops once the attempt has removed as many edges as the best one so far.
 
     The theory certifies success only for part sizes far beyond desk
     scale, so c is chosen as the first power of two whose failure bound

@@ -23,7 +23,6 @@ from sunlab.ramsey import (
     dichotomy_holds,
     failure_bound,
     falling_binomial,
-    find_short_cycle,
     gen_witness_hypergraph,
     hetero_transversal_count,
     hypergraph_girth,
@@ -276,6 +275,82 @@ def brute_girth(H):
     return best
 
 
+def _rec_short_cycles(vertices, edges, g):
+    """Oracle: the Berge cycles of length < g in the canonical order of
+    `_short_cycles`, by a recursive search over incidence lists that
+    restarts at (length, v0) after every victim it deletes."""
+    edges = sorted(edges, key=sorted)
+    members = [sorted(e) for e in edges]
+    incident = {v: [] for v in vertices}
+    for idx, e in enumerate(members):
+        for v in e:
+            incident[v].append(idx)
+
+    def rec(v0, cur, m, used_e, in_path):
+        if len(used_e) == m - 1:
+            for ei in incident[cur]:
+                if ei not in used_e and v0 in edges[ei]:
+                    return used_e + [ei]
+            return None
+        for ei in incident[cur]:
+            if ei in used_e:
+                continue
+            for w in members[ei]:
+                if w in in_path or w <= v0:
+                    continue
+                in_path.add(w)
+                used_e.append(ei)
+                found = rec(v0, w, m, used_e, in_path)
+                if found is not None:
+                    return found
+                used_e.pop()
+                in_path.discard(w)
+        return None
+
+    for m in range(2, g):
+        for v0 in vertices:
+            while (found := rec(v0, v0, m, [], {v0})) is not None:
+                yield [edges[i] for i in found]
+                victim = max(found)  # the edges are sorted by key=sorted
+                for v in members[victim]:
+                    incident[v].remove(victim)
+
+
+def _removal_log(search, vertices, edges, g):
+    """The cycles `search` yields, each victim discarded as generation does."""
+    edges = set(edges)
+    log = []
+    for cyc in search(vertices, edges, g):
+        log.append(cyc)
+        edges.discard(max(cyc, key=sorted))
+    return log, edges
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 7])
+def test_short_cycles_match_the_recursive_search(n, g):
+    # labels 0-based, negative, sparse, above 2^40, and in no monotone order
+    rng = random.Random(f"short-cycles|{n}|{g}")
+    relabel = [lambda v: v, lambda v: v - 40, lambda v: 7919 * v + 3,
+               lambda v: (1 << 40) + 3 * v - 20, lambda v: (v * 37) % 101 - 50]
+    longest = 0
+    for trial in range(100):
+        size = rng.randrange(n, 8 * n)
+        universe = range(size)
+        edges = {frozenset(rng.sample(universe, n))
+                 for _ in range(rng.randrange(1, 4 * size // n + 2))}
+        label = relabel[trial % len(relabel)]
+        vertices = sorted(map(label, universe))
+        if trial % 2:
+            rng.shuffle(vertices)  # the search tries v0 in the order given
+        moved = {frozenset(map(label, e)) for e in edges}
+        got = _removal_log(_short_cycles, vertices, moved, g)
+        assert got == _removal_log(_rec_short_cycles, vertices, moved, g)
+        longest = max([longest, *map(len, got[0])])
+    # two distinct 2-sets never share two vertices, so n = 2 has no 2-cycles
+    assert longest == g - 1 or g == 2 or (n, g) == (2, 3)
+
+
 def test_girth_matches_brute_force():
     rng = random.Random(23)
     for _ in range(20):
@@ -302,13 +377,22 @@ def test_generated_hypergraph_properties():
         assert "removed_edges" in H.meta
 
 
+class _ChunkedRandom(random.Random):
+    """A Random whose randbytes refuses requests above one chunk, so the
+    bytes held at once stay at 8 * _CHUNK."""
+
+    def randbytes(self, n):
+        assert n <= 8 * _CHUNK
+        return super().randbytes(n)
+
+
 @pytest.mark.parametrize("n,c", [(2, 5), (3, 16), (4, 6)])
-@pytest.mark.parametrize("p", [0.4999999, 0.25, 1e-4, 3e-7])
+@pytest.mark.parametrize("p", [0.4999999, 0.25, 1e-4, 3e-7, 0.0])
 def test_bulk_draws_match_one_by_one(n, c, p):
     # 45 draws are fewer than one chunk; 17,296 and 10,626 are not multiples of it
-    for total in (0, math.comb(n * c, n), 2 * _CHUNK):
+    for total in (0, math.comb(n * c, n), _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK):
         for seed in range(3):
-            one, bulk = random.Random(seed), random.Random(seed)
+            one, bulk = random.Random(seed), _ChunkedRandom(seed)
             expect = bytearray(one.random() < p for _ in range(total))
             assert _draws_below(bulk, total, p) == expect
             assert bulk.getstate() == one.getstate()
@@ -326,13 +410,12 @@ def test_bulk_draws_decide_a_draw_equal_to_p():
 
 def _restart_removal(n, s, g, seed, c, max_attempts, resume=False):
     """Oracle: generation with one rng.random() call per n-subset and every
-    attempt's cycle removal run to the end, the cycle search restarted
-    from scratch on a rebuilt hypergraph after every deleted edge (or, with
-    `resume`, resumed by `_short_cycles`); returns the chosen attempt's
-    edges and the meta entries that depend on the draws."""
+    attempt's cycle removal run to the end, the oracle `_rec_short_cycles`
+    restarted from scratch on the remaining edges after every deleted edge
+    (or, with `resume`, `_short_cycles` resumed); returns the chosen
+    attempt's edges and the meta entries that depend on the draws."""
     p = float(GenParams(n, s, g, default_epsilon(g), c).p)
     universe = list(range(n * c))
-    parts = [universe[i * c:(i + 1) * c] for i in range(n)]
     results = []
     for attempt in range(max_attempts):
         rng = random.Random(f"hypergraph|{n}|{s}|{g}|{seed}|{attempt}")
@@ -340,7 +423,7 @@ def _restart_removal(n, s, g, seed, c, max_attempts, resume=False):
                  if rng.random() < p}
         removed = 0
         cycles = (_short_cycles(universe, edges, g) if resume else
-                  iter(lambda: find_short_cycle(hg(n, parts, edges), g), None))
+                  iter(lambda: next(_rec_short_cycles(universe, edges, g), None), None))
         for cyc in cycles:
             edges.discard(max(cyc, key=sorted))
             removed += 1

@@ -26,7 +26,11 @@ from sunlab.ksets import (
     random_presentation,
     verify_sunflower_cert,
 )
-from sunlab.ramsey import PartitionedHypergraph, is_counterexample_tuple
+from sunlab.ramsey import (
+    PartitionedHypergraph,
+    gen_witness_hypergraph,
+    is_counterexample_tuple,
+)
 from sunlab.structures import ClassSpec, Structure, are_isomorphic
 from sunlab.witness import build_witness_chain, extract_sunflower
 
@@ -157,6 +161,28 @@ def test_hypergraph_girth_survives_relabelling(tmp_path, n, c, p, seed, girth):
     assert _on_clock(*(argv for argv, _ in runs)) == [0, 0]
     for _, out in runs:
         assert _read(out / "girth.json")["girth"] == girth
+
+
+def test_girth_and_paste_take_negative_labels_and_labels_above_2_to_the_40(tmp_path):
+    # an order-preserving relabelling, half the vertices below 0 and half
+    # above 2^40, so the girth and the pasted structure stay the same
+    H = gen_witness_hypergraph(3, 1, 4, 2, c_override=6)
+    V = len(H.vertices)
+    image = {v: -7 * (V - v) if v < V // 2 else (1 << 40) + 11 * v for v in H.vertices}
+    H2 = PartitionedHypergraph(3, [[image[v] for v in p] for p in H.parts],
+                               [[image[v] for v in e] for e in H.edges])
+    argvs = []
+    for i, tag in enumerate(("plain", "relabelled")):
+        d = tmp_path / tag
+        d.mkdir()
+        source = _write(d / "h.json", jsonio.hypergraph_to_json((H, H2)[i]))
+        argvs += [["hypergraph", "girth", "--input", source, "--out", str(d / "girth")],
+                  ["paste", "--hypergraph", source, "--target", "p3",
+                   "--klass", "knfree:3", "--out", str(d / "paste")]]
+    assert _on_clock(*argvs) == [0, 0, 0, 0]
+    for name in ("girth/girth.json", "paste/pasted.json"):
+        assert _read(tmp_path / "relabelled" / name) == _read(tmp_path / "plain" / name)
+    assert _read(tmp_path / "plain" / "girth" / "girth.json")["girth"] == 4
 
 
 @pytest.mark.parametrize("seed, s, verdict", [(0, 1, 0), (0, 2, 1), (1, 2, 0), (3, 2, 1)])
