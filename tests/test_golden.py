@@ -77,6 +77,14 @@ COMMANDS = [
                        "--scheme", "neighbourhood", "--anchor", "0",
                        "--klass", "knfree:3", "--probes", "k2",
                        "--base-bound", "1", "--format", "csv"]),
+    # the classes workload's scale: a 200-vertex structure and its partition
+    ("gen-named-knfree-200", ["gen", "--id", "knfree:3", "--size", "200",
+                              "--seed", "7"]),
+    ("partition-knfree-200", ["partition", "--structure",
+                              "{gen-named-knfree-200}/structure.json",
+                              "--scheme", "neighbourhood", "--anchor", "0",
+                              "--klass", "knfree:3", "--probes", "k2",
+                              "--base-bound", "1"]),
     ("gen-equivalence", ["gen", "--id", "equivalence-omega", "--size", "9",
                          "--seed", "1"]),
     ("partition-class-minus-point", ["partition", "--structure",
@@ -135,6 +143,8 @@ EXPECTED = {
     "partition-knfree": [0, "bd14f2f28ee71d90436e18f5acd587867982d0623af76efca7bfeba80974f1ec"],
     "partition-f-free": [0, "03f1ede0e4ed5cc2feda797d17fee1dec465cd185c19b5e0a458f39971522a61"],
     "partition-csv": [0, "5eb182d2f0b8c41a0a28e1cd72b18ce0c3a0b87665b9d517094e6969eca24edb"],
+    "gen-named-knfree-200": [0, "b45ab80d9875e8feaf522d87e7e89791ac661d2ba55aa15e30c7621abf5065f7"],
+    "partition-knfree-200": [0, "104600d5d2479552abdbdaa1c991bcf88b4594a5b859d2fe39013fbf25fa2669"],
     "gen-equivalence": [0, "ad55e66d6262480fe4933dfefd6f4a0f281332ee68e36f258d1bfe0ed042bd4c"],
     "partition-class-minus-point": [0, "158337dbdafb811ec1730e8d6777ae11d3958b43c47e2b713296471eafaeafa2"],
     "3dap-graphs": [0, "d4910e28fd25681ce349c392c0549bb558e27a95ca4a2e2f95e77a21a07f944b"],
