@@ -8,6 +8,7 @@ exactly as held in memory.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -22,9 +23,10 @@ def dumps(obj) -> str:
     """Exactly `json.dumps(obj, sort_keys=True, indent=2)` plus a newline,
     without the pure-Python encoder that `indent` selects in CPython: plain
     ints (not bools) are written with `str`, lists of them joined in one
-    step, strings are escaped by `json`'s C escaper and other scalars go
-    through `json.dumps`.  Keys must be strings; any other key raises
-    TypeError."""
+    step, and equal-length rows of them (relation tables) through one `%d`
+    row template; other lists go item by item, so bools stay `true`/`false`.
+    Strings are escaped by `json`'s C escaper and other scalars go through
+    `json.dumps`.  Keys must be strings; any other key raises TypeError."""
     return _dump(obj, "\n") + "\n"
 
 
@@ -34,8 +36,13 @@ def _dump(obj, nl: str) -> str:
     inner = nl + "  "
     if isinstance(obj, (list, tuple)):
         brackets = "[]"
-        items = (map(str, obj) if all(type(x) is int for x in obj)
-                 else [_dump(x, inner) for x in obj])
+        types = set(map(type, obj))
+        if (types <= {list, tuple} and len(set(map(len, obj))) == 1
+                and set(map(type, chain.from_iterable(obj))) == {int}):
+            row = "[" + ",".join([inner + "  %d"] * len(obj[0])) + inner + "]"
+            table = "[" + inner + ("," + inner).join([row] * len(obj)) + nl + "]"
+            return table % tuple(chain.from_iterable(obj))
+        items = map(str, obj) if types <= {int} else [_dump(x, inner) for x in obj]
     elif isinstance(obj, dict):
         brackets = "{}"
         items = [_quote(key) + ": " + _dump(x, inner) for key, x in sorted(obj.items())]
@@ -47,12 +54,27 @@ def _dump(obj, nl: str) -> str:
 
 
 def _ints(x, depth: int = 0):
-    """x, checked to be a JSON integer or, at depth d > 0, a list of depth d - 1."""
-    if depth:
+    """x, checked to be a JSON integer or, at depth d > 0, a list of depth
+    d - 1, in one type pass per level; the walk only names a bad value."""
+    if not depth:
+        if type(x) is not int:
+            raise ValueError(f"expected a JSON integer, got {x!r}")
+        return x
+    level = [x]
+    for _ in range(depth):
+        level = list(chain.from_iterable(level)) if set(map(type, level)) <= {list} else [None]
+    if not set(map(type, level)) <= {int}:
         for y in x:
             _ints(y, depth - 1)
-    elif type(x) is not int:
-        raise ValueError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
+def _list(x, depth: int = 0) -> list:
+    if type(x) is not list:
+        raise TypeError(f"expected a JSON list, got {x!r}")
+    if depth and not set(map(type, x)) <= {list}:
+        for y in x:
+            _list(y)
     return x
 
 
@@ -67,14 +89,14 @@ def signature_to_json(sig: Signature) -> list:
 
 
 def signature_from_json(data) -> Signature:
-    return Signature((_name(d["name"]), _ints(d["arity"])) for d in data)
+    return Signature((_name(d["name"]), _ints(d["arity"])) for d in _list(data))
 
 
 def structure_to_json(S: Structure) -> dict:
     out = {
         "signature": signature_to_json(S.signature),
         "size": S.size,
-        "relations": {n: sorted(list(t) for t in S.relations[n])
+        "relations": {n: list(map(list, sorted(S.relations[n])))
                       for n in S.signature.names},
     }
     if S.meta:
@@ -83,7 +105,7 @@ def structure_to_json(S: Structure) -> dict:
 
 
 def structure_from_json(data) -> Structure:
-    rels = {n: _ints(ts, 2) for n, ts in data.get("relations", {}).items()}
+    rels = {n: _ints(_list(ts, 1), 2) for n, ts in data.get("relations", {}).items()}
     return Structure(signature_from_json(data["signature"]), _ints(data["size"]),
                      rels, data.get("meta"))
 

@@ -82,6 +82,11 @@ class Structure:
     provenance (generator id, seed, labels, ...) and is excluded from
     equality and hashing.  Equality compares relation frozensets, which
     `_grown` shares, and the hash is built from theirs on first use.
+
+    The constructor checks each relation in a few C-level passes (entry
+    types, tuple lengths, least and greatest entry); it walks the tuples
+    only to convert entries that are not plain ints or to name the first
+    bad tuple.  `induced` and `_grown` skip what holds by construction.
     """
 
     __slots__ = ("signature", "size", "relations", "meta",
@@ -93,9 +98,15 @@ class Structure:
             raise ValueError("size must be >= 0")
         rels: dict[str, frozenset] = {}
         given = dict(relations or {})
+        flat = itertools.chain.from_iterable
         for name, arity in signature.relations:
-            tuples = frozenset(tuple(int(x) for x in t) for t in given.pop(name, ()))
-            _check_tuples(name, arity, tuples, size)
+            ts = list(given.pop(name, ()))
+            if not (set(map(type, ts)) <= {tuple, list} and set(map(type, flat(ts))) <= {int}):
+                ts = [tuple(int(x) for x in t) for t in ts]
+            tuples = frozenset(map(tuple, ts))
+            if tuples and (set(map(len, tuples)) != {arity}
+                           or min(flat(tuples)) < 0 or max(flat(tuples)) >= size):
+                _check_tuples(name, arity, tuples, size)
             rels[name] = tuples
         if given:
             raise ValueError(f"tuples for undeclared relations: {sorted(given)}")
@@ -112,15 +123,12 @@ class Structure:
         extra: dict = {}
         for name, t in added:
             extra.setdefault(name, []).append(t)
-        T = Structure.__new__(Structure)
-        T.signature, T.size, T.meta, T.relations = self.signature, size, {}, dict(self.relations)
-        T._hash = T._adj = T._src = None
+        T = _unchecked(self.signature, size, dict(self.relations))
         for name, ts in extra.items():
             _check_tuples(name, self.signature.arity(name), ts, size)
             T.relations[name] = T.relations[name].union(ts)
         if self._adj is not None:
-            T._adj = _with_tuples(self._adj + [0] * (size - self.size),
-                                  itertools.chain.from_iterable(extra.values()))
+            T._adj = _with_tuples(self._adj + [0] * (size - self.size), extra.values())
         return T
 
     @property
@@ -130,15 +138,15 @@ class Structure:
     def induced(self, vertices: Iterable[int]) -> "Structure":
         """Induced substructure; new vertex i is the i-th entry of `vertices`."""
         vs = list(vertices)
-        if len(set(vs)) != len(vs):
-            raise ValueError("vertex list must not repeat")
-        pos = {v: i for i, v in enumerate(vs)}
         keep = set(vs)
-        rels = {}
-        for name in self.signature.names:
-            rels[name] = [tuple(pos[x] for x in t)
-                          for t in self.relations[name] if set(t) <= keep]
-        return Structure(self.signature, len(vs), rels)
+        if len(keep) != len(vs):
+            raise ValueError("vertex list must not repeat")
+        if vs and (min(vs) < 0 or max(vs) >= self.size):
+            raise ValueError("vertex out of range")
+        pos = dict(zip(vs, itertools.count())).__getitem__
+        return _unchecked(self.signature, len(vs), {
+            name: frozenset(tuple(map(pos, t)) for t in filter(keep.issuperset, ts))
+            for name, ts in self.relations.items()})
 
     def with_meta(self, **meta) -> "Structure":
         T = self._grown(self.size)
@@ -159,11 +167,19 @@ class Structure:
         return f"Structure(size={self.size}, tuples={counts})"
 
 
+def _unchecked(signature: Signature, size: int, relations: dict) -> Structure:
+    """A structure on relation frozensets that are valid by construction."""
+    T = Structure.__new__(Structure)
+    T.signature, T.size, T.relations, T.meta = signature, size, relations, {}
+    T._hash = T._adj = T._src = None
+    return T
+
+
 def _check_tuples(name: str, arity: int, tuples: Iterable[tuple], size: int) -> None:
     for t in tuples:
         if len(t) != arity:
             raise ValueError(f"tuple {t} has wrong length for {name!r}/{arity}")
-        if any(x < 0 or x >= size for x in t):
+        if min(t) < 0 or max(t) >= size:
             raise ValueError(f"tuple {t} of {name!r} out of range 0..{size - 1}")
 
 
@@ -229,16 +245,25 @@ def _adjacency_bits(S: Structure) -> list[int]:
     """Per vertex, the bitmask of its Gaifman neighbours (cached: the one
     Gaifman view of a structure)."""
     if S._adj is None:
-        S._adj = _with_tuples([0] * S.size,
-                              itertools.chain.from_iterable(S.relations.values()))
+        S._adj = _with_tuples([0] * S.size, S.relations.values())
     return S._adj
 
 
-def _with_tuples(bits: list[int], tuples: Iterable[tuple]) -> list[int]:
-    """The Gaifman view `bits`, updated in place with the tuples' adjacencies."""
-    for t in tuples:
-        for u, v in itertools.permutations(set(t), 2):
-            bits[u] |= 1 << v
+def _with_tuples(bits: list[int], tables: Iterable[Iterable[tuple]]) -> list[int]:
+    """The Gaifman view `bits`, updated in place: each tuple's vertex mask is
+    ORed into its vertices, then the diagonal is cleared where it was set."""
+    seen = 0
+    for t in itertools.chain.from_iterable(tables):
+        m = 0
+        for v in t:
+            m |= 1 << v
+        for v in t:
+            bits[v] |= m
+        seen |= m
+    while seen:
+        low = seen & -seen
+        bits[low.bit_length() - 1] ^= low
+        seen ^= low
     return bits
 
 

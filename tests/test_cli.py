@@ -995,3 +995,27 @@ def test_open_set_rejects_a_type_atom_named_by_a_non_string(tmp_path, capsys):
                 "--type", str(tmp_path / "type.json"), "--out", str(out)]) == 2
     assert "expected a JSON string, got 1" in _one_error_line(capsys)
     assert not out.exists()
+
+
+_SIG_E = [{"name": "E", "arity": 2}]
+_NOT_LISTS = {
+    # each was read as an empty list (exit 0) or through its keys
+    "signature": ({"signature": {}, "size": 3, "relations": {}}, "got {}"),
+    "tuple-list": ({"signature": _SIG_E, "size": 3, "relations": {"E": {}}}, "got {}"),
+    "tuple-list-keys": ({"signature": _SIG_E, "size": 3, "relations": {"E": {"a": 1}}},
+                        "got {'a': 1}"),
+    "tuple": ({"signature": _SIG_E, "size": 3, "relations": {"E": [[0, 1], {"1": 0}]}},
+              "got {'1': 0}"),
+}
+
+
+@pytest.mark.parametrize("field", list(_NOT_LISTS))
+def test_partition_rejects_a_structure_field_that_is_not_a_list(tmp_path, capsys, field):
+    doc, got = _NOT_LISTS[field]
+    structure = tmp_path / "s.json"
+    structure.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["partition", "--structure", str(structure), "--scheme", "neighbourhood",
+                "--anchor", "0", "--out", str(out)]) == 2
+    assert f"expected a JSON list, {got}" in _one_error_line(capsys)
+    assert not out.exists()

@@ -15,7 +15,7 @@ from sunlab.ramsey import PartitionedHypergraph, gen_witness_hypergraph
 from sunlab.structures import ClassSpec, QfType, Structure, gaifman, qf_type
 from sunlab.witness import build_witness_chain, extract_sunflower
 
-from test_structures import SIGNATURES, structures
+from test_structures import SIGNATURES, outcome, structures
 
 import random
 
@@ -223,8 +223,21 @@ json_scalars = (st.none() | st.booleans() | st.integers()
                 | st.integers(-2 ** 80, 2 ** 80) | st.floats()
                 | st.text(st.characters(), max_size=6)
                 | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "é", " ", "😀"]))
+# int tables, which dumps writes through one row template when every row is
+# a list or tuple of plain ints of one length, and item by item otherwise
+table_ints = st.integers() | st.integers(-2 ** 80, 2 ** 80)
+
+
+def rows(entries, lengths):
+    row = lengths.flatmap(lambda k: st.lists(entries, min_size=k, max_size=k))
+    return row | row.map(tuple)
+
+
+int_tables = (st.integers(0, 3).flatmap(lambda k: st.lists(rows(table_ints, st.just(k)),
+                                                           max_size=5))
+              | st.lists(rows(table_ints | st.booleans(), st.integers(0, 3)), max_size=5))
 json_documents = st.recursive(
-    json_scalars,
+    json_scalars | int_tables,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.lists(st.integers(), max_size=4)
                    | st.dictionaries(st.text(st.characters(), max_size=4), inner, max_size=4)),
@@ -245,3 +258,28 @@ def test_dumps_rejects_non_string_keys(doc):
     # library writes has string keys only
     with pytest.raises(TypeError):
         jsonio.dumps({"nested": doc})
+
+
+def walked_ints(x, depth=0):
+    """Reference: the integer check as a walk over every value."""
+    if depth:
+        for y in x:
+            walked_ints(y, depth - 1)
+    elif type(x) is not int:
+        raise ValueError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
+# decoded JSON: mostly int tables, with a bool, a float, a string, null or
+# an object somewhere in some of them
+odd_values = st.sampled_from([True, False, 1.0, "1", None, {}, {"a": 1}, ""])
+int_lists = st.lists(st.integers() | odd_values, max_size=4).filter(
+    lambda xs: sum(type(x) is not int for x in xs) <= 1)
+decoded_tables = st.one_of(st.integers(), odd_values, int_lists,
+                           st.lists(int_lists | odd_values, max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(decoded_tables, st.integers(0, 2))
+def test_bulk_int_check_matches_the_walk(doc, depth):
+    assert outcome(jsonio._ints, doc, depth) == outcome(walked_ints, doc, depth)

@@ -287,6 +287,142 @@ def test_grown_structure_rejects_what_the_constructor_rejects(t):
     assert str(grown.value) == str(fresh.value)
 
 
+# Per-tuple references for the constructor, `induced` and the Gaifman view,
+# which take each relation table in a few bulk passes.
+
+
+def per_tuple_relations(sig, size, relations):
+    """Reference: the relation frozensets the constructor builds, converting
+    and checking one tuple at a time."""
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    rels, given = {}, dict(relations or {})
+    for name, arity in sig.relations:
+        tuples = frozenset(tuple(int(x) for x in t) for t in given.pop(name, ()))
+        for t in tuples:
+            if len(t) != arity:
+                raise ValueError(f"tuple {t} has wrong length for {name!r}/{arity}")
+            if any(x < 0 or x >= size for x in t):
+                raise ValueError(f"tuple {t} of {name!r} out of range 0..{size - 1}")
+        rels[name] = tuples
+    if given:
+        raise ValueError(f"tuples for undeclared relations: {sorted(given)}")
+    return rels
+
+
+def comprehension_induced(S, vertices):
+    """Reference: the induced substructure by comprehension, through the
+    checked constructor."""
+    vs = list(vertices)
+    if len(set(vs)) != len(vs):
+        raise ValueError("vertex list must not repeat")
+    pos = {v: i for i, v in enumerate(vs)}
+    keep = set(vs)
+    return Structure(S.signature, len(vs),
+                     {name: [tuple(pos[x] for x in t) for t in S.relations[name]
+                             if set(t) <= keep] for name in S.signature.names})
+
+
+def permutation_view(S):
+    """Reference: the Gaifman view, joining every ordered pair of distinct
+    vertices of every tuple."""
+    bits = [0] * S.size
+    for t in itertools.chain.from_iterable(S.relations.values()):
+        for u, v in itertools.permutations(set(t), 2):
+            bits[u] |= 1 << v
+    return bits
+
+
+class Int(int):
+    """An int subclass, which the constructor stores as a plain int."""
+
+
+# every catalog signature, plus arities 1 and 4
+BULK_SIGNATURES = SIGNATURES + [Signature([("P", 1), ("E", 2)]),
+                                Signature([("Q", 4), ("U", 1)])]
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, TypeError) as e:
+        return type(e), str(e)
+
+
+@ORACLE
+@given(st.data())
+def test_bulk_constructor_matches_the_per_tuple_reference(data):
+    """Tables with repeated entries, duplicate tuples and rows of every
+    shape the constructor converts or rejects: wrong length, negative or
+    too large entries, bools, floats and an int subclass."""
+    sig = data.draw(st.sampled_from(BULK_SIGNATURES))
+    size = data.draw(st.integers(0, 4))
+    malformed = data.draw(st.booleans())
+    entry = (st.integers(-1, size) | st.sampled_from([True, False, 1.0, Int(1), Int(0)])
+             if malformed else st.integers(0, max(size - 1, 0)))
+    rows = {}
+    for name, arity in sig.relations:
+        lengths = st.integers(max(arity - 1, 0), arity + 1) if malformed else st.just(arity)
+        row = lengths.flatmap(lambda k: st.lists(entry, min_size=k, max_size=k))
+        if size or malformed:
+            rows[name] = data.draw(st.lists(row | row.map(tuple), max_size=8))
+    form = data.draw(st.sampled_from([list, tuple, iter]))
+    expected = outcome(per_tuple_relations, sig, size,
+                       {name: form(ts) for name, ts in rows.items()})
+    got = outcome(Structure, sig, size, {name: form(ts) for name, ts in rows.items()})
+    if isinstance(expected, dict):
+        assert got.relations == expected
+        assert all(type(x) is int for ts in got.relations.values()
+                   for t in ts for x in t)
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([(0, 1), 5], TypeError), ([("a", 0), 5], ValueError), ([(0, 1), [[0], [1]]], TypeError),
+    ([("a", 0), (0, 5)], ValueError), ([(0, 5), (None, 0)], TypeError),
+    ([(0, 1), (0, None)], TypeError), ([(0, 1), "01", (1, "x")], ValueError),
+    ([lambda: iter((0, 1)), lambda: iter((1, 0))], None), ([{1, 0}, {1: "a", 0: "b"}], None)])
+def test_constructor_names_the_fault_the_per_tuple_reference_names(rows, error):
+    # a row that is not a tuple or list, or an entry that is not an int,
+    # takes the per-tuple path, which converts one-shot rows once and
+    # raises at the first fault in input order
+    def table():
+        return {"E": [r() if callable(r) else r for r in rows]}
+    expected = outcome(per_tuple_relations, catalog.GRAPH_SIG, 2, table())
+    assert expected[0] is error if error else expected["E"]
+    assert outcome(Structure, catalog.GRAPH_SIG, 2, table()) == (
+        expected if error else Structure(catalog.GRAPH_SIG, 2, expected))
+
+
+@ORACLE
+@given(st.data())
+def test_induced_and_views_match_the_per_tuple_references(data):
+    sig = data.draw(st.sampled_from(BULK_SIGNATURES))
+    S = data.draw(structures(sig, 0, 5))
+    if data.draw(st.booleans()):
+        _adjacency_bits(S)
+    assert _adjacency_bits(S) == permutation_view(S)
+    vs = data.draw(st.permutations(range(S.size)))[:data.draw(st.integers(0, S.size))]
+    sub = S.induced(vs)
+    assert sub == comprehension_induced(S, vs) and sub.meta == {}
+    assert _adjacency_bits(sub) == permutation_view(sub)
+    # a view that was already built, extended by _grown
+    size = S.size + data.draw(st.integers(0, 2))
+    slots = [(n, t) for n, arity in sig.relations
+             for t in itertools.product(range(size), repeat=arity)]
+    T = S._grown(size, data.draw(st.lists(st.sampled_from(slots))) if slots else [])
+    assert _adjacency_bits(T) == permutation_view(T)
+
+
+@pytest.mark.parametrize("vs", [[0, 99], [-1, 0], [3], [0, 1, 2, 3]])
+def test_induced_rejects_vertices_outside_the_structure(vs):
+    # [0, 99] and [-1, 0] gave a 2-vertex structure with a phantom vertex
+    with pytest.raises(ValueError, match="vertex out of range"):
+        catalog.complete_graph(3).induced(vs)
+
+
 @ORACLE
 @given(st.sampled_from(SIGNATURES).flatmap(structures))
 def test_automorphisms_match_brute_force(S):
