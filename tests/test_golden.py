@@ -27,6 +27,7 @@ COMMANDS = [
     ("h2", ["hypergraph", "generate", "--n", "2", "--s", "1", "--g", "4",
             "--seed", "7"]),
     ("h2c5", ["hypergraph", "generate", "--n", "2", "--c", "5", "--seed", "3"]),
+    ("h2c6", ["hypergraph", "generate", "--n", "2", "--c", "6", "--seed", "1"]),
     ("h3raw", ["hypergraph", "generate", "--n", "3", "--g", "2", "--c", "6",
                "--seed", "3"]),
     ("h3", ["hypergraph", "generate", "--n", "3", "--s", "1", "--c", "16",
@@ -41,6 +42,9 @@ COMMANDS = [
     ("girth-h3", ["hypergraph", "girth", "--input", "{h3}/hypergraph.json"]),
     ("adversary", ["hypergraph", "adversary", "--input",
                    "{h2c5}/hypergraph.json", "--s", "2"]),
+    # 12 vertices and no counterexample at s=1
+    ("adversary-survives", ["hypergraph", "adversary", "--input",
+                            "{h2c6}/hypergraph.json", "--s", "1"]),
     ("chain-graphs", ["build-witness", "--klass", "graphs", "--target", "k2",
                       "--k", "2", "--seed", "1"]),
     ("chain-pure", ["build-witness", "--klass", "pure", "--target", "pure:3",
@@ -118,6 +122,7 @@ COMMANDS = [
 EXPECTED = {
     "h2": [0, "6d58e93abccad5992120c710c4c4f472ae4bf15c7be964b022618fde07140195"],
     "h2c5": [0, "0b0e31a2740193695492fb1caae1ab45da8c43aac438576cb509fa9c3c1b30d2"],
+    "h2c6": [0, "50141d55e9754aabea467779e71532baee6824648d9b2e8cdd54a6c5988ab24a"],
     "h3raw": [0, "1efd52e2673fbf3bc9204ab4a107d582e68e1b4040910ade6f6f396c03cdc03b"],
     "h3": [0, "352beed92c04835ac7f5e15fe3ea0ad2ffe5e4b8f7fa9045618b75c3964eba41"],
     "h3s2": [0, "80393072f6aa9fc67a7af9df35da40a04bfc9742448a230b4027b4ff3853769e"],
@@ -126,6 +131,7 @@ EXPECTED = {
     "girth-h3raw": [0, "fe3fdcda62e605a74d94f158e68d79b104a07b2f5aff72b9d0853b6f15aa8915"],
     "girth-h3": [0, "bbb9dffcef1c95742b0f76caecd9482b864c9412555c61c61151b6548fa2e61e"],
     "adversary": [1, "ac4baaa44a3ae7ec2d26b9a5a8a05e76e41bf213ead752423c44d440bf516903"],
+    "adversary-survives": [0, "9541bd48d8fcdc6026d91a60fdd80a2711683186f67843e19158f78cf4bd7fc4"],
     "chain-graphs": [0, "22a737dfa0029daef6e9d43b03e1e0612641a231f4e772d28cbb8df410ca57b8"],
     "chain-pure": [0, "c81bec69a6303d9f138a4bdc845247e6b95de778ecf8fdee8d4c1a33c123ae7c"],
     "extract-disjoint": [0, "7c3490907ed5a936a0f15b4e6bb8e3cfff9bab61e81667c70ec3f84807b4c216"],
