@@ -54,8 +54,9 @@ def _dump(obj, nl: str) -> str:
 
 
 def _ints(x, depth: int = 0):
-    """x, checked to be a JSON integer or, at depth d > 0, a list of depth
-    d - 1, in one type pass per level; the walk only names a bad value."""
+    """x, checked to be a JSON integer or, at depth d > 0, a JSON list of
+    depth d - 1, in one type pass per level; the walk only names a bad value
+    (a non-list above depth 0 raises TypeError, a non-integer ValueError)."""
     if not depth:
         if type(x) is not int:
             raise ValueError(f"expected a JSON integer, got {x!r}")
@@ -64,17 +65,14 @@ def _ints(x, depth: int = 0):
     for _ in range(depth):
         level = list(chain.from_iterable(level)) if set(map(type, level)) <= {list} else [None]
     if not set(map(type, level)) <= {int}:
-        for y in x:
+        for y in _list(x):
             _ints(y, depth - 1)
     return x
 
 
-def _list(x, depth: int = 0) -> list:
+def _list(x) -> list:
     if type(x) is not list:
         raise TypeError(f"expected a JSON list, got {x!r}")
-    if depth and not set(map(type, x)) <= {list}:
-        for y in x:
-            _list(y)
     return x
 
 
@@ -105,7 +103,7 @@ def structure_to_json(S: Structure) -> dict:
 
 
 def structure_from_json(data) -> Structure:
-    rels = {n: _ints(_list(ts, 1), 2) for n, ts in data.get("relations", {}).items()}
+    rels = {n: _ints(ts, 2) for n, ts in data.get("relations", {}).items()}
     return Structure(signature_from_json(data["signature"]), _ints(data["size"]),
                      rels, data.get("meta"))
 

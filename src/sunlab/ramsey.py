@@ -7,7 +7,8 @@ a transversal edge heterochromatic in every colouring.  Random generation
 at edge probability p = c^(1-n+eps) makes this likely at astronomically
 large part sizes; at desk scale the generator is honest about the gap and
 the pipeline treats generation as Las Vegas, so this module also ships an
-adversarial verifier that searches colouring tuples defeating an instance.
+adversarial verifier that decides whether some colouring tuple defeats an
+instance, by a search over vertex pairs of its transversal edges.
 
 All threshold arithmetic is exact rational; only the final probability
 bound is evaluated in floating point (it is advisory).
@@ -165,46 +166,20 @@ def suitable_params(n: int, a1: Fraction) -> SuitableParams:
 # Counting monochromatic part n-sets and heterochromatic transversals
 
 
-def _iter_rgs(n: int, whole=None, trans=None,
-              full: bool = False) -> Iterator[tuple[list[int], int]]:
-    """Restricted growth strings of length n in lexicographic order, each
-    with a kill mask (one list, mutated in place between yields).
-
-    Optional per-depth edge lists steer the walk, an edge whose largest
-    vertex is i being listed at depth i by its other vertices: a prefix
-    making an edge of whole[i] monochromatic is dropped with all its
-    completions, and the bit of each (bit, edge) in trans[i] joins the
-    mask once that edge has a repeated label.  With `full`, a prefix is
-    also dropped when an edge of trans[i] is still heterochromatic, so the
-    walk yields exactly the strings whose mask has every bit of trans."""
-    whole = whole or [()] * n
-    trans = trans or [()] * n
+def _iter_rgs(n: int) -> Iterator[list[int]]:
+    """Restricted growth strings of length n in lexicographic order (one
+    list, mutated in place between yields)."""
     rgs = [0] * n
 
-    def rec(i, maxval, mask):
-        bad = set()
-        for e in whole[i]:
-            labels = {rgs[j] for j in e}
-            if len(labels) < 2:  # a one-vertex edge is monochromatic under any label
-                bad.update(labels or range(maxval + 2))
-        kill: dict = {}
-        for bit, e in trans[i]:
-            labels = {rgs[j] for j in e}
-            if len(labels) < len(e):
-                mask |= bit
-            elif full:  # only a label already on e can repeat one
-                bad.update(set(range(maxval + 2)) - labels)
-            for b in labels:
-                kill[b] = kill.get(b, 0) | bit
+    def rec(i, maxval):
         for b in range(maxval + 2):
-            if b not in bad:
-                rgs[i] = b
-                if i + 1 == n:
-                    yield rgs, mask | kill.get(b, 0)
-                else:
-                    yield from rec(i + 1, max(maxval, b), mask | kill.get(b, 0))
+            rgs[i] = b
+            if i + 1 == n:
+                yield rgs
+            else:
+                yield from rec(i + 1, max(maxval, b))
 
-    yield from rec(0, -1, 0) if n else [(rgs, 0)]
+    yield from rec(0, -1) if n else [rgs]
 
 
 def _blocks(labels) -> list[list[int]]:
@@ -217,7 +192,7 @@ def _blocks(labels) -> list[list[int]]:
 
 def _set_partitions(n: int) -> Iterator[list[list[int]]]:
     """All set partitions of range(n), by restricted growth strings."""
-    return (_blocks(rgs) for rgs, _ in _iter_rgs(n))
+    return (_blocks(rgs) for rgs in _iter_rgs(n))
 
 
 def bell_number(n: int) -> int:
@@ -605,33 +580,28 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     """Search s-tuples of vertex partitions defeating the dichotomy.
 
     Colourings only matter through their kernels, so the search ranges
-    over set partitions.  Exhaustive mode walks the restricted growth
-    strings depth first in lexicographic order, dropping a prefix as soon
-    as a within-part edge whose largest vertex is at that depth turns
-    monochromatic.  A first walk also drops each prefix leaving a
-    transversal edge completed at its depth heterochromatic, so its first
-    partition, if any, is the first that kills every transversal edge.
-    Only if there is none does a second walk OR in the kill bits of
-    transversal edges completed at each depth, keep the first partition
-    for each bitmask of killed transversal edges, and look for at most s
-    masks covering everything.  It returns the first counterexample in
-    canonical order, or None if the instance really is a witness.
+    over set partitions.  Exhaustive mode decides an exact reduction: s
+    partitions defeat H iff each transversal edge can be given one of the
+    s colourings and a vertex pair inside it so that, in every colouring,
+    no within-part edge lies inside one connected component of the pairs
+    chosen for it.  (=>) In a defeating tuple each transversal edge has
+    two vertices in one block of some partition; choose them there.  The
+    components then lie inside blocks, and no block holds a within-part
+    edge.  (<=) Take each colouring's components as its blocks.
+
+    The search takes the transversal edges in order, skipping one already
+    holding two vertices of one component in some opened colouring, and
+    otherwise tries the opened colourings and then one new one, each with
+    the edge's vertex pairs in lexicographic order.  A merge relabels the
+    larger component label to the smaller and is dropped if it swallows a
+    within-part edge.  It returns the first assignment's components as
+    blocks ordered by least vertex, colourings never opened being all
+    singletons, or None if the instance really is a witness.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     verts = H.vertices
     V = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    whole: list[list] = [[] for _ in verts]
-    trans: list[list] = [[] for _ in verts]
-    for e in H.within_part_edges():
-        *others, top = sorted(pos[v] for v in e)
-        whole[top].append(others)
-    transversal = H.transversal_edges()
-    for bit, e in enumerate(transversal):
-        *others, top = sorted(pos[v] for v in e)
-        trans[top].append((1 << bit, others))
-    full = (1 << len(transversal)) - 1
 
     def blocks_of(labels):
         return tuple(tuple(verts[i] for i in b) for b in _blocks(labels))
@@ -652,34 +622,32 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     if bell_number(V) ** s > budget:
         raise BudgetExceeded(f"Bell({V})^{s} exceeds budget {budget}")
 
-    for rgs, _ in _iter_rgs(V, whole, trans, full=True):
-        return [blocks_of(rgs)] * s
-    mask_rep: dict[int, tuple] = {}
-    for rgs, mask in _iter_rgs(V, whole, trans):
-        if mask not in mask_rep:
-            mask_rep[mask] = blocks_of(rgs)
+    pos = {v: i for i, v in enumerate(verts)}
+    whole = [[pos[v] for v in e] for e in H.within_part_edges()]
+    trans = [sorted(pos[v] for v in e) for e in H.transversal_edges()]
+    singletons = list(range(V))
 
-    if not mask_rep:
+    def search(i: int, labels: list) -> Optional[list]:
+        # skipping killed edges in a loop keeps the depth at most s(V-1) merges
+        while i < len(trans) and any(len({lab[v] for v in trans[i]}) < H.n
+                                     for lab in labels):
+            i += 1
+        if i == len(trans):
+            return labels
+        e = trans[i]
+        for k in range(min(len(labels) + 1, s)):
+            lab = labels[k] if k < len(labels) else singletons
+            for a, b in itertools.combinations(e, 2):
+                lo, hi = sorted((lab[a], lab[b]))
+                merged = [lo if x == hi else x for x in lab]
+                if any(all(merged[v] == lo for v in w) for w in whole):
+                    continue
+                found = search(i + 1, labels[:k] + [merged] + labels[k + 1:])
+                if found is not None:
+                    return found
         return None
-    masks = sorted(mask_rep, key=lambda m: (-bin(m).count("1"), m))
 
-    def cover(start: int, acc_mask: int, chosen: list) -> Optional[list]:
-        if acc_mask == full:
-            return chosen
-        if len(chosen) == s - 1:  # the last slot must finish the cover
-            return next((chosen + [m] for m in masks[start:] if acc_mask | m == full), None)
-        for i in range(start, len(masks)):
-            m = masks[i]
-            if acc_mask | m != acc_mask:
-                res = cover(i, acc_mask | m, chosen + [m])
-                if res is not None:
-                    return res
+    labels = search(0, [])
+    if labels is None:
         return None
-
-    solution = cover(0, 0, [])
-    if solution is None:
-        return None
-    partitions = [mask_rep[m] for m in solution]
-    while len(partitions) < s:
-        partitions.append(partitions[-1])
-    return partitions
+    return [blocks_of(lab) for lab in labels + [singletons] * (s - len(labels))]

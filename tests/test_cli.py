@@ -940,7 +940,7 @@ def _first_level_parts(chain):
 
 
 @pytest.mark.parametrize("command, mutate, message", [
-    ("extract", _drop_parts, "NoneType"),
+    ("extract", _drop_parts, "expected a JSON list, got None"),
     ("extract", _nested_part, "expected a JSON integer, got []"),
     ("verify-trace", _no_levels, "a chain needs at least one level"),
     ("extract", _one_part_short, "parts must split its vertices, one part per vertex"),
@@ -1018,4 +1018,62 @@ def test_partition_rejects_a_structure_field_that_is_not_a_list(tmp_path, capsys
     assert run(["partition", "--structure", str(structure), "--scheme", "neighbourhood",
                 "--anchor", "0", "--out", str(out)]) == 2
     assert f"expected a JSON list, {got}" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def _hypergraph_argv(tmp_path, action, *extra, **doc):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n": 2, "parts": [[0, 1], [2, 3]], "edges": [[0, 2]],
+                                "meta": {}, **doc}))
+    return ["hypergraph", action, "--input", str(path), *extra]
+
+
+def _graph_file(tmp_path) -> Path:
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"signature": _SIG_E, "size": 2,
+                                "relations": {"E": [[0, 1], [1, 0]]}}))
+    return path
+
+
+def _encode_argv(tmp_path):
+    (tmp_path / "c.json").write_text(json.dumps({"values": {}}))
+    return ["encode", "--structure", str(_graph_file(tmp_path)),
+            "--colouring", str(tmp_path / "c.json")]
+
+
+def _sunflower_check_argv(tmp_path):
+    (tmp_path / "p.json").write_text(json.dumps({"k": 2, "sets": {}}))
+    return ["sunflower-check", "--structure", str(_graph_file(tmp_path)),
+            "--presentation", str(tmp_path / "p.json"), "--target", "k2"]
+
+
+def _verify_trace_argv(tmp_path):
+    built = tmp_path / "chain"
+    assert run(["build-witness", "--klass", "pure", "--target", "pure:3", "--k", "2",
+                "--seed", "1", "--out", str(built)]) == 0
+    top_size = read(built / "chain.json")["levels"][-1]["structure"]["size"]
+    (tmp_path / "p.json").write_text(
+        json.dumps({"k": 2, "sets": [[2 * v, 2 * v + 1] for v in range(top_size)]}))
+    (tmp_path / "t.json").write_text(
+        json.dumps({"steps": [{"level": 2, "case": "mono", "copy": {}}]}))
+    return ["verify-trace", "--chain", str(built / "chain.json"),
+            "--presentation", str(tmp_path / "p.json"), "--trace", str(tmp_path / "t.json")]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: _hypergraph_argv(tmp, "girth", edges={}),
+    lambda tmp: _hypergraph_argv(tmp, "adversary", "--s", "1", edges={}),
+    lambda tmp: _hypergraph_argv(tmp, "girth", parts=[{}, {}]),
+    _encode_argv, _sunflower_check_argv, _verify_trace_argv],
+    ids=["edges-girth", "edges-adversary", "parts", "colouring-values",
+         "presentation-sets", "trace-copy"])
+def test_an_object_where_a_list_belongs_is_a_usage_error(tmp_path, capsys, argv):
+    # {} was read as an empty list: girth exited 0 with girth null, the
+    # adversary reported a verified counterexample, and parts of {} made
+    # every edge use an unknown vertex
+    args = argv(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == 2
+    assert "expected a JSON list, got {}" in _one_error_line(capsys)
     assert not out.exists()

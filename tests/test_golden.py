@@ -130,7 +130,7 @@ EXPECTED = {
     "girth-h2-cap": [0, "088d5b278a990e552b8841b32e2e3484278596720747ddcb86cc979bdabb2301"],
     "girth-h3raw": [0, "fe3fdcda62e605a74d94f158e68d79b104a07b2f5aff72b9d0853b6f15aa8915"],
     "girth-h3": [0, "bbb9dffcef1c95742b0f76caecd9482b864c9412555c61c61151b6548fa2e61e"],
-    "adversary": [1, "ac4baaa44a3ae7ec2d26b9a5a8a05e76e41bf213ead752423c44d440bf516903"],
+    "adversary": [1, "aa8428cfb9a48a56e0ae4621e94343d1a202c4dc2b0c52374b30f2629ecf3ce8"],
     "adversary-survives": [0, "9541bd48d8fcdc6026d91a60fdd80a2711683186f67843e19158f78cf4bd7fc4"],
     "chain-graphs": [0, "22a737dfa0029daef6e9d43b03e1e0612641a231f4e772d28cbb8df410ca57b8"],
     "chain-pure": [0, "c81bec69a6303d9f138a4bdc845247e6b95de778ecf8fdee8d4c1a33c123ae7c"],

@@ -261,8 +261,11 @@ def test_dumps_rejects_non_string_keys(doc):
 
 
 def walked_ints(x, depth=0):
-    """Reference: the integer check as a walk over every value."""
+    """Reference: the integer check as a walk over every value, each
+    level above the integers a JSON list."""
     if depth:
+        if type(x) is not list:
+            raise TypeError(f"expected a JSON list, got {x!r}")
         for y in x:
             walked_ints(y, depth - 1)
     elif type(x) is not int:

@@ -569,28 +569,9 @@ def _kill_mask(rgs, whole, trans):
                if len({rgs[i] for i in e}) < len(e))
 
 
-def test_steered_rgs_walk_matches_filtered_strings():
-    rng = random.Random(43)
-    full_kills = 0
-    for _ in range(60):
-        V = rng.randint(0, 6)
-        edges = [sorted(rng.sample(range(V), rng.randint(1, min(V, 3))))
-                 for _ in range(rng.randint(0, 4))] if V else []
-        whole = [e for e in edges if rng.random() < 0.4]
-        trans = [e for e in edges if e not in whole]
-        by_depth = ([[] for _ in range(V)], [[] for _ in range(V)])
-        for e in whole:
-            by_depth[0][e[-1]].append(e[:-1])
-        for bit, e in enumerate(trans):
-            by_depth[1][e[-1]].append((1 << bit, e[:-1]))
-        walk = [(list(r), m) for r, m in _iter_rgs(V, *by_depth)]
-        expect = [(r, _kill_mask(r, whole, trans)) for r in _all_rgs(V)]
-        assert walk == [(r, m) for r, m in expect if m is not None]
-        full = (1 << len(trans)) - 1
-        steered = [(list(r), m) for r, m in _iter_rgs(V, *by_depth, full=True)]
-        assert steered == [(r, m) for r, m in walk if m == full]
-        full_kills += bool(steered)
-    assert 0 < full_kills < 60
+def test_rgs_walk_lists_every_string():
+    for V in range(7):
+        assert [list(r) for r in _iter_rgs(V)] == _all_rgs(V)
 
 
 def _full_scan_adversary(H, s):
@@ -632,6 +613,18 @@ def _full_scan_adversary(H, s):
     return partitions + [partitions[-1]] * (s - len(partitions))
 
 
+def _check_counterexample(H, s, res):
+    """The adversary's counterexample contract: s partitions of H's
+    vertices that defeat it, blocks ascending by least vertex, and the
+    colourings never opened (all singletons) last."""
+    assert len(res) == s and is_counterexample_tuple(H, res)
+    for p in res:
+        assert sorted(v for block in p for v in block) == list(H.vertices)
+        assert list(p) == sorted(p) and all(list(b) == sorted(b) for b in p)
+    opened = [any(len(b) > 1 for b in p) for p in res]
+    assert opened == sorted(opened, reverse=True)
+
+
 def test_adversary_matches_full_scan():
     rng = random.Random(37)
     instances = [gen_witness_hypergraph(2, 1, 4, 5, c_override=5),
@@ -650,36 +643,54 @@ def test_adversary_matches_full_scan():
         c = rng.choice([3, 4])
         edges = [e for e in itertools.combinations(range(2 * c), 2) if rng.random() < 0.6]
         instances.append(hg(2, [range(c), range(c, 2 * c)], edges))
-    # ten vertices and no counterexample at s=2: the cover search runs
-    # through every pair of masks
+    # ten vertices and no counterexample at s=2
     rng = random.Random(1)
     edges = [e for e in itertools.combinations(range(10), 2) if rng.random() < 0.5]
     instances.append(hg(2, [range(5), range(5, 10)], edges))
     full_kill = 0
     for H in instances:
-        one = _full_scan_adversary(H, 1)
-        assert witness_adversary(H, 1) == one
-        assert witness_adversary(H, 2) == _full_scan_adversary(H, 2)
+        scans = {s: _full_scan_adversary(H, s) for s in (1, 2)}
+        for s, scan in scans.items():
+            res = witness_adversary(H, s)
+            assert (res is None) == (scan is None)
+            if res is not None:
+                _check_counterexample(H, s, res)
         # one colouring defeats H exactly when it kills every transversal edge
-        full_kill += one is not None
+        full_kill += scans[1] is not None
     assert (full_kill, len(instances) - full_kill) == (24, 12)
 
 
 def test_adversary_matches_brute_force():
-    rng = random.Random(31)
-    for _ in range(12):
-        n = rng.choice([2, 3])
-        c = 2 if n == 3 else rng.choice([2, 3])
-        universe = list(range(n * c))
-        pool = list(itertools.combinations(universe, n))
-        edges = [e for e in pool if rng.random() < 0.25]
-        H = hg(n, [universe[i * c:(i + 1) * c] for i in range(n)], edges)
-        for s in (1, 2):
-            fast = witness_adversary(H, s)
-            brute = _brute_adversary(H, s)
-            assert (fast is None) == (brute is None)
-            if fast is not None:
-                assert is_counterexample_tuple(H, fast)
+    # n in {2, 3} and s in {1, 2, 3}, on at most 4 vertices at s=3 and at
+    # most 6 otherwise, so the brute-force oracle stays cheap
+    rng = random.Random(53)
+    survivors = 0
+    for n, s in itertools.product((2, 3), (1, 2, 3)):
+        for c in range(1, (4 if s == 3 else 6) // n + 1):
+            universe = range(n * c)
+            for _ in range(12):
+                p = rng.choice([0.3, 0.6, 0.9])
+                edges = [e for e in itertools.combinations(universe, n)
+                         if rng.random() < p]
+                H = hg(n, [universe[i * c:(i + 1) * c] for i in range(n)], edges)
+                res = witness_adversary(H, s)
+                assert (res is None) == (_brute_adversary(H, s) is None)
+                if res is None:
+                    survivors += 1
+                else:
+                    _check_counterexample(H, s, res)
+    assert survivors == 18
+
+
+def test_adversary_counterexample_is_the_first_pair_assignment():
+    # edges in order 03, 14, 23, 24: colouring 0 takes 0-3, 1-4 and 2-3,
+    # cannot take 2-4 without joining the within-part edge 01, so 2-4
+    # opens colouring 1; a third colouring is never opened
+    H = hg(2, [[0, 1, 2], [3, 4, 5]], [(0, 1), (0, 3), (3, 2), (2, 4), (4, 1)])
+    first = ((0, 2, 3), (1, 4), (5,))
+    second = ((0,), (1,), (2, 4), (3,), (5,))
+    assert witness_adversary(H, 2) == [first, second]
+    assert witness_adversary(H, 3) == [first, second, tuple((v,) for v in range(6))]
 
 
 def test_bell_numbers():

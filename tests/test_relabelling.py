@@ -201,6 +201,19 @@ def test_hypergraph_adversary_verdict_survives_relabelling(tmp_path, seed, s, ve
         assert is_counterexample_tuple(H2, [[tuple(b) for b in p] for p in found])
 
 
+def test_adversary_decides_a_14_vertex_survivor_on_the_clock(tmp_path):
+    # `hypergraph generate --n 2 --c 7 --seed 1`: no counterexample at s=1,
+    # so the adversary exhausts its search on both inputs within the clock
+    H = gen_witness_hypergraph(2, 1, 4, 1, c_override=7)
+    H2 = _relabel_hypergraph(H, random.Random("relabel|adversary|14"))
+    runs = _pair(tmp_path, lambda d, i: [
+        "hypergraph", "adversary", "--s", "1",
+        "--input", _write(d / "h.json", jsonio.hypergraph_to_json((H, H2)[i]))])
+    assert _on_clock(*(argv for argv, _ in runs)) == [0, 0]
+    for _, out in runs:
+        assert _read(out / "adversary.json") == {"counterexample": None}
+
+
 def test_partition_report_survives_relabelling(tmp_path):
     S = gen_named("knfree:3", 20, 5)
     S2, order = _relabel_structure(S, random.Random("relabel|partition"))
