@@ -34,12 +34,17 @@ COMMANDS = [
             "--seed", "3"]),
     ("h3s2", ["hypergraph", "generate", "--n", "3", "--s", "2", "--c", "16",
               "--seed", "5"]),
+    # the extract chain's size: the default c = 32, 96 vertices
+    ("h3c32", ["hypergraph", "generate", "--n", "3", "--seed", "2"]),
+    ("h4c6", ["hypergraph", "generate", "--n", "4", "--c", "6", "--seed", "1"]),
     ("paste-h3s2", ["paste", "--hypergraph", "{h3s2}/hypergraph.json",
                     "--target", "p3", "--klass", "knfree:3"]),
     ("girth-h2-cap", ["hypergraph", "girth", "--input", "{h2}/hypergraph.json",
                       "--cap", "3"]),
     ("girth-h3raw", ["hypergraph", "girth", "--input", "{h3raw}/hypergraph.json"]),
     ("girth-h3", ["hypergraph", "girth", "--input", "{h3}/hypergraph.json"]),
+    ("girth-h3c32", ["hypergraph", "girth", "--input", "{h3c32}/hypergraph.json",
+                     "--cap", "3"]),
     ("adversary", ["hypergraph", "adversary", "--input",
                    "{h2c5}/hypergraph.json", "--s", "2"]),
     # 12 vertices and no counterexample at s=1
@@ -126,10 +131,13 @@ EXPECTED = {
     "h3raw": [0, "1efd52e2673fbf3bc9204ab4a107d582e68e1b4040910ade6f6f396c03cdc03b"],
     "h3": [0, "352beed92c04835ac7f5e15fe3ea0ad2ffe5e4b8f7fa9045618b75c3964eba41"],
     "h3s2": [0, "80393072f6aa9fc67a7af9df35da40a04bfc9742448a230b4027b4ff3853769e"],
+    "h3c32": [0, "d3c74b701edc70977d014dfb90c2a287bb50673780f1f2d1c1fa4fd2fc9f0258"],
+    "h4c6": [0, "28c375a3fe6786f4d639052a06e505f4ccaebc82a3d08be973717eb383c9dbd0"],
     "paste-h3s2": [0, "9bc5a7ae5e95227e33e0e1a386d7d812ba3a99de17177b8600fb04f289e450c2"],
     "girth-h2-cap": [0, "088d5b278a990e552b8841b32e2e3484278596720747ddcb86cc979bdabb2301"],
     "girth-h3raw": [0, "fe3fdcda62e605a74d94f158e68d79b104a07b2f5aff72b9d0853b6f15aa8915"],
     "girth-h3": [0, "bbb9dffcef1c95742b0f76caecd9482b864c9412555c61c61151b6548fa2e61e"],
+    "girth-h3c32": [0, "088d5b278a990e552b8841b32e2e3484278596720747ddcb86cc979bdabb2301"],
     "adversary": [1, "aa8428cfb9a48a56e0ae4621e94343d1a202c4dc2b0c52374b30f2629ecf3ce8"],
     "adversary-survives": [0, "9541bd48d8fcdc6026d91a60fdd80a2711683186f67843e19158f78cf4bd7fc4"],
     "chain-graphs": [0, "22a737dfa0029daef6e9d43b03e1e0612641a231f4e772d28cbb8df410ca57b8"],
