@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -342,39 +343,40 @@ def failure_bound(params: GenParams, a: Fraction) -> float:
 # Berge girth
 
 
-def _short_cycles(vertices, edges, g: int) -> Iterator[list[frozenset]]:
-    """Berge cycles of length < g, in canonical order: lengths ascending,
-    then the first vertex v0 is the least of the cycle, tried in ascending
-    order, then edge indices (edges sorted by key=sorted) and vertices
-    ascending along the path.  A cycle of length m has m distinct vertices
-    and m distinct edges.  Each vertex keeps a bitmask of its live edges'
+def _cycle_indices(vertices, members, g: int) -> Iterator[list[int]]:
+    """Berge cycles of length < g, as lists of indices into `members`, the
+    edges as sorted tuples in sorted order.  Canonical order: lengths
+    ascending, then the first vertex v0 is the least of the cycle, tried
+    in the order of `vertices`, then edge indices and vertices ascending
+    along the path.  A cycle of length m has m distinct vertices and m
+    distinct edges.  Each vertex keeps a bitmask of its live edges'
     indices; a path closes on the lowest edge of inc[cur] & inc[v0] & ~used.
 
-    Each cycle yielded loses its victim, the edge max(cycle, key=sorted),
-    once the generator is resumed; the search then resumes at v0's first
-    live edge not below the cycle's first edge, since cycles through earlier
-    first edges were ruled out and deleting an edge only destroys cycles.
-    This yields the same cycles as restarting after every deletion."""
-    edges = sorted(edges, key=sorted)
-    members = [sorted(e) for e in edges]
+    Each cycle yielded loses its victim, the edge max(cycle), once the
+    generator is resumed; the search then resumes at v0's first live edge
+    not below the cycle's first edge, since cycles through earlier first
+    edges were ruled out and deleting an edge only destroys cycles.  This
+    yields the same cycles as restarting after every deletion."""
     inc = dict.fromkeys(vertices, 0)
     for idx, e in enumerate(members):
         for v in e:
             inc[v] |= 1 << idx
 
-    def rec(v0, cur, left: int, used: int, path: list) -> Optional[list[int]]:
-        if left == 1:
-            close = inc[cur] & inc[v0] & ~used
-            return [(close & -close).bit_length() - 1] if close else None
-        es = inc[cur] & ~used
+    def rec(v0, es: int, left: int, used: int, path: list) -> Optional[list[int]]:
+        # the first way to close the path with `left` more edges, the next from es
         while es:
             b = es & -es
             es ^= b
             ei = b.bit_length() - 1
             for w in members[ei]:
                 if w > v0 and w not in path:
+                    if left == 2:
+                        close = inc[w] & inc[v0] & ~(used | b)
+                        if close:
+                            return [ei, (close & -close).bit_length() - 1]
+                        continue
                     path.append(w)
-                    found = rec(v0, w, left - 1, used | b, path)
+                    found = rec(v0, inc[w] & ~(used | b), left - 1, used | b, path)
                     path.pop()
                     if found is not None:
                         return [ei, *found]
@@ -383,20 +385,19 @@ def _short_cycles(vertices, edges, g: int) -> Iterator[list[frozenset]]:
     for m in range(2, g):
         for v0 in vertices:
             es = inc[v0]
-            while es:
-                b = es & -es
-                ei = b.bit_length() - 1
-                for w in members[ei]:
-                    if w > v0 and (found := rec(v0, w, m - 1, b, [v0, w])):
-                        break
-                else:
-                    es ^= b
-                    continue
-                found.insert(0, ei)
-                yield [edges[i] for i in found]
+            while found := rec(v0, es, m, 0, [v0]):
+                yield found
                 for v in members[victim := max(found)]:
                     inc[v] &= ~(1 << victim)
-                es = inc[v0] & ~(b - 1)
+                es = inc[v0] & ~((1 << found[0]) - 1)
+
+
+def _short_cycles(vertices, edges, g: int) -> Iterator[list[frozenset]]:
+    """`_cycle_indices` on a set of edges, each cycle as a list of edges;
+    the victim is the edge max(cycle, key=sorted)."""
+    edges = sorted(edges, key=sorted)
+    for cyc in _cycle_indices(vertices, [sorted(e) for e in edges], g):
+        yield [edges[i] for i in cyc]
 
 
 def find_short_cycle(H: PartitionedHypergraph, g: int) -> Optional[list[frozenset]]:
@@ -429,25 +430,45 @@ def default_epsilon(g: int) -> Fraction:
 _CHUNK = 4096  # draws per randbytes call, so memory stays 32 KB
 
 
-def _draws_below(rng: random.Random, total: int, p: float) -> bytearray:
-    """Flags f, f[i] = 1 iff the i-th of `total` rng.random() draws is below
-    p (0 <= p < 1), making exactly those draws in bulk: randbytes yields
-    the same Mersenne Twister words a, b per draw, little-endian, and
-    random() is X / 2^53 with X = (a >> 5) * 2^26 + (b >> 6).  X >> 45 is
-    a's top byte, byte 8i + 3, so only draws with that byte at most
+def _draws_below(rng: random.Random, total: int, p: float) -> list[int]:
+    """The ascending indices i of those of `total` rng.random() draws that
+    are below p (0 <= p < 1), making exactly those draws in bulk: randbytes
+    yields the same Mersenne Twister words a, b per draw, little-endian,
+    and random() is X / 2^53 with X = (a >> 5) * 2^26 + (b >> 6).  X >> 45
+    is a's top byte, byte 8i + 3, so only draws with that byte at most
     int(p * 2^53) >> 45 are candidates, each then decided exactly."""
     limit = p * 9007199254740992.0  # 2^53: exact, and int < float compares exactly
     top = int(limit) >> 45
     table = b"\x01" * (top + 1) + bytes(255 - top)
-    flags = bytearray(total)
+    below = []
     for start in range(0, total, _CHUNK):
         data = rng.randbytes(8 * min(_CHUNK, total - start))
         cand = data[3::8].translate(table)
         i = -1
         while (i := cand.find(1, i + 1)) >= 0:
             w = int.from_bytes(data[8 * i:8 * i + 8], "little")  # a + 2^32 b
-            flags[start + i] = ((w & 0xFFFFFFFF) >> 5 << 26) + (w >> 38) < limit
-    return flags
+            if ((w & 0xFFFFFFFF) >> 5 << 26) + (w >> 38) < limit:
+                below.append(start + i)
+    return below
+
+
+def _lex_subsets(N: int, n: int, ranks: Iterable[int]) -> list[tuple[int, ...]]:
+    """The n-subsets of range(N) at positions `ranks` of
+    itertools.combinations(range(N), n), as sorted tuples.  Position r is
+    colex rank C(N, n) - 1 - r of the reflected subset {N - 1 - a}, whose
+    members b_n > ... > b_1 are read off greedily: b_j is the largest b
+    with C(b, j) at most what is left of the rank, found by bisection."""
+    tables = [[math.comb(b, j) for b in range(N)] for j in range(n, 0, -1)]
+    last = math.comb(N, n) - 1
+    subsets = []
+    for r in ranks:
+        left, hi, sub = last - r, N, []
+        for table in tables:
+            hi = bisect_right(table, left, 0, hi) - 1
+            left -= table[hi]
+            sub.append(N - 1 - hi)
+        subsets.append(tuple(sub))
+    return subsets
 
 
 def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
@@ -455,12 +476,15 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
                            max_attempts: int = 10) -> PartitionedHypergraph:
     """Sample an n-uniform hypergraph on n parts of size c with edges drawn
     i.i.d. at p = c^(1-n+eps), then delete one edge per short cycle until
-    the Berge girth reaches g.  An attempt keeps each n-subset, in
-    lexicographic order, whose rng.random() draw is below p, reading the
-    draws in bulk (`_draws_below`).  Its one cycle search runs on per-vertex
-    edge masks and, after every deletion, resumes at the current first edge
-    of the cycle's least vertex instead of restarting (`_short_cycles`); it
-    stops once the attempt has removed as many edges as the best one so far.
+    the Berge girth reaches g.  An attempt makes one rng.random() draw per
+    n-subset, in lexicographic order, reading the draws in bulk; it keeps
+    the indices of those below p (`_draws_below`) and unranks only them
+    into sorted tuples (`_lex_subsets`).  Its one cycle search runs on edge
+    indices and per-vertex edge masks and, after every deletion, resumes at
+    the current first edge of the cycle's least vertex instead of
+    restarting (`_cycle_indices`); it stops once the attempt has removed as
+    many edges as the best one so far.  Edges become frozensets only in the
+    hypergraph an attempt returns or keeps as the best.
 
     The theory certifies success only for part sizes far beyond desk
     scale, so c is chosen as the first power of two whose failure bound
@@ -508,26 +532,25 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
 
     c = params.c
     p_float = float(params.p)
-    universe = list(range(n * c))
+    universe = range(n * c)
     parts = [universe[i * c:(i + 1) * c] for i in range(n)]
 
     last_error = None
     best = None
     for attempt in range(max_attempts):
         rng = random.Random(f"hypergraph|{n}|{s}|{g}|{seed}|{attempt}")
-        keep = _draws_below(rng, math.comb(len(universe), n), p_float)
-        edges = set(map(frozenset, itertools.compress(
-            itertools.combinations(universe, n), keep)))
-        removed = 0
+        ranks = _draws_below(rng, math.comb(n * c, n), p_float)
+        members = _lex_subsets(n * c, n, ranks)
         bar = None if best is None else best.meta["removed_edges"]
-        for cyc in itertools.islice(_short_cycles(universe, edges, g), bar):
-            edges.discard(max(cyc, key=sorted))
-            removed += 1
+        victims = {max(cyc) for cyc in
+                   itertools.islice(_cycle_indices(universe, members, g), bar)}
+        removed = len(victims)
         if removed == bar:  # it can neither succeed nor become the best
             continue
-        if not edges:
+        if removed == len(members):
             last_error = "only 0 edges < floor 1"
             continue
+        edges = [e for i, e in enumerate(members) if i not in victims]
         meta = {
             "n": n, "s": s, "g": g, "seed": seed, "attempt": attempt,
             "epsilon": str(eps), "c": c, "p": str(params.p),
@@ -555,8 +578,11 @@ def is_counterexample_tuple(H: PartitionedHypergraph, partitions) -> bool:
     """True iff the s partitions defeat the instance: no within-part edge is
     monochromatic under its colouring, and every transversal edge fails to
     be heterochromatic under at least one colouring."""
-    whole = H.within_part_edges()
-    trans = H.transversal_edges()
+    return _defeats(H.within_part_edges(), H.transversal_edges(), partitions)
+
+
+def _defeats(whole, trans, partitions) -> bool:
+    """`is_counterexample_tuple` on the within-part and transversal edges."""
     block_of = []
     for p in partitions:
         m = {}
@@ -610,10 +636,11 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
         if trials < 1:
             raise ValueError("trials must be >= 1")
         rng = random.Random(f"adversary|{seed}")
+        whole, trans = H.within_part_edges(), H.transversal_edges()
         for _ in range(trials):
             tup = tuple(blocks_of([rng.randrange(V) for _ in range(V)])
                         for _ in range(s))
-            if is_counterexample_tuple(H, tup):
+            if _defeats(whole, trans, tup):
                 return list(tup)
         return None
     if mode != "exhaustive":

@@ -13,8 +13,10 @@ from sunlab.ramsey import (
     PartitionedHypergraph,
     SuitableParams,
     _CHUNK,
+    _blocks,
     _draws_below,
     _iter_rgs,
+    _lex_subsets,
     _short_cycles,
     bell_number,
     SuitableCounts,
@@ -393,7 +395,7 @@ def test_bulk_draws_match_one_by_one(n, c, p):
     for total in (0, math.comb(n * c, n), _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK):
         for seed in range(3):
             one, bulk = random.Random(seed), _ChunkedRandom(seed)
-            expect = bytearray(one.random() < p for _ in range(total))
+            expect = [i for i in range(total) if one.random() < p]
             assert _draws_below(bulk, total, p) == expect
             assert bulk.getstate() == one.getstate()
 
@@ -405,7 +407,27 @@ def test_bulk_draws_decide_a_draw_equal_to_p():
     for i, v in enumerate(values):
         if v < 0.5:
             for q, below in ((v, False), (math.nextafter(v, 1), True)):
-                assert _draws_below(random.Random(9), 300, q)[i] == below
+                assert (i in _draws_below(random.Random(9), 300, q)) == below
+
+
+@pytest.mark.parametrize("N,n", [(1, 1), (5, 5), (9, 9), (7, 1), (96, 1), (12, 2),
+                                 (96, 2), (10, 3), (48, 3), (96, 3), (24, 4),
+                                 (30, 4), (18, 5), (24, 5)])
+def test_lex_subsets_match_combinations(N, n):
+    every = list(itertools.combinations(range(N), n))
+    rng = random.Random(f"lex|{N}|{n}")
+    ranks = sorted({0, len(every) - 1, *rng.sample(range(len(every)),
+                                                   min(len(every), 300))})
+    assert _lex_subsets(N, n, ranks) == [every[r] for r in ranks]
+    assert _lex_subsets(N, n, []) == []
+
+
+def test_lex_subsets_first_and_last_of_a_large_range():
+    # C(96, 5) = 61,124,064 subsets: too many to list
+    assert _lex_subsets(96, 5, [0, math.comb(96, 5) - 1]) == [
+        (0, 1, 2, 3, 4), (91, 92, 93, 94, 95)]
+    assert _lex_subsets(96, 5, [1, math.comb(95, 4)]) == [
+        (0, 1, 2, 3, 5), (1, 2, 3, 4, 5)]
 
 
 def _restart_removal(n, s, g, seed, c, max_attempts, resume=False):
@@ -442,12 +464,15 @@ def _drawn_meta(H):
             ("attempt", "removed_edges", "edge_count", "removal_budget_met")}
 
 
-@pytest.mark.parametrize("n,c", [(2, 8), (2, 12), (3, 6), (3, 8), (4, 3), (4, 4)])
+@pytest.mark.parametrize("n,c", [(2, 8), (2, 12), (3, 6), (3, 8), (3, 32), (4, 3),
+                                 (4, 4)])
 @pytest.mark.parametrize("g", [3, 4, 5])
 def test_resumed_removal_matches_restarts(n, c, g):
+    # c = 32 is the extract chain's size, 142,880 draws per attempt
+    attempts = 2 if c == 32 else 3
     for seed in range(2):
-        H = gen_witness_hypergraph(n, 1, g, seed, c_override=c, max_attempts=3)
-        edges, meta = _restart_removal(n, 1, g, seed, c, 3)
+        H = gen_witness_hypergraph(n, 1, g, seed, c_override=c, max_attempts=attempts)
+        edges, meta = _restart_removal(n, 1, g, seed, c, attempts)
         assert H.edges == edges
         assert _drawn_meta(H) == meta
 
@@ -537,6 +562,32 @@ def test_adversary_random_mode():
     H = hg(2, [[0], [1]], [(0, 1)])
     res = witness_adversary(H, 1, mode="random", trials=50, seed=1)
     assert res is not None and is_counterexample_tuple(H, res)
+
+
+def _random_adversary(H, s, trials, seed):
+    """Oracle: random mode's draws, each tuple checked with
+    `is_counterexample_tuple`."""
+    verts = H.vertices
+    rng = random.Random(f"adversary|{seed}")
+    for _ in range(trials):
+        tup = tuple(tuple(tuple(verts[i] for i in b) for b in
+                          _blocks([rng.randrange(len(verts)) for _ in verts]))
+                    for _ in range(s))
+        if is_counterexample_tuple(H, tup):
+            return list(tup)
+    return None
+
+
+def test_adversary_random_mode_matches_the_checking_loop():
+    found = 0
+    for c, hseed in [(3, 0), (4, 0), (4, 1), (5, 0), (5, 2), (6, 1)]:
+        H = gen_witness_hypergraph(2, 1, 4, hseed, c_override=c)
+        for s in (1, 2):
+            for seed in range(4):
+                res = witness_adversary(H, s, mode="random", trials=300, seed=seed)
+                assert res == _random_adversary(H, s, 300, seed)
+                found += res is not None
+    assert 0 < found < 48
 
 
 def _brute_adversary(H, s):
