@@ -122,6 +122,10 @@ COMMANDS = [
     ("witness-p3-minus-8", ["verify-witness", "--target", "@{tmp}/p3.json",
                             "--witness", "{tmp}/p3-witness-minus-8.json", "--k", "2"]),
     ("enumerate", ["enumerate-presentations", "--size", "4", "--k", "3"]),
+    # one empty family, a [1, 3, 1] array and 794 families of five 2-sets
+    ("enumerate-0-2", ["enumerate-presentations", "--size", "0", "--k", "2"]),
+    ("enumerate-3-1", ["enumerate-presentations", "--size", "3", "--k", "1"]),
+    ("enumerate-5-2", ["enumerate-presentations", "--size", "5", "--k", "2"]),
 ]
 
 EXPECTED = {
@@ -175,6 +179,9 @@ EXPECTED = {
     "witness-p3": [0, "38005ecac8478813a3fa9e66097551e60e60692117400e98dca2a6c7162bfac0"],
     "witness-p3-minus-8": [1, "f3fbb93cc750393c203050e414457bcd3d3a0fc5265b4b0de563b683dba42e52"],
     "enumerate": [0, "96fee7e46d0fd484bb7e9d6530ff58af939d2586587ae2ba981b9e0bcfdf50df"],
+    "enumerate-0-2": [0, "ee6d3ac7b2a332911b08f26e82bf2e8bdfb11bc785253ccbde636f6b421157f2"],
+    "enumerate-3-1": [0, "a144f7d14d2d7e0028b30c22215d9b1702b3ffa9dbad8fc8d6eb1745312e565a"],
+    "enumerate-5-2": [0, "7139695690fbd6bdce5829209fe1bf41db3dadff836e8733e7ae681442ec01e9"],
 }
 
 _RUNNER = "import sys; from sunlab.cli import run; sys.exit(run(sys.argv[1:]))"
