@@ -29,8 +29,8 @@ from pathlib import Path
 from . import __version__, catalog, jsonio
 from .generators import NoAdmissibleExtension, gen_generic, gen_named
 from .ksets import (
+    canonical_families,
     encode_colouring,
-    enumerate_presentations,
     find_sunflower_copies,
     verify_witness,
 )
@@ -210,11 +210,8 @@ def _cmd_enumerate(run: _Run, args) -> int:
         C = run.load(jsonio.structure_from_json, args.structure)
     else:
         C = catalog.pure_set(args.size)
-    pres = list(enumerate_presentations(C, args.k, args.budget))
-    run.write("presentations.json", {
-        "count": len(pres),
-        "presentations": [jsonio.presentation_to_json(P)["sets"] for P in pres],
-    })
+    families = list(canonical_families(C, args.k, args.budget))
+    run.write("presentations.json", {"count": len(families), "presentations": families})
     return EXIT_OK
 
 

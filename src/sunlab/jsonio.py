@@ -22,10 +22,13 @@ from .witness import ExtractionTrace, TraceStep, WitnessChain, WitnessLevel
 def dumps(obj) -> str:
     """Exactly `json.dumps(obj, sort_keys=True, indent=2)` plus a newline,
     without the pure-Python encoder that `indent` selects in CPython: plain
-    ints (not bools) are written with `str`, lists of them joined in one
-    step, and equal-length rows of them (relation tables) through one `%d`
-    row template; other lists go item by item, so bools stay `true`/`false`.
-    Strings are escaped by `json`'s C escaper and other scalars go through
+    ints (not bools) are written with `str` and lists of them joined in one
+    step.  A rectangular array of plain ints of depth 2 or more (every
+    level lists or tuples of one length, the last level all `int`), such as
+    a relation table or a list of families of k-sets, is written through
+    one `%d` template built for its shape, after one type pass per level;
+    other lists go item by item, so bools stay `true`/`false`.  Strings are
+    escaped by `json`'s C escaper and other scalars go through
     `json.dumps`.  Keys must be strings; any other key raises TypeError."""
     return _dump(obj, "\n") + "\n"
 
@@ -37,11 +40,20 @@ def _dump(obj, nl: str) -> str:
     if isinstance(obj, (list, tuple)):
         brackets = "[]"
         types = set(map(type, obj))
-        if (types <= {list, tuple} and len(set(map(len, obj))) == 1
-                and set(map(type, chain.from_iterable(obj))) == {int}):
-            row = "[" + ",".join([inner + "  %d"] * len(obj[0])) + inner + "]"
-            table = "[" + inner + ("," + inner).join([row] * len(obj)) + nl + "]"
-            return table % tuple(chain.from_iterable(obj))
+        if types <= {list, tuple}:  # a rectangular int array? one type pass per level
+            shape, level, leaves = [len(obj)], obj, types
+            while leaves <= {list, tuple} and len(lengths := set(map(len, level))) == 1:
+                shape += lengths
+                level = tuple(chain.from_iterable(level))
+                leaves = set(map(type, level))
+            if leaves == {int}:
+                template = "%d"
+                for depth in reversed(range(len(shape))):
+                    end = nl + "  " * depth
+                    item = end + "  "
+                    rows = ("," + item).join([template] * shape[depth])
+                    template = "[" + item + rows + end + "]"
+                return template % level
         items = map(str, obj) if types <= {int} else [_dump(x, inner) for x in obj]
     elif isinstance(obj, dict):
         brackets = "{}"
@@ -147,7 +159,7 @@ def qftype_from_json(data) -> QfType:
 
 
 def presentation_to_json(P: Presentation) -> dict:
-    return {"k": P.k, "sets": [sorted(s) for s in P.sets]}
+    return {"k": P.k, "sets": list(map(list, P._sorted))}
 
 
 def presentation_from_json(data, base: Structure) -> Presentation:

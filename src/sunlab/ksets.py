@@ -291,11 +291,12 @@ def _normal_form_walk(C: Structure, k: int, keep) -> Iterator[list[tuple[int, ..
     return rec(0)
 
 
-def enumerate_presentations(C: Structure, k: int,
-                            ground_budget: int = DEFAULT_GROUND_BUDGET,
-                            ) -> Iterator[Presentation]:
-    """All presentations of C on k-sets up to ground bijections, exactly
-    once: the stream yields canonical representatives only.
+def canonical_families(C: Structure, k: int,
+                       ground_budget: int = DEFAULT_GROUND_BUDGET,
+                       ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The sorted k-sets of each canonical family of `enumerate_presentations`,
+    as a tuple of sorted tuples, in walk order.  A bad k or a ground set
+    over the budget raises when this is called.
 
     The canonical form of a prefix is the prefix of the canonical form, so
     a non-canonical prefix has no canonical family below it and the walk
@@ -311,47 +312,61 @@ def enumerate_presentations(C: Structure, k: int,
         cells[len(sets):] = [_refine_cells(cells[len(sets) - 1], sets[-1])]
         return cells[-1] is not None
 
-    for sets in _normal_form_walk(C, k, canonical):
+    return map(tuple, _normal_form_walk(C, k, canonical))
+
+
+def enumerate_presentations(C: Structure, k: int,
+                            ground_budget: int = DEFAULT_GROUND_BUDGET,
+                            ) -> Iterator[Presentation]:
+    """All presentations of C on k-sets up to ground bijections, exactly
+    once: the stream yields canonical representatives only, lazily, one
+    per family of `canonical_families`.  A bad k or a ground set over the
+    budget raises on the first `next`."""
+    for sets in canonical_families(C, k, ground_budget):
         yield Presentation._from_sorted(C, k, sets)
 
 
-def _sample_sets(size: int, k: int, rng: random.Random) -> tuple[frozenset, ...]:
-    """The sets of `random_presentation`, as frozensets in draw order."""
+def _sample_sets(size: int, k: int, rng: random.Random) -> Iterator[tuple[frozenset, ...]]:
+    """The families of successive `random_presentation` calls on `rng`, each
+    as frozensets in draw order.  The set-up runs once; a family's draws are
+    made when it is read, so `rng` is left as those calls leave it."""
     ground = max(k * size, k)
     pooled = ground <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
     bits = rng.getrandbits
     draws = [(n, n.bit_length()) for n in range(ground, ground - k, -1)]
     full = list(range(ground)) if pooled else None
-    chosen: dict[frozenset, None] = {}
-    while len(chosen) < size:
-        if pooled:  # sample's pool: a drawn slot is refilled from the end
-            pool, picks = full[:], []
-            for n, b in draws:
-                j = bits(b)
-                while j >= n:
+    while True:
+        chosen: dict[frozenset, None] = {}
+        while len(chosen) < size:
+            if pooled:  # sample's pool: a drawn slot is refilled from the end
+                pool, picks = full[:], []
+                for n, b in draws:
                     j = bits(b)
-                picks.append(pool[j])
-                pool[j] = pool[n - 1]
-        else:  # sample's rejection method: redraw until k distinct
-            b = draws[0][1]
-            picks = set()
-            while len(picks) < k:
-                j = bits(b)
-                if j < ground:
-                    picks.add(j)
-        chosen[frozenset(picks)] = None
-    return tuple(chosen)
+                    while j >= n:
+                        j = bits(b)
+                    picks.append(pool[j])
+                    pool[j] = pool[n - 1]
+            else:  # sample's rejection method: redraw until k distinct
+                b = draws[0][1]
+                picks = set()
+                while len(picks) < k:
+                    j = bits(b)
+                    if j < ground:
+                        picks.add(j)
+            chosen[frozenset(picks)] = None
+        yield tuple(chosen)
 
 
 def random_presentation(C: Structure, k: int, rng: random.Random) -> Presentation:
     """A uniformly random assignment of distinct k-subsets of a ground set
-    of k * |C| naturals (every intersection pattern is reachable).  Each
-    set makes CPython 3.11's `rng.sample(range(ground), k)` draws, each
+    of k * |C| naturals (every intersection pattern is reachable): the
+    first family of a fresh `_sample_sets` on `rng`.  Each set makes
+    CPython 3.11's `rng.sample(range(ground), k)` draws, each
     `randrange(n)` as `getrandbits(n.bit_length())` until below n, so a
     seed gives the same sets and `rng` state as a call of `sample` did."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return Presentation(C, k, _sample_sets(C.size, k, rng))
+    return Presentation(C, k, next(_sample_sets(C.size, k, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +427,8 @@ def verify_witness(C: Structure, B: Structure, k: int,
     if mode == "random":
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        rng = random.Random(f"verify-witness|{seed}")
-        for i in range(trials):
-            sets = _sample_sets(C.size, k, rng)
+        samples = _sample_sets(C.size, k, random.Random(f"verify-witness|{seed}"))
+        for i, sets in zip(range(trials), samples):
             if next(_iter_embedding_maps(B, C, _centre_filter(sets)), None) is None:
                 return WitnessVerdict(False, Presentation(C, k, sets), i + 1)
         return WitnessVerdict(True, None, trials)

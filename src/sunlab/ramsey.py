@@ -578,11 +578,6 @@ def is_counterexample_tuple(H: PartitionedHypergraph, partitions) -> bool:
     """True iff the s partitions defeat the instance: no within-part edge is
     monochromatic under its colouring, and every transversal edge fails to
     be heterochromatic under at least one colouring."""
-    return _defeats(H.within_part_edges(), H.transversal_edges(), partitions)
-
-
-def _defeats(whole, trans, partitions) -> bool:
-    """`is_counterexample_tuple` on the within-part and transversal edges."""
     block_of = []
     for p in partitions:
         m = {}
@@ -590,11 +585,10 @@ def _defeats(whole, trans, partitions) -> bool:
             for v in block:
                 m[v] = b
         block_of.append(m)
-    for m in block_of:
-        for e in whole:
-            if len({m[v] for v in e}) == 1:
-                return False
-    for e in trans:
+    for e in H.within_part_edges():
+        if any(len({m[v] for v in e}) == 1 for m in block_of):
+            return False
+    for e in H.transversal_edges():
         if all(len({m[v] for v in e}) == len(e) for m in block_of):
             return False
     return True
@@ -632,16 +626,19 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     def blocks_of(labels):
         return tuple(tuple(verts[i] for i in b) for b in _blocks(labels))
 
-    if mode == "random":
+    pos = {v: i for i, v in enumerate(verts)}
+    whole = [[pos[v] for v in e] for e in H.within_part_edges()]
+    trans = [sorted(pos[v] for v in e) for e in H.transversal_edges()]
+    if mode == "random":  # each trial is decided on its drawn labels
         if trials < 1:
             raise ValueError("trials must be >= 1")
         rng = random.Random(f"adversary|{seed}")
-        whole, trans = H.within_part_edges(), H.transversal_edges()
         for _ in range(trials):
-            tup = tuple(blocks_of([rng.randrange(V) for _ in range(V)])
-                        for _ in range(s))
-            if _defeats(whole, trans, tup):
-                return list(tup)
+            labels = [[rng.randrange(V) for _ in range(V)] for _ in range(s)]
+            if (not any(len({lab[v] for v in w}) == 1 for lab in labels for w in whole)
+                    and all(any(len({lab[v] for v in e}) < len(e) for lab in labels)
+                            for e in trans)):
+                return [blocks_of(lab) for lab in labels]
         return None
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
@@ -649,9 +646,6 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     if bell_number(V) ** s > budget:
         raise BudgetExceeded(f"Bell({V})^{s} exceeds budget {budget}")
 
-    pos = {v: i for i, v in enumerate(verts)}
-    whole = [[pos[v] for v in e] for e in H.within_part_edges()]
-    trans = [sorted(pos[v] for v in e) for e in H.transversal_edges()]
     singletons = list(range(V))
 
     def search(i: int, labels: list) -> Optional[list]:

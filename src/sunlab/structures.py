@@ -761,9 +761,12 @@ def _orbit_pins(F: Structure) -> dict:
     composed with the inverse of an automorphism s puts s(tF) on t."""
     auts = [s.map for s in automorphisms(F)]
     pins: dict = {}
-    for n, t in sorted({(n, min(tuple(s[x] for x in t) for s in auts))
-                        for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size}):
-        pins.setdefault((n, tuple(map(t.index, t))), []).append(t)
+    seen = set()  # images of the tuples filed so far
+    for n, t in sorted((n, t) for n, ts in F.relations.items() for t in ts
+                       if len(set(t)) < F.size):
+        if (n, t) not in seen:  # the least tuple of an orbit not yet filed
+            pins.setdefault((n, tuple(map(t.index, t))), []).append(t)
+            seen.update((n, tuple(s[x] for x in t)) for s in auts)
     return pins
 
 

@@ -4,7 +4,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunlab import catalog, jsonio
@@ -236,8 +236,48 @@ def rows(entries, lengths):
 int_tables = (st.integers(0, 3).flatmap(lambda k: st.lists(rows(table_ints, st.just(k)),
                                                            max_size=5))
               | st.lists(rows(table_ints | st.booleans(), st.integers(0, 3)), max_size=5))
+
+
+@st.composite
+def int_arrays(draw):
+    """A rectangular array of depth 3 or 4 of table ints, each level lists
+    or tuples, which dumps writes through one template for its shape; or a
+    near miss, written item by item: one row ragged, one leaf a bool or
+    one leaf not an int."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=3, max_size=4))
+    if draw(st.integers(0, 3)) == 0:  # a zero-length dimension
+        shape[draw(st.integers(0, len(shape) - 1))] = 0
+    as_tuples = draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
+
+    def build(depth):
+        if depth == len(shape):
+            return draw(table_ints)
+        return [build(depth + 1) for _ in range(shape[depth])]
+
+    array = build(0)
+    defect = draw(st.sampled_from(["none", "ragged", "bool", "leaf"]))
+    if defect != "none" and all(shape):
+        rows = array
+        for n in shape[:-2]:
+            rows = rows[draw(st.integers(0, n - 1))]
+        i, j = draw(st.integers(0, shape[-2] - 1)), draw(st.integers(0, shape[-1] - 1))
+        if defect == "ragged":
+            rows[i] = rows[i][1:] if draw(st.booleans()) else rows[i] + [draw(table_ints)]
+        else:
+            rows[i][j] = draw(st.booleans() if defect == "bool" else json_scalars.filter(
+                lambda x: type(x) is not int))
+
+    def freeze(x, depth):
+        if depth == len(shape):
+            return x
+        items = [freeze(y, depth + 1) for y in x]
+        return tuple(items) if as_tuples[depth] else items
+
+    return freeze(array, 0)
+
+
 json_documents = st.recursive(
-    json_scalars | int_tables,
+    json_scalars | int_tables | int_arrays(),
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.lists(st.integers(), max_size=4)
                    | st.dictionaries(st.text(st.characters(), max_size=4), inner, max_size=4)),
@@ -246,6 +286,10 @@ json_documents = st.recursive(
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(json_documents)
+@example([[]])
+@example([[], []])
+@example([[[0] * 3] * 4] * 666)
+@example([[[]] * 2] * 3)
 def test_dumps_gives_the_bytes_of_json_dumps(doc):
     assert jsonio.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -16,6 +16,8 @@ from sunlab.ksets import (
     SunflowerCert,
     _normal_form_candidates,
     _refine_cells,
+    _sample_sets,
+    canonical_families,
     canonical_sets,
     encode_colouring,
     enumerate_presentations,
@@ -136,6 +138,18 @@ def test_random_presentation_draws_what_sample_draws(size, k):
     for seed in range(5):
         ours, theirs = random.Random(seed), random.Random(seed)
         assert random_presentation(C, k, ours).sets == tuple(sampled_presentation(C, k, theirs))
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("size, k", [(10, 2), (11, 2), (7, 3), (14, 6), (15, 6)])
+def test_one_sampler_draws_what_successive_random_presentations_draw(size, k):
+    # ground 20 and 21 take sample's pool, 22 its rejection branch; k = 6
+    # crosses the wider pool threshold between sizes 14 and 15
+    C = catalog.pure_set(size)
+    ours, theirs = random.Random(size * k), random.Random(size * k)
+    samples = _sample_sets(size, k, ours)
+    for _ in range(30):
+        assert next(samples) == random_presentation(C, k, theirs).sets
         assert ours.getstate() == theirs.getstate()
 
 
@@ -287,6 +301,16 @@ def test_orderly_enumeration_matches_leaf_filter(size, k):
     stream = [tuple(tuple(sorted(s)) for s in P.sets)
               for P in enumerate_presentations(C, k)]
     assert stream == _enumerate_by_leaf_filter(C, k)
+
+
+@pytest.mark.parametrize("size,k", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2),
+                                    (3, 3), (4, 3), (3, 4), (2, 5)])
+def test_canonical_families_are_the_sorted_sets_of_the_enumeration(size, k):
+    C = catalog.pure_set(size)
+    families = list(canonical_families(C, k))
+    assert families == [P._sorted for P in enumerate_presentations(C, k)]
+    assert families == [tuple(tuple(sorted(s)) for s in P.sets)
+                        for P in enumerate_presentations(C, k)]
 
 
 @st.composite

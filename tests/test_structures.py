@@ -884,6 +884,25 @@ def test_orbit_pins_find_what_every_loose_tuple_finds(name):
         assert sum(map(len, _orbit_pins(F).values())) == len(orbits)
 
 
+def orbit_pins_by_least_image(F):
+    """Reference: each loose tuple's least image under Aut(F), filed in
+    ascending order like `_orbit_pins`."""
+    auts = [s.map for s in automorphisms(F)]
+    pins = {}
+    for n, t in sorted({(n, min(tuple(s[x] for x in t) for s in auts))
+                        for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size}):
+        pins.setdefault((n, tuple(map(t.index, t))), []).append(t)
+    return pins
+
+
+@pytest.mark.parametrize("name", ["graphs", "oriented", "3hypergraphs", "rb-bichrome",
+                                  "f-free-3hyper", "knfree:3", "knfree:4", "k4h3free"])
+def test_orbit_pins_are_the_least_images(name):
+    for F in catalog.class_by_name(name).forbidden:
+        pins = _orbit_pins(F)
+        assert list(pins.items()) == list(orbit_pins_by_least_image(F).items())
+
+
 @ORACLE
 @given(st.data())
 def test_orbit_pins_find_what_every_loose_tuple_finds_on_random_classes(data):
