@@ -251,8 +251,7 @@ def _cmd_hypergraph(run: _Run, args) -> int:
         run.write("girth.json", {"girth": None if g == float("inf") else g,
                                  "cap": args.cap})
         return EXIT_OK
-    result = witness_adversary(H, args.s, mode=args.mode, trials=args.trials,
-                               seed=args.seed or 0, budget=args.budget)
+    result = witness_adversary(H, args.s, budget=args.budget)
     if result is None:
         run.write("adversary.json", {"counterexample": None})
         return EXIT_OK
@@ -415,9 +414,8 @@ def _command_table() -> dict:
         p.add_argument("--c-cap", type=int, default=32)
         p.add_argument("--cap", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--budget", type=int, default=2 * 10 ** 10)
+        p.add_argument("--budget", type=int, default=10 ** 6,
+                       help="adversary search nodes")
 
     def paste_args(p):
         p.add_argument("--hypergraph", required=True)

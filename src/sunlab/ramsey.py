@@ -196,17 +196,6 @@ def _set_partitions(n: int) -> Iterator[list[list[int]]]:
     return (_blocks(rgs) for rgs in _iter_rgs(n))
 
 
-def bell_number(n: int) -> int:
-    """Bell numbers via the Bell triangle."""
-    row = [1]
-    for _ in range(n):
-        new_row = [row[-1]]
-        for x in row:
-            new_row.append(new_row[-1] + x)
-        row = new_row
-    return row[0]
-
-
 def _colour_counts(part: Iterable[int], colouring) -> dict:
     counts: dict = {}
     for v in part:
@@ -594,15 +583,13 @@ def is_counterexample_tuple(H: PartitionedHypergraph, partitions) -> bool:
     return True
 
 
-def witness_adversary(H: PartitionedHypergraph, s: int,
-                      mode: str = "exhaustive", trials: int = 1000,
-                      seed: int = 0, budget: int = 2 * 10 ** 10):
+def witness_adversary(H: PartitionedHypergraph, s: int, budget: int = 10 ** 6):
     """Search s-tuples of vertex partitions defeating the dichotomy.
 
     Colourings only matter through their kernels, so the search ranges
-    over set partitions.  Exhaustive mode decides an exact reduction: s
-    partitions defeat H iff each transversal edge can be given one of the
-    s colourings and a vertex pair inside it so that, in every colouring,
+    over set partitions.  It decides an exact reduction: s partitions
+    defeat H iff each transversal edge can be given one of the s
+    colourings and a vertex pair inside it so that, in every colouring,
     no within-part edge lies inside one connected component of the pairs
     chosen for it.  (=>) In a defeating tuple each transversal edge has
     two vertices in one block of some partition; choose them there.  The
@@ -616,39 +603,25 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     larger component label to the smaller and is dropped if it swallows a
     within-part edge.  It returns the first assignment's components as
     blocks ordered by least vertex, colourings never opened being all
-    singletons, or None if the instance really is a witness.
+    singletons, or None if the instance really is a witness.  Each call of
+    the inner search is one node; a walk that needs more than `budget`
+    nodes raises BudgetExceeded.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     verts = H.vertices
-    V = len(verts)
-
-    def blocks_of(labels):
-        return tuple(tuple(verts[i] for i in b) for b in _blocks(labels))
-
     pos = {v: i for i, v in enumerate(verts)}
     whole = [[pos[v] for v in e] for e in H.within_part_edges()]
     trans = [sorted(pos[v] for v in e) for e in H.transversal_edges()]
-    if mode == "random":  # each trial is decided on its drawn labels
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        rng = random.Random(f"adversary|{seed}")
-        for _ in range(trials):
-            labels = [[rng.randrange(V) for _ in range(V)] for _ in range(s)]
-            if (not any(len({lab[v] for v in w}) == 1 for lab in labels for w in whole)
-                    and all(any(len({lab[v] for v in e}) < len(e) for lab in labels)
-                            for e in trans)):
-                return [blocks_of(lab) for lab in labels]
-        return None
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    if bell_number(V) ** s > budget:
-        raise BudgetExceeded(f"Bell({V})^{s} exceeds budget {budget}")
-
-    singletons = list(range(V))
+    singletons = list(range(len(verts)))
+    nodes = 0
 
     def search(i: int, labels: list) -> Optional[list]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(
+                f"adversary search cut off at a node budget of {budget}")
         # skipping killed edges in a loop keeps the depth at most s(V-1) merges
         while i < len(trans) and any(len({lab[v] for v in trans[i]}) < H.n
                                      for lab in labels):
@@ -671,4 +644,5 @@ def witness_adversary(H: PartitionedHypergraph, s: int,
     labels = search(0, [])
     if labels is None:
         return None
-    return [blocks_of(lab) for lab in labels + [singletons] * (s - len(labels))]
+    return [tuple(tuple(verts[i] for i in b) for b in _blocks(lab))
+            for lab in labels + [singletons] * (s - len(labels))]

@@ -155,7 +155,7 @@ def _tiny_certified_instance(n, s, seeds=range(50)):
                 H = gen_witness_hypergraph(n, s, 4, seed, c_override=c)
             except Exception:
                 continue
-            if witness_adversary(H, s, mode="exhaustive") is None:
+            if witness_adversary(H, s) is None:
                 return c, seed, H
     return None
 

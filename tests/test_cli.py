@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from sunlab import jsonio
 from sunlab.cli import COMMANDS, build_parser, run
+from sunlab.ramsey import is_counterexample_tuple
 
 
 def read(path: Path):
@@ -121,11 +123,32 @@ def test_hypergraph_roundtrip(tmp_path):
     assert run(["hypergraph", "girth", "--input", str(hpath), "--cap", "3",
                 "--out", str(girth_dir)]) == 0
     assert read(girth_dir / "girth.json")["girth"] is None  # none below cap
+    # 64 vertices: the search decides it in a few nodes at the default budget
     adv = tmp_path / "adv"
-    code = run(["hypergraph", "adversary", "--input", str(hpath), "--s", "1",
-                "--mode", "random", "--trials", "60", "--seed", "0",
-                "--out", str(adv)])
-    assert code in (0, 1)
+    assert run(["hypergraph", "adversary", "--input", str(hpath), "--s", "1",
+                "--out", str(adv)]) == 0
+    assert read(adv / "adversary.json") == {"counterexample": None}
+
+
+def test_adversary_verdict_and_node_budget(tmp_path, capsys):
+    # 18 vertices, which the Bell(V)^s guard used to refuse with exit 3
+    gen_dir = tmp_path / "h"
+    assert run(["hypergraph", "generate", "--n", "2", "--c", "9", "--seed", "1",
+                "--out", str(gen_dir)]) == 0
+    hpath = gen_dir / "hypergraph.json"
+    adv = tmp_path / "adv"
+    assert run(["hypergraph", "adversary", "--input", str(hpath), "--s", "1",
+                "--out", str(adv)]) == 1
+    found = read(adv / "adversary.json")["counterexample"]
+    H = jsonio.hypergraph_from_json(read(hpath))
+    assert is_counterexample_tuple(H, found)
+    capsys.readouterr()
+    cut = tmp_path / "cut"
+    assert run(["hypergraph", "adversary", "--input", str(hpath), "--s", "1",
+                "--budget", "1", "--out", str(cut)]) == 3
+    assert _failed_run(cut, capsys, "hypergraph-adversary", 3) == (
+        "error: adversary search cut off at a node budget of 1\n")
+    assert not (cut / "adversary.json").exists()
 
 
 def test_build_extract_verify_roundtrip(tmp_path):
@@ -420,18 +443,6 @@ def test_random_verify_witness_rejects_trials_below_one(tmp_path, capsys):
     assert not (tmp_path / "out" / "verdict.json").exists()
 
 
-def test_random_adversary_rejects_trials_below_one(tmp_path, capsys):
-    gen_dir = tmp_path / "h"
-    assert run(["hypergraph", "generate", "--n", "2", "--c", "5", "--seed", "3",
-                "--out", str(gen_dir)]) == 0
-    out = tmp_path / "adv"
-    assert run(["hypergraph", "adversary", "--input", str(gen_dir / "hypergraph.json"),
-                "--s", "1", "--mode", "random", "--trials", "0",
-                "--out", str(out)]) == 2
-    assert "trials must be >= 1" in _one_error_line(capsys)
-    assert not (out / "adversary.json").exists()
-
-
 @pytest.mark.parametrize("level", ["0", "5"])
 def test_extract_rejects_level_outside_the_chain(tmp_path, capsys, level):
     # level 0 used to be read as the top level and level 5 ended in an
@@ -683,17 +694,27 @@ def _hypergraph_file(tmp_path) -> str:
     (["build-witness", "--klass", "graphs", "--target", "k2", "--k", "2",
       "--seed", "1", "--c", "0"], "and c >= 1"),
     (["hypergraph", "adversary", "--input", "{h}", "--s", "0"], "s must be >= 1"),
-    (["hypergraph", "adversary", "--input", "{h}", "--s", "-2"], "s must be >= 1")],
+    (["hypergraph", "adversary", "--input", "{h}", "--s", "-2"], "s must be >= 1"),
+    (["hypergraph", "adversary", "--input", "{h}", "--mode", "random"],
+     "unrecognized arguments: --mode random"),
+    (["hypergraph", "adversary", "--input", "{h}", "--trials", "5"],
+     "unrecognized arguments: --trials 5")],
     ids=["generate-without-n", "c-zero", "c-negative", "build-witness-c-zero",
-         "adversary-s-zero", "adversary-s-negative"])
+         "adversary-s-zero", "adversary-s-negative", "adversary-mode", "adversary-trials"])
 def test_hypergraph_inputs_out_of_range_are_usage_errors(tmp_path, capsys, argv, message):
     # the first four used to end in a TypeError or ZeroDivisionError
-    # traceback with exit 1, the adversary ones in exit 4 and an error.json
+    # traceback with exit 1, the s ones in exit 4 and an error.json; the
+    # adversary's random mode and its --trials are gone
     h = _hypergraph_file(tmp_path) if "{h}" in argv else ""
     capsys.readouterr()
     out = tmp_path / "out"
     assert run([a.format(h=h) for a in argv] + ["--out", str(out)]) == 2
-    assert message in _one_error_line(capsys)
+    if message.startswith("unrecognized arguments"):
+        # argparse prints the usage before its one error line
+        *usage, line = capsys.readouterr().err.splitlines()
+        assert usage[0].startswith("usage: sunlab") and line == f"sunlab: error: {message}"
+    else:
+        assert message in _one_error_line(capsys)
     assert not out.exists()
 
 

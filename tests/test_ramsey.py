@@ -13,12 +13,10 @@ from sunlab.ramsey import (
     PartitionedHypergraph,
     SuitableParams,
     _CHUNK,
-    _blocks,
     _draws_below,
     _iter_rgs,
     _lex_subsets,
     _short_cycles,
-    bell_number,
     SuitableCounts,
     count_suitable,
     default_epsilon,
@@ -549,45 +547,16 @@ def test_adversary_kernel_invariance():
         assert is_counterexample_tuple(H, renamed)
 
 
-def test_adversary_budget():
-    H = gen_witness_hypergraph(2, 1, 4, 0, c_override=6)
-    with pytest.raises(BudgetExceeded):
-        witness_adversary(H, 2, budget=10)
-    # checked before the walk, even when a partition kills every edge
-    with pytest.raises(BudgetExceeded):
-        witness_adversary(hg(2, [[0], [1]], [(0, 1)]), 1, budget=1)
-
-
-def test_adversary_random_mode():
-    H = hg(2, [[0], [1]], [(0, 1)])
-    res = witness_adversary(H, 1, mode="random", trials=50, seed=1)
-    assert res is not None and is_counterexample_tuple(H, res)
-
-
-def _random_adversary(H, s, trials, seed):
-    """Oracle: random mode's draws, each tuple checked with
-    `is_counterexample_tuple`."""
-    verts = H.vertices
-    rng = random.Random(f"adversary|{seed}")
-    for _ in range(trials):
-        tup = tuple(tuple(tuple(verts[i] for i in b) for b in
-                          _blocks([rng.randrange(len(verts)) for _ in verts]))
-                    for _ in range(s))
-        if is_counterexample_tuple(H, tup):
-            return list(tup)
-    return None
-
-
-def test_adversary_random_mode_matches_the_checking_loop():
-    found = 0
-    for c, hseed in [(3, 0), (4, 0), (4, 1), (5, 0), (5, 2), (6, 1)]:
-        H = gen_witness_hypergraph(2, 1, 4, hseed, c_override=c)
-        for s in (1, 2):
-            for seed in range(4):
-                res = witness_adversary(H, s, mode="random", trials=300, seed=seed)
-                assert res == _random_adversary(H, s, 300, seed)
-                found += res is not None
-    assert 0 < found < 48
+@pytest.mark.parametrize("s, nodes", [(1, 7), (2, 8)])
+def test_adversary_node_budget(s, nodes):
+    # the golden h2c6 instance survives s=1 after walking its whole tree of
+    # 7 nodes, and s=2 defeats it at the 8th; a node is one inner search call
+    H = gen_witness_hypergraph(2, 1, 4, 1, c_override=6)
+    unbounded = witness_adversary(H, s, budget=math.inf)
+    assert (unbounded is None) == (s == 1)
+    assert witness_adversary(H, s, budget=nodes) == unbounded
+    with pytest.raises(BudgetExceeded, match=f"node budget of {nodes - 1}$"):
+        witness_adversary(H, s, budget=nodes - 1)
 
 
 def _brute_adversary(H, s):
@@ -742,10 +711,6 @@ def test_adversary_counterexample_is_the_first_pair_assignment():
     second = ((0,), (1,), (2, 4), (3,), (5,))
     assert witness_adversary(H, 2) == [first, second]
     assert witness_adversary(H, 3) == [first, second, tuple((v,) for v in range(6))]
-
-
-def test_bell_numbers():
-    assert [bell_number(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
 
 
 def test_girth_matches_brute_force_3uniform():
