@@ -50,6 +50,12 @@ COMMANDS = [
     # 12 vertices and no counterexample at s=1
     ("adversary-survives", ["hypergraph", "adversary", "--input",
                             "{h2c6}/hypergraph.json", "--s", "1"]),
+    # a hand-written file: edges shuffled, some reversed and one repeated
+    ("girth-shuffled", ["hypergraph", "girth", "--input", "{tmp}/h-shuffled.json"]),
+    ("adversary-shuffled", ["hypergraph", "adversary", "--input",
+                            "{tmp}/h-shuffled.json", "--s", "1"]),
+    ("paste-shuffled", ["paste", "--hypergraph", "{tmp}/h-shuffled.json",
+                        "--target", "k2", "--klass", "knfree:3"]),
     ("chain-graphs", ["build-witness", "--klass", "graphs", "--target", "k2",
                       "--k", "2", "--seed", "1"]),
     ("chain-pure", ["build-witness", "--klass", "pure", "--target", "pure:3",
@@ -144,6 +150,9 @@ EXPECTED = {
     "girth-h3c32": [0, "088d5b278a990e552b8841b32e2e3484278596720747ddcb86cc979bdabb2301"],
     "adversary": [1, "aa8428cfb9a48a56e0ae4621e94343d1a202c4dc2b0c52374b30f2629ecf3ce8"],
     "adversary-survives": [0, "9541bd48d8fcdc6026d91a60fdd80a2711683186f67843e19158f78cf4bd7fc4"],
+    "girth-shuffled": [0, "bbb9dffcef1c95742b0f76caecd9482b864c9412555c61c61151b6548fa2e61e"],
+    "adversary-shuffled": [1, "f3911fa6adcf8597fadd27bce3672df9957bf30f90c2824acedcde7ec132212f"],
+    "paste-shuffled": [0, "4428066c73ea22f863f598d7690ad9b090f36977af6e9f42582ef23daa0be0b5"],
     "chain-graphs": [0, "22a737dfa0029daef6e9d43b03e1e0612641a231f4e772d28cbb8df410ca57b8"],
     "chain-pure": [0, "c81bec69a6303d9f138a4bdc845247e6b95de778ecf8fdee8d4c1a33c123ae7c"],
     "extract-disjoint": [0, "7c3490907ed5a936a0f15b4e6bb8e3cfff9bab61e81667c70ec3f84807b4c216"],
@@ -226,6 +235,15 @@ def _p3_witness(size: int) -> dict:
     return _graph(size, [(u, v) for u, v in edges if v < size])
 
 
+def _shuffled_hypergraph() -> dict:
+    """A triangle-free graph on parts {0..3} and {4..7} as a 2-uniform
+    hypergraph file (girth 4: 0-1-5-4 and 2-3-7-6 are its 4-cycles), its
+    edges in no order, some written high vertex first and {1, 5} twice."""
+    edges = [[5, 1], [2, 6], [0, 1], [7, 3], [4, 0], [1, 6], [5, 4], [3, 2],
+             [1, 5], [6, 7]]
+    return {"n": 2, "parts": [[0, 1, 2, 3], [4, 5, 6, 7]], "edges": edges}
+
+
 def _digest(out: Path) -> str:
     h = hashlib.sha256()
     for path in sorted(out.iterdir()):
@@ -246,6 +264,7 @@ def run_all(tmp: Path, hash_seed: str) -> dict:
     (tmp / "p3.json").write_text(json.dumps(_graph(3, [(0, 2), (2, 1)])))
     (tmp / "p3-witness.json").write_text(json.dumps(_p3_witness(9)))
     (tmp / "p3-witness-minus-8.json").write_text(json.dumps(_p3_witness(8)))
+    (tmp / "h-shuffled.json").write_text(json.dumps(_shuffled_hypergraph()))
     dirs = {"tmp": str(tmp)}
     results = {}
     for label, argv in COMMANDS:
