@@ -13,8 +13,8 @@ manifest in `--out`; a usage error (exit 2) prints its `error:` line and
 writes nothing.  An input path that cannot be read and an `--out` that is
 not a directory are usage errors.  `run` alone decides the exit: handlers
 return 0 or 1 and raise on failure.  It builds the parser entry of the
-named command only; the top-level usage line, help and errors still list
-every command.
+named command (and action) only; the top-level usage line, help and
+errors still list every command.
 """
 
 from __future__ import annotations
@@ -237,14 +237,10 @@ def _cmd_verify_witness(run: _Run, args) -> int:
 
 def _cmd_hypergraph(run: _Run, args) -> int:
     if args.action == "generate":
-        if args.seed is None or args.n is None:
-            raise ValueError("hypergraph generate needs --n and an explicit --seed")
         H = gen_witness_hypergraph(args.n, args.s, args.g, args.seed,
                                    c_override=args.c, c_cap=args.c_cap)
         run.write("hypergraph.json", jsonio.hypergraph_to_json(H))
         return EXIT_OK
-    if not args.input:
-        raise ValueError(f"hypergraph {args.action} needs --input")
     H = run.load(jsonio.hypergraph_from_json, args.input)
     if args.action == "girth":
         g = hypergraph_girth(H, cap=args.cap)
@@ -346,7 +342,8 @@ def _cmd_check_3dap(run: _Run, args) -> int:
 
 def _command_table() -> dict:
     """name -> (handler, function adding its arguments but `--out`, help
-    text), in the order of the top-level help."""
+    text), in the order of the top-level help; a command with actions has,
+    in place of the function, action name -> (function, help text)."""
 
     def gen_args(p):
         p.add_argument("--id", help="generator name, e.g. knfree:3 or local-order")
@@ -404,18 +401,22 @@ def _command_table() -> dict:
         p.add_argument("--seed", type=int)
         p.add_argument("--budget", type=int, default=18)
 
-    def hypergraph_args(p):
-        p.add_argument("action", choices=("generate", "girth", "adversary"))
-        p.add_argument("--input")
-        p.add_argument("--n", type=int)
+    def generate_args(p):
+        p.add_argument("--n", type=int, required=True)
         p.add_argument("--s", type=int, default=1)
         p.add_argument("--g", type=int, default=4)
         p.add_argument("--c", type=int)
         p.add_argument("--c-cap", type=int, default=32)
+        p.add_argument("--seed", type=int, required=True)
+
+    def girth_args(p):
+        p.add_argument("--input", required=True)
         p.add_argument("--cap", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--budget", type=int, default=10 ** 6,
-                       help="adversary search nodes")
+
+    def adversary_args(p):
+        p.add_argument("--input", required=True)
+        p.add_argument("--s", type=int, default=1)
+        p.add_argument("--budget", type=int, default=10 ** 6, help="search nodes")
 
     def paste_args(p):
         p.add_argument("--hypergraph", required=True)
@@ -465,8 +466,11 @@ def _command_table() -> dict:
                                     "canonical presentations of a structure on k-sets"),
         "verify-witness": (_cmd_verify_witness, verify_witness_args,
                            "check that every presentation carries a sunflower copy"),
-        "hypergraph": (_cmd_hypergraph, hypergraph_args,
-                       "generate / measure / adversarially test witness hypergraphs"),
+        "hypergraph": (_cmd_hypergraph, {
+            "generate": (generate_args, "sample a witness hypergraph"),
+            "girth": (girth_args, "Berge girth of a hypergraph"),
+            "adversary": (adversary_args, "search colourings defeating a hypergraph"),
+        }, "generate / measure / adversarially test witness hypergraphs"),
         "paste": (_cmd_paste, paste_args, "paste a structure into hypergraph edges"),
         "build-witness": (_cmd_build_witness, build_witness_args,
                           "build a witness chain"),
@@ -483,27 +487,40 @@ def _command_table() -> dict:
 COMMANDS = _command_table()
 
 
-def build_parser(names=None) -> argparse.ArgumentParser:
-    """The parser with subparsers for the commands `names` (default: all)."""
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for `argv`: with a subparser for every command or, when
+    argv names one, for that command alone and, if it has actions, for the
+    action argv names (for all of them when it names none)."""
     top = argparse.ArgumentParser(
         prog="sunlab",
         description="sunflower search workbench for finite relational structures")
     # A partial parser lists every command in its usage line through the
     # metavar.  The full parser leaves it unset: argparse would name the
     # command argument by it in the errors only the full parser raises.
-    listed = None if names is None else "{" + ",".join(COMMANDS) + "}"
+    # An action's parser is named by its command alone, so its errors and
+    # usage do not depend on which other actions were built.
+    named = list(argv[:1]) if argv[:1] and argv[0] in COMMANDS else []
+    listed = "{" + ",".join(COMMANDS) + "}" if named else None
     sub = top.add_subparsers(dest="command", required=True, metavar=listed)
-    for name in COMMANDS if names is None else names:
+    for name in named or COMMANDS:
         _, add_arguments, help_text = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", default=".", help="output directory")
-        add_arguments(p)
+        if isinstance(add_arguments, dict):  # one parser per action
+            actions = p.add_subparsers(dest="action", required=True)
+            chosen = [a for a in argv[1:2] if a in add_arguments]
+            leaves = [(actions.add_parser(a, help=add_arguments[a][1]), add_arguments[a][0])
+                      for a in chosen or add_arguments]
+        else:
+            leaves = [(p, add_arguments)]
+        for leaf, add in leaves:
+            leaf.add_argument("--out", default=".", help="output directory")
+            add(leaf)
     return top
 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser([argv[0]] if argv and argv[0] in COMMANDS else None)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

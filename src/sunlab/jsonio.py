@@ -185,7 +185,7 @@ def hypergraph_to_json(H: PartitionedHypergraph) -> dict:
     return {
         "n": H.n,
         "parts": [list(p) for p in H.parts],
-        "edges": sorted(sorted(e) for e in H.edges),
+        "edges": list(map(list, H.edges)),
         "meta": H.meta,
     }
 

@@ -31,7 +31,11 @@ class GenerationError(RuntimeError):
 
 
 class PartitionedHypergraph:
-    """An n-uniform hypergraph with vertices split into n equal parts."""
+    """An n-uniform hypergraph with vertices split into n equal parts.
+
+    `edges` is a tuple of sorted int tuples in lexicographic order, whatever
+    the order of the edges and of their vertices given; a repeated edge is
+    kept once, and an edge with a repeated or unknown vertex is rejected."""
 
     __slots__ = ("n", "parts", "edges", "meta", "_part_of", "_vertices")
 
@@ -48,18 +52,15 @@ class PartitionedHypergraph:
         if len(set(flat)) != len(flat):
             raise ValueError("parts must be disjoint")
         vertex_set = set(flat)
-        self.edges = frozenset(frozenset(int(v) for v in e) for e in edges)
+        self.edges = tuple(sorted({tuple(sorted(set(map(int, e)))) for e in edges}))
         for e in self.edges:
             if len(e) != self.n:
                 raise ValueError("edges must have exactly n vertices")
-            if not e <= vertex_set:
+            if not vertex_set.issuperset(e):
                 raise ValueError("edge uses an unknown vertex")
         self.meta = dict(meta) if meta else {}
         self._vertices = tuple(sorted(vertex_set))
-        self._part_of = {}
-        for i, p in enumerate(self.parts):
-            for v in p:
-                self._part_of[v] = i
+        self._part_of = {v: i for i, p in enumerate(self.parts) for v in p}
 
     @property
     def part_size(self) -> int:
@@ -72,13 +73,11 @@ class PartitionedHypergraph:
     def is_transversal(self, e: Iterable[int]) -> bool:
         return len({self._part_of[v] for v in e}) == self.n
 
-    def within_part_edges(self) -> list[frozenset]:
-        return sorted((e for e in self.edges
-                       if len({self._part_of[v] for v in e}) == 1),
-                      key=sorted)
+    def within_part_edges(self) -> list[tuple[int, ...]]:
+        return [e for e in self.edges if len({self._part_of[v] for v in e}) == 1]
 
-    def transversal_edges(self) -> list[frozenset]:
-        return sorted((e for e in self.edges if self.is_transversal(e)), key=sorted)
+    def transversal_edges(self) -> list[tuple[int, ...]]:
+        return [e for e in self.edges if self.is_transversal(e)]
 
     def __repr__(self):
         return (f"PartitionedHypergraph(n={self.n}, c={self.part_size}, "
@@ -334,7 +333,7 @@ def failure_bound(params: GenParams, a: Fraction) -> float:
 
 def _cycle_indices(vertices, members, g: int) -> Iterator[list[int]]:
     """Berge cycles of length < g, as lists of indices into `members`, the
-    edges as sorted tuples in sorted order.  Canonical order: lengths
+    edges as sorted tuples in lexicographic order.  Canonical order: lengths
     ascending, then the first vertex v0 is the least of the cycle, tried
     in the order of `vertices`, then edge indices and vertices ascending
     along the path.  A cycle of length m has m distinct vertices and m
@@ -381,25 +380,21 @@ def _cycle_indices(vertices, members, g: int) -> Iterator[list[int]]:
                 es = inc[v0] & ~((1 << found[0]) - 1)
 
 
-def _short_cycles(vertices, edges, g: int) -> Iterator[list[frozenset]]:
-    """`_cycle_indices` on a set of edges, each cycle as a list of edges;
-    the victim is the edge max(cycle, key=sorted)."""
-    edges = sorted(edges, key=sorted)
-    for cyc in _cycle_indices(vertices, [sorted(e) for e in edges], g):
-        yield [edges[i] for i in cyc]
-
-
-def find_short_cycle(H: PartitionedHypergraph, g: int) -> Optional[list[frozenset]]:
+def find_short_cycle(H: PartitionedHypergraph, g: int) -> Optional[list[tuple[int, ...]]]:
     """The first Berge cycle of length < g in canonical order (see
-    `_short_cycles`), or None."""
-    return next(_short_cycles(H.vertices, H.edges, g), None)
+    `_cycle_indices`) as a list of edges, or None."""
+    cyc = next(_cycle_indices(H.vertices, H.edges, g), None)
+    return None if cyc is None else [H.edges[i] for i in cyc]
 
 
 def hypergraph_girth(H: PartitionedHypergraph, cap: Optional[int] = None):
     """Least m >= 2 admitting a Berge cycle, or math.inf if none of length
-    <= cap exists (cap defaults to the trivial maximum)."""
+    <= cap exists (cap defaults to the trivial maximum; an explicit cap
+    must be at least 2)."""
     if cap is None:
         cap = min(len(H.edges), len(H.vertices))
+    elif cap < 2:
+        raise ValueError("cap must be >= 2")
     cyc = find_short_cycle(H, cap + 1)
     return math.inf if cyc is None else len(cyc)
 
@@ -472,13 +467,12 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
     indices and per-vertex edge masks and, after every deletion, resumes at
     the current first edge of the cycle's least vertex instead of
     restarting (`_cycle_indices`); it stops once the attempt has removed as
-    many edges as the best one so far.  Edges become frozensets only in the
-    hypergraph an attempt returns or keeps as the best.
+    many edges as the best one so far.
 
     The theory certifies success only for part sizes far beyond desk
-    scale, so c is chosen as the first power of two whose failure bound
-    drops below 1/2, capped at `c_cap`; the metadata records whether the
-    bound actually certifies the instance.
+    scale, so c is chosen as the first power of two from 4 whose failure
+    bound drops below 1/2, capped at `c_cap` (at least 4); the metadata
+    records whether the bound actually certifies the instance.
 
     Ending with no edges is an error after retries, never silent.  A
     removal count reaching c is also retried (the asymptotic regime keeps
@@ -488,36 +482,27 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
     """
     if n < 2 or s < 1 or g < 2 or (c_override is not None and c_override < 1):
         raise ValueError("need n >= 2, s >= 1, g >= 2 and c >= 1")
+    if c_override is None and c_cap < 4:
+        raise ValueError("c_cap must be >= 4, the least part size tried")
     eps = default_epsilon(g)
     sp = suitable_params(n, Fraction(1, 2 * s))
     a = min(sp.a0, Fraction(1, 2))
 
-    def params_for(c: int) -> Optional[GenParams]:
-        try:
-            return GenParams(n, s, g, eps, c)
-        except ValueError:
-            return None
+    def certifies(params: GenParams) -> bool:
+        return failure_bound(params, a) < 0.5 and params.c >= sp.c_min
 
     if c_override is not None:
-        params = params_for(c_override)
-        if params is None:
-            raise ValueError("c_override makes the edge probability >= 1/2")
-        certified = (failure_bound(params, a) < 0.5
-                     and c_override >= sp.c_min)
+        try:
+            params = GenParams(n, s, g, eps, c_override)
+        except ValueError:
+            raise ValueError("c_override makes the edge probability >= 1/2") from None
     else:
-        params = None
-        certified = False
-        c = 4
-        while c <= c_cap:
-            cand = params_for(c)
-            if cand is not None:
-                params = cand
-                if failure_bound(cand, a) < 0.5 and c >= sp.c_min:
-                    certified = True
-                    break
-            c *= 2
-        if params is None:
-            raise GenerationError("no admissible part size at or below the cap")
+        # every size tried is admissible: n >= 2 and eps <= 1/4 give
+        # p <= 4^(-3/4) < 1/2 at c = 4, and p falls as c grows
+        params = GenParams(n, s, g, eps, 4)
+        while not certifies(params) and 2 * params.c <= c_cap:
+            params = GenParams(n, s, g, eps, 2 * params.c)
+    certified = certifies(params)
 
     c = params.c
     p_float = float(params.p)
@@ -567,13 +552,7 @@ def is_counterexample_tuple(H: PartitionedHypergraph, partitions) -> bool:
     """True iff the s partitions defeat the instance: no within-part edge is
     monochromatic under its colouring, and every transversal edge fails to
     be heterochromatic under at least one colouring."""
-    block_of = []
-    for p in partitions:
-        m = {}
-        for b, block in enumerate(p):
-            for v in block:
-                m[v] = b
-        block_of.append(m)
+    block_of = [{v: b for b, block in enumerate(p) for v in block} for p in partitions]
     for e in H.within_part_edges():
         if any(len({m[v] for v in e}) == 1 for m in block_of):
             return False
@@ -609,10 +588,12 @@ def witness_adversary(H: PartitionedHypergraph, s: int, budget: int = 10 ** 6):
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     verts = H.vertices
     pos = {v: i for i, v in enumerate(verts)}
     whole = [[pos[v] for v in e] for e in H.within_part_edges()]
-    trans = [sorted(pos[v] for v in e) for e in H.transversal_edges()]
+    trans = [[pos[v] for v in e] for e in H.transversal_edges()]
     singletons = list(range(len(verts)))
     nodes = 0
 

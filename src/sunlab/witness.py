@@ -164,8 +164,8 @@ def paste(H: PartitionedHypergraph, B: Structure, K: ClassSpec) -> PastedStructu
     verts = H.vertices
     pos = {v: i for i, v in enumerate(verts)}
     rels = {name: set() for name in B.signature.names}
-    for e in sorted(H.edges, key=sorted):
-        evs = sorted(pos[v] for v in e)
+    for e in H.edges:
+        evs = [pos[v] for v in e]
         for name in B.signature.names:
             for t in B.relations[name]:
                 rels[name].add(tuple(evs[x] for x in t))

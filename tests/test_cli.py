@@ -4,6 +4,7 @@ reproducibility."""
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -309,12 +310,9 @@ def test_dead_end_class_is_a_pipeline_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, code, line", [
-    (["build-witness", "--klass", "graphs", "--target", "k2", "--k", "2",
-      "--seed", "1", "--c-cap", "2"],
-     4, "error: no admissible part size at or below the cap\n"),
     (["check-3dap", "--klass", "graphs", "--bound", "2", "--budget", "255"],
      3, "error: 256 pair amalgams exceed budget\n")],
-    ids=["witness-part-cap", "3dap-budget"])
+    ids=["3dap-budget"])
 def test_budget_and_pipeline_exits_print_one_error_line(tmp_path, capsys,
                                                         argv, code, line):
     assert run(argv + ["--out", str(tmp_path)]) == code
@@ -686,36 +684,78 @@ def _hypergraph_file(tmp_path) -> str:
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["hypergraph", "generate", "--seed", "1"], "needs --n"),
+    (["hypergraph", "generate", "--seed", "1"],
+     "sunlab hypergraph generate: error: the following arguments are required: --n"),
     (["hypergraph", "generate", "--n", "2", "--c", "0", "--seed", "1"],
      "and c >= 1"),
     (["hypergraph", "generate", "--n", "2", "--c", "-3", "--seed", "1"],
      "and c >= 1"),
     (["build-witness", "--klass", "graphs", "--target", "k2", "--k", "2",
       "--seed", "1", "--c", "0"], "and c >= 1"),
+    (["hypergraph", "generate", "--n", "2", "--seed", "3", "--c-cap", "2"],
+     "c_cap must be >= 4"),
+    (["build-witness", "--klass", "graphs", "--target", "k2", "--k", "2",
+      "--seed", "1", "--c-cap", "2"], "c_cap must be >= 4"),
+    (["hypergraph", "girth", "--input", "{h}", "--cap", "1"], "cap must be >= 2"),
+    (["hypergraph", "girth", "--input", "{h}", "--cap", "-5"], "cap must be >= 2"),
+    (["hypergraph", "adversary", "--input", "{h}", "--budget", "0"],
+     "budget must be >= 1"),
+    (["hypergraph", "adversary", "--input", "{h}", "--budget", "-3"],
+     "budget must be >= 1"),
     (["hypergraph", "adversary", "--input", "{h}", "--s", "0"], "s must be >= 1"),
     (["hypergraph", "adversary", "--input", "{h}", "--s", "-2"], "s must be >= 1"),
     (["hypergraph", "adversary", "--input", "{h}", "--mode", "random"],
-     "unrecognized arguments: --mode random"),
+     "sunlab: error: unrecognized arguments: --mode random"),
     (["hypergraph", "adversary", "--input", "{h}", "--trials", "5"],
-     "unrecognized arguments: --trials 5")],
+     "sunlab: error: unrecognized arguments: --trials 5")],
     ids=["generate-without-n", "c-zero", "c-negative", "build-witness-c-zero",
+         "c-cap-below-4", "build-witness-c-cap-below-4", "girth-cap-1",
+         "girth-cap-negative", "adversary-budget-zero", "adversary-budget-negative",
          "adversary-s-zero", "adversary-s-negative", "adversary-mode", "adversary-trials"])
 def test_hypergraph_inputs_out_of_range_are_usage_errors(tmp_path, capsys, argv, message):
-    # the first four used to end in a TypeError or ZeroDivisionError
-    # traceback with exit 1, the s ones in exit 4 and an error.json; the
+    # the c ones used to end in a TypeError or ZeroDivisionError traceback
+    # with exit 1, the s and c-cap ones in exit 4 and an error.json, the
+    # budget ones in exit 3 and a girth cap below 2 in exit 0; the
     # adversary's random mode and its --trials are gone
     h = _hypergraph_file(tmp_path) if "{h}" in argv else ""
     capsys.readouterr()
     out = tmp_path / "out"
     assert run([a.format(h=h) for a in argv] + ["--out", str(out)]) == 2
-    if message.startswith("unrecognized arguments"):
+    if ": error: " in message:
         # argparse prints the usage before its one error line
         *usage, line = capsys.readouterr().err.splitlines()
-        assert usage[0].startswith("usage: sunlab") and line == f"sunlab: error: {message}"
+        assert usage[0].startswith("usage: sunlab") and line == message
     else:
         assert message in _one_error_line(capsys)
     assert not out.exists()
+
+
+def test_a_manifest_records_only_what_its_action_reads(tmp_path, capsys):
+    # girth used to take and record every option of every action
+    h = _hypergraph_file(tmp_path)
+    out = tmp_path / "girth"
+    assert run(["hypergraph", "girth", "--input", h, "--cap", "3", "--out", str(out)]) == 0
+    manifest = read(out / "hypergraph-girth-manifest.json")
+    assert manifest["parameters"] == {"action": "girth", "cap": 3,
+                                      "command": "hypergraph", "input": h}
+    assert manifest["seed"] is None
+    capsys.readouterr()
+    seeded = tmp_path / "seeded"
+    assert run(["hypergraph", "girth", "--input", h, "--seed", "9",
+                "--out", str(seeded)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "sunlab: error: unrecognized arguments: --seed 9\n")
+    assert not seeded.exists()
+
+
+@pytest.mark.parametrize("action, options", [
+    ("generate", ["--n", "--s", "--g", "--c", "--c-cap", "--seed"]),
+    ("girth", ["--input", "--cap"]),
+    ("adversary", ["--input", "--s", "--budget"])], ids=["generate", "girth", "adversary"])
+def test_each_hypergraph_action_has_its_own_options(action, options):
+    help_options = re.findall(r"^  (-[-\w]+)", _PARSERS[("hypergraph", action)].format_help(),
+                              re.MULTILINE)
+    assert help_options == ["-h", "--out", *options]
 
 
 def test_an_input_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
@@ -741,30 +781,45 @@ def test_out_that_is_not_a_directory_is_a_usage_error(tmp_path, capsys, argv, co
     assert run(argv + ["--out", str(tmp_path / "dir")]) == code
 
 
-def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    return next(a for a in parser._actions if a.dest == "command").choices[name]
+def _parsers(parser: argparse.ArgumentParser, path=()):
+    """(path, parser) for each command and each action of a command, the
+    path being the words that name it on the command line."""
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            for name, p in a.choices.items():
+                yield [*path, name], p
+                yield from _parsers(p, [*path, name])
 
 
-def _valid_argv(name: str) -> list:
-    """The command with a value for each required option and group."""
-    p = _subparser(build_parser(), name)
+_PARSERS = {tuple(path): p for path, p in _parsers(build_parser())}
+
+
+def _valid_argv(path: list) -> list:
+    """The command with a value for each required option and group; a
+    command with actions gets its first action and that action's values."""
+    p = _PARSERS[tuple(path)]
     required = [a for a in p._actions if a.required]
     required += [g._group_actions[0] for g in p._mutually_exclusive_groups if g.required]
-    argv = [name]
+    argv = list(path)
     for a in required:
-        argv += a.option_strings[:1] + [a.choices[0] if a.choices else "1"]
+        if isinstance(a, argparse._SubParsersAction):
+            argv += _valid_argv([*path, next(iter(a.choices))])[len(path):]
+        else:
+            argv += a.option_strings[:1] + [a.choices[0] if a.choices else "1"]
     return argv
 
 
-def _with_bad_choice(name: str) -> list:
-    """One argv per option with choices, given a value outside them."""
-    argv = _valid_argv(name)
+def _with_bad_choice(path: list) -> list:
+    """One argv per option or positional with choices, given a value
+    outside them."""
+    argv = _valid_argv(path)
     cases = []
-    for a in _subparser(build_parser(), name)._actions:
+    for a in _PARSERS[tuple(path)]._actions:
         if a.choices and a.option_strings:
             cases.append(argv + [a.option_strings[0], "no-such-choice"])
         elif a.choices:
-            cases.append([v if v != a.choices[0] else "no-such-choice" for v in argv])
+            first = next(iter(a.choices))
+            cases.append([v if v != first else "no-such-choice" for v in argv])
     return cases
 
 
@@ -772,11 +827,12 @@ def _usage_cases():
     yield "no-command", []
     yield "unknown-command", ["no-such-command"]
     yield "top-help", ["--help"]
-    for name in COMMANDS:
-        yield f"{name}-help", [name, "--help"]
-        yield f"{name}-missing-required", [name]
-        yield f"{name}-extra-argument", _valid_argv(name) + ["--no-such-option"]
-        for i, argv in enumerate(_with_bad_choice(name)):
+    for path in _PARSERS:
+        name = "-".join(path)
+        yield f"{name}-help", [*path, "--help"]
+        yield f"{name}-missing-required", list(path)
+        yield f"{name}-extra-argument", _valid_argv(list(path)) + ["--no-such-option"]
+        for i, argv in enumerate(_with_bad_choice(list(path))):
             yield f"{name}-bad-choice-{i}", argv
 
 
@@ -806,13 +862,17 @@ def test_command_errors_name_the_command_argument(capsys, argv, message):
     assert error.startswith(f"sunlab: error: {message}")
 
 
-@pytest.mark.parametrize("name", list(COMMANDS))
-def test_one_command_parser_matches_the_full_parser(name):
+@pytest.mark.parametrize("path", list(_PARSERS), ids="-".join)
+def test_one_command_parser_matches_the_full_parser(path):
     def actions(p):
-        return [(a.option_strings, a.dest, a.default, a.required, a.choices, a.nargs)
+        return [(a.option_strings, a.dest, a.default, a.required, a.nargs,
+                 {k: actions(q) for k, q in a.choices.items()}
+                 if isinstance(a, argparse._SubParsersAction) else a.choices)
                 for a in p._actions]
 
-    one, full = _subparser(build_parser([name]), name), _subparser(build_parser(), name)
+    # the parser run builds for the path: the command's, and of its actions the named one
+    one = {tuple(q): p for q, p in _parsers(build_parser(list(path)))}[path]
+    full = _PARSERS[path]
     assert actions(one) == actions(full)
     assert one.format_help() == full.format_help()
     assert one.format_usage() == full.format_usage()
@@ -831,8 +891,13 @@ def test_a_job_builds_the_top_parser_and_one_subparser(tmp_path, monkeypatch):
                 "--out", str(tmp_path)]) == 0
     assert built == ["sunlab", "sunlab gen"]
     built.clear()
+    # of a command with actions, only the named action's parser too
+    assert run(["hypergraph", "generate", "--n", "2", "--c", "5", "--seed", "3",
+                "--out", str(tmp_path)]) == 0
+    assert built == ["sunlab", "sunlab hypergraph", "sunlab hypergraph generate"]
+    built.clear()
     assert run([]) == 2
-    assert len(built) == 1 + len(COMMANDS)
+    assert len(built) == 1 + len(_PARSERS)
 
 
 _BAD_STRUCTURES = {

@@ -208,6 +208,24 @@ def test_hypergraph_round_trip(H):
     assert same(jsonio.hypergraph_from_json(through_text(jsonio.hypergraph_to_json(H))), H)
 
 
+@ROUND_TRIP
+@given(hypergraphs(), st.data())
+def test_edge_order_and_repeats_do_not_change_a_hypergraph(H, data):
+    # the edges are sorted tuples in lexicographic order, however given
+    repeats = data.draw(st.lists(st.sampled_from(H.edges), max_size=3)) if H.edges else []
+    given_edges = [data.draw(st.permutations(e)) for e in [*H.edges, *repeats]]
+    given_edges = data.draw(st.permutations(given_edges))
+    H2 = PartitionedHypergraph(H.n, H.parts, given_edges, H.meta)
+    assert H2.edges == tuple(sorted(tuple(sorted(e)) for e in set(map(frozenset, given_edges))))
+    assert H2.edges == H.edges
+    assert (jsonio.dumps(jsonio.hypergraph_to_json(H2))
+            == jsonio.dumps(jsonio.hypergraph_to_json(H)))
+    if H.n >= 2 and H.edges:
+        e = data.draw(st.sampled_from(given_edges))
+        with pytest.raises(ValueError, match="exactly n vertices"):
+            PartitionedHypergraph(H.n, H.parts, [*given_edges, [e[0], *e[:-1]]])
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(1, 2), st.integers(0, 2 ** 32), st.integers(0, 2 ** 32))
 def test_chain_and_trace_round_trip(k, seed, draw_seed):
