@@ -136,6 +136,12 @@ def _load_structure(run: _Run, spec: str):
 # Command handlers
 
 
+def _reject_unread(args, names, reason: str) -> None:
+    """A usage error naming the options in `names` that were given."""
+    if given := [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is not None]:
+        raise ValueError(f"{reason} reads no {' or '.join(given)}")
+
+
 def _cmd_gen(run: _Run, args) -> int:
     if not args.id and not args.klass:
         raise ValueError("gen needs --id or --klass")
@@ -216,6 +222,10 @@ def _cmd_enumerate(run: _Run, args) -> int:
 
 
 def _cmd_verify_witness(run: _Run, args) -> int:
+    name, default, unread = (("budget", 18, ("trials", "seed")) if args.mode == "exhaustive"
+                             else ("trials", 1000, ("budget",)))
+    _reject_unread(args, unread, f"{args.mode} mode")
+    setattr(args, name, run.params.setdefault(name, default))
     if args.b_size is not None:
         B = catalog.pure_set(args.b_size)
     else:
@@ -270,6 +280,8 @@ def _cmd_paste(run: _Run, args) -> int:
 
 
 def _cmd_build_witness(run: _Run, args) -> int:
+    _reject_unread(args, ("c", "c_cap") if args.k == 1 else (), "--k 1")
+    args.c_cap = None if args.k == 1 else run.params.setdefault("c_cap", 32)
     B = _load_structure(run, args.target)
     K = _load_class(run, args.klass)
     chain = build_witness_chain(K, B, args.k, args.seed, c_override=args.c,
@@ -397,9 +409,9 @@ def _command_table() -> dict:
         one.add_argument("--c-size", type=int, help="pure-set witness size shortcut")
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--budget", type=int, default=18)
+        p.add_argument("--trials", type=int, help="random mode only (default 1000)")
+        p.add_argument("--seed", type=int, help="random mode only")
+        p.add_argument("--budget", type=int, help="exhaustive mode only (default 18)")
 
     def generate_args(p):
         p.add_argument("--n", type=int, required=True)
@@ -428,8 +440,8 @@ def _command_table() -> dict:
         p.add_argument("--target", required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--c", type=int)
-        p.add_argument("--c-cap", type=int, default=32)
+        p.add_argument("--c", type=int, help="--k 2 or more only")
+        p.add_argument("--c-cap", type=int, help="--k 2 or more only (default 32)")
 
     def extract_args(p):
         p.add_argument("--chain", required=True)

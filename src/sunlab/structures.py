@@ -44,25 +44,22 @@ class Signature:
     sets) is permitted.
     """
 
-    __slots__ = ("relations", "_arity")
+    __slots__ = ("relations", "names", "_arity")
 
     def __init__(self, relations: Iterable[tuple[str, int]] = ()):
         rels = tuple((str(n), int(a)) for n, a in relations)
-        names = [n for n, _ in rels]
+        names = tuple(n for n, _ in rels)
         if len(set(names)) != len(names):
             raise ValueError("relation names must be unique")
         for n, a in rels:
             if a < 1:
                 raise ValueError(f"arity of {n!r} must be >= 1")
         self.relations = rels
+        self.names = names
         self._arity = dict(rels)
 
     def arity(self, name: str) -> int:
         return self._arity[name]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.relations)
 
     def __eq__(self, other):
         return isinstance(other, Signature) and self.relations == other.relations
@@ -578,7 +575,7 @@ def satisfies_class(S: Structure, K: ClassSpec) -> bool:
     """True iff no forbidden member of K embeds (induced) into S."""
     if S.signature != K.signature:
         raise SignatureMismatch("structure/class signature mismatch")
-    return not any(embeds(F, S) for F in K.forbidden)
+    return not any(F.size <= S.size and embeds(F, S) for F in K.forbidden)
 
 
 def satisfies_class_at(S: Structure, K: ClassSpec, v: int) -> bool:
@@ -736,13 +733,17 @@ _WINDOW_MEMO = 1 << 12
 def _class_tests(K: ClassSpec) -> tuple:
     """K's incremental tests, built once: each forbidden F, with its counts
     of vertices and of tuples per relation, filed by relation and pattern
-    of repeated entries of its tuples not spanning F, F's pins on first use
-    (_orbit_pins), a support's options per window frame, cached
-    (_window_options), and whether K admits the bare point.  The memos live
-    as long as K."""
+    of repeated entries of its tuples not spanning F, F's support pins on
+    first use (_orbit_pins), a support's options per window frame, cached
+    (_window_options) in the keys of all |F|! relabellings of each F that
+    fits in a window (capped as canonical_form is), and whether K admits
+    the bare point.  The memos live as long as K."""
     if K._tests is None:
         width = max((a for _, a in K.signature.relations), default=0)
-        small = {canonical_form(F) for F in K.forbidden if F.size <= width}
+        narrow = [F for F in K.forbidden if F.size <= width]
+        if any(F.size > _CANON_MAX for F in narrow):
+            raise BudgetExceeded(f"canonical_form limited to {_CANON_MAX} vertices")
+        small = {_atom_key(F, p) for F in narrow for p in itertools.permutations(F.vertices)}
         wide: dict = {}
         for F in K.forbidden:
             need = (F.size, *(len(F.relations[n]) for n in K.signature.names))
@@ -755,18 +756,24 @@ def _class_tests(K: ClassSpec) -> tuple:
     return K._tests
 
 
+def _atom_key(S: Structure, p: Sequence[int]) -> tuple:
+    """S relabelled by x -> p[x]: its size and atoms, which decide it up to equality."""
+    return S.size, frozenset((n, tuple(p[x] for x in t))
+                             for n, ts in S.relations.items() for t in ts)
+
+
 def _orbit_pins(F: Structure) -> dict:
-    """F's tuples not spanning F, one per Aut(F) orbit (its least image),
-    filed like F in _class_tests: if an embedding e puts tF on t, then e
-    composed with the inverse of an automorphism s puts s(tF) on t."""
-    auts = [s.map for s in automorphisms(F)]
+    """The supports of F's tuples not spanning F, filed like F in _class_tests,
+    one per Aut(F) orbit (its least image), each as F relabelled to put it
+    first, both parts ascending: if an embedding e maps a(s) onto a set, for
+    an automorphism a, then e after a maps s onto it."""
+    auts = [a.map for a in automorphisms(F)]
     pins: dict = {}
-    seen = set()  # images of the tuples filed so far
-    for n, t in sorted((n, t) for n, ts in F.relations.items() for t in ts
-                       if len(set(t)) < F.size):
-        if (n, t) not in seen:  # the least tuple of an orbit not yet filed
-            pins.setdefault((n, tuple(map(t.index, t))), []).append(t)
-            seen.update((n, tuple(s[x] for x in t)) for s in auts)
+    for key, sup in sorted({((n, tuple(map(t.index, t))), tuple(sorted(set(t))))
+                            for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size}):
+        if sup == min(tuple(sorted(a[x] for x in sup)) for a in auts):
+            pins.setdefault(key, []).append(
+                F.induced(sup + tuple(v for v in F.vertices if v not in sup)))
     return pins
 
 
@@ -777,12 +784,12 @@ def _window_options(sig: Signature, small: set, frame: frozenset, group: tuple) 
     empty subset passes; the proper sub-windows hold no atom of the group."""
     m = len(set(group[0][1]))
     W = Structure(sig, m)._grown(m, frame)
-    if any(canonical_form(W.induced(sub)) in small
+    if any(_atom_key(W.induced(sub), range(r)) in small
            for r in range(1, m) for sub in itertools.combinations(range(m), r)):
         return ((),)
     return tuple(idx for r in range(len(group) + 1)
                  for idx in itertools.combinations(range(len(group)), r)
-                 if not idx or canonical_form(W._grown(m, [group[i] for i in idx])) not in small)
+                 if not idx or (m, frame.union(group[i] for i in idx)) not in small)
 
 
 def _by_support(free: Iterable[tuple]) -> list[tuple[tuple, list]]:
@@ -811,19 +818,19 @@ def _completions(S: Structure, free: Sequence[tuple],
     on the tuple's support, which is final once its support is decided.
     So a support's options are listed once per frame, the atoms of S and
     of the earlier chosen tuples on the support (_window_options).  Every
-    other copy is searched in each complete T with a tuple of F not
-    spanning F pinned on a chosen tuple."""
+    other copy maps a tuple of F not spanning F onto a chosen tuple, and is
+    searched in each complete T with supports pinned (_pinned_copy)."""
     window = _class_tests(K)[2]
     supports = _by_support(free)
 
-    def walk(i: int, chosen: tuple) -> Iterator[tuple[tuple, Structure]]:
+    def walk(i: int, chosen: tuple, again: Callable) -> Iterator[tuple[tuple, Structure]]:
         if i < len(supports):
             sup, group = supports[i]
             pos = {x: j for j, x in enumerate(sup)}
             frame = _diagram(S, sup) | {(n, tuple(pos[x] for x in t))
                                         for n, t in chosen if pos.keys() >= set(t)}
             for idx in window(frame, tuple((n, tuple(pos[x] for x in t)) for n, t in group)):
-                yield from walk(i + 1, chosen + tuple(group[j] for j in idx))
+                yield from again(i + 1, chosen + tuple(group[j] for j in idx), again)
         elif not chosen:
             yield (), S
         else:
@@ -831,29 +838,30 @@ def _completions(S: Structure, free: Sequence[tuple],
             if not _pinned_copy(T, chosen, K):
                 yield chosen, T
 
-    yield from walk(0, ())
+    # walk is passed itself, as naming itself makes a cycle that outlives the call
+    yield from walk(0, (), walk)
 
 
 def _pinned_copy(T: Structure, chosen: Sequence[tuple], K: ClassSpec) -> bool:
-    """Whether some forbidden F of K embeds into T with a tuple tF of F on
-    a chosen (relation, tuple) pair t, for the pins tF of each F with room
-    in T that share t's relation and pattern of repeated entries.  F has
-    room if it has no more vertices than T and, in each relation, no more
-    tuples: an induced embedding maps F's tuples injectively into T's."""
+    """Whether a forbidden F with room embeds with a pin (_orbit_pins) on the
+    support of a chosen (relation, tuple) pair of the pin's relation and
+    pattern of repeated entries, one search per pin and chosen support.  F
+    has room if no larger than the support and its common Gaifman neighbours
+    in T, where irreducible F must lie, nor richer in tuples of a relation.
+    If T minus the chosen tuples, and their windows, are in K, this decides T."""
     wide, orbit_pins, _, _ = _class_tests(K)
-    have = (T.size, *(len(T.relations[n]) for n in K.signature.names))
-    pins: dict = {}
-    for name, t in chosen:
-        key = (name, tuple(map(t.index, t)))
-        for F, need in wide.get(key, ()):
-            if all(map(operator.le, need, have)):
-                for tF in orbit_pins(F)[key]:
-                    pins.setdefault(F, set()).add(frozenset(zip(tF, t)))
-    for F, ps in pins.items():
-        for pin in map(dict, ps):
-            pools = [1 << pin[p] if p in pin else None for p in range(F.size)]
-            for _ in _iter_embedding_maps(F, T, candidates=pools):
-                return True
+    counts = [len(T.relations[n]) for n in K.signature.names]
+    searches: dict = {}
+    keyed = (((n, tuple(map(t.index, t))), t) for n, t in chosen)
+    for (key, pool), t in {(key, vertex_mask(t)): t for key, t in keyed if key in wide}.items():
+        near = functools.reduce(operator.and_, (_adjacency_bits(T)[v] | 1 << v for v in t))
+        for F, need in wide[key]:
+            if all(map(operator.le, need, (near.bit_count(), *counts))):
+                for G in orbit_pins(F)[key]:
+                    searches[G, pool] = pool.bit_count()
+    for (G, pool), m in searches.items():
+        for _ in _iter_embedding_maps(G, T, candidates=[pool] * m + [None] * (G.size - m)):
+            return True
     return False
 
 

@@ -387,6 +387,23 @@ def test_class_forbidding_the_empty_structure_is_a_usage_error(tmp_path, capsys)
     assert not (out / "structure.json").exists()
 
 
+def test_class_with_a_forbidden_structure_over_the_canonical_cap_exits_3(tmp_path, capsys):
+    # a forbidden structure no larger than the widest relation is a window
+    # the class tests look up among all of its relabellings, so one with 10
+    # vertices is refused before any is listed
+    sig = [{"name": "R", "arity": 10}]
+    spec = {"name": "wide", "signature": sig,
+            "forbidden": [{"signature": sig, "size": 10,
+                           "relations": {"R": [list(range(10))]}}]}
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run(["gen", "--klass", "@" + str(path), "--size", "2", "--seed", "1",
+                "--out", str(out)]) == 3
+    assert _failed_run(out, capsys, "gen", 3) == "error: canonical_form limited to 9 vertices\n"
+    assert not (out / "structure.json").exists()
+
+
 def test_paste_internal_inconsistency_is_a_pipeline_failure(tmp_path, capsys,
                                                              monkeypatch):
     gen_dir = tmp_path / "gen"
@@ -439,6 +456,61 @@ def test_random_verify_witness_rejects_trials_below_one(tmp_path, capsys):
                 "--out", str(tmp_path / "out")]) == 2
     assert "trials must be >= 1" in _one_error_line(capsys)
     assert not (tmp_path / "out" / "verdict.json").exists()
+
+
+@pytest.mark.parametrize("mode, extra, message", [
+    ("exhaustive", ["--trials", "5"], "exhaustive mode reads no --trials"),
+    ("exhaustive", ["--seed", "9"], "exhaustive mode reads no --seed"),
+    ("exhaustive", ["--trials", "5", "--seed", "9"],
+     "exhaustive mode reads no --trials or --seed"),
+    ("random", ["--budget", "22"], "random mode reads no --budget")],
+    ids=["exhaustive-trials", "exhaustive-seed", "exhaustive-both", "random-budget"])
+def test_verify_witness_rejects_options_its_mode_does_not_read(tmp_path, capsys, mode,
+                                                               extra, message):
+    # these used to be accepted and recorded, the seed as the run's seed
+    out = tmp_path / "out"
+    assert run(["verify-witness", "--b-size", "3", "--c-size", "6", "--k", "2",
+                "--mode", mode, *extra, "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_witness_manifest_records_what_its_mode_reads(tmp_path):
+    base = ["verify-witness", "--b-size", "3", "--c-size", "6", "--k", "2"]
+    assert run(base + ["--out", str(tmp_path / "e")]) == 1
+    manifest = read(tmp_path / "e" / "verify-witness-manifest.json")
+    assert manifest["parameters"] == {"b_size": 3, "budget": 18, "c_size": 6,
+                                      "command": "verify-witness", "k": 2,
+                                      "mode": "exhaustive"}
+    assert manifest["seed"] is None
+    assert run(base + ["--mode", "random", "--seed", "5", "--out", str(tmp_path / "r")]) == 1
+    manifest = read(tmp_path / "r" / "verify-witness-manifest.json")
+    assert manifest["parameters"] == {"b_size": 3, "c_size": 6, "command": "verify-witness",
+                                      "k": 2, "mode": "random", "seed": 5, "trials": 1000}
+    assert manifest["seed"] == 5
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--c", "3"], "--k 1 reads no --c"),
+    (["--c-cap", "8"], "--k 1 reads no --c-cap"),
+    (["--c", "3", "--c-cap", "2"], "--k 1 reads no --c or --c-cap")],
+    ids=["c", "c-cap", "both"])
+def test_build_witness_at_k_1_rejects_the_hypergraph_options(tmp_path, capsys, extra,
+                                                              message):
+    # one level generates no hypergraph; these used to be accepted and recorded
+    out = tmp_path / "out"
+    assert run(["build-witness", "--klass", "graphs", "--target", "k2", "--k", "1",
+                "--seed", "1", *extra, "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k, recorded", [("1", {}), ("2", {"c_cap": 32})])
+def test_build_witness_manifest_records_c_cap_only_where_read(tmp_path, k, recorded):
+    assert run(["build-witness", "--klass", "graphs", "--target", "k2", "--k", k,
+                "--seed", "1", "--out", str(tmp_path)]) == 0
+    params = read(tmp_path / "build-witness-manifest.json")["parameters"]
+    assert {n: params[n] for n in ("c", "c_cap") if n in params} == recorded
 
 
 @pytest.mark.parametrize("level", ["0", "5"])

@@ -24,6 +24,7 @@ from sunlab.structures import (
     ThreeDapFamily,
     ThreeDapReport,
     _adjacency_bits,
+    _atom_key,
     _atoms_through,
     _class_tests,
     _iter_embedding_maps,
@@ -33,6 +34,7 @@ from sunlab.structures import (
     _three_dap_amalgam_exists,
     _type_classes,
     _vertex_profiles,
+    _window_options,
     are_isomorphic,
     automorphisms,
     canonical_form,
@@ -836,7 +838,24 @@ def test_type_classes_match_the_type_of_every_vertex_on_class_members(name):
 # Pins of the incremental class test
 
 
+def loose_supports(F):
+    """(key, support) for each tuple of F not spanning F: its relation and
+    pattern of repeated entries, and the set of vertices it mentions."""
+    return {((n, tuple(map(t.index, t))), frozenset(t))
+            for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size}
+
+
 def pinned_copy_by_definition(T, chosen, K):
+    """Oracle: whether some forbidden F embeds into T mapping the support of
+    a tuple of F not spanning F onto the support of a chosen (relation,
+    tuple) pair of the same relation and pattern of repeated entries."""
+    targets = {((n, tuple(map(t.index, t))), frozenset(t)) for n, t in chosen}
+    return any((key, frozenset(e.map[x] for x in sup)) in targets
+               for F in K.forbidden for e in find_embeddings(F, T)
+               for key, sup in loose_supports(F))
+
+
+def pinned_tuple_by_definition(T, chosen, K):
     """Oracle: whether some forbidden F embeds into T with a tuple of F not
     spanning F, any of them, on a chosen (relation, tuple) pair."""
     chosen = set(chosen)
@@ -865,33 +884,45 @@ def random_completion(S, rng):
 
 @pytest.mark.parametrize("name", ["knfree:3", "k4h3free", "f-free-3hyper", "rb-bichrome"])
 def test_orbit_pins_find_what_every_loose_tuple_finds(name):
-    # one pinned tuple per Aut(F) orbit decides as every loose tuple does
+    # one pinned support per Aut(F) orbit decides as every loose support
+    # does, and as every loose tuple does where T minus the chosen tuples
+    # and each chosen tuple's window are in K
     K = catalog.class_by_name(name)
     rng = random.Random(name)
-    verdicts = []
+    verdicts, exact = [], []
     for seed in range(3):
         S = gen_generic(K, 5, seed)
         for _ in range(12):
             chosen, T = random_completion(S, rng)
             verdicts.append(_pinned_copy(T, chosen, K))
             assert verdicts[-1] == pinned_copy_by_definition(T, chosen, K)
+            rest = Structure(T.signature, T.size, {n: ts - {t for m, t in chosen if m == n}
+                                                   for n, ts in T.relations.items()})
+            if satisfies_class(rest, K) and all(satisfies_class(T.induced(sorted(set(t))), K)
+                                                for _, t in chosen):
+                exact.append(verdicts[-1])
+                assert verdicts[-1] == pinned_tuple_by_definition(T, chosen, K)
     assert any(verdicts) and not all(verdicts)
-    # each forbidden structure keeps one pin per Aut(F) orbit of its loose tuples
+    assert any(exact) and not all(exact)
+    # each forbidden structure keeps one pin per Aut(F) orbit of its loose
+    # supports of each relation and pattern of repeated entries
     for F in K.forbidden:
         auts = brute_isomorphisms(F, F)
-        orbits = {frozenset((n, tuple(p[x] for x in t)) for p in auts)
-                  for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size}
+        orbits = {(key, frozenset(frozenset(p[x] for x in sup) for p in auts))
+                  for key, sup in loose_supports(F)}
         assert sum(map(len, _orbit_pins(F).values())) == len(orbits)
 
 
 def orbit_pins_by_least_image(F):
-    """Reference: each loose tuple's least image under Aut(F), filed in
-    ascending order like `_orbit_pins`."""
-    auts = [s.map for s in automorphisms(F)]
+    """Reference: per relation and pattern of repeated entries, each loose
+    support's least image under Aut(F), found by brute force, ascending,
+    as F relabelled with that support first, then its other vertices."""
+    auts = brute_isomorphisms(F, F)
     pins = {}
-    for n, t in sorted({(n, min(tuple(s[x] for x in t) for s in auts))
-                        for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size}):
-        pins.setdefault((n, tuple(map(t.index, t))), []).append(t)
+    for key, sup in sorted({(key, min(tuple(sorted(p[x] for x in sup)) for p in auts))
+                            for key, sup in loose_supports(F)}):
+        pins.setdefault(key, []).append(
+            F.induced(list(sup) + [v for v in F.vertices if v not in sup]))
     return pins
 
 
@@ -922,8 +953,10 @@ def test_orbit_pins_find_what_every_loose_tuple_finds_on_random_classes(data):
 
 def test_pinned_copy_skips_forbidden_structures_without_room(monkeypatch):
     # the red triangle has 6 R tuples; a T with 4 cannot hold it, however
-    # many B tuples it has, so no search is made in T, and one with 6 gets
-    # one per chosen tuple
+    # many B tuples it has, so no search is made in T.  Nor is one where
+    # the chosen support {0, 1} has no common neighbour for the third
+    # vertex, and one with both gets one search for the support, which
+    # both chosen tuples share
     searched = []
 
     def counting(A, B, *args, **kwargs):
@@ -932,14 +965,70 @@ def test_pinned_copy_skips_forbidden_structures_without_room(monkeypatch):
 
     monkeypatch.setattr("sunlab.structures._iter_embedding_maps", counting)
     K = catalog.rb_bichrome()
-    blue = [(0, 2), (0, 3), (1, 3)]
+    cross = [(0, 2), (0, 3), (1, 3)]
     chosen = [("R", (0, 1)), ("R", (1, 0))]
-    for red, searches in (([(0, 1), (1, 2)], 0), ([(0, 1), (1, 2), (2, 3)], 2)):
+    for red, blue, searches in (([(0, 1), (1, 2)], cross, 0), ([(0, 1), (1, 2), (2, 3)], [], 0),
+                                ([(0, 1), (1, 2), (2, 3)], cross, 1)):
         T = catalog.rb_structure(4, red, blue)
         searched.clear()
         assert not _pinned_copy(T, chosen, K)
         assert sum(B is T for B in searched) == searches
         assert not pinned_copy_by_definition(T, chosen, K)
+
+
+def test_gen_generic_makes_few_kernel_searches(monkeypatch):
+    # a chosen 3-hyperedge is its six orderings on one support: one search
+    # per pin of each forbidden F with room, 38-102 per job on these seeds,
+    # where a search per pinned ordering of each F with no more vertices
+    # than T, and one per F for the bare point's verdict, make 531-1,077
+    searched = []
+
+    def counting(A, B, *args, **kwargs):
+        searched.append(B)
+        return _iter_embedding_maps(A, B, *args, **kwargs)
+
+    monkeypatch.setattr("sunlab.structures._iter_embedding_maps", counting)
+    for seed in range(8):
+        searched.clear()
+        gen_generic(catalog.f_free_3hypergraphs(), 6, seed)
+        assert 0 < len(searched) <= 300
+
+
+@pytest.mark.parametrize("name", ["pure", "graphs", "oriented", "3hypergraphs", "rb-bichrome",
+                                  "f-free-3hyper", "knfree:3", "knfree:4", "k4h3free"])
+def test_window_keys_agree_with_canonical_forms(name, monkeypatch):
+    # each window and sub-window _window_options looks up by atom key is in
+    # `small` iff its canonical form is that of a forbidden structure no
+    # larger than the widest relation
+    seen = []
+
+    def recording(*args):
+        seen.append(args)
+        return _window_options(*args)
+
+    monkeypatch.setattr("sunlab.structures._window_options", recording)
+    K = catalog.class_by_name(name)
+    for seed in range(4):
+        gen_generic(K, 6, seed)
+    enumerate_class_members(K, 3)
+    width = max((a for _, a in K.signature.relations), default=0)
+    forms = {canonical_form(F) for F in K.forbidden if F.size <= width}
+    assert bool(seen) == bool(width)
+    found = set()
+    for sig, small, frame, group in seen:
+        m = len(set(group[0][1]))
+        W = Structure(sig, m)._grown(m, frame)
+        for r in range(1, m):
+            for sub in itertools.combinations(range(m), r):
+                hit = _atom_key(W.induced(sub), range(r)) in small
+                assert hit == (canonical_form(W.induced(sub)) in forms)
+                found.add(hit)
+        for r in range(len(group) + 1):
+            for idx in itertools.combinations(group, r):
+                hit = (m, frame.union(idx)) in small
+                assert hit == (canonical_form(W._grown(m, idx)) in forms)
+                found.add(hit)
+    assert found == ({True, False} if width else set())
 
 
 WINDOW_CLASSES = ["knfree:3", "oriented", "k4h3free", "f-free-3hyper"]
