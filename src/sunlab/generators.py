@@ -110,9 +110,9 @@ def gen_generic(K: ClassSpec, size: int, seed: int,
     S = Structure(K.signature, 0)
     for v in range(size):
         S = S._grown(v + 1)
-        # a signature without relations still has the vertex's own support
+        # a signature without relations gets its bare vertex from no supports
         for sup, group in _by_support(_atoms_through(S.signature, v)) or [((v,), [])]:
-            options = [T for chosen, T in _completions(S, group, K)
+            options = [T for chosen, T in _completions(S, [(sup, group)] if group else [], K)
                        if chosen or point or sup != (v,)]
             if not options:
                 raise NoAdmissibleExtension(f"no admissible vertex {v}")

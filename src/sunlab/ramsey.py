@@ -21,7 +21,7 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .structures import BudgetExceeded
 
@@ -70,14 +70,11 @@ class PartitionedHypergraph:
     def vertices(self) -> tuple[int, ...]:
         return self._vertices
 
-    def is_transversal(self, e: Iterable[int]) -> bool:
-        return len({self._part_of[v] for v in e}) == self.n
-
     def within_part_edges(self) -> list[tuple[int, ...]]:
         return [e for e in self.edges if len({self._part_of[v] for v in e}) == 1]
 
     def transversal_edges(self) -> list[tuple[int, ...]]:
-        return [e for e in self.edges if self.is_transversal(e)]
+        return [e for e in self.edges if len({self._part_of[v] for v in e}) == self.n]
 
     def __repr__(self):
         return (f"PartitionedHypergraph(n={self.n}, c={self.part_size}, "
@@ -562,68 +559,71 @@ def is_counterexample_tuple(H: PartitionedHypergraph, partitions) -> bool:
     return True
 
 
+def _partition_search(V: int, kill: Sequence, apart: Sequence, s: int, budget) -> Optional[list]:
+    """s labellings of range(V) under which each kill set repeats a label in
+    some labelling and each apart set has two labels in all, or None.
+
+    An exact reduction: they exist iff each kill set can be given a
+    labelling and a pair inside it so that, in every labelling, no apart set
+    lies in one component of the pairs it was given.  (=>) Give each kill
+    set a pair it repeats: components lie in label classes, which hold no
+    apart set.  (<=) Label by components.
+
+    One loop over a stack of option generators takes the kill sets in
+    order, skipping one already killed (fewer labels than vertices) in an
+    opened labelling, else trying the opened labellings, then one new one,
+    each with the set's pairs in lexicographic order.  A merge relabels the
+    larger label to the smaller, unless an apart set would get one label;
+    labellings never opened stay singletons.  Each state visited is one
+    node, and needing more than `budget` nodes raises BudgetExceeded.
+    """
+    if any(len(a) < 2 for a in apart):
+        return None
+    singletons = list(range(V))
+
+    def options(i: int, labels: list) -> Iterator[tuple[int, list]]:
+        for k in range(min(len(labels) + 1, s)):
+            lab = labels[k] if k < len(labels) else singletons
+            for a, b in itertools.combinations(kill[i], 2):
+                lo, hi = sorted((lab[a], lab[b]))
+                merged = [lo if x == hi else x for x in lab]
+                if not any(all(merged[v] == lo for v in w) for w in apart):
+                    yield i + 1, labels[:k] + [merged] + labels[k + 1:]
+
+    nodes = 0
+    stack = [iter([(0, [])])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"adversary search cut off at a node budget of {budget}")
+        i, labels = state
+        while i < len(kill) and any(len({lab[v] for v in kill[i]}) < len(kill[i])
+                                    for lab in labels):
+            i += 1
+        if i == len(kill):
+            return labels + [singletons] * (s - len(labels))
+        stack.append(options(i, labels))
+    return None
+
+
 def witness_adversary(H: PartitionedHypergraph, s: int, budget: int = 10 ** 6):
     """Search s-tuples of vertex partitions defeating the dichotomy.
 
-    Colourings only matter through their kernels, so the search ranges
-    over set partitions.  It decides an exact reduction: s partitions
-    defeat H iff each transversal edge can be given one of the s
-    colourings and a vertex pair inside it so that, in every colouring,
-    no within-part edge lies inside one connected component of the pairs
-    chosen for it.  (=>) In a defeating tuple each transversal edge has
-    two vertices in one block of some partition; choose them there.  The
-    components then lie inside blocks, and no block holds a within-part
-    edge.  (<=) Take each colouring's components as its blocks.
-
-    The search takes the transversal edges in order, skipping one already
-    holding two vertices of one component in some opened colouring, and
-    otherwise tries the opened colourings and then one new one, each with
-    the edge's vertex pairs in lexicographic order.  A merge relabels the
-    larger component label to the smaller and is dropped if it swallows a
-    within-part edge.  It returns the first assignment's components as
-    blocks ordered by least vertex, colourings never opened being all
-    singletons, or None if the instance really is a witness.  Each call of
-    the inner search is one node; a walk that needs more than `budget`
-    nodes raises BudgetExceeded.
+    Colourings only matter through their kernels, so this is _partition_search
+    on H's vertex indices, with the transversal edges as kill sets and the
+    within-part edges as apart sets.  It returns the partitions found, blocks
+    ordered by least vertex, or None if H really is a witness.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    verts = H.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    whole = [[pos[v] for v in e] for e in H.within_part_edges()]
-    trans = [[pos[v] for v in e] for e in H.transversal_edges()]
-    singletons = list(range(len(verts)))
-    nodes = 0
-
-    def search(i: int, labels: list) -> Optional[list]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(
-                f"adversary search cut off at a node budget of {budget}")
-        # skipping killed edges in a loop keeps the depth at most s(V-1) merges
-        while i < len(trans) and any(len({lab[v] for v in trans[i]}) < H.n
-                                     for lab in labels):
-            i += 1
-        if i == len(trans):
-            return labels
-        e = trans[i]
-        for k in range(min(len(labels) + 1, s)):
-            lab = labels[k] if k < len(labels) else singletons
-            for a, b in itertools.combinations(e, 2):
-                lo, hi = sorted((lab[a], lab[b]))
-                merged = [lo if x == hi else x for x in lab]
-                if any(all(merged[v] == lo for v in w) for w in whole):
-                    continue
-                found = search(i + 1, labels[:k] + [merged] + labels[k + 1:])
-                if found is not None:
-                    return found
-        return None
-
-    labels = search(0, [])
-    if labels is None:
-        return None
-    return [tuple(tuple(verts[i] for i in b) for b in _blocks(lab))
-            for lab in labels + [singletons] * (s - len(labels))]
+    pos = {v: i for i, v in enumerate(H.vertices)}
+    labels = _partition_search(len(pos), [[pos[v] for v in e] for e in H.transversal_edges()],
+                               [[pos[v] for v in e] for e in H.within_part_edges()], s, budget)
+    return None if labels is None else [
+        tuple(tuple(H.vertices[i] for i in b) for b in _blocks(lab)) for lab in labels]

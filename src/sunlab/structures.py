@@ -801,17 +801,17 @@ def _by_support(free: Iterable[tuple]) -> list[tuple[tuple, list]]:
     return sorted(groups.items(), key=lambda g: (len(g[0]), g[0]))
 
 
-def _completions(S: Structure, free: Sequence[tuple],
+def _completions(S: Structure, supports: Sequence[tuple[tuple, list]],
                  K: ClassSpec) -> Iterator[tuple[tuple, Structure]]:
     """(chosen, T) for each subset `chosen` of the (relation, tuple) pairs
-    `free` whose completion T, S plus the chosen tuples, has no forbidden
-    copy through a chosen tuple.  Each completion dropped is outside K, and
-    if S is in K, those yielded are exactly the completions in K.
+    in `supports`, grouped as by _by_support, whose completion T (S plus
+    the chosen tuples) has no forbidden copy through a chosen tuple.  Each
+    dropped is outside K; if S is in K, exactly those in K are yielded.
 
-    The tuples are decided support by support in the order of _by_support,
-    each support's subsets by size, then lexicographically in the order of
-    `free`; with one support, that is the order of all subsets, which is
-    how generators.gen_generic samples a new vertex one support at a time.
+    The tuples are decided support by support in the order given, each
+    support's subsets by size, then lexicographically in the order of its
+    pairs; with one support, that is the order of all subsets, which is how
+    generators.gen_generic samples a new vertex one support at a time.
 
     A copy of a forbidden F that S lacks holds a chosen tuple, the image of
     a tuple of F.  If that tuple spans F, the copy lies in the window of T
@@ -821,7 +821,6 @@ def _completions(S: Structure, free: Sequence[tuple],
     other copy maps a tuple of F not spanning F onto a chosen tuple, and is
     searched in each complete T with supports pinned (_pinned_copy)."""
     window = _class_tests(K)[2]
-    supports = _by_support(free)
 
     def walk(i: int, chosen: tuple, again: Callable) -> Iterator[tuple[tuple, Structure]]:
         if i < len(supports):
@@ -874,7 +873,7 @@ def admissible_extensions(S: Structure, K: ClassSpec) -> Iterator[Structure]:
     v = S.size
     *_, point = _class_tests(K)
     grown = S._grown(v + 1)
-    for chosen, T in _completions(grown, _atoms_through(S.signature, v), K):
+    for chosen, T in _completions(grown, _by_support(_atoms_through(S.signature, v)), K):
         if chosen or point:
             yield T
 
@@ -952,7 +951,7 @@ def _pair_amalgams(A: Structure, B: Structure, K: ClassSpec,
     for v in range(na, size):
         own = [(n, tuple(x + na for x in t)) for n in sig.names
                for t in B.relations[n] if max(t) == v - na]
-        free = [(n, t) for n, t in cross if max(t) == v]
+        free = _by_support((n, t) for n, t in cross if max(t) == v)
         grown = []
         for chosen, S in members:
             base = S._grown(v + 1, own)
@@ -1003,7 +1002,7 @@ def _three_dap_amalgam_exists(family: ThreeDapFamily, K: ClassSpec,
     union = Structure(sig, a0 + a1 + a2, rels)
     free = _spanning_tuples(family.sides, K, budget)
     # the union can lie outside K, so what the completions keep is checked whole
-    return any(satisfies_class(T, K) for _, T in _completions(union, free, K))
+    return any(satisfies_class(T, K) for _, T in _completions(union, _by_support(free), K))
 
 
 def _splittings(F: Structure) -> list[tuple[Structure, ...]]:

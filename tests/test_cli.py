@@ -13,7 +13,7 @@ import pytest
 
 from sunlab import jsonio
 from sunlab.cli import COMMANDS, build_parser, run
-from sunlab.ramsey import is_counterexample_tuple
+from sunlab.ramsey import PartitionedHypergraph, is_counterexample_tuple
 
 
 def read(path: Path):
@@ -150,6 +150,20 @@ def test_adversary_verdict_and_node_budget(tmp_path, capsys):
     assert _failed_run(cut, capsys, "hypergraph-adversary", 3) == (
         "error: adversary search cut off at a node budget of 1\n")
     assert not (cut / "adversary.json").exists()
+
+
+def test_adversary_decides_a_deep_matching(tmp_path):
+    # a search with one Python frame per merge died on this 1,000-edge
+    # matching with a traceback, exit 1 and no manifest
+    H = PartitionedHypergraph(2, [range(1000), range(1000, 2000)],
+                              [(i, 1000 + i) for i in range(1000)])
+    hpath = tmp_path / "matching.json"
+    hpath.write_text(json.dumps(jsonio.hypergraph_to_json(H)))
+    adv = tmp_path / "adv"
+    assert run(["hypergraph", "adversary", "--input", str(hpath), "--s", "1",
+                "--out", str(adv)]) == 1
+    assert is_counterexample_tuple(H, read(adv / "adversary.json")["counterexample"])
+    assert read(adv / "hypergraph-adversary-manifest.json")["exit_code"] == 1
 
 
 def test_build_extract_verify_roundtrip(tmp_path):

@@ -1,12 +1,16 @@
 """Suitable-set arithmetic, counting paths, the failure bound, Berge girth,
 hypergraph generation and the adversary."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunlab.ramsey import (
     GenParams,
@@ -17,6 +21,7 @@ from sunlab.ramsey import (
     _draws_below,
     _iter_rgs,
     _lex_subsets,
+    _partition_search,
     SuitableCounts,
     count_suitable,
     default_epsilon,
@@ -719,6 +724,60 @@ def test_adversary_counterexample_is_the_first_pair_assignment():
     second = ((0,), (1,), (2, 4), (3,), (5,))
     assert witness_adversary(H, 2) == [first, second]
     assert witness_adversary(H, 3) == [first, second, tuple((v,) for v in range(6))]
+
+
+def test_adversary_decides_a_deep_matching():
+    # 1,000 transversal edges, each merged in its own node at s=1: a search
+    # with one Python frame per merge overflows the recursion limit here
+    H = hg(2, [range(1000), range(1000, 2000)], [(i, 1000 + i) for i in range(1000)])
+    res = witness_adversary(H, 1)
+    assert is_counterexample_tuple(H, res)
+    _check_counterexample(H, 1, res)
+
+
+def test_partition_search_opens_a_labelling_per_pair_of_a_triangle():
+    # one labelling can merge only one pair of the apart set {0, 1, 2}, so
+    # the three pairs take three labellings, each merge relabelling the
+    # larger label to the smaller
+    kill, apart = [[0, 1], [1, 2], [0, 2]], [[0, 1, 2]]
+    assert _partition_search(3, kill, apart, 2, math.inf) is None
+    assert _partition_search(3, kill, apart, 3, math.inf) == [[0, 0, 2], [0, 1, 1], [0, 1, 0]]
+    assert _partition_search(3, kill, apart + [[1]], 3, math.inf) is None
+
+
+def _brute_partition_search(V, kill, apart, s):
+    """Oracle: whether s labellings of range(V), each giving every apart set
+    two labels, together repeat a label in every kill set, by a scan of all
+    restricted growth strings and of every s-multiset of their kill masks."""
+    masks = {sum(1 << j for j, e in enumerate(kill) if len({rgs[v] for v in e}) < len(e))
+             for rgs in _all_rgs(V) if all(len({rgs[v] for v in a}) > 1 for a in apart)}
+    full = (1 << len(kill)) - 1
+    return any(functools.reduce(operator.or_, combo, 0) == full
+               for combo in itertools.combinations_with_replacement(sorted(masks), s))
+
+
+def _vertex_sets(V):
+    # sizes 0 and 1 drawn an eighth as often as each larger size, so that
+    # most lists hold no set that decides the search on its own
+    sizes = st.sampled_from([k for k in range(V + 1) for _ in range(1 if k < 2 else 8)])
+    return sizes.flatmap(lambda k: st.permutations(range(V)).map(lambda p: sorted(p[:k])))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_partition_search_matches_brute_force(data):
+    # kill and apart lists drawn independently, with empty lists and sets
+    # of 0 or 1 vertices among them
+    V = data.draw(st.integers(0, 7))
+    s = data.draw(st.integers(1, 3))
+    kill = data.draw(st.lists(_vertex_sets(V), max_size=5))
+    apart = data.draw(st.lists(_vertex_sets(V), max_size=4))
+    labels = _partition_search(V, kill, apart, s, math.inf)
+    assert (labels is not None) == _brute_partition_search(V, kill, apart, s)
+    if labels is not None:
+        assert len(labels) == s and all(len(lab) == V for lab in labels)
+        assert all(len({lab[v] for v in a}) > 1 for lab in labels for a in apart)
+        assert all(any(len({lab[v] for v in e}) < len(e) for lab in labels) for e in kill)
 
 
 def test_girth_matches_brute_force_3uniform():
