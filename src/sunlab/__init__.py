@@ -15,8 +15,6 @@ from .structures import (
     canonical_form,
     check_3dap_over_empty,
     find_embeddings,
-    free_amalgam,
-    gaifman,
     is_irreducible,
     qf_type,
     realisation_set,
@@ -52,7 +50,6 @@ from .ramsey import (
     GenerationError,
     GenParams,
     PartitionedHypergraph,
-    count_suitable,
     dichotomy_holds,
     failure_bound,
     gen_witness_hypergraph,

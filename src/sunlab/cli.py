@@ -143,8 +143,6 @@ def _reject_unread(args, names, reason: str) -> None:
 
 
 def _cmd_gen(run: _Run, args) -> int:
-    if not args.id and not args.klass:
-        raise ValueError("gen needs --id or --klass")
     if args.klass:
         K = _load_class(run, args.klass)
         S = gen_generic(K, args.size, args.seed)
@@ -155,6 +153,11 @@ def _cmd_gen(run: _Run, args) -> int:
 
 
 def _cmd_partition(run: _Run, args) -> int:
+    _reject_unread(args, () if args.klass else ("probes", "base_bound", "format"),
+                   "partition without --klass")
+    if args.klass:
+        args.base_bound = run.params.setdefault("base_bound", 1)
+        args.format = run.params.setdefault("format", "json")
     S = run.load(jsonio.structure_from_json, args.structure)
     P = named_partition(S, args.scheme, args.anchor)
     if args.klass:  # every input is read and the report made before the first write
@@ -358,9 +361,10 @@ def _command_table() -> dict:
     in place of the function, action name -> (function, help text)."""
 
     def gen_args(p):
-        p.add_argument("--id", help="generator name, e.g. knfree:3 or local-order")
-        p.add_argument("--klass", "--class", dest="klass",
-                       help="class name or @file for the generic builder")
+        one = p.add_mutually_exclusive_group(required=True)
+        one.add_argument("--id", help="generator name, e.g. knfree:3 or local-order")
+        one.add_argument("--klass", "--class", dest="klass",
+                         help="class name or @file for the generic builder")
         p.add_argument("--size", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
 
@@ -369,9 +373,10 @@ def _command_table() -> dict:
         p.add_argument("--scheme", required=True)
         p.add_argument("--anchor", type=int)
         p.add_argument("--klass", "--class", dest="klass")
-        p.add_argument("--probes", nargs="*")
-        p.add_argument("--base-bound", type=int, default=1)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--probes", nargs="*", help="--klass only")
+        p.add_argument("--base-bound", type=int, help="--klass only (default 1)")
+        p.add_argument("--format", choices=("json", "csv"),
+                       help="--klass only (default json)")
 
     def open_set_args(p):
         p.add_argument("--structure", required=True)

@@ -163,35 +163,6 @@ def suitable_params(n: int, a1: Fraction) -> SuitableParams:
 # Counting monochromatic part n-sets and heterochromatic transversals
 
 
-def _iter_rgs(n: int) -> Iterator[list[int]]:
-    """Restricted growth strings of length n in lexicographic order (one
-    list, mutated in place between yields)."""
-    rgs = [0] * n
-
-    def rec(i, maxval):
-        for b in range(maxval + 2):
-            rgs[i] = b
-            if i + 1 == n:
-                yield rgs
-            else:
-                yield from rec(i + 1, max(maxval, b))
-
-    yield from rec(0, -1) if n else [rgs]
-
-
-def _blocks(labels) -> list[list[int]]:
-    """The blocks {i : labels[i] == b}, in ascending order of the label b."""
-    blocks: dict = {}
-    for i, b in enumerate(labels):
-        blocks.setdefault(b, []).append(i)
-    return [blocks[b] for b in sorted(blocks)]
-
-
-def _set_partitions(n: int) -> Iterator[list[list[int]]]:
-    """All set partitions of range(n), by restricted growth strings."""
-    return (_blocks(rgs) for rgs in _iter_rgs(n))
-
-
 def _colour_counts(part: Iterable[int], colouring) -> dict:
     counts: dict = {}
     for v in part:
@@ -206,64 +177,19 @@ def mono_nset_count(part: Iterable[int], colouring, n: int) -> int:
 
 
 def hetero_transversal_count(parts, colouring) -> int:
-    """Heterochromatic transversal n-sets, by Moebius inversion over the
-    partition lattice of the part indices (exact and linear in the number
-    of colours)."""
-    n = len(parts)
+    """Heterochromatic transversal n-sets: one vertex per part, no two of
+    one colour.  Colour by colour, ways[S] counts the choices of one vertex
+    in each part of the bitmask S in distinct colours seen so far; each new
+    colour goes to at most one part.  Exact integers throughout."""
     counts = [_colour_counts(p, colouring) for p in parts]
-    total = 0
-    for blocks in _set_partitions(n):
-        coeff = 1
-        for b in blocks:
-            coeff *= (-1) ** (len(b) - 1) * math.factorial(len(b) - 1)
-        term = 1
-        for b in blocks:
-            colours = set().union(*(counts[i].keys() for i in b))
-            term *= sum(math.prod(counts[i].get(q, 0) for i in b) for q in colours)
-        total += coeff * term
-    return total
-
-
-class SuitableCounts:
-    __slots__ = ("mono", "hetero", "joint_mono", "joint_hetero", "jointly_suitable")
-
-    def __init__(self, mono, hetero, joint_mono, joint_hetero):
-        self.mono = mono                  # mono[r][i]
-        self.hetero = hetero              # hetero[r]
-        self.joint_mono = joint_mono      # per part, mono in every colouring
-        self.joint_hetero = joint_hetero  # transversal, hetero in every colouring
-        self.jointly_suitable = sum(joint_mono) + joint_hetero
-
-    def __repr__(self):
-        return (f"SuitableCounts(mono={self.mono}, hetero={self.hetero}, "
-                f"jointly_suitable={self.jointly_suitable})")
-
-
-def count_suitable(parts, colourings, budget: int = 10 ** 7) -> SuitableCounts:
-    """Exact closed-form tallies: per-colouring monochromatic n-sets per
-    part, per-colouring heterochromatic transversals, and the jointly
-    suitable n-sets (monochromatic in each colouring inside one part, or
-    transversal and heterochromatic in all colourings)."""
-    n = len(parts)
-    mono = [[mono_nset_count(p, chi, n) for p in parts] for chi in colourings]
-    hetero = [hetero_transversal_count(parts, chi) for chi in colourings]
-
-    joint = {v: tuple(chi[v] for chi in colourings) for p in parts for v in p}
-    vec_counts = [_colour_counts(p, joint) for p in parts]
-
-    joint_mono = [sum(math.comb(c, n) for c in counts.values())
-                  for counts in vec_counts]
-
-    total_combos = math.prod(len(c) for c in vec_counts)
-    if total_combos > budget:
-        raise BudgetExceeded(f"{total_combos} vector combinations exceed budget")
-    joint_hetero = 0
-    s = len(colourings)
-    for combo in itertools.product(*(c.items() for c in vec_counts)):
-        vecs = [v for v, _ in combo]
-        if all(len({vec[r] for vec in vecs}) == n for r in range(s)):
-            joint_hetero += math.prod(cnt for _, cnt in combo)
-    return SuitableCounts(mono, hetero, joint_mono, joint_hetero)
+    ways = {0: 1}
+    for q in set().union(*counts):
+        holders = [(1 << i, c[q]) for i, c in enumerate(counts) if q in c]
+        for S, w in list(ways.items()):
+            for bit, m in holders:
+                if not S & bit:
+                    ways[S | bit] = ways.get(S | bit, 0) + w * m
+    return ways.get((1 << len(parts)) - 1, 0)
 
 
 def dichotomy_holds(parts, colouring, sp: SuitableParams) -> bool:
@@ -409,6 +335,7 @@ def default_epsilon(g: int) -> Fraction:
 
 
 _CHUNK = 4096  # draws per randbytes call, so memory stays 32 KB
+_MAX_ATTEMPTS = 10  # seeded attempts per generation run
 
 
 def _draws_below(rng: random.Random, total: int, p: float) -> list[int]:
@@ -453,8 +380,8 @@ def _lex_subsets(N: int, n: int, ranks: Iterable[int]) -> list[tuple[int, ...]]:
 
 
 def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
-                           c_override: Optional[int] = None, c_cap: int = 32,
-                           max_attempts: int = 10) -> PartitionedHypergraph:
+                           c_override: Optional[int] = None,
+                           c_cap: int = 32) -> PartitionedHypergraph:
     """Sample an n-uniform hypergraph on n parts of size c with edges drawn
     i.i.d. at p = c^(1-n+eps), then delete one edge per short cycle until
     the Berge girth reaches g.  An attempt makes one rng.random() draw per
@@ -508,7 +435,7 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
 
     last_error = None
     best = None
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = random.Random(f"hypergraph|{n}|{s}|{g}|{seed}|{attempt}")
         ranks = _draws_below(rng, math.comb(n * c, n), p_float)
         members = _lex_subsets(n * c, n, ranks)
@@ -538,7 +465,7 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
         best = out
     if best is not None:
         return best
-    raise GenerationError(f"all {max_attempts} attempts failed: {last_error}")
+    raise GenerationError(f"all {_MAX_ATTEMPTS} attempts failed: {last_error}")
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +535,14 @@ def _partition_search(V: int, kill: Sequence, apart: Sequence, s: int, budget) -
             return labels + [singletons] * (s - len(labels))
         stack.append(options(i, labels))
     return None
+
+
+def _blocks(labels) -> list[list[int]]:
+    """The blocks {i : labels[i] == b}, in ascending order of the label b."""
+    blocks: dict = {}
+    for i, b in enumerate(labels):
+        blocks.setdefault(b, []).append(i)
+    return [blocks[b] for b in sorted(blocks)]
 
 
 def witness_adversary(H: PartitionedHypergraph, s: int, budget: int = 10 ** 6):

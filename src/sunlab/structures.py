@@ -5,10 +5,11 @@ vertices are 0..size-1 and each relation holds an explicit set of tuples.
 No symmetry closure is implied; a graph stores both orientations of every
 edge, a 3-hypergraph stores all six orderings of every hyperedge.
 
-On top of the data model this module provides Gaifman graphs and
+On top of the data model this module provides Gaifman adjacency and
 irreducibility, backtracking search for induced embeddings and
-isomorphisms, free amalgams, membership in classes given by forbidden
-irreducible substructures, quantifier-free 1-types over a parameter
+isomorphisms, membership in classes given by forbidden irreducible
+substructures (which makes them closed under free amalgams), the
+one-point extension walk, quantifier-free 1-types over a parameter
 sequence, and an exhaustive checker for the disjoint 3-amalgamation
 property over the empty base.
 
@@ -264,13 +265,6 @@ def _with_tuples(bits: list[int], tables: Iterable[Iterable[tuple]]) -> list[int
     return bits
 
 
-def gaifman(S: Structure) -> frozenset:
-    """The Gaifman graph as a set of 2-element frozensets of vertices."""
-    bits = _adjacency_bits(S)
-    return frozenset(frozenset((u, v)) for v in S.vertices for u in range(v)
-                     if bits[v] >> u & 1)
-
-
 def is_irreducible(S: Structure) -> bool:
     """True iff the Gaifman graph is a clique (size <= 1 counts)."""
     bits = _adjacency_bits(S)
@@ -498,35 +492,6 @@ def canonical_form(S: Structure) -> tuple:
         if best is None or cert < best:
             best = cert
     return (S.signature.relations, S.size, best)
-
-
-# ---------------------------------------------------------------------------
-# Free amalgams
-
-
-def free_amalgam(A: Structure, f0: Embedding, f1: Embedding) -> Structure:
-    """The free amalgam of f0 : A -> B0 and f1 : A -> B1.
-
-    The result keeps B0's vertex labels; vertices of B1 outside the image
-    of f1 are appended in ascending order.  Relations are exactly the two
-    transported relation sets, nothing more.
-    """
-    if f0.source != A or f1.source != A:
-        raise MalformedEmbedding("both embeddings must have source A")
-    B0, B1 = f0.target, f1.target
-    if B0.signature != A.signature or B1.signature != A.signature:
-        raise SignatureMismatch("amalgam needs one common signature")
-    inv1 = {f1.map[a]: a for a in range(A.size)}
-    to_c = {}
-    fresh = B0.size
-    for v in range(B1.size):
-        if v in inv1:
-            to_c[v] = f0.map[inv1[v]]
-        else:
-            to_c[v] = fresh
-            fresh += 1
-    return B0._grown(fresh, [(name, tuple(to_c[x] for x in t))
-                             for name, ts in B1.relations.items() for t in ts])
 
 
 # ---------------------------------------------------------------------------

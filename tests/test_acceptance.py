@@ -32,10 +32,11 @@ from sunlab.ramsey import (
     suitable_params,
     witness_adversary,
 )
-from sunlab.structures import check_3dap_over_empty, embeds, gaifman, satisfies_class
+from sunlab.structures import check_3dap_over_empty, embeds, satisfies_class
 from sunlab.witness import build_witness_chain, extract_sunflower, verify_certificate
 from test_ksets import signature_key
 from test_ramsey import suitable_params_hold
+from test_structures import gaifman
 
 
 def report(line):

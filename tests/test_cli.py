@@ -527,6 +527,43 @@ def test_build_witness_manifest_records_c_cap_only_where_read(tmp_path, k, recor
     assert {n: params[n] for n in ("c", "c_cap") if n in params} == recorded
 
 
+def test_gen_rejects_id_with_klass(tmp_path, capsys):
+    # --id used to be dropped without a word, and still recorded in the manifest
+    out = tmp_path / "out"
+    assert run(["gen", "--id", "knfree:3", "--klass", "graphs", "--size", "4",
+                "--seed", "1", "--out", str(out)]) == 2
+    assert "not allowed with argument --id" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--probes", "k2"], "--probes"),
+    (["--format", "csv", "--probes", "k2", "--base-bound", "3"],
+     "--probes or --base-bound or --format")],
+    ids=["probes", "all"])
+def test_partition_without_klass_rejects_the_report_options(tmp_path, capsys, extra,
+                                                            message):
+    # these used to be accepted and recorded, with only partition.json written
+    structure = _generated(tmp_path, "--id", "knfree:3", "--size", "8", "--seed", "1")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["partition", "--structure", str(structure), "--scheme", "neighbourhood",
+                "--anchor", "0", *extra, "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"error: partition without --klass reads no {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("klass, recorded", [
+    ([], {}), (["--klass", "knfree:3"], {"base_bound": 1, "format": "json"})])
+def test_partition_manifest_records_report_options_only_with_klass(tmp_path, klass,
+                                                                   recorded):
+    structure = _generated(tmp_path, "--id", "knfree:3", "--size", "8", "--seed", "1")
+    assert run(["partition", "--structure", str(structure), "--scheme", "neighbourhood",
+                "--anchor", "0", *klass, "--out", str(tmp_path / "p")]) == 0
+    params = read(tmp_path / "p" / "partition-manifest.json")["parameters"]
+    assert {n: params[n] for n in ("base_bound", "format") if n in params} == recorded
+
+
 @pytest.mark.parametrize("level", ["0", "5"])
 def test_extract_rejects_level_outside_the_chain(tmp_path, capsys, level):
     # level 0 used to be read as the top level and level 5 ended in an
@@ -594,7 +631,8 @@ def test_partition_scheme_names_the_relation_it_needs(tmp_path, capsys,
 @pytest.mark.parametrize("argv, missing", [
     (["enumerate-presentations", "--k", "2"], "--structure --size"),
     (["verify-witness", "--k", "2", "--c-size", "4"], "--target --b-size"),
-    (["verify-witness", "--k", "2", "--b-size", "2"], "--witness --c-size")])
+    (["verify-witness", "--k", "2", "--b-size", "2"], "--witness --c-size"),
+    (["gen", "--size", "4", "--seed", "1"], "--id --klass/--class")])
 def test_commands_need_one_of_each_input_pair(tmp_path, capsys, argv, missing):
     # each used to end in a TypeError or AttributeError traceback with
     # exit 1, the counterexample code

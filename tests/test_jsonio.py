@@ -12,10 +12,10 @@ from sunlab.generators import gen_named
 from sunlab.ksets import Presentation, find_sunflower_copies, random_presentation
 from sunlab.partitionlab import Colouring, Partition
 from sunlab.ramsey import PartitionedHypergraph, gen_witness_hypergraph
-from sunlab.structures import ClassSpec, QfType, Structure, gaifman, qf_type
+from sunlab.structures import ClassSpec, QfType, Structure, qf_type
 from sunlab.witness import build_witness_chain, extract_sunflower
 
-from test_structures import SIGNATURES, outcome, structures
+from test_structures import SIGNATURES, gaifman, outcome, structures
 
 import random
 

@@ -1,19 +1,28 @@
 """Package layout: `src/sunlab` keeps only code that the package runs.
 
 A top-level function, class or assignment of the package must be named
-somewhere in the package beyond its own definition, or be exported from
-`sunlab/__init__.py`.  A test-only helper lives in the test module that
-uses it.
+somewhere in the package beyond its own definition and its re-export from
+`sunlab/__init__.py`, or be on the README's "Library API" list.  A
+test-only helper or oracle lives in the test module that uses it.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sunlab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sunlab"
 
-# a test oracle that perfbench/tracer.py binds by name: it stays until the
-# tracer reads its counters some other way
-EXEMPT = {"satisfies_class_at"}
+# names that perfbench/tracer.py binds by name: they stay until the tracer
+# reads its counters some other way
+EXEMPT = {"satisfies_class_at", "canonical_sets"}
+
+
+def library_api(readme: Path) -> set[str]:
+    """The names listed (one `* `name`` bullet each) under the README's
+    "Library API" heading."""
+    section = readme.read_text().split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\* `(\w+)`", section, re.MULTILINE))
 
 
 def _top_level_names(tree: ast.Module):
@@ -40,21 +49,27 @@ def _names_read(node: ast.AST) -> set[str]:
     return out
 
 
-def unused_names(package: Path) -> list[str]:
-    """Top-level names of the package's modules that nothing else names."""
+def _exported(package: Path) -> set[str]:
+    """The names `sunlab/__init__.py` defines or imports."""
+    init = ast.parse((package / "__init__.py").read_text())
+    return {name for name, _ in _top_level_names(init)} | {
+        alias.asname or alias.name for node in init.body
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unused_names(package: Path, api: set[str]) -> list[str]:
+    """Top-level names of the package's modules that nothing else names,
+    leaving out the names in `api`."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(package.glob("*.py"))}
-    init = trees["__init__.py"]
-    exported = {name for name, _ in _top_level_names(init)}
-    exported |= {alias.asname or alias.name for node in init.body
-                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     # names read by each top-level statement, so that a definition's own
-    # body (a recursive call, say) does not count as a use
+    # body (a recursive call, say) does not count as a use; a re-export in
+    # __init__.py is an import, which reads no name
     reads = [(node, _names_read(node)) for tree in trees.values() for node in tree.body]
     out = []
     for module, tree in trees.items():
         for name, defn in _top_level_names(tree):
-            if name in exported or name in EXEMPT:
+            if name in api or name in EXEMPT:
                 continue
             if not any(name in names for node, names in reads if node is not defn):
                 out.append(f"{module}:{name}")
@@ -62,4 +77,9 @@ def unused_names(package: Path) -> list[str]:
 
 
 def test_every_top_level_name_is_used_or_exported():
-    assert unused_names(PACKAGE) == []
+    assert unused_names(PACKAGE, library_api(ROOT / "README.md")) == []
+
+
+def test_the_library_api_is_exported():
+    api = library_api(ROOT / "README.md")
+    assert api and api <= _exported(PACKAGE)

@@ -1,5 +1,5 @@
-"""Suitable-set arithmetic, counting paths, the failure bound, Berge girth,
-hypergraph generation and the adversary."""
+"""Suitable-set arithmetic, the dichotomy counts, the failure bound, Berge
+girth, hypergraph generation and the adversary."""
 
 import functools
 import itertools
@@ -12,18 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sunlab import ramsey
 from sunlab.ramsey import (
     GenParams,
     PartitionedHypergraph,
     SuitableParams,
     _CHUNK,
+    _blocks,
     _cycle_indices,
     _draws_below,
-    _iter_rgs,
     _lex_subsets,
     _partition_search,
-    SuitableCounts,
-    count_suitable,
     default_epsilon,
     dichotomy_holds,
     failure_bound,
@@ -38,43 +37,6 @@ from sunlab.ramsey import (
     witness_adversary,
 )
 from sunlab.structures import BudgetExceeded
-
-
-def count_suitable_enumerate(parts, colourings) -> SuitableCounts:
-    """The same tallies by direct enumeration of all n-subsets (oracle for
-    small instances)."""
-    n = len(parts)
-    part_of = {}
-    for i, p in enumerate(parts):
-        for v in p:
-            part_of[v] = i
-    vertices = sorted(part_of)
-    s = len(colourings)
-    mono = [[0] * n for _ in range(s)]
-    hetero = [0] * s
-    joint_mono = [0] * n
-    joint_hetero = 0
-    for sub in itertools.combinations(vertices, n):
-        owners = {part_of[v] for v in sub}
-        inside = len(owners) == 1
-        transversal = len(owners) == n
-        mono_flags = []
-        het_flags = []
-        for r, chi in enumerate(colourings):
-            cols = [chi[v] for v in sub]
-            is_mono = len(set(cols)) == 1
-            is_het = len(set(cols)) == n
-            mono_flags.append(is_mono)
-            het_flags.append(is_het)
-            if inside and is_mono:
-                mono[r][next(iter(owners))] += 1
-            if transversal and is_het:
-                hetero[r] += 1
-        if inside and all(mono_flags):
-            joint_mono[next(iter(owners))] += 1
-        if transversal and all(het_flags):
-            joint_hetero += 1
-    return SuitableCounts(mono, hetero, joint_mono, joint_hetero)
 
 
 # ---------------------------------------------------------------------------
@@ -138,35 +100,25 @@ def test_dichotomy_small_sweep():
 # Counting
 
 
-def test_count_suitable_examples():
-    parts = [[0, 1], [2, 3]]
-    injective = [0, 1, 2, 3]
-    constant = [5, 5, 5, 5]
-    counts = count_suitable(parts, [injective])
-    assert counts.hetero == [4]
-    assert counts.mono == [[0, 0]]
-    counts = count_suitable(parts, [constant])
-    assert counts.mono == [[1, 1]]
-    assert counts.hetero == [0]
-    joint = count_suitable(parts, [constant, injective])
-    assert joint.jointly_suitable == 0
-
-
-def test_count_paths_agree():
+def test_counts_match_enumeration():
+    # one colouring at a time, against every n-subset of the parts' union
     rng = random.Random(11)
-    for _ in range(25):
-        n = rng.choice([2, 3])
-        c = rng.randint(2, 4 if n == 3 else 6)
-        parts = [list(range(i * c, (i + 1) * c)) for i in range(n)]
-        s = rng.choice([1, 2])
-        colourings = [[rng.randrange(rng.choice([2, 3, n * c]))
-                       for _ in range(n * c)] for _ in range(s)]
-        closed = count_suitable(parts, colourings)
-        brute = count_suitable_enumerate(parts, colourings)
-        assert closed.mono == brute.mono
-        assert closed.hetero == brute.hetero
-        assert closed.joint_mono == brute.joint_mono
-        assert closed.joint_hetero == brute.joint_hetero
+    for n in range(1, 5):
+        for _ in range(20):
+            c = rng.randint(1, 5 if n < 4 else 3)
+            parts = [list(range(i * c, (i + 1) * c)) for i in range(n)]
+            for ncols in sorted({1, 2, 3, n, n * c}):
+                chi = [rng.randrange(ncols) for _ in range(n * c)]
+                mono = [0] * n
+                hetero = 0
+                for sub in itertools.combinations(range(n * c), n):
+                    owners = {v // c for v in sub}
+                    colours = {chi[v] for v in sub}
+                    if len(owners) == 1 and len(colours) == 1:
+                        mono[next(iter(owners))] += 1
+                    hetero += len(owners) == n and len(colours) == n
+                assert [mono_nset_count(p, chi, n) for p in parts] == mono
+                assert hetero_transversal_count(parts, chi) == hetero
 
 
 def test_hetero_count_direct_formula_n2():
@@ -478,11 +430,12 @@ def _drawn_meta(H):
 @pytest.mark.parametrize("n,c", [(2, 8), (2, 12), (3, 6), (3, 8), (3, 32), (4, 3),
                                  (4, 4)])
 @pytest.mark.parametrize("g", [3, 4, 5])
-def test_resumed_removal_matches_restarts(n, c, g):
+def test_resumed_removal_matches_restarts(n, c, g, monkeypatch):
     # c = 32 is the extract chain's size, 142,880 draws per attempt
     attempts = 2 if c == 32 else 3
+    monkeypatch.setattr(ramsey, "_MAX_ATTEMPTS", attempts)
     for seed in range(2):
-        H = gen_witness_hypergraph(n, 1, g, seed, c_override=c, max_attempts=attempts)
+        H = gen_witness_hypergraph(n, 1, g, seed, c_override=c)
         edges, meta = _restart_removal(n, 1, g, seed, c, attempts)
         assert set(map(frozenset, H.edges)) == edges
         assert _drawn_meta(H) == meta
@@ -574,11 +527,9 @@ def test_adversary_node_budget(s, nodes):
 
 def _brute_adversary(H, s):
     """Oracle: enumerate every s-tuple of set partitions directly."""
-    from sunlab.ramsey import _set_partitions
     verts = H.vertices
-    parts = []
-    for blocks in _set_partitions(len(verts)):
-        parts.append(tuple(tuple(verts[i] for i in b) for b in blocks))
+    parts = [tuple(tuple(verts[i] for i in b) for b in _blocks(rgs))
+             for rgs in _all_rgs(len(verts))]
     for tup in itertools.product(parts, repeat=s):
         if is_counterexample_tuple(H, tup):
             return tup
@@ -600,11 +551,6 @@ def _kill_mask(rgs, whole, trans):
         return None
     return sum(1 << bit for bit, e in enumerate(trans)
                if len({rgs[i] for i in e}) < len(e))
-
-
-def test_rgs_walk_lists_every_string():
-    for V in range(7):
-        assert [list(r) for r in _iter_rgs(V)] == _all_rgs(V)
 
 
 def _full_scan_adversary(H, s):

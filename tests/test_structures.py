@@ -1,5 +1,6 @@
 """Core structure model: validation, Gaifman graphs, embedding search,
-amalgams, class membership, types and the 3-amalgamation checker."""
+class membership and its closure under free amalgams, types and the
+3-amalgamation checker."""
 
 import hashlib
 import itertools
@@ -42,8 +43,6 @@ from sunlab.structures import (
     embedding_defect,
     enumerate_class_members,
     find_embeddings,
-    free_amalgam,
-    gaifman,
     is_irreducible,
     qf_type,
     satisfies_class,
@@ -58,6 +57,13 @@ def brute_embeddings(A, B):
         if embedding_defect(A, B, img) is None:
             out.append(img)
     return sorted(out)
+
+
+def gaifman(S):
+    """Oracle: the Gaifman graph, which joins every two vertices of a tuple,
+    as a set of 2-element frozensets."""
+    return frozenset(frozenset(e) for ts in S.relations.values() for t in ts
+                     for e in itertools.combinations(set(t), 2))
 
 
 def random_structure(sig, size, rng, density=0.3):
@@ -434,11 +440,12 @@ def test_automorphisms_match_brute_force(S):
 @ORACLE
 @given(st.sampled_from(SIGNATURES).flatmap(structures))
 def test_gaifman_and_vertex_profiles_match_their_definitions(S):
-    # the Gaifman graph joins every two vertices of a tuple; a profile
-    # counts, per relation and position, the tuples holding the vertex
-    # there, so (v, v, u) counts for v at two positions
-    assert gaifman(S) == {frozenset(e) for ts in S.relations.values() for t in ts
-                          for e in itertools.combinations(set(t), 2)}
+    # a vertex's Gaifman bits are its neighbours in the Gaifman graph; a
+    # profile counts, per relation and position, the tuples holding the
+    # vertex there, so (v, v, u) counts for v at two positions
+    G = gaifman(S)
+    assert _adjacency_bits(S) == [sum(1 << u for u in S.vertices if frozenset((u, v)) in G)
+                                  for v in S.vertices]
     assert _vertex_profiles(S) == [
         tuple(tuple(sum(t[i] == v for t in S.relations[n]) for i in range(a))
               for n, a in S.signature.relations)
@@ -614,6 +621,25 @@ def test_canonical_form_invariant():
 
 # ---------------------------------------------------------------------------
 # Free amalgams
+
+
+def free_amalgam(A, f0, f1):
+    """The free amalgam of f0 : A -> B0 and f1 : A -> B1: B0's vertex labels,
+    then the vertices of B1 outside the image of f1 in ascending order, and
+    exactly the two transported relation sets."""
+    if f0.source != A or f1.source != A:
+        raise MalformedEmbedding("both embeddings must have source A")
+    B0, B1 = f0.target, f1.target
+    inv1 = {f1.map[a]: f0.map[a] for a in range(A.size)}
+    to_c, fresh = {}, B0.size
+    for v in range(B1.size):
+        if v in inv1:
+            to_c[v] = inv1[v]
+        else:
+            to_c[v], fresh = fresh, fresh + 1
+    rels = {name: set(B0.relations[name]) | {tuple(to_c[x] for x in t) for t in ts}
+            for name, ts in B1.relations.items()}
+    return Structure(B0.signature, fresh, rels)
 
 
 def test_free_amalgam_glued_edges():
