@@ -114,14 +114,6 @@ class Presentation:
         self.sets = fam
         self._sorted = srt
 
-    @classmethod
-    def _from_sorted(cls, base: Structure, k: int, sorted_sets) -> Presentation:
-        """Sorted k-sets that the library built valid, without the checks."""
-        P = cls.__new__(cls)
-        P.base, P.k, P._sorted = base, k, tuple(sorted_sets)
-        P.sets = tuple(map(frozenset, P._sorted))
-        return P
-
     def sorted_set(self, v: int) -> tuple[int, ...]:
         return self._sorted[v]
 
@@ -323,7 +315,7 @@ def enumerate_presentations(C: Structure, k: int,
     per family of `canonical_families`.  A bad k or a ground set over the
     budget raises on the first `next`."""
     for sets in canonical_families(C, k, ground_budget):
-        yield Presentation._from_sorted(C, k, sets)
+        yield Presentation(C, k, sets)
 
 
 def _sample_sets(size: int, k: int, rng: random.Random) -> Iterator[tuple[frozenset, ...]]:
@@ -482,7 +474,7 @@ def verify_witness(C: Structure, B: Structure, k: int,
     leaf = next(_normal_form_walk(C, k, sunflower_free), None)
     if leaf is None:
         return WitnessVerdict(True, None, checked)
-    return WitnessVerdict(False, Presentation._from_sorted(C, k, leaf), checked + 1)
+    return WitnessVerdict(False, Presentation(C, k, leaf), checked + 1)
 
 
 # ---------------------------------------------------------------------------

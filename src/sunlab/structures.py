@@ -331,11 +331,12 @@ def _iter_embedding_maps(A: Structure, B: Structure,
         return
 
     if A._src is None:
-        # per depth d: the atoms through d with their truth in A and the
-        # earlier Gaifman neighbours
+        # per depth d: the atoms through d, each with the getter of its image
+        # tuple from `partial` and its truth in A, and the earlier Gaifman
+        # neighbours
         bits_a = _adjacency_bits(A)
-        A._src = [([(name, p, p in A.relations[name])
-                    for name, p in _atoms_through(A.signature, d)],
+        A._src = [([(name, operator.itemgetter(*p) if len(p) > 1 else lambda s, x=p[0]: (s[x],),
+                     p in A.relations[name]) for name, p in _atoms_through(A.signature, d)],
                    [u for u in range(d) if bits_a[d] >> u & 1])
                   for d in range(nA)]
     src = A._src
@@ -360,14 +361,8 @@ def _iter_embedding_maps(A: Structure, B: Structure,
         if candidate_filter is not None and not candidate_filter(depth, v, partial):
             continue
         partial.append(v)
-        for name, p, held in src[depth][0]:
-            if len(p) == 2:
-                mapped = (partial[p[0]], partial[p[1]])
-            elif len(p) == 3:
-                mapped = (partial[p[0]], partial[p[1]], partial[p[2]])
-            else:
-                mapped = tuple(partial[x] for x in p)
-            if (mapped in b_rel[name]) != held:
+        for name, image, held in src[depth][0]:
+            if (image(partial) in b_rel[name]) != held:
                 partial.pop()
                 break
         else:
@@ -398,29 +393,19 @@ def embeds(A: Structure, B: Structure) -> bool:
     return bool(find_embeddings(A, B, limit=1))
 
 
-def _vertex_profiles(S: Structure) -> list[tuple]:
-    """Per vertex, per relation, the number of tuples holding the vertex at
-    each position, counted in one pass over the tuples."""
-    counts = [[[0] * arity for _, arity in S.signature.relations] for _ in S.vertices]
-    for r, (name, _) in enumerate(S.signature.relations):
-        for t in S.relations[name]:
-            for i, x in enumerate(t):
-                counts[x][r][i] += 1
-    return [tuple(map(tuple, per_relation)) for per_relation in counts]
-
-
 def are_isomorphic(A: Structure, B: Structure) -> Optional[Embedding]:
     """A bijective induced embedding A -> B if one exists, else None.
 
     Deterministic: returns the lexicographically least isomorphism (on the
-    image sequence), so the identity when A == B.  Degree-profile
-    refinement prunes the search.
+    image sequence), so the identity when A == B.  The search maps each
+    vertex into its stable colour class (_colour_pools); every isomorphism
+    does, so the least one is found there.
     """
     if A.signature != B.signature:
         raise SignatureMismatch("isomorphism test needs matching signatures")
     if A == B:
         return Embedding(A, B, range(A.size), validate=False)
-    pools = _profile_pools(A, B)
+    pools = _colour_pools(A, B)
     if pools is None:
         return None
     for vmap in _iter_embedding_maps(A, B, candidates=pools):
@@ -428,18 +413,35 @@ def are_isomorphic(A: Structure, B: Structure) -> Optional[Embedding]:
     return None
 
 
-def _profile_pools(A: Structure, B: Structure) -> Optional[list[int]]:
-    """Per vertex of A, the mask of B's vertices sharing its degree profile,
-    or None when the sorted profiles differ.  A relation's tuple count is
-    the sum of its position-0 entries, so equal profiles mean equal counts."""
-    prof_a, prof_b = _vertex_profiles(A), _vertex_profiles(B)
-    if sorted(prof_a) != sorted(prof_b):
+def _colour_pools(A: Structure, B: Structure) -> Optional[list[int]]:
+    """Per vertex of A, the mask of B's vertices of its stable colour, or
+    None when some colour has more vertices in one than in the other.
+
+    Colour refinement (1-dimensional Weisfeiler-Leman) runs on A and B at
+    once, B's vertices numbered after A's: each round ranks every vertex by
+    its colour and the sorted (relation, position, colours of the tuple) of
+    its tuples, in the order of the sorted keys, until no class splits.  An
+    isomorphism A -> B and its inverse are an automorphism of the union,
+    which keeps every colour."""
+    n = A.size
+    incident: list[list] = [[] for _ in range(n + B.size)]
+    for r, name in enumerate(A.signature.names):
+        for t in [*A.relations[name], *(tuple(x + n for x in t) for t in B.relations[name])]:
+            for i, x in enumerate(t):
+                incident[x].append((r, i, t))
+    colour, classes = [0] * len(incident), 1
+    while True:
+        keys = [(colour[v], tuple(sorted([(r, i, tuple(map(colour.__getitem__, t)))
+                                          for r, i, t in ts])))
+                for v, ts in enumerate(incident)]
+        rank = {key: c for c, key in enumerate(sorted(set(keys)))}
+        colour = [rank[key] for key in keys]
+        if len(rank) == classes:
+            break
+        classes = len(rank)
+    if sorted(colour[:n]) != sorted(colour[n:]):
         return None
-    by_profile: dict = {}
-    for v, prof in enumerate(prof_b):
-        by_profile.setdefault(prof, []).append(v)
-    masks = {prof: vertex_mask(vs) for prof, vs in by_profile.items()}
-    return [masks[prof] for prof in prof_a]
+    return [vertex_mask(v for v in B.vertices if colour[n + v] == c) for c in colour[:n]]
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -467,9 +469,10 @@ def colour_classes(vertices: Iterable[int], colour: Sequence[int],
 
 
 def automorphisms(S: Structure) -> list[Embedding]:
-    """All automorphisms (useful for small dedup work only)."""
+    """All automorphisms, each vertex mapped into its stable colour class
+    (_colour_pools), in lexicographic order (for small dedup work only)."""
     return [Embedding(S, S, m, validate=False)
-            for m in _iter_embedding_maps(S, S, candidates=_profile_pools(S, S))]
+            for m in _iter_embedding_maps(S, S, candidates=_colour_pools(S, S))]
 
 
 _CANON_MAX = 9
@@ -699,10 +702,11 @@ def _class_tests(K: ClassSpec) -> tuple:
     """K's incremental tests, built once: each forbidden F, with its counts
     of vertices and of tuples per relation, filed by relation and pattern
     of repeated entries of its tuples not spanning F, F's support pins on
-    first use (_orbit_pins), a support's options per window frame, cached
-    (_window_options) in the keys of all |F|! relabellings of each F that
-    fits in a window (capped as canonical_form is), and whether K admits
-    the bare point.  The memos live as long as K."""
+    first use (_support_pins, which lists no automorphisms of F), a
+    support's options per window frame, cached (_window_options) in the
+    keys of all |F|! relabellings of each F that fits in a window (capped
+    as canonical_form is), and whether K admits the bare point.  The memos
+    live as long as K."""
     if K._tests is None:
         width = max((a for _, a in K.signature.relations), default=0)
         narrow = [F for F in K.forbidden if F.size <= width]
@@ -716,7 +720,7 @@ def _class_tests(K: ClassSpec) -> tuple:
                         for t in ts if len(set(t)) < F.size}:
                 wide.setdefault(key, []).append((F, need))
         window = functools.partial(_window_options, K.signature, small)
-        K._tests = (wide, functools.cache(_orbit_pins), functools.lru_cache(_WINDOW_MEMO)(window),
+        K._tests = (wide, functools.cache(_support_pins), functools.lru_cache(_WINDOW_MEMO)(window),
                     satisfies_class(Structure(K.signature, 1), K))
     return K._tests
 
@@ -727,18 +731,19 @@ def _atom_key(S: Structure, p: Sequence[int]) -> tuple:
                              for n, ts in S.relations.items() for t in ts)
 
 
-def _orbit_pins(F: Structure) -> dict:
+def _support_pins(F: Structure) -> dict:
     """The supports of F's tuples not spanning F, filed like F in _class_tests,
-    one per Aut(F) orbit (its least image), each as F relabelled to put it
-    first, both parts ascending: if an embedding e maps a(s) onto a set, for
-    an automorphism a, then e after a maps s onto it."""
-    auts = [a.map for a in automorphisms(F)]
+    each as F relabelled to put it first, both parts ascending, one per
+    distinct relabelled F.  Aut(F) is not listed: supports in one orbit give
+    equivalent searches (if an embedding e maps a(s) onto a set, for an
+    automorphism a, then e after a maps s onto it), so a second pin of an
+    orbit repeats a search and changes no verdict."""
     pins: dict = {}
     for key, sup in sorted({((n, tuple(map(t.index, t))), tuple(sorted(set(t))))
                             for n, ts in F.relations.items() for t in ts if len(set(t)) < F.size}):
-        if sup == min(tuple(sorted(a[x] for x in sup)) for a in auts):
-            pins.setdefault(key, []).append(
-                F.induced(sup + tuple(v for v in F.vertices if v not in sup)))
+        G = F.induced(sup + tuple(v for v in F.vertices if v not in sup))
+        if G not in pins.setdefault(key, []):
+            pins[key].append(G)
     return pins
 
 
@@ -807,13 +812,14 @@ def _completions(S: Structure, supports: Sequence[tuple[tuple, list]],
 
 
 def _pinned_copy(T: Structure, chosen: Sequence[tuple], K: ClassSpec) -> bool:
-    """Whether a forbidden F with room embeds with a pin (_orbit_pins) on the
+    """Whether a forbidden F with room embeds with a pin (_support_pins) on the
     support of a chosen (relation, tuple) pair of the pin's relation and
-    pattern of repeated entries, one search per pin and chosen support.  F
-    has room if no larger than the support and its common Gaifman neighbours
-    in T, where irreducible F must lie, nor richer in tuples of a relation.
-    If T minus the chosen tuples, and their windows, are in K, this decides T."""
-    wide, orbit_pins, _, _ = _class_tests(K)
+    pattern of repeated entries, one search per pin and chosen support; pins
+    in one Aut(F) orbit search alike.  F has room if no larger than the
+    support and its common Gaifman neighbours in T, where irreducible F must
+    lie, nor richer in tuples of a relation.  If T minus the chosen tuples,
+    and their windows, are in K, this decides T."""
+    wide, support_pins, _, _ = _class_tests(K)
     counts = [len(T.relations[n]) for n in K.signature.names]
     searches: dict = {}
     keyed = (((n, tuple(map(t.index, t))), t) for n, t in chosen)
@@ -821,7 +827,7 @@ def _pinned_copy(T: Structure, chosen: Sequence[tuple], K: ClassSpec) -> bool:
         near = functools.reduce(operator.and_, (_adjacency_bits(T)[v] | 1 << v for v in t))
         for F, need in wide[key]:
             if all(map(operator.le, need, (near.bit_count(), *counts))):
-                for G in orbit_pins(F)[key]:
+                for G in support_pins(F)[key]:
                     searches[G, pool] = pool.bit_count()
     for (G, pool), m in searches.items():
         for _ in _iter_embedding_maps(G, T, candidates=[pool] * m + [None] * (G.size - m)):

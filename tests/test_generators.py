@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import _two_colour_class
+from test_golden import _two_colour_class, run_on_clock
 from test_structures import COLOUR_SIG, irreducible_structures, structures
 
 from sunlab import catalog, jsonio
@@ -135,6 +135,14 @@ def test_determinism():
 def test_knfree_triangle_free_spec_example():
     S = gen_named("knfree:3", 30, 77)
     assert satisfies_class(S, catalog.kn_free(3))
+
+
+def test_kn_free_growth_on_its_clock():
+    # the class set-up of K9-free graphs lists none of the 9! automorphisms
+    # of K9: the supports of its 72 edge tuples all give K9 itself, one pin
+    run_on_clock("from sunlab import catalog\n"
+                 "from sunlab.generators import gen_generic\n"
+                 "gen_generic(catalog.kn_free(9), 30, 1)\n", 2)
 
 
 def _clique_in_sets(adj, inside, size):

@@ -19,6 +19,19 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+
+def run_on_clock(code, seconds):
+    """Run `code` in its own interpreter on the package source and fail the
+    calling test if it exits non-zero or runs past `seconds`, so a stall
+    fails the test instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=seconds)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"the run went past its {seconds} s clock")
+    assert proc.returncode == 0, proc.stderr
+
 # (label, argv); "{x}" is replaced by the output directory of command x
 # and "{tmp}" by the scratch directory holding the input files.  The two
 # presentations of the 2-chain's top level use disjoint 2-sets

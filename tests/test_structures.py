@@ -28,13 +28,13 @@ from sunlab.structures import (
     _atom_key,
     _atoms_through,
     _class_tests,
+    _colour_pools,
     _iter_embedding_maps,
-    _orbit_pins,
     _pair_amalgams,
     _pinned_copy,
+    _support_pins,
     _three_dap_amalgam_exists,
     _type_classes,
-    _vertex_profiles,
     _window_options,
     are_isomorphic,
     automorphisms,
@@ -439,17 +439,41 @@ def test_automorphisms_match_brute_force(S):
 
 @ORACLE
 @given(st.sampled_from(SIGNATURES).flatmap(structures))
-def test_gaifman_and_vertex_profiles_match_their_definitions(S):
-    # a vertex's Gaifman bits are its neighbours in the Gaifman graph; a
-    # profile counts, per relation and position, the tuples holding the
-    # vertex there, so (v, v, u) counts for v at two positions
+def test_gaifman_bits_match_their_definition(S):
+    # a vertex's Gaifman bits are its neighbours in the Gaifman graph
     G = gaifman(S)
     assert _adjacency_bits(S) == [sum(1 << u for u in S.vertices if frozenset((u, v)) in G)
                                   for v in S.vertices]
-    assert _vertex_profiles(S) == [
-        tuple(tuple(sum(t[i] == v for t in S.relations[n]) for i in range(a))
-              for n, a in S.signature.relations)
-        for v in S.vertices]
+
+
+@ORACLE
+@given(st.data())
+def test_colour_pools_hold_every_isomorphism(data):
+    # every isomorphism of A onto a random relabelling of A, found by brute
+    # force, maps each vertex into its pool
+    sig = data.draw(st.sampled_from(SIGNATURES))
+    A = data.draw(structures(sig))
+    perm = data.draw(st.permutations(range(A.size)))
+    B = Structure(sig, A.size, {n: [tuple(perm[x] for x in t) for t in A.relations[n]]
+                                for n in sig.names})
+    pools = _colour_pools(A, B)
+    isos = brute_isomorphisms(A, B)
+    assert isos and pools is not None
+    assert all(pools[v] >> f[v] & 1 for f in isos for v in A.vertices)
+
+
+def test_colour_pools_split_what_degrees_do_not():
+    # a path on 6 vertices, and a triangle beside a path on 3, have the same
+    # degrees, but only the first has a vertex of degree 2 next to one of
+    # degree 1 and one of degree 2; on a relabelled path each pool is the
+    # pair of vertices at one distance from the nearer end
+    path = catalog.path_graph(6)
+    assert _colour_pools(path, catalog.graph(6, [(0, 1), (1, 2), (2, 0), (3, 4),
+                                                 (4, 5)])) is None
+    order = [3, 0, 5, 1, 4, 2]
+    pools = _colour_pools(path, path.induced(order))
+    at = {v: i for i, v in enumerate(order)}
+    assert pools == [(1 << at[v]) | (1 << at[5 - v]) for v in path.vertices]
 
 
 @ORACLE
@@ -910,9 +934,9 @@ def random_completion(S, rng):
 
 @pytest.mark.parametrize("name", ["knfree:3", "k4h3free", "f-free-3hyper", "rb-bichrome"])
 def test_orbit_pins_find_what_every_loose_tuple_finds(name):
-    # one pinned support per Aut(F) orbit decides as every loose support
-    # does, and as every loose tuple does where T minus the chosen tuples
-    # and each chosen tuple's window are in K
+    # the pinned supports, which meet every Aut(F) orbit, decide as every
+    # loose support does, and as every loose tuple does where T minus the
+    # chosen tuples and each chosen tuple's window are in K
     K = catalog.class_by_name(name)
     rng = random.Random(name)
     verdicts, exact = [], []
@@ -930,33 +954,33 @@ def test_orbit_pins_find_what_every_loose_tuple_finds(name):
                 assert verdicts[-1] == pinned_tuple_by_definition(T, chosen, K)
     assert any(verdicts) and not all(verdicts)
     assert any(exact) and not all(exact)
-    # each forbidden structure keeps one pin per Aut(F) orbit of its loose
-    # supports of each relation and pattern of repeated entries
+    # each forbidden structure keeps one pin per distinct relabelling that
+    # puts a loose support of a relation and pattern of repeated entries
+    # first, which is at least one per Aut(F) orbit of those supports
     for F in K.forbidden:
         auts = brute_isomorphisms(F, F)
         orbits = {(key, frozenset(frozenset(p[x] for x in sup) for p in auts))
                   for key, sup in loose_supports(F)}
-        assert sum(map(len, _orbit_pins(F).values())) == len(orbits)
+        pins = {(key, pin_at(F, sup)) for key, sup in loose_supports(F)}
+        assert sum(map(len, _support_pins(F).values())) == len(pins) >= len(orbits)
 
 
-def orbit_pins_by_least_image(F):
-    """Reference: per relation and pattern of repeated entries, each loose
-    support's least image under Aut(F), found by brute force, ascending,
-    as F relabelled with that support first, then its other vertices."""
-    auts = brute_isomorphisms(F, F)
-    pins = {}
-    for key, sup in sorted({(key, min(tuple(sorted(p[x] for x in sup)) for p in auts))
-                            for key, sup in loose_supports(F)}):
-        pins.setdefault(key, []).append(
-            F.induced(list(sup) + [v for v in F.vertices if v not in sup]))
-    return pins
+def pin_at(F, sup):
+    """F relabelled with the support `sup` first, then its other vertices,
+    both ascending."""
+    return F.induced(sorted(sup) + [v for v in F.vertices if v not in sup])
 
 
 @pytest.mark.parametrize("name", ["graphs", "oriented", "3hypergraphs", "rb-bichrome",
                                   "f-free-3hyper", "knfree:3", "knfree:4", "k4h3free"])
-def test_orbit_pins_are_the_least_images(name):
+def test_support_pins_are_the_distinct_relabellings(name):
+    # per relation and pattern of repeated entries, the pins are F relabelled
+    # at each loose support, in the order of the supports, each kept once
     for F in catalog.class_by_name(name).forbidden:
-        assert list(_orbit_pins(F).items()) == list(orbit_pins_by_least_image(F).items())
+        pins = {}
+        for key, sup in sorted((key, sorted(sup)) for key, sup in loose_supports(F)):
+            pins.setdefault(key, {}).setdefault(pin_at(F, sup))
+        assert _support_pins(F) == {key: list(Gs) for key, Gs in pins.items()}
 
 
 @ORACLE

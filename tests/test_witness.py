@@ -3,15 +3,12 @@
 import collections
 import functools
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import SRC
+from test_golden import run_on_clock
 
 from sunlab import catalog
 from sunlab.jsonio import structure_from_json, structure_to_json
@@ -385,9 +382,7 @@ def test_extractions_build_no_structure(monkeypatch):
 
 
 def _relabelled_top():
-    """The graphs-k2 top with three transpositions, one across the parts.
-    (A reversed or shuffled top is out of are_isomorphic's reach: its
-    search ran for more than 15 s.)"""
+    """The graphs-k2 top with three transpositions, one across the parts."""
     top = _graph_chain().top()
     order = list(top.vertices)
     for a, b in [(62, 63), (50, 55), (31, 60)]:
@@ -445,18 +440,10 @@ assert verify_certificate(cert, chain.target, P) and replay_trace(chain, P, trac
 """
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: are_isomorphic's degree-profile "
-                   "pools cannot map this relabelled top, so extraction stalls")
 def test_extract_on_a_transposed_top_finishes_on_its_clock():
     # relabelling invariance on a clock: the run gets 2 s in its own
-    # interpreter, so a stall fails the test instead of hanging the suite
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    try:
-        proc = subprocess.run([sys.executable, "-c", _TRANSPOSED_TOP_RUN], env=env,
-                              capture_output=True, text=True, timeout=2)
-    except subprocess.TimeoutExpired:
-        pytest.fail("extraction on the transposed top ran past 2 s")
-    assert proc.returncode == 0, proc.stderr
+    # interpreter, where are_isomorphic maps the top onto the base
+    run_on_clock(_TRANSPOSED_TOP_RUN, 2)
 
 
 def _outcome(cert, trace):
