@@ -25,17 +25,18 @@ from . import catalog
 from .structures import (
     ClassSpec,
     QfType,
+    SignatureMismatch,
     Structure,
     _atoms_through,
     _by_support,
     _class_tests,
     _completions,
     _diagram,
+    _iter_embedding_maps,
     _own_types,
     _types_over,
     admissible_extensions,
     qf_type,
-    satisfies_class,
 )
 
 
@@ -55,31 +56,38 @@ def admissible_point_types(base: Structure, K: ClassSpec) -> list[QfType]:
     return [qf_type(ext, b, range(b)) for ext in admissible_extensions(base, K)]
 
 
-def extension_defects(S: Structure, K: ClassSpec, base_bound: int) -> list[QfType]:
+def extension_defects(S: Structure, K: ClassSpec, base_bound: int,
+                      block: int) -> list[QfType]:
     """Every one-point type over an ascending base A of at most base_bound
-    vertices (the type's parameters) that K admits over A but no vertex of
-    S realises, as admissible_extensions lists them all.  Reordered bases
-    are left out, as their types only permute.  The admissible types are
-    found once per base structure, keyed by |A| and the atoms that hold on
-    A, as bases repeat a few structures.  The empty-base types are read
-    once per structure; per base, the vertices' types over it are read in
-    ascending order only until each admissible type has been seen."""
+    vertices of the vertex mask `block` of S (the type's parameters) that K
+    admits over A but no block vertex realises, as admissible_extensions
+    lists them all.  The block is read in S, not copied: it is in K iff no
+    forbidden F embeds in S inside the mask.  Reordered bases are left out,
+    as their types only permute.  The admissible types are found once per
+    base structure, keyed by |A| and the atoms that hold on A, as bases
+    repeat a few structures.  The empty-base types are read once per
+    structure; per base, the block's types over it are read in ascending
+    order only until each admissible type has been seen."""
     if base_bound < 0:
         raise ValueError("base_bound must be >= 0")
-    if not satisfies_class(S, K):
+    if S.signature != K.signature:
+        raise SignatureMismatch("structure/class signature mismatch")
+    if any(next(_iter_embedding_maps(F, S, candidates=[block] * F.size), None)
+           for F in K.forbidden):
         raise ValueError("structure is not in the class")
     own = _own_types(S)
     admissible: dict = {}
     defects = []
+    vs = [v for v in S.vertices if block >> v & 1]
     for b in range(base_bound + 1):
-        for A in itertools.combinations(S.vertices, b):
+        for A in itertools.combinations(vs, b):
             diagram = (b, _diagram(S, A))
             if diagram not in admissible:
                 base = Structure(S.signature, b)._grown(b, diagram[1])
                 types = admissible_point_types(base, K)
                 admissible[diagram] = sorted((t.positives for t in types), key=sorted)
             missing = set(admissible[diagram])
-            for _, p in _types_over(S, A, own):
+            for _, p in _types_over(S, A, own, block):
                 missing.discard(p)
                 if not missing:
                     break
@@ -147,10 +155,10 @@ def _greedy_edges(n, colours, size, rng):
 
     Each pair uv, u in a shuffled order of the vertices before v, gets no
     edge or an edge of a colour in which it closes no K_n (its common
-    neighbourhood, a bitmask, holds no clique on n-2 vertices), uniformly
-    among those options in that order, drawn as rng.randrange(m) draws:
-    getrandbits(m.bit_length()) until the value is below m.  The order is
-    rng.shuffle's, with its draws inline."""
+    neighbourhood, a bitmask, holds no clique on n-2 vertices: at n = 3, is
+    empty), uniformly among those options in that order, drawn as
+    rng.randrange(m) draws: getrandbits(m.bit_length()) until the value is
+    below m.  The order is rng.shuffle's, with its draws inline."""
     adj = [[0] * size for _ in range(colours)]
     getrandbits = rng.getrandbits
     for v in range(size):
@@ -164,7 +172,8 @@ def _greedy_edges(n, colours, size, rng):
         for u in order:
             free = []
             for bits in adj:
-                if not _clique_exists(bits, bits[u] & bits[v], n - 2):
+                common = bits[u] & bits[v]
+                if not (common if n == 3 else _clique_exists(bits, common, n - 2)):
                     free.append(bits)
             m = len(free) + 1
             k = m.bit_length()

@@ -16,7 +16,6 @@ and the first-earlier-edge-colour rule for two-coloured graphs.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -31,11 +30,11 @@ from .structures import (
     _adjacency_bits,
     _iter_embedding_maps,
     _own_types,
-    _type_classes,
     _types_over,
     colour_classes,
-    embeds,
     find_embeddings,
+    realisation_set,
+    vertex_mask,
 )
 
 
@@ -226,9 +225,11 @@ BASE_CAP = 50_000
 def partition_report(S: Structure, P: Partition, K: ClassSpec,
                      probes: Sequence[Structure], base_bound: int) -> PartitionReport:
     """Per block: embedding verdict for each probe, the extension defects of
-    the induced substructure up to base_bound, and for each defect the basic
-    open set it pins down (all realisations lie outside the block).  Raises
-    BudgetExceeded when the blocks have more than BASE_CAP bases."""
+    the block up to base_bound, and for each defect the basic open set it
+    pins down (all realisations lie outside the block).  Every question is
+    a kernel search in S itself, pooled on the block's vertex mask, with
+    no induced copy.  Raises BudgetExceeded when the blocks have more than
+    BASE_CAP bases."""
     if P.size != S.size:
         raise ValueError("partition does not fit the structure")
     for probe in probes:
@@ -237,20 +238,14 @@ def partition_report(S: Structure, P: Partition, K: ClassSpec,
     bases = sum(math.comb(len(b), j) for b in P.blocks for j in range(base_bound + 1))
     if bases > BASE_CAP:
         raise BudgetExceeded(f"{bases} bases exceed budget {BASE_CAP}")
-    # each base's type classes over S, the empty base shared by all blocks
-    own = _own_types(S)
-    classes = functools.cache(lambda A: _type_classes(S, A, own))
     reports = []
     for i, block in enumerate(P.blocks):
-        vs = sorted(block)
-        sub = S.induced(vs)
-        probe_flags = [embeds(probe, sub) for probe in probes]
-        open_sets = []
-        for d in extension_defects(sub, K, base_bound):
-            p = d.transport(vs)
-            open_sets.append(OpenSetWitness(p.parameters, p,
-                                            classes(p.parameters).get(p.positives, ())))
-        reports.append(BlockReport(i, vs, probe_flags, open_sets))
+        mask = vertex_mask(block)
+        probe_flags = [next(_iter_embedding_maps(probe, S, candidates=[mask] * probe.size),
+                            None) is not None for probe in probes]
+        open_sets = [OpenSetWitness(d.parameters, d, realisation_set(S, d.parameters, d))
+                     for d in extension_defects(S, K, base_bound, mask)]
+        reports.append(BlockReport(i, sorted(block), probe_flags, open_sets))
     return PartitionReport(reports)
 
 

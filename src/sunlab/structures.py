@@ -316,7 +316,9 @@ def _iter_embedding_maps(A: Structure, B: Structure,
     vertices through a vertex outside the image, so Gaifman non-adjacency
     is not transported.)  They are tried in ascending order: first
     `candidate_filter(depth, v, partial)`, which sees the images of
-    A-vertices 0..depth-1 and may veto v, then the VF2-style atom test of
+    A-vertices 0..depth-1 and may veto v; then forward checking (Haralick
+    and Elliott 1980), which prunes v if depth+1 would have no candidates
+    and so changes no yield or filter call; then the VF2-style atom test of
     v against the vertices already mapped (Cordella et al. 2004): every
     atom over A-vertices 0..depth that mentions depth holds in A iff it
     holds on the image.
@@ -361,6 +363,15 @@ def _iter_embedding_maps(A: Structure, B: Structure,
         if candidate_filter is not None and not candidate_filter(depth, v, partial):
             continue
         partial.append(v)
+        if depth != last:
+            nxt = free ^ low
+            if candidates is not None and candidates[depth + 1] is not None:
+                nxt &= candidates[depth + 1]
+            for u in src[depth + 1][1]:
+                nxt &= adj_bits[partial[u]]
+            if not nxt:
+                partial.pop()
+                continue
         for name, image, held in src[depth][0]:
             if (image(partial) in b_rel[name]) != held:
                 partial.pop()
@@ -371,12 +382,7 @@ def _iter_embedding_maps(A: Structure, B: Structure,
                 partial.pop()
                 continue
             free ^= low
-            m = free
-            if candidates is not None and candidates[depth + 1] is not None:
-                m &= candidates[depth + 1]
-            for u in src[depth + 1][1]:
-                m &= adj_bits[partial[u]]
-            stack.append(m)
+            stack.append(nxt)
 
 
 def find_embeddings(A: Structure, B: Structure,
@@ -633,59 +639,49 @@ def _positives(S: Structure, at: tuple) -> frozenset:
                      if tuple(at[j] for j in t) in S.relations[name])
 
 
-def _own_types(S: Structure) -> dict[int, frozenset]:
+def _own_types(S: Structure) -> list[frozenset]:
     """Each vertex's type over the empty base, read from its loop tuples
-    (those whose support is itself); a vertex with none is left out."""
-    own: dict = {}
+    (those whose support is itself)."""
+    own = [frozenset()] * S.size
     for name, arity in S.signature.relations:
         for t in S.relations[name]:
             if t.count(t[0]) == arity:
-                own[t[0]] = own.get(t[0], frozenset()) | {(name, (-1,) * arity)}
+                own[t[0]] = own[t[0]] | {(name, (-1,) * arity)}
     return own
 
 
-def _types_over(S: Structure, A: tuple, own: dict,
-                among: Optional[int] = None) -> Iterator[tuple[int, frozenset]]:
-    """(v, the positives of v's type over A) for each v outside A, ascending,
-    only for the v in the vertex mask `among` when one is given.
+def _types_over(S: Structure, A: tuple, own: list, left: int) -> Iterator[tuple[int, frozenset]]:
+    """(v, the positives of v's type over A) per v of the mask `left` outside A, ascending.
 
     Only the Gaifman neighbours of A have their atoms over it read; any
     other vertex shares no tuple with A, so its type is its own type over
     the empty base, `own` as _own_types gives it."""
     bits = _adjacency_bits(S)
     near = 0
-    left = (1 << S.size) - 1 if among is None else among
     for a in A:
         near |= bits[a]
         left &= ~(1 << a)
-    for v in S.vertices:
-        if left >> v & 1:
-            yield v, _positives(S, A + (v,)) if near >> v & 1 else own.get(v, frozenset())
-
-
-def _type_classes(S: Structure, params: Sequence[int],
-                  own: Optional[dict] = None) -> dict[frozenset, list[int]]:
-    """The vertices outside the parameters grouped by their type over them:
-    each realised type's positives map to its ascending realisations.
-
-    Per structure this reads the empty-base types (`own`, computed here
-    unless given); per base, the atoms over it of its Gaifman neighbours."""
-    A = tuple(params)
-    if any(a < 0 or a >= S.size for a in A):
-        raise ValueError("vertex out of range")
-    classes: dict = {}
-    for v, key in _types_over(S, A, _own_types(S) if own is None else own):
-        classes.setdefault(key, []).append(v)
-    return classes
+    while left:
+        v = (left & -left).bit_length() - 1
+        left ^= 1 << v
+        yield v, _positives(S, A + (v,)) if near >> v & 1 else own[v]
 
 
 def realisation_set(S: Structure, params: Iterable[int], p: QfType) -> list[int]:
-    """All v outside the parameters whose type over them equals p, ascending."""
-    A = tuple(params)
-    if len(A) != p.nparams:
+    """All v outside the parameters, which must be distinct, whose type over
+    them equals p, ascending: the last images of one kernel search of their
+    diagram plus p's point, depth j pinned to parameter j, the last unpooled."""
+    A, b = tuple(params), p.nparams
+    if len(A) != b:
         raise ValueError("parameter count differs from the type's")
     p.check_signature(S.signature)
-    return _type_classes(S, A).get(p.positives, [])
+    if any(a < 0 or a >= S.size for a in A):
+        raise ValueError("vertex out of range")
+    if len(set(A)) != b:
+        raise ValueError("parameters must not repeat")
+    point = [(name, tuple(b if j == -1 else j for j in pat)) for name, pat in p.positives]
+    T = Structure(S.signature, b + 1)._grown(b + 1, [*_diagram(S, A), *point])
+    return [m[-1] for m in _iter_embedding_maps(T, S, candidates=[1 << a for a in A] + [None])]
 
 
 # ---------------------------------------------------------------------------

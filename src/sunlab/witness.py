@@ -34,7 +34,7 @@ from .structures import (
     Embedding,
     Structure,
     _iter_embedding_maps,
-    _type_classes,
+    _own_types,
     are_isomorphic,
     colour_classes,
     embedding_defect,
@@ -154,7 +154,7 @@ def paste(H: PartitionedHypergraph, B: Structure, K: ClassSpec) -> PastedStructu
         raise PastingError("target and class signatures differ")
     if H.n != B.size:
         raise PastingError("hypergraph uniformity must equal the target size")
-    if len(_type_classes(B, ())) > 1:
+    if len(set(_own_types(B))) > 1:
         raise PastingError("all target vertices must share one empty-base type")
     if find_short_cycle(H, 4) is not None:
         raise PastingError("hypergraph girth must be at least 4")

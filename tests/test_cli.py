@@ -687,6 +687,22 @@ def test_open_set_checks_parameters_on_an_empty_structure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_open_set_rejects_repeated_parameters(tmp_path, capsys):
+    # used to exit 0 with [1, 2]: the vertices adjacent to "both" parameters
+    structure = tmp_path / "k3.json"
+    structure.write_text(json.dumps({"signature": [{"name": "E", "arity": 2}], "size": 3,
+                                     "relations": {"E": [[u, v] for u in range(3)
+                                                         for v in range(3) if u != v]}}))
+    adjacent = [["E", [-1, j]] for j in (0, 1)] + [["E", [j, -1]] for j in (0, 1)]
+    (tmp_path / "type.json").write_text(json.dumps({"parameters": [0, 1],
+                                                    "positives": adjacent}))
+    out = tmp_path / "out"
+    assert run(["open-set", "--structure", str(structure), "--params", "0,0",
+                "--type", str(tmp_path / "type.json"), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "error: parameters must not repeat\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("atom", [["Q", [-1, 0]], ["E", [-1, 0, 1]]])
 def test_open_set_rejects_a_type_atom_outside_the_signature(tmp_path, capsys, atom):
     # used to exit 0 with no vertices

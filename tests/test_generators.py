@@ -570,6 +570,11 @@ def test_gen_generic_reaches_every_two_vertex_member(name):
 # Extension defects
 
 
+def whole(S):
+    """The vertex mask of all of S, the block the scanner reads."""
+    return (1 << S.size) - 1
+
+
 def adjacent_both():
     return frozenset({("E", (-1, 0)), ("E", (0, -1)),
                       ("E", (-1, 1)), ("E", (1, -1))})
@@ -577,26 +582,26 @@ def adjacent_both():
 
 def test_defects_single_edge_all_graphs():
     S = catalog.complete_graph(2)
-    defects = extension_defects(S, catalog.all_graphs(), 2)
+    defects = extension_defects(S, catalog.all_graphs(), 2, whole(S))
     assert any(d.positives == adjacent_both() and len(d.parameters) == 2
                for d in defects)
 
 
 def test_defects_k3_misses_nonneighbour():
-    defects = extension_defects(catalog.complete_graph(3), catalog.all_graphs(), 1)
+    defects = extension_defects(catalog.complete_graph(3), catalog.all_graphs(), 1, 0b111)
     assert any(len(d.parameters) == 1 and d.positives == frozenset()
                for d in defects)
 
 
 def test_defects_respect_class_admissibility():
     S = catalog.complete_graph(2)
-    defects = extension_defects(S, catalog.kn_free(3), 2)
+    defects = extension_defects(S, catalog.kn_free(3), 2, whole(S))
     assert not any(d.positives == adjacent_both() for d in defects)
 
 
 def test_defects_require_membership():
     with pytest.raises(ValueError):
-        extension_defects(catalog.complete_graph(3), catalog.kn_free(3), 1)
+        extension_defects(catalog.complete_graph(3), catalog.kn_free(3), 1, 0b111)
 
 
 def test_no_defects_means_all_types_realised():
@@ -613,7 +618,7 @@ def test_no_defects_means_all_types_realised():
                     if not any(qf_type(S, v, A).positives == t.positives
                                for v in range(S.size) if v not in A):
                         expected.add((A, t.positives))
-        defects = extension_defects(S, K, bound)
+        defects = extension_defects(S, K, bound, whole(S))
         assert {(d.parameters, d.positives) for d in defects} == expected
         assert len(defects) == len(expected)
 
@@ -648,7 +653,7 @@ def test_defects_match_a_rebuild_of_every_base(name, size):
         K = catalog.class_by_name(name)
     for seed in range(2):
         S = gen_generic(K, size, seed)
-        got = [(d.parameters, d.positives) for d in extension_defects(S, K, 2)]
+        got = [(d.parameters, d.positives) for d in extension_defects(S, K, 2, whole(S))]
         assert got == defects_by_rebuild(S, K, 2)
 
 
@@ -656,7 +661,7 @@ def test_defects_tell_the_empty_base_from_a_bare_vertex():
     # the empty base and a one-vertex base without a loop hold the same (no)
     # atoms; a memo keyed by those atoms alone, not by the base size too,
     # reuses the empty base's types and reports no defect here
-    defects = extension_defects(catalog.graph(3, []), catalog.all_graphs(), 1)
+    defects = extension_defects(catalog.graph(3, []), catalog.all_graphs(), 1, 0b111)
     assert [(d.parameters, d.positives) for d in defects] == [
         ((a,), adjacent_both() - {("E", (-1, 1)), ("E", (1, -1))}) for a in range(3)]
 
@@ -669,7 +674,7 @@ def test_defects_match_a_rebuild_of_every_base_on_random_classes(data):
     S = data.draw(structures(sig, 0, 5))
     forbidden = data.draw(st.lists(irreducible_structures(sig, False), max_size=3))
     K = ClassSpec(sig, [F for F in forbidden if not embeds(F, S)])
-    got = [(d.parameters, d.positives) for d in extension_defects(S, K, 2)]
+    got = [(d.parameters, d.positives) for d in extension_defects(S, K, 2, whole(S))]
     assert got == defects_by_rebuild(S, K, 2)
 
 
@@ -680,19 +685,19 @@ def test_defects_stopping_early_match_a_rebuild_on_knfree(size, bound):
     K = catalog.kn_free(3)
     for seed in range(2):
         S = gen_named("knfree:3", size, seed)
-        got = [(d.parameters, d.positives) for d in extension_defects(S, K, bound)]
+        got = [(d.parameters, d.positives) for d in extension_defects(S, K, bound, whole(S))]
         assert got == defects_by_rebuild(S, K, bound)
 
 
 def test_defects_reject_negative_base_bound():
     # used to return no defects
     with pytest.raises(ValueError, match="base_bound must be >= 0"):
-        extension_defects(catalog.complete_graph(2), catalog.all_graphs(), -1)
+        extension_defects(catalog.complete_graph(2), catalog.all_graphs(), -1, 0b11)
 
 
 def test_defect_order_deterministic():
     S = catalog.complete_graph(2)
-    a = extension_defects(S, catalog.all_graphs(), 2)
-    b = extension_defects(S, catalog.all_graphs(), 2)
+    a = extension_defects(S, catalog.all_graphs(), 2, whole(S))
+    b = extension_defects(S, catalog.all_graphs(), 2, whole(S))
     assert [(d.parameters, sorted(d.positives)) for d in a] == \
         [(d.parameters, sorted(d.positives)) for d in b]

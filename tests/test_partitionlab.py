@@ -5,12 +5,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_structures import ORACLE, SIGNATURES, structures
+from test_generators import defects_by_rebuild
+from test_structures import ORACLE, SIGNATURES, structures, type_classes_by_vertex
 
 from sunlab import catalog
-from sunlab.generators import gen_named
+from sunlab.generators import gen_generic, gen_named
 from sunlab.partitionlab import (
     Colouring,
     Partition,
@@ -27,6 +28,7 @@ from sunlab.structures import (
     find_embeddings,
     qf_type,
     realisation_set,
+    satisfies_class,
 )
 
 
@@ -167,6 +169,59 @@ def test_partition_report_pure_set():
     assert report.block(1).probe_embeds == (True,)
 
 
+def report_by_induced_copies(S, P, K, probes, base_bound):
+    """Oracle: each block rebuilt as S.induced(block), its probes searched
+    and its defects rebuilt base by base on the copy, transported to S,
+    and each defect's realisations read from every vertex's type in S."""
+    out = []
+    for i, block in enumerate(P.blocks):
+        vs = sorted(block)
+        sub = S.induced(vs)
+        assert satisfies_class(sub, K)
+        open_sets = []
+        for A, positives in defects_by_rebuild(sub, K, base_bound):
+            p = QfType(A, positives).transport(vs)
+            realised = type_classes_by_vertex(S, p.parameters).get(positives, [])
+            open_sets.append((p.parameters, p, tuple(realised)))
+        out.append((i, tuple(vs), tuple(embeds(q, sub) for q in probes), open_sets))
+    return out
+
+
+CLASS_NAMES = ["graphs", "knfree:3", "oriented", "rb-bichrome", "3hypergraphs"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_partition_report_matches_a_report_by_induced_copies(data):
+    # 1-3 blocks, some of them empty, and probes that embed into S (copies
+    # of some of its vertices) or need not (drawn freely)
+    K = catalog.class_by_name(data.draw(st.sampled_from(CLASS_NAMES)))
+    S = gen_generic(K, data.draw(st.integers(1, 6)), data.draw(st.integers(0, 99)))
+    nblocks = data.draw(st.integers(1, 3))
+    label = data.draw(st.lists(st.integers(0, nblocks - 1), min_size=S.size,
+                               max_size=S.size))
+    P = Partition(S.size, [[v for v in S.vertices if label[v] == j] for j in range(nblocks)])
+    probes = [S.induced(data.draw(st.lists(st.sampled_from(range(S.size)), max_size=3,
+                                           unique=True))),
+              data.draw(structures(K.signature, 0, 3))]
+    bound = data.draw(st.integers(0, 2))
+    report = partition_report(S, P, K, probes, bound)
+    got = [(b.index, b.vertices, b.probe_embeds,
+            [(w.base, w.qftype, w.realisations) for w in b.open_sets]) for b in report.blocks]
+    assert got == report_by_induced_copies(S, P, K, probes, bound)
+
+
+def test_partition_report_checks_the_class_inside_each_block():
+    # a triangle beside a point: blocks that split the triangle are
+    # triangle-free, the block holding all of it is not
+    S = catalog.graph(4, [(0, 1), (1, 2), (0, 2)])
+    K = catalog.kn_free(3)
+    report = partition_report(S, Partition(4, [[0, 1, 3], [2], []]), K, [], 0)
+    assert [b.vertices for b in report.blocks] == [(0, 1, 3), (2,), ()]
+    with pytest.raises(ValueError, match="structure is not in the class"):
+        partition_report(S, Partition(4, [[3], [0, 1, 2]]), K, [], 0)
+
+
 def test_partition_report_signature_mismatch():
     S = catalog.pure_set(4)
     P = Partition(4, [[0, 1], [2, 3]])
@@ -303,6 +358,9 @@ def test_basic_open_set_rejects_malformed():
     p = qf_type(k3, 1, (0,))
     with pytest.raises(ValueError):
         realisation_set(k3, (0, 2), p)
+    # a pinned search cannot place one vertex at two depths
+    with pytest.raises(ValueError, match="parameters must not repeat"):
+        realisation_set(k3, (0, 0), qf_type(k3, 1, (0, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from sunlab.structures import (
     _pinned_copy,
     _support_pins,
     _three_dap_amalgam_exists,
-    _type_classes,
     _window_options,
     are_isomorphic,
     automorphisms,
@@ -45,6 +44,7 @@ from sunlab.structures import (
     find_embeddings,
     is_irreducible,
     qf_type,
+    realisation_set,
     satisfies_class,
     satisfies_class_at,
 )
@@ -862,6 +862,21 @@ def type_classes_by_vertex(S, A):
     return classes
 
 
+def check_realisations(S, A):
+    """realisation_set against the oracle over the base A: every realised
+    type gives its class, and a type realised nowhere, if one of the
+    empty type, the one-atom types and the all-atom type is, gives []."""
+    classes = type_classes_by_vertex(S, A)
+    for positives, members in classes.items():
+        assert realisation_set(S, A, QfType(A, positives)) == members
+    patterns = [(name, p) for name, arity in S.signature.relations
+                for p in itertools.product(range(-1, len(A)), repeat=arity) if -1 in p]
+    types = [frozenset(), frozenset(patterns), *(frozenset([p]) for p in patterns)]
+    unrealised = next((t for t in types if t not in classes), None)
+    if unrealised is not None:
+        assert realisation_set(S, A, QfType(A, unrealised)) == []
+
+
 @ORACLE
 @given(st.data())
 def test_type_classes_match_the_type_of_every_vertex(data):
@@ -870,7 +885,7 @@ def test_type_classes_match_the_type_of_every_vertex(data):
     S = data.draw(structures(sig, max_size=6))
     A = tuple(data.draw(st.lists(st.integers(0, S.size - 1), max_size=min(2, S.size),
                                  unique=True))) if S.size else ()
-    assert list(_type_classes(S, A).items()) == list(type_classes_by_vertex(S, A).items())
+    check_realisations(S, A)
 
 
 @pytest.mark.parametrize("name", ["knfree:3", "rb-bichrome", "oriented", "3hypergraphs",
@@ -880,8 +895,7 @@ def test_type_classes_match_the_type_of_every_vertex_on_class_members(name):
     S = gen_generic(K, 9, 4)
     for b in range(3):
         for A in itertools.permutations(range(S.size), b):
-            assert (list(_type_classes(S, A).items())
-                    == list(type_classes_by_vertex(S, A).items()))
+            check_realisations(S, A)
 
 
 # ---------------------------------------------------------------------------
