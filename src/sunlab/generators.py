@@ -33,8 +33,7 @@ from .structures import (
     _completions,
     _diagram,
     _iter_embedding_maps,
-    _own_types,
-    _types_over,
+    _realisers,
     admissible_extensions,
     qf_type,
 )
@@ -49,13 +48,6 @@ class NoAdmissibleExtension(RuntimeError):
 # structures.admissible_extensions lists them all, gen_generic samples one.
 
 
-def admissible_point_types(base: Structure, K: ClassSpec) -> list[QfType]:
-    """All class-admissible one-point types over the whole of `base`
-    (parameters 0..|base|-1), in deterministic order."""
-    b = base.size
-    return [qf_type(ext, b, range(b)) for ext in admissible_extensions(base, K)]
-
-
 def extension_defects(S: Structure, K: ClassSpec, base_bound: int,
                       block: int) -> list[QfType]:
     """Every one-point type over an ascending base A of at most base_bound
@@ -63,11 +55,11 @@ def extension_defects(S: Structure, K: ClassSpec, base_bound: int,
     admits over A but no block vertex realises, as admissible_extensions
     lists them all.  The block is read in S, not copied: it is in K iff no
     forbidden F embeds in S inside the mask.  Reordered bases are left out,
-    as their types only permute.  The admissible types are found once per
-    base structure, keyed by |A| and the atoms that hold on A, as bases
-    repeat a few structures.  The empty-base types are read once per
-    structure; per base, the block's types over it are read in ascending
-    order only until each admissible type has been seen."""
+    as their types only permute.  The admissible extensions are found once
+    per base structure, keyed by |A| and the atoms that hold on A, as bases
+    repeat a few structures.  Each, its point last, is the pattern of one
+    kernel search pinned on A and pooled on the block, which stops at the
+    type's first realisation."""
     if base_bound < 0:
         raise ValueError("base_bound must be >= 0")
     if S.signature != K.signature:
@@ -75,7 +67,6 @@ def extension_defects(S: Structure, K: ClassSpec, base_bound: int,
     if any(next(_iter_embedding_maps(F, S, candidates=[block] * F.size), None)
            for F in K.forbidden):
         raise ValueError("structure is not in the class")
-    own = _own_types(S)
     admissible: dict = {}
     defects = []
     vs = [v for v in S.vertices if block >> v & 1]
@@ -84,14 +75,11 @@ def extension_defects(S: Structure, K: ClassSpec, base_bound: int,
             diagram = (b, _diagram(S, A))
             if diagram not in admissible:
                 base = Structure(S.signature, b)._grown(b, diagram[1])
-                types = admissible_point_types(base, K)
-                admissible[diagram] = sorted((t.positives for t in types), key=sorted)
-            missing = set(admissible[diagram])
-            for _, p in _types_over(S, A, own, block):
-                missing.discard(p)
-                if not missing:
-                    break
-            defects.extend(QfType(A, p) for p in admissible[diagram] if p in missing)
+                admissible[diagram] = sorted(
+                    ((qf_type(T, b, range(b)).positives, T)
+                     for T in admissible_extensions(base, K)), key=lambda pT: sorted(pT[0]))
+            defects.extend(QfType(A, p) for p, T in admissible[diagram]
+                           if next(_realisers(T, S, A, block), None) is None)
     return defects
 
 

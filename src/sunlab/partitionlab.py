@@ -29,8 +29,8 @@ from .structures import (
     Structure,
     _adjacency_bits,
     _iter_embedding_maps,
-    _own_types,
-    _types_over,
+    _realisers,
+    _with_point,
     colour_classes,
     find_embeddings,
     realisation_set,
@@ -131,12 +131,16 @@ def named_partition(S: Structure, scheme: str, anchor: Optional[int] = None) -> 
         return _first_edge_colour_partition(S)
     if scheme == "rational-cut":
         labels = S.meta.get("rational_labels")
-        if labels is None:
-            raise ValueError("rational-cut needs meta['rational_labels']")
-        fr = [Fraction(x) for x in labels]
+        try:  # a JSON integer or a string such as "-3/2" per vertex
+            if (not isinstance(labels, (list, tuple)) or len(labels) != S.size
+                    or not all(type(x) in (int, str) for x in labels)):
+                raise ValueError
+            fr = [Fraction(x) for x in labels]
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("rational-cut needs meta['rational_labels'], "
+                             "one rational per vertex") from None
         c_block = [v for v in S.vertices if fr[v] < 0 or fr[v] == 1]
-        d_block = [v for v in S.vertices if v not in set(c_block)]
-        return Partition(S.size, [c_block, d_block])
+        return Partition(S.size, [c_block, sorted(set(S.vertices) - set(c_block))])
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -317,24 +321,23 @@ class MinColouringResult:
 def min_embedding_colouring(S: Structure, A: Structure, p: QfType) -> MinColouringResult:
     """Colour each vertex by the least embedding of A into S under which it
     realises p (embeddings in the deterministic search order)."""
-    if len(p.parameters) != A.size:
-        raise ValueError("type is not over the pattern structure")
+    if sorted(p.parameters) != list(A.vertices):
+        raise ValueError("the type's parameters must be the pattern's vertices, each once")
     p.check_signature(S.signature)
     embs = find_embeddings(A, S)
     if not embs:
         raise ValueError("pattern does not embed into the structure")
-    # per embedding, the types of the vertices still at the sentinel only, until
-    # each vertex holds the least embedding under which it realises p
-    own = _own_types(S)
+    # every embedding is induced, so the parameters' images have the
+    # parameters' diagram and one pattern serves all: per embedding, one
+    # pinned search pooled on the vertices still at the sentinel
+    T = _with_point(A, p.parameters, p.positives)
     sentinel = len(embs)
     values = [sentinel] * S.size
     left = (1 << S.size) - 1
     for i, f in enumerate(embs):
-        params = tuple(f.map[j] for j in p.parameters)
-        for v, positives in _types_over(S, params, own, left):
-            if positives == p.positives:
-                values[v] = i
-                left ^= 1 << v
+        for v in _realisers(T, S, [f.map[j] for j in p.parameters], left):
+            values[v] = i
+            left ^= 1 << v
         if not left:
             break
     flagged = [v for v, c in enumerate(values) if c == sentinel]

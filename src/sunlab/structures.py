@@ -589,7 +589,7 @@ class QfType:
         for _, pat in self.positives:
             if -1 not in pat:
                 raise ValueError("type atom must mention the new point")
-            if any(j >= len(self.parameters) for j in pat):
+            if any(not -1 <= j < len(self.parameters) for j in pat):
                 raise ValueError("type atom references a missing parameter")
 
     @property
@@ -620,57 +620,41 @@ class QfType:
 
 
 def qf_type(S: Structure, v: int, params: Iterable[int]) -> QfType:
-    """The complete atomic diagram of v over the parameter sequence."""
+    """The complete atomic diagram of v over the parameter sequence: the
+    atoms through position n = |params| that hold on params + (v,), with n
+    standing for the point as -1."""
     A = tuple(params)
     if v in A:
         raise ValueError("the new point must not be a parameter")
     if any(a < 0 or a >= S.size for a in A) or v < 0 or v >= S.size:
         raise ValueError("vertex out of range")
-    return QfType(A, _positives(S, A + (v,)))
+    at, n = A + (v,), len(A)
+    return QfType(A, [(name, tuple(-1 if j == n else j for j in t))
+                      for name, t in _atoms_through(S.signature, n)
+                      if tuple(at[j] for j in t) in S.relations[name]])
 
 
-def _positives(S: Structure, at: tuple) -> frozenset:
-    """The positive atoms of the type of at[-1] over at[:-1]: the atoms
-    through vertex n = |at| - 1 over 0..n that hold on `at`, with n
-    standing for the point as -1."""
-    n = len(at) - 1
-    return frozenset((name, tuple(-1 if j == n else j for j in t))
-                     for name, t in _atoms_through(S.signature, n)
-                     if tuple(at[j] for j in t) in S.relations[name])
+def _with_point(S: Structure, A: Sequence[int], positives: Iterable[tuple]) -> Structure:
+    """The diagram of the distinct vertices A of S on 0..|A|-1, plus a point
+    |A| whose atoms over them are `positives` (the point written as -1)."""
+    b = len(A)
+    point = [(name, tuple(b if j == -1 else j for j in pat)) for name, pat in positives]
+    return Structure(S.signature, b + 1)._grown(b + 1, [*_diagram(S, A), *point])
 
 
-def _own_types(S: Structure) -> list[frozenset]:
-    """Each vertex's type over the empty base, read from its loop tuples
-    (those whose support is itself)."""
-    own = [frozenset()] * S.size
-    for name, arity in S.signature.relations:
-        for t in S.relations[name]:
-            if t.count(t[0]) == arity:
-                own[t[0]] = own[t[0]] | {(name, (-1,) * arity)}
-    return own
-
-
-def _types_over(S: Structure, A: tuple, own: list, left: int) -> Iterator[tuple[int, frozenset]]:
-    """(v, the positives of v's type over A) per v of the mask `left` outside A, ascending.
-
-    Only the Gaifman neighbours of A have their atoms over it read; any
-    other vertex shares no tuple with A, so its type is its own type over
-    the empty base, `own` as _own_types gives it."""
-    bits = _adjacency_bits(S)
-    near = 0
-    for a in A:
-        near |= bits[a]
-        left &= ~(1 << a)
-    while left:
-        v = (left & -left).bit_length() - 1
-        left ^= 1 << v
-        yield v, _positives(S, A + (v,)) if near >> v & 1 else own[v]
+def _realisers(T: Structure, S: Structure, A: Sequence[int],
+               pool: Optional[int]) -> Iterator[int]:
+    """The vertices of the mask `pool` (None for all) outside A that realise
+    T's last vertex over A, ascending: the last images of one kernel search
+    of T in S, depth j pinned to A[j], where T's other vertices have A's
+    diagram, as _with_point builds it."""
+    for m in _iter_embedding_maps(T, S, candidates=[1 << a for a in A] + [pool]):
+        yield m[-1]
 
 
 def realisation_set(S: Structure, params: Iterable[int], p: QfType) -> list[int]:
     """All v outside the parameters, which must be distinct, whose type over
-    them equals p, ascending: the last images of one kernel search of their
-    diagram plus p's point, depth j pinned to parameter j, the last unpooled."""
+    them equals p, ascending."""
     A, b = tuple(params), p.nparams
     if len(A) != b:
         raise ValueError("parameter count differs from the type's")
@@ -679,9 +663,7 @@ def realisation_set(S: Structure, params: Iterable[int], p: QfType) -> list[int]
         raise ValueError("vertex out of range")
     if len(set(A)) != b:
         raise ValueError("parameters must not repeat")
-    point = [(name, tuple(b if j == -1 else j for j in pat)) for name, pat in p.positives]
-    T = Structure(S.signature, b + 1)._grown(b + 1, [*_diagram(S, A), *point])
-    return [m[-1] for m in _iter_embedding_maps(T, S, candidates=[1 << a for a in A] + [None])]
+    return list(_realisers(_with_point(S, A, p.positives), S, A, None))
 
 
 # ---------------------------------------------------------------------------

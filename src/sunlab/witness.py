@@ -34,12 +34,12 @@ from .structures import (
     Embedding,
     Structure,
     _iter_embedding_maps,
-    _own_types,
     are_isomorphic,
     colour_classes,
     embedding_defect,
     enumerate_class_members,
     find_embeddings,
+    qf_type,
     satisfies_class,
     vertex_mask,
 )
@@ -154,7 +154,7 @@ def paste(H: PartitionedHypergraph, B: Structure, K: ClassSpec) -> PastedStructu
         raise PastingError("target and class signatures differ")
     if H.n != B.size:
         raise PastingError("hypergraph uniformity must equal the target size")
-    if len(set(_own_types(B))) > 1:
+    if len({qf_type(B, v, ()).positives for v in B.vertices}) > 1:
         raise PastingError("all target vertices must share one empty-base type")
     if find_short_cycle(H, 4) is not None:
         raise PastingError("hypergraph girth must be at least 4")

@@ -735,6 +735,65 @@ def test_min_colouring_rejects_a_type_atom_outside_the_signature(tmp_path, capsy
     assert not out.exists()
 
 
+def _c5_and_k2(tmp_path) -> tuple[Path, Path]:
+    """The 5-cycle and K2 as structure files."""
+    files = []
+    for name, size, edges in (("c5", 5, [(v, (v + 1) % 5) for v in range(5)]),
+                              ("k2", 2, [(0, 1)])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"signature": [{"name": "E", "arity": 2}], "size": size,
+                                    "relations": {"E": [[u, v] for a, b in edges
+                                                        for u, v in ((a, b), (b, a))]}}))
+        files.append(path)
+    return files[0], files[1]
+
+
+@pytest.mark.parametrize("params", [[5, 0], [0, 0], [1]])
+def test_min_colouring_rejects_parameters_that_are_not_the_patterns_vertices(
+        tmp_path, capsys, params):
+    # [5, 0] used to exit 1 with an IndexError traceback, [0, 0] to exit 0
+    c5, k2 = _c5_and_k2(tmp_path)
+    (tmp_path / "type.json").write_text(json.dumps({"parameters": params,
+                                                    "positives": [["E", [-1, 0]]]}))
+    out = tmp_path / "out"
+    assert run(["min-colouring", "--structure", str(c5), "--pattern", str(k2),
+                "--type", str(tmp_path / "type.json"), "--out", str(out)]) == 2
+    assert (_one_error_line(capsys)
+            == "error: the type's parameters must be the pattern's vertices, each once\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["open-set", "min-colouring"])
+def test_type_atom_entries_below_minus_one_are_usage_errors(tmp_path, capsys, command):
+    # open-set used to name a tuple (-2, 1) of the search pattern, and
+    # min-colouring to exit 0 with every vertex flagged
+    c5, k2 = _c5_and_k2(tmp_path)
+    (tmp_path / "type.json").write_text(json.dumps({"parameters": [0, 1],
+                                                    "positives": [["E", [-2, -1]]]}))
+    out = tmp_path / "out"
+    where = ["--params", "0,1"] if command == "open-set" else ["--pattern", str(k2)]
+    assert run([command, "--structure", str(c5), *where,
+                "--type", str(tmp_path / "type.json"), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "error: type atom references a missing parameter\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("labels", [["0", "1"], 5, ["0", None, "1"], ["0", "1/0", "1"],
+                                    ["0", 0.5, "1"], ["0", "one", "1"]])
+def test_rational_cut_needs_one_rational_per_vertex(tmp_path, capsys, labels):
+    # the first four used to exit 1 with a traceback (IndexError, TypeError,
+    # TypeError, ZeroDivisionError)
+    structure = tmp_path / "s.json"
+    structure.write_text(json.dumps({"signature": [], "size": 3,
+                                     "meta": {"rational_labels": labels}}))
+    out = tmp_path / "out"
+    assert run(["partition", "--structure", str(structure), "--scheme", "rational-cut",
+                "--out", str(out)]) == 2
+    assert (_one_error_line(capsys) == "error: rational-cut needs meta['rational_labels'], "
+                                       "one rational per vertex\n")
+    assert not out.exists()
+
+
 def test_class_minus_point_needs_an_equivalence(tmp_path, capsys):
     # used to exit 0 with the down-set of the anchor under < as its class
     structure = _generated(tmp_path, "--id", "generic-ordered-graph", "--size", "5",

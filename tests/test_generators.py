@@ -15,7 +15,6 @@ from sunlab.generators import (
     NoAdmissibleExtension,
     _gen_poset,
     _greedy_edges,
-    admissible_point_types,
     extension_defects,
     gen_generic,
     gen_named,
@@ -621,6 +620,13 @@ def test_no_defects_means_all_types_realised():
         defects = extension_defects(S, K, bound, whole(S))
         assert {(d.parameters, d.positives) for d in defects} == expected
         assert len(defects) == len(expected)
+
+
+def admissible_point_types(base, K):
+    """Oracle: every class-admissible one-point type over the whole of
+    `base` (parameters 0..|base|-1), one per admissible extension."""
+    b = base.size
+    return [qf_type(ext, b, range(b)) for ext in admissible_extensions(base, K)]
 
 
 def defects_by_rebuild(S, K, bound):

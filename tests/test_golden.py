@@ -113,6 +113,16 @@ COMMANDS = [
                               "--scheme", "neighbourhood", "--anchor", "0",
                               "--klass", "knfree:3", "--probes", "k2",
                               "--base-bound", "1"]),
+    # bases of two vertices: a pinned search per admissible type and base
+    ("partition-knfree-b2", ["partition", "--structure",
+                             "{gen-named-knfree}/structure.json",
+                             "--scheme", "neighbourhood", "--anchor", "0",
+                             "--klass", "knfree:3", "--probes", "k2",
+                             "--base-bound", "2"]),
+    # the type adjacent to the edge's first end only, over every embedding of K2
+    ("min-colouring", ["min-colouring", "--structure",
+                       "{gen-named-knfree}/structure.json",
+                       "--pattern", "{tmp}/k2.json", "--type", "{tmp}/k2-type.json"]),
     ("gen-equivalence", ["gen", "--id", "equivalence-omega", "--size", "9",
                          "--seed", "1"]),
     ("partition-class-minus-point", ["partition", "--structure",
@@ -185,6 +195,8 @@ EXPECTED = {
     "partition-csv": [0, "5eb182d2f0b8c41a0a28e1cd72b18ce0c3a0b87665b9d517094e6969eca24edb"],
     "gen-named-knfree-200": [0, "b45ab80d9875e8feaf522d87e7e89791ac661d2ba55aa15e30c7621abf5065f7"],
     "partition-knfree-200": [0, "104600d5d2479552abdbdaa1c991bcf88b4594a5b859d2fe39013fbf25fa2669"],
+    "partition-knfree-b2": [0, "3297ee2a5a0c1e2fc7bdeac300c4a5183230b4dca8fc52b435e0e688a6a979c0"],
+    "min-colouring": [0, "1d07bd60d82b1370e6b84527e5ba4f7d2532f06700ba3b4cc4bc66f503842e94"],
     "gen-equivalence": [0, "ad55e66d6262480fe4933dfefd6f4a0f281332ee68e36f258d1bfe0ed042bd4c"],
     "partition-class-minus-point": [0, "158337dbdafb811ec1730e8d6777ae11d3958b43c47e2b713296471eafaeafa2"],
     "3dap-graphs": [0, "d4910e28fd25681ce349c392c0549bb558e27a95ca4a2e2f95e77a21a07f944b"],
@@ -272,6 +284,8 @@ def run_all(tmp: Path, hash_seed: str) -> dict:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
     qtype = {"parameters": [0], "positives": [["E", [-1, 0]], ["E", [0, -1]]]}
     (tmp / "type.json").write_text(json.dumps(qtype))
+    (tmp / "k2.json").write_text(json.dumps(_graph(2, [(0, 1)])))
+    (tmp / "k2-type.json").write_text(json.dumps(dict(qtype, parameters=[0, 1])))
     (tmp / "two-colour.json").write_text(json.dumps(_two_colour_class()))
     # P3 with its middle vertex last: Aut(B) pins depths 0 and 2
     (tmp / "p3.json").write_text(json.dumps(_graph(3, [(0, 2), (2, 1)])))

@@ -843,6 +843,13 @@ def test_qf_type_rejects_parameter_point():
         qf_type(k3, 0, (0, 1))
 
 
+@pytest.mark.parametrize("pattern", [(-2, -1), (-1, -2)])
+def test_qftype_rejects_atom_entries_below_minus_one(pattern):
+    # an entry -2 is neither the point nor a parameter
+    with pytest.raises(ValueError, match="type atom references a missing parameter"):
+        QfType((0,), [("E", pattern)])
+
+
 def test_qftype_transport():
     k3 = catalog.complete_graph(3)
     p = qf_type(k3, 2, (0,))
