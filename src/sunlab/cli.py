@@ -29,9 +29,11 @@ from pathlib import Path
 from . import __version__, catalog, jsonio
 from .generators import NoAdmissibleExtension, gen_generic, gen_named
 from .ksets import (
+    DEFAULT_GROUND_BUDGET,
     canonical_families,
     encode_colouring,
     find_sunflower_copies,
+    refute_witness,
     verify_witness,
 )
 from .partitionlab import min_embedding_colouring, named_partition, partition_report
@@ -225,7 +227,8 @@ def _cmd_enumerate(run: _Run, args) -> int:
 
 
 def _cmd_verify_witness(run: _Run, args) -> int:
-    name, default, unread = (("budget", 18, ("trials", "seed")) if args.mode == "exhaustive"
+    exhaustive = args.mode == "exhaustive"
+    name, default, unread = (("budget", DEFAULT_GROUND_BUDGET, ("trials", "seed")) if exhaustive
                              else ("trials", 1000, ("budget",)))
     _reject_unread(args, unread, f"{args.mode} mode")
     setattr(args, name, run.params.setdefault(name, default))
@@ -237,21 +240,22 @@ def _cmd_verify_witness(run: _Run, args) -> int:
         C = catalog.pure_set(args.c_size)
     else:
         C = run.load(jsonio.structure_from_json, args.witness)
-    verdict = verify_witness(C, B, args.k, mode=args.mode,
-                             trials=args.trials, seed=args.seed or 0,
-                             ground_budget=args.budget)
-    run.write("verdict.json", {"passed": verdict.passed, "checked": verdict.checked})
-    if verdict.passed:
+    if exhaustive:
+        verdict = verify_witness(C, B, args.k, args.budget)
+        counterexample, checked = verdict.counterexample, verdict.checked
+    else:
+        counterexample, checked = refute_witness(C, B, args.k, args.trials, args.seed or 0)
+    # an unrefuted random run proves nothing yet writes "passed": true (ROADMAP item 26)
+    run.write("verdict.json", {"passed": counterexample is None, "checked": checked})
+    if counterexample is None:
         return EXIT_OK
-    run.write("counterexample.json",
-              jsonio.presentation_to_json(verdict.counterexample))
+    run.write("counterexample.json", jsonio.presentation_to_json(counterexample))
     return EXIT_COUNTEREXAMPLE
 
 
 def _cmd_hypergraph(run: _Run, args) -> int:
     if args.action == "generate":
-        H = gen_witness_hypergraph(args.n, args.s, args.g, args.seed,
-                                   c_override=args.c, c_cap=args.c_cap)
+        H = gen_witness_hypergraph(args.n, args.s, args.g, args.seed, c_override=args.c)
         run.write("hypergraph.json", jsonio.hypergraph_to_json(H))
         return EXIT_OK
     H = run.load(jsonio.hypergraph_from_json, args.input)
@@ -283,12 +287,10 @@ def _cmd_paste(run: _Run, args) -> int:
 
 
 def _cmd_build_witness(run: _Run, args) -> int:
-    _reject_unread(args, ("c", "c_cap") if args.k == 1 else (), "--k 1")
-    args.c_cap = None if args.k == 1 else run.params.setdefault("c_cap", 32)
+    _reject_unread(args, ("c",) if args.k == 1 else (), "--k 1")
     B = _load_structure(run, args.target)
     K = _load_class(run, args.klass)
-    chain = build_witness_chain(K, B, args.k, args.seed, c_override=args.c,
-                                c_cap=args.c_cap)
+    chain = build_witness_chain(K, B, args.k, args.seed, c_override=args.c)
     run.write("chain.json", jsonio.chain_to_json(chain))
     return EXIT_OK
 
@@ -403,7 +405,7 @@ def _command_table() -> dict:
         one.add_argument("--structure")
         one.add_argument("--size", type=int, help="pure-set size shortcut")
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--budget", type=int, default=18)
+        p.add_argument("--budget", type=int, default=DEFAULT_GROUND_BUDGET)
 
     def verify_witness_args(p):
         one = p.add_mutually_exclusive_group(required=True)
@@ -416,14 +418,14 @@ def _command_table() -> dict:
         p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
         p.add_argument("--trials", type=int, help="random mode only (default 1000)")
         p.add_argument("--seed", type=int, help="random mode only")
-        p.add_argument("--budget", type=int, help="exhaustive mode only (default 18)")
+        p.add_argument("--budget", type=int,
+                       help=f"exhaustive mode only (default {DEFAULT_GROUND_BUDGET})")
 
     def generate_args(p):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--s", type=int, default=1)
         p.add_argument("--g", type=int, default=4)
         p.add_argument("--c", type=int)
-        p.add_argument("--c-cap", type=int, default=32)
         p.add_argument("--seed", type=int, required=True)
 
     def girth_args(p):
@@ -446,7 +448,6 @@ def _command_table() -> dict:
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--c", type=int, help="--k 2 or more only")
-        p.add_argument("--c-cap", type=int, help="--k 2 or more only (default 32)")
 
     def extract_args(p):
         p.add_argument("--chain", required=True)

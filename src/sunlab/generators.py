@@ -274,13 +274,8 @@ def _gen_local_order(size, rng):
 
 
 def parse_generator_id(name: str) -> tuple[str, Optional[int]]:
-    if ":" in name:
-        head, arg = name.split(":", 1)
-        return head, int(arg)
-    if name.endswith(")") and "(" in name:
-        head, arg = name[:-1].split("(", 1)
-        return head, int(arg)
-    return name, None
+    head, colon, arg = name.partition(":")
+    return head, int(arg) if colon else None
 
 
 def gen_named(name: str, size: int, seed: int) -> Structure:
@@ -288,6 +283,8 @@ def gen_named(name: str, size: int, seed: int) -> Structure:
     if size < 1:
         raise ValueError("size must be >= 1")
     head, arg = parse_generator_id(name)
+    if arg is not None and head != "knfree":
+        raise ValueError(f"unknown generator {name!r}: only knfree takes a parameter")
     rng = random.Random(f"{head}:{arg}|{size}|{seed}")
     if head == "random-graph":
         S = _gen_random_graph(size, rng)

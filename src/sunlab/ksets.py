@@ -58,38 +58,23 @@ from .structures import (
 DEFAULT_GROUND_BUDGET = 18
 
 
-class CentreResult:
-    """The common pairwise intersection of a family, when one exists.
+def sunflower_centre(sets: Iterable[frozenset]) -> Optional[frozenset]:
+    """The set c with s & t == c for all distinct members, or None.
 
     Families with fewer than two sets have no pairwise condition to check;
     by convention the centre of a singleton family is the set itself and
-    the centre of an empty family is empty, both flagged degenerate.
+    the centre of an empty family is empty.
     """
-
-    __slots__ = ("centre", "degenerate")
-
-    def __init__(self, centre, degenerate):
-        self.centre = centre
-        self.degenerate = degenerate
-
-    def __repr__(self):
-        return f"CentreResult({self.centre!r}, degenerate={self.degenerate})"
-
-
-def sunflower_centre(sets: Iterable[frozenset]) -> CentreResult:
-    """The set c with s & t == c for all distinct members, or None."""
     family = [frozenset(s) for s in sets]
     if len(set(family)) != len(family):
         raise ValueError("family members must be pairwise distinct")
-    if len(family) == 0:
-        return CentreResult(frozenset(), True)
-    if len(family) == 1:
-        return CentreResult(family[0], True)
+    if len(family) < 2:
+        return family[0] if family else frozenset()
     centre = family[0] & family[1]
     for s, t in itertools.combinations(family, 2):
         if s & t != centre:
-            return CentreResult(None, False)
-    return CentreResult(centre, False)
+            return None
+    return centre
 
 
 class Presentation:
@@ -113,9 +98,6 @@ class Presentation:
         self.k = k
         self.sets = fam
         self._sorted = srt
-
-    def sorted_set(self, v: int) -> tuple[int, ...]:
-        return self._sorted[v]
 
     def __eq__(self, other):
         return (isinstance(other, Presentation) and self.base == other.base
@@ -379,8 +361,6 @@ class WitnessVerdict:
 
 
 def verify_witness(C: Structure, B: Structure, k: int,
-                   mode: str = "exhaustive", trials: int = 1000,
-                   seed: int = 0,
                    ground_budget: int = DEFAULT_GROUND_BUDGET) -> WitnessVerdict:
     """Decide whether every presentation of C on k-sets contains a sunflower
     copy of B.
@@ -398,8 +378,7 @@ def verify_witness(C: Structure, B: Structure, k: int,
     checked by `_centre_filter` only when |B| > 2 and |Y| < k - 1; with
     the newest vertex pinned, Y is the only centre it can accept.  A
     target with no vertices has a copy in every presentation, the empty
-    one included, so the walk stops at its one root candidate.  Random
-    mode samples presentations.
+    one included, so the walk stops at its one root candidate.
 
     The walk also drops a prefix whose last two sets i, i+1 are out of
     order when swapping vertices i and i+1 is an automorphism of C.  This
@@ -416,16 +395,6 @@ def verify_witness(C: Structure, B: Structure, k: int,
         raise SignatureMismatch("witness check needs matching signatures")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mode == "random":
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        samples = _sample_sets(C.size, k, random.Random(f"verify-witness|{seed}"))
-        for i, sets in zip(range(trials), samples):
-            if next(_iter_embedding_maps(B, C, _centre_filter(sets)), None) is None:
-                return WitnessVerdict(False, Presentation(C, k, sets), i + 1)
-        return WitnessVerdict(True, None, trials)
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
     if k * C.size > ground_budget:
         raise BudgetExceeded(f"ground set {k * C.size} exceeds budget {ground_budget}")
     if B.size == 0:
@@ -475,6 +444,25 @@ def verify_witness(C: Structure, B: Structure, k: int,
     if leaf is None:
         return WitnessVerdict(True, None, checked)
     return WitnessVerdict(False, Presentation(C, k, leaf), checked + 1)
+
+
+def refute_witness(C: Structure, B: Structure, k: int, trials: int,
+                   seed: int) -> tuple[Optional[Presentation], int]:
+    """The first of `trials` sampled presentations of C on k-sets with no
+    sunflower copy of B and the number of samples drawn up to it, or
+    (None, trials): a sampler can refute C as a witness but never confirm
+    it.  The samples are one running `_sample_sets` on `verify-witness|{seed}`."""
+    if B.signature != C.signature:
+        raise SignatureMismatch("witness check needs matching signatures")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    samples = _sample_sets(C.size, k, random.Random(f"verify-witness|{seed}"))
+    for i, sets in zip(range(trials), samples):
+        if next(_iter_embedding_maps(B, C, _centre_filter(sets)), None) is None:
+            return Presentation(C, k, sets), i + 1
+    return None, trials
 
 
 # ---------------------------------------------------------------------------

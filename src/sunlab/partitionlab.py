@@ -55,12 +55,6 @@ class Partition:
         self.size = size
         self.blocks = bl
 
-    def block_of(self, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if v in b:
-                return i
-        raise KeyError(v)
-
     def __eq__(self, other):
         return (isinstance(other, Partition) and self.size == other.size
                 and self.blocks == other.blocks)
@@ -101,6 +95,8 @@ class Colouring:
 
 def named_partition(S: Structure, scheme: str, anchor: Optional[int] = None) -> Partition:
     """Build one of the named counterexample partitions on a finite input."""
+    if anchor is not None and scheme in ("first-edge-colour", "rational-cut"):
+        raise ValueError(f"scheme {scheme} takes no anchor")
     if scheme == "neighbourhood":
         v = _need_anchor(S, anchor)
         nbrs = _adjacency_bits(S)[v]
@@ -217,9 +213,6 @@ class PartitionReport:
 
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
-
-    def block(self, i) -> BlockReport:
-        return self.blocks[i]
 
 
 # bases over all blocks: at about 0.1 ms a knfree:3 base (CPython 3.11), 6 s

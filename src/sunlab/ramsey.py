@@ -336,6 +336,7 @@ def default_epsilon(g: int) -> Fraction:
 
 _CHUNK = 4096  # draws per randbytes call, so memory stays 32 KB
 _MAX_ATTEMPTS = 10  # seeded attempts per generation run
+_C_CAP = 32  # the largest default part size
 
 
 def _draws_below(rng: random.Random, total: int, p: float) -> list[int]:
@@ -380,8 +381,7 @@ def _lex_subsets(N: int, n: int, ranks: Iterable[int]) -> list[tuple[int, ...]]:
 
 
 def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
-                           c_override: Optional[int] = None,
-                           c_cap: int = 32) -> PartitionedHypergraph:
+                           c_override: Optional[int] = None) -> PartitionedHypergraph:
     """Sample an n-uniform hypergraph on n parts of size c with edges drawn
     i.i.d. at p = c^(1-n+eps), then delete one edge per short cycle until
     the Berge girth reaches g.  An attempt makes one rng.random() draw per
@@ -395,7 +395,7 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
 
     The theory certifies success only for part sizes far beyond desk
     scale, so c is chosen as the first power of two from 4 whose failure
-    bound drops below 1/2, capped at `c_cap` (at least 4); the metadata
+    bound drops below 1/2, capped at `_C_CAP`; the metadata
     records whether the bound actually certifies the instance.
 
     Ending with no edges is an error after retries, never silent.  A
@@ -406,8 +406,6 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
     """
     if n < 2 or s < 1 or g < 2 or (c_override is not None and c_override < 1):
         raise ValueError("need n >= 2, s >= 1, g >= 2 and c >= 1")
-    if c_override is None and c_cap < 4:
-        raise ValueError("c_cap must be >= 4, the least part size tried")
     eps = default_epsilon(g)
     sp = suitable_params(n, Fraction(1, 2 * s))
     a = min(sp.a0, Fraction(1, 2))
@@ -424,7 +422,7 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
         # every size tried is admissible: n >= 2 and eps <= 1/4 give
         # p <= 4^(-3/4) < 1/2 at c = 4, and p falls as c grows
         params = GenParams(n, s, g, eps, 4)
-        while not certifies(params) and 2 * params.c <= c_cap:
+        while not certifies(params) and 2 * params.c <= _C_CAP:
             params = GenParams(n, s, g, eps, 2 * params.c)
     certified = certifies(params)
 

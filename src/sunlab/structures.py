@@ -602,11 +602,6 @@ class QfType:
             if sig._arity.get(name) != len(pat):
                 raise ValueError(f"type atom {name}{list(pat)} does not fit the signature")
 
-    def transport(self, f: "Embedding | dict | list") -> "QfType":
-        """The type with parameters pushed through an embedding or map."""
-        mapping = f.map if isinstance(f, Embedding) else f
-        return QfType([mapping[a] for a in self.parameters], self.positives)
-
     def __eq__(self, other):
         return (isinstance(other, QfType)
                 and self.parameters == other.parameters

@@ -187,8 +187,7 @@ def class_is_transitive(K: ClassSpec) -> bool:
 
 
 def build_witness_chain(K: ClassSpec, B: Structure, k: int, seed: int,
-                        c_override: Optional[int] = None,
-                        c_cap: int = 32) -> WitnessChain:
+                        c_override: Optional[int] = None) -> WitnessChain:
     """Stack k levels: level 1 is the target itself (distinct 1-sets are
     pairwise disjoint, so any copy is a sunflower), and level j pastes
     level j-1 into a girth-4 hypergraph sized for j^(size of level j-1)
@@ -207,8 +206,7 @@ def build_witness_chain(K: ClassSpec, B: Structure, k: int, seed: int,
         prev = levels[-1].structure
         s_j = j ** prev.size
         level_seed = seed_rng.getrandbits(63)
-        H = gen_witness_hypergraph(prev.size, s_j, 4, level_seed,
-                                   c_override=c_override, c_cap=c_cap)
+        H = gen_witness_hypergraph(prev.size, s_j, 4, level_seed, c_override=c_override)
         pasted = paste(H, prev, K)
         levels.append(WitnessLevel(pasted.structure, pasted.parts, s_j, H.meta))
     return WitnessChain(K, levels, seed)
@@ -365,7 +363,7 @@ def replay_trace(chain: WitnessChain, P: Presentation,
             return False
         if step.case == "fallback":
             return embedding_defect(B, cur.base, copy) is None and \
-                sunflower_centre(cur.sets[v] for v in copy).centre is not None
+                sunflower_centre(cur.sets[v] for v in copy) is not None
         if step.case == "base":
             return cur.k == 1 and are_isomorphic(B, cur.base.induced(copy)) is not None
         if step.case not in ("mono", "transversal") or not 2 <= cur.k <= chain.k:

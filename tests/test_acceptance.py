@@ -47,10 +47,10 @@ def test_acceptance_1_classical_sunflower_numbers():
     t0 = time.time()
     B = catalog.pure_set(3)
 
-    verdict7 = verify_witness(catalog.pure_set(7), B, 2, mode="exhaustive")
+    verdict7 = verify_witness(catalog.pure_set(7), B, 2)
     assert verdict7.passed
 
-    verdict6 = verify_witness(catalog.pure_set(6), B, 2, mode="exhaustive")
+    verdict6 = verify_witness(catalog.pure_set(6), B, 2)
     assert not verdict6.passed
     ce = verdict6.counterexample
     assert not find_sunflower_copies(ce, B, limit=1)
@@ -227,9 +227,9 @@ def test_acceptance_7a_neighbourhood_partition():
     P = named_partition(S, "neighbourhood", anchor)
     K = catalog.kn_free(3)
     rep = partition_report(S, P, K, [catalog.complete_graph(2)], 1)
-    d_block = rep.block(1)
+    d_block = rep.blocks[1]
     assert d_block.probe_embeds == (False,)
-    c_block = rep.block(0)
+    c_block = rep.blocks[0]
     adjacent = frozenset({("E", (-1, 0)), ("E", (0, -1))})
     hits = [w for w in c_block.open_sets
             if w.base == (anchor,) and w.qftype.positives == adjacent]

@@ -504,11 +504,8 @@ def test_verify_witness_manifest_records_what_its_mode_reads(tmp_path):
     assert manifest["seed"] == 5
 
 
-@pytest.mark.parametrize("extra, message", [
-    (["--c", "3"], "--k 1 reads no --c"),
-    (["--c-cap", "8"], "--k 1 reads no --c-cap"),
-    (["--c", "3", "--c-cap", "2"], "--k 1 reads no --c or --c-cap")],
-    ids=["c", "c-cap", "both"])
+@pytest.mark.parametrize("extra, message", [(["--c", "3"], "--k 1 reads no --c")],
+                         ids=["c"])
 def test_build_witness_at_k_1_rejects_the_hypergraph_options(tmp_path, capsys, extra,
                                                               message):
     # one level generates no hypergraph; these used to be accepted and recorded
@@ -519,12 +516,23 @@ def test_build_witness_at_k_1_rejects_the_hypergraph_options(tmp_path, capsys, e
     assert not out.exists()
 
 
-@pytest.mark.parametrize("k, recorded", [("1", {}), ("2", {"c_cap": 32})])
+@pytest.mark.parametrize("k, recorded", [("1", {}), ("2", {})])
 def test_build_witness_manifest_records_c_cap_only_where_read(tmp_path, k, recorded):
+    # the part-size cap is a constant of the generator, read from no option
     assert run(["build-witness", "--klass", "graphs", "--target", "k2", "--k", k,
                 "--seed", "1", "--out", str(tmp_path)]) == 0
     params = read(tmp_path / "build-witness-manifest.json")["parameters"]
     assert {n: params[n] for n in ("c", "c_cap") if n in params} == recorded
+
+
+@pytest.mark.parametrize("name", ["random-graph:5", "random-graph(9)", "pure-set:2",
+                                  "nosuch:3"])
+def test_gen_rejects_a_parameter_on_a_generator_that_takes_none(tmp_path, capsys, name):
+    # the first three used to exit 0, the parameter changing only the seed
+    out = tmp_path / "out"
+    assert run(["gen", "--id", name, "--size", "6", "--seed", "4", "--out", str(out)]) == 2
+    assert _one_error_line(capsys).startswith(f"error: unknown generator {name!r}")
+    assert not out.exists()
 
 
 def test_gen_rejects_id_with_klass(tmp_path, capsys):
@@ -622,9 +630,27 @@ def test_partition_scheme_names_the_relation_it_needs(tmp_path, capsys,
                 "--out", str(gen_dir)]) == 0
     capsys.readouterr()
     out = tmp_path / "out"
+    anchor = [] if scheme == "first-edge-colour" else ["--anchor", "0"]
     assert run(["partition", "--structure", str(gen_dir / "structure.json"),
-                "--scheme", scheme, "--anchor", "0", "--out", str(out)]) == 2
+                "--scheme", scheme, *anchor, "--out", str(out)]) == 2
     assert _one_error_line(capsys) == f"error: scheme {scheme} needs the {needs}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme, meta", [
+    ("first-edge-colour", {}), ("rational-cut", {"rational_labels": ["0", "1"]})])
+@pytest.mark.parametrize("anchor", ["0", "5"])
+def test_partition_rejects_an_anchor_its_scheme_does_not_read(tmp_path, capsys,
+                                                              scheme, meta, anchor):
+    # used to exit 0 and record the anchor, whatever it was
+    structure = tmp_path / "s.json"
+    structure.write_text(json.dumps({"signature": [{"name": "R", "arity": 2},
+                                                   {"name": "B", "arity": 2}],
+                                     "size": 2, "meta": meta}))
+    out = tmp_path / "out"
+    assert run(["partition", "--structure", str(structure), "--scheme", scheme,
+                "--anchor", anchor, "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"error: scheme {scheme} takes no anchor\n"
     assert not out.exists()
 
 
@@ -892,9 +918,9 @@ def _hypergraph_file(tmp_path) -> str:
     (["build-witness", "--klass", "graphs", "--target", "k2", "--k", "2",
       "--seed", "1", "--c", "0"], "and c >= 1"),
     (["hypergraph", "generate", "--n", "2", "--seed", "3", "--c-cap", "2"],
-     "c_cap must be >= 4"),
+     "sunlab: error: unrecognized arguments: --c-cap 2"),
     (["build-witness", "--klass", "graphs", "--target", "k2", "--k", "2",
-      "--seed", "1", "--c-cap", "2"], "c_cap must be >= 4"),
+      "--seed", "1", "--c-cap", "8"], "sunlab: error: unrecognized arguments: --c-cap 8"),
     (["hypergraph", "girth", "--input", "{h}", "--cap", "1"], "cap must be >= 2"),
     (["hypergraph", "girth", "--input", "{h}", "--cap", "-5"], "cap must be >= 2"),
     (["hypergraph", "adversary", "--input", "{h}", "--budget", "0"],
@@ -908,14 +934,14 @@ def _hypergraph_file(tmp_path) -> str:
     (["hypergraph", "adversary", "--input", "{h}", "--trials", "5"],
      "sunlab: error: unrecognized arguments: --trials 5")],
     ids=["generate-without-n", "c-zero", "c-negative", "build-witness-c-zero",
-         "c-cap-below-4", "build-witness-c-cap-below-4", "girth-cap-1",
+         "c-cap", "build-witness-c-cap", "girth-cap-1",
          "girth-cap-negative", "adversary-budget-zero", "adversary-budget-negative",
          "adversary-s-zero", "adversary-s-negative", "adversary-mode", "adversary-trials"])
 def test_hypergraph_inputs_out_of_range_are_usage_errors(tmp_path, capsys, argv, message):
     # the c ones used to end in a TypeError or ZeroDivisionError traceback
-    # with exit 1, the s and c-cap ones in exit 4 and an error.json, the
-    # budget ones in exit 3 and a girth cap below 2 in exit 0; the
-    # adversary's random mode and its --trials are gone
+    # with exit 1, the s ones in exit 4 and an error.json, the budget ones
+    # in exit 3 and a girth cap below 2 in exit 0; the adversary's random
+    # mode and its --trials are gone, and so is --c-cap
     h = _hypergraph_file(tmp_path) if "{h}" in argv else ""
     capsys.readouterr()
     out = tmp_path / "out"
@@ -947,8 +973,17 @@ def test_a_manifest_records_only_what_its_action_reads(tmp_path, capsys):
     assert not seeded.exists()
 
 
+def test_hypergraph_generate_manifest_records_what_it_reads(tmp_path):
+    # c_cap used to be recorded as 32 beside --c, which it never read
+    assert run(["hypergraph", "generate", "--n", "2", "--c", "5", "--seed", "3",
+                "--out", str(tmp_path)]) == 0
+    assert read(tmp_path / "hypergraph-generate-manifest.json")["parameters"] == {
+        "action": "generate", "c": 5, "command": "hypergraph", "g": 4, "n": 2, "s": 1,
+        "seed": 3}
+
+
 @pytest.mark.parametrize("action, options", [
-    ("generate", ["--n", "--s", "--g", "--c", "--c-cap", "--seed"]),
+    ("generate", ["--n", "--s", "--g", "--c", "--seed"]),
     ("girth", ["--input", "--cap"]),
     ("adversary", ["--input", "--s", "--budget"])], ids=["generate", "girth", "adversary"])
 def test_each_hypergraph_action_has_its_own_options(action, options):

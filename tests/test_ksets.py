@@ -23,6 +23,7 @@ from sunlab.ksets import (
     enumerate_presentations,
     find_sunflower_copies,
     random_presentation,
+    refute_witness,
     sunflower_centre,
     verify_sunflower_cert,
     verify_witness,
@@ -40,16 +41,14 @@ def fs(*xs):
 
 
 def test_sunflower_centre_examples():
-    assert sunflower_centre([fs(1, 2), fs(1, 3), fs(1, 4)]).centre == fs(1)
-    assert sunflower_centre([fs(1, 2), fs(3, 4)]).centre == fs()
-    assert sunflower_centre([fs(1, 2), fs(2, 3), fs(1, 3)]).centre is None
+    assert sunflower_centre([fs(1, 2), fs(1, 3), fs(1, 4)]) == fs(1)
+    assert sunflower_centre([fs(1, 2), fs(3, 4)]) == fs()
+    assert sunflower_centre([fs(1, 2), fs(2, 3), fs(1, 3)]) is None
 
 
 def test_sunflower_centre_degenerate_conventions():
-    empty = sunflower_centre([])
-    assert empty.centre == fs() and empty.degenerate
-    single = sunflower_centre([fs(4, 7)])
-    assert single.centre == fs(4, 7) and single.degenerate
+    assert sunflower_centre([]) == fs()
+    assert sunflower_centre([fs(4, 7)]) == fs(4, 7)
 
 
 def test_sunflower_centre_two_sets_always_have_one():
@@ -59,7 +58,7 @@ def test_sunflower_centre_two_sets_always_have_one():
         b = frozenset(rng.sample(range(8), 3))
         if a == b:
             continue
-        assert sunflower_centre([a, b]).centre == a & b
+        assert sunflower_centre([a, b]) == a & b
 
 
 def test_sunflower_centre_rejects_duplicates():
@@ -400,15 +399,34 @@ def test_witness_k1_is_trivial():
 
 def test_witness_random_mode():
     B = catalog.pure_set(3)
-    assert verify_witness(catalog.pure_set(7), B, 2, mode="random",
-                          trials=200, seed=3).passed
+    assert refute_witness(catalog.pure_set(7), B, 2, 200, 3) == (None, 200)
     # at seed 5 sampling stumbles on a bad family of pure 6/3 at sample 618;
     # the counterexample must genuinely be sunflower-free
-    verdict = verify_witness(catalog.pure_set(6), B, 2, mode="random",
-                             trials=4000, seed=5)
-    assert verdict.passed is False
-    assert verdict.checked == 618
-    assert not find_sunflower_copies(verdict.counterexample, B, limit=1)
+    P, drawn = refute_witness(catalog.pure_set(6), B, 2, 4000, 5)
+    assert drawn == 618
+    assert not find_sunflower_copies(P, B, limit=1)
+
+
+def test_refute_witness_never_refutes_a_witness():
+    # pure 7 forces a sunflower copy of pure 3 at k = 2, as f(2, 3) = 7
+    C, B = catalog.pure_set(7), catalog.pure_set(3)
+    for seed in range(50):
+        assert refute_witness(C, B, 2, 100, seed) == (None, 100)
+
+
+@pytest.mark.parametrize("C, B, k", [
+    (catalog.pure_set(6), catalog.pure_set(3), 2),
+    (catalog.pure_set(5), catalog.pure_set(3), 3),
+])
+def test_refute_witness_returns_only_sunflower_free_presentations(C, B, k):
+    refuted = 0
+    for seed in range(20):
+        P, drawn = refute_witness(C, B, k, 300, seed)
+        if P is not None:
+            refuted += 1
+            assert 1 <= drawn <= 300 and P.base == C and P.k == k
+            assert find_sunflower_copies(P, B) == []
+    assert refuted
 
 
 def _k6_minus_edge():
@@ -417,20 +435,20 @@ def _k6_minus_edge():
                      {"E": [t for t in k6.relations["E"] if set(t) != {0, 1}]})
 
 
-def _sampled_verdict(C, B, k, trials, seed):
-    """Random mode spelled out: `random_presentation` samples on random
-    mode's seeded rng and `find_sunflower_copies` searches each sample;
-    (passed, checked, counterexample sets)."""
+def _sampled_refutation(C, B, k, trials, seed):
+    """`refute_witness` spelled out: `random_presentation` samples on its
+    seeded rng and `find_sunflower_copies` searches each sample;
+    (counterexample sets or None, samples drawn)."""
     rng = random.Random(f"verify-witness|{seed}")
     for i in range(trials):
         P = random_presentation(C, k, rng)
         if not find_sunflower_copies(P, B, limit=1):
-            return False, i + 1, P.sets
-    return True, trials, None
+            return P.sets, i + 1
+    return None, trials
 
 
 # pure 11/4 at k = 2 has ground 22, so its samples take `sample`'s
-# rejection branch; `failing` counts the seeds whose verdict fails
+# rejection branch; `failing` counts the seeds that refute C
 @pytest.mark.parametrize("C, B, k, trials, seeds, failing", [
     (catalog.pure_set(6), catalog.pure_set(3), 2, 300, (0, 12, 13), 2),
     (catalog.pure_set(7), catalog.pure_set(3), 2, 200, (0, 1), 0),
@@ -440,13 +458,13 @@ def _sampled_verdict(C, B, k, trials, seed):
     (_k6_minus_edge(), catalog.complete_graph(3), 2, 300, (0, 19, 26), 2),
 ])
 def test_random_mode_matches_sampling_oracle(C, B, k, trials, seeds, failing):
-    verdicts = []
+    refuted = 0
     for seed in seeds:
-        v = verify_witness(C, B, k, mode="random", trials=trials, seed=seed)
-        sets = None if v.counterexample is None else v.counterexample.sets
-        assert (v.passed, v.checked, sets) == _sampled_verdict(C, B, k, trials, seed)
-        verdicts.append(v.passed)
-    assert verdicts.count(False) == failing
+        P, drawn = refute_witness(C, B, k, trials, seed)
+        sets = None if P is None else P.sets
+        assert (sets, drawn) == _sampled_refutation(C, B, k, trials, seed)
+        refuted += P is not None
+    assert refuted == failing
 
 
 def test_witness_respects_structure():

@@ -2,12 +2,15 @@
 
 A top-level function, class or assignment of the package must be named
 somewhere in the package beyond its own definition and its re-export from
-`sunlab/__init__.py`, or be on the README's "Library API" list.  A
-test-only helper or oracle lives in the test module that uses it.
+`sunlab/__init__.py`, or be on the README's "Library API" list.  A method
+of a package class must be read as an attribute somewhere in the package
+beyond its own body.  A test-only helper or oracle lives in the test
+module that uses it.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,6 +79,29 @@ def unused_names(package: Path, api: set[str]) -> list[str]:
     return out
 
 
+def _attributes(node: ast.AST) -> Counter:
+    """How often each name is read as an attribute under `node`."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def unused_members(package: Path) -> list[str]:
+    """Methods of the package's classes, dunders aside, that nothing in the
+    package reads as an attribute outside the method's own body."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    reads = sum(map(_attributes, trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for defn in cls.body:
+                if (isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (defn.name.startswith("__") and defn.name.endswith("__"))
+                        and defn.name not in EXEMPT
+                        and reads[defn.name] == _attributes(defn)[defn.name]):
+                    out.append(f"{module}:{cls.name}.{defn.name}")
+    return out
+
+
 def test_every_top_level_name_is_used_or_exported():
     assert unused_names(PACKAGE, library_api(ROOT / "README.md")) == []
 
@@ -83,3 +109,7 @@ def test_every_top_level_name_is_used_or_exported():
 def test_the_library_api_is_exported():
     api = library_api(ROOT / "README.md")
     assert api and api <= _exported(PACKAGE)
+
+
+def test_every_class_member_is_read_by_the_package():
+    assert unused_members(PACKAGE) == []

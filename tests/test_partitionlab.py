@@ -37,8 +37,7 @@ def test_partition_validation():
         Partition(3, [[0, 1], [1, 2]])
     with pytest.raises(ValueError):
         Partition(3, [[0], [2]])
-    P = Partition(3, [[0, 2], [1]])
-    assert P.block_of(2) == 0
+    assert Partition(3, [[0, 2], [1]]).blocks == (frozenset({0, 2}), frozenset({1}))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +147,9 @@ def test_partition_report_neighbourhood_case():
     P = named_partition(S, "neighbourhood", anchor)
     K = catalog.kn_free(3)
     report = partition_report(S, P, K, [catalog.complete_graph(2)], 1)
-    d_block = report.block(1)
+    d_block = report.blocks[1]
     assert d_block.probe_embeds == (False,)            # neighbourhood edge-free
-    c_block = report.block(0)
+    c_block = report.blocks[0]
     anchor_pos = c_block.vertices.index(anchor)
     adjacent = frozenset({("E", (-1, 0)), ("E", (0, -1))})
     hits = [w for w in c_block.open_sets
@@ -165,8 +164,8 @@ def test_partition_report_pure_set():
     S = catalog.pure_set(6)
     P = Partition(6, [[0, 1, 2], [3, 4, 5]])
     report = partition_report(S, P, catalog.pure_sets(), [catalog.pure_set(1)], 0)
-    assert report.block(0).probe_embeds == (True,)
-    assert report.block(1).probe_embeds == (True,)
+    assert report.blocks[0].probe_embeds == (True,)
+    assert report.blocks[1].probe_embeds == (True,)
 
 
 def report_by_induced_copies(S, P, K, probes, base_bound):
@@ -180,7 +179,7 @@ def report_by_induced_copies(S, P, K, probes, base_bound):
         assert satisfies_class(sub, K)
         open_sets = []
         for A, positives in defects_by_rebuild(sub, K, base_bound):
-            p = QfType(A, positives).transport(vs)
+            p = QfType([vs[a] for a in A], positives)
             realised = type_classes_by_vertex(S, p.parameters).get(positives, [])
             open_sets.append((p.parameters, p, tuple(realised)))
         out.append((i, tuple(vs), tuple(embeds(q, sub) for q in probes), open_sets))

@@ -850,16 +850,6 @@ def test_qftype_rejects_atom_entries_below_minus_one(pattern):
         QfType((0,), [("E", pattern)])
 
 
-def test_qftype_transport():
-    k3 = catalog.complete_graph(3)
-    p = qf_type(k3, 2, (0,))
-    moved = p.transport({0: 1})
-    assert moved.parameters == (1,)
-    assert moved.positives == p.positives
-    assert p.transport([1]) == moved
-    assert p.transport(Embedding(catalog.complete_graph(1), k3, [1])) == moved
-
-
 def type_classes_by_vertex(S, A):
     """Oracle: every vertex outside A grouped by its full type over A."""
     classes = {}

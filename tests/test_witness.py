@@ -288,9 +288,9 @@ def test_hetero_all_colourings_iff_disjoint():
         P = random_presentation(top, 2, rng)
         for u, v in transversal_edges[:40]:
             disjoint = P.sets[u].isdisjoint(P.sets[v])
-            hetero_all = all(
-                P.sorted_set(u)[f[part_of[u]]] != P.sorted_set(v)[f[part_of[v]]]
-                for f in itertools.product(range(2), repeat=2))
+            su, sv = sorted(P.sets[u]), sorted(P.sets[v])
+            hetero_all = all(su[f[part_of[u]]] != sv[f[part_of[v]]]
+                             for f in itertools.product(range(2), repeat=2))
             assert disjoint == hetero_all
 
 
@@ -577,7 +577,7 @@ def _part_searches(chain, level, P):
     coordinate of the presentation's sets."""
     iso = are_isomorphic(chain.levels[level - 1].structure, P.base)
     D = chain.levels[level - 2].structure
-    coords = list(zip(*(P.sorted_set(v) for v in P.base.vertices)))
+    coords = list(zip(*(sorted(P.sets[v]) for v in P.base.vertices)))
     for part in chain.levels[level - 1].parts:
         images = [iso.map[v] for v in part]
         for colour in coords:
