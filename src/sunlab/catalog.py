@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
 from typing import Callable, Iterable
 
 from .structures import (
@@ -248,15 +249,23 @@ _CLASS_BUILDERS = {
 }
 
 
+def decimal_parameter(name: str, text: str) -> int:
+    """The parameter `text` of `name`: decimal digits, no sign, space or leading zero."""
+    with suppress(ValueError):  # int() refuses more than 4,300 digits
+        if text.isascii() and text.isdigit() and (len(text) == 1 or text[0] != "0"):
+            return int(text)
+    raise ValueError(f"bad parameter in {name!r}: digits only, no sign or leading zero")
+
+
 def class_by_name(name: str) -> ClassSpec:
     """Resolve catalog class names, including parameterised ones like
     'knfree:3' and 'k4h3free'.  Each call builds a fresh class."""
     if name in _CLASS_BUILDERS:
         return _CLASS_BUILDERS[name]()
     if name.startswith("knfree:"):
-        return kn_free(int(name.split(":", 1)[1]))
+        return kn_free(decimal_parameter(name, name[7:]))
     if name.endswith("h3free") and name.startswith("k"):
-        return knr_free_hypergraphs3(int(name[1:-6]))
+        return knr_free_hypergraphs3(decimal_parameter(name, name[1:-6]))
     raise KeyError(f"unknown class {name!r}")
 
 
@@ -279,8 +288,7 @@ def structure_by_name(name: str) -> Structure:
     """Resolve small named probe structures ('k3', 'p3', 'pure:4', ...)."""
     if name in _STRUCTURE_BUILDERS:
         return _STRUCTURE_BUILDERS[name]()
-    if name.startswith("pure:"):
-        return pure_set(int(name.split(":", 1)[1]))
-    if name.startswith("kn:"):
-        return complete_graph(int(name.split(":", 1)[1]))
+    head, colon, arg = name.partition(":")
+    if colon and head in ("pure", "kn"):
+        return (pure_set if head == "pure" else complete_graph)(decimal_parameter(name, arg))
     raise KeyError(f"unknown structure {name!r}")

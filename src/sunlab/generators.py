@@ -275,7 +275,7 @@ def _gen_local_order(size, rng):
 
 def parse_generator_id(name: str) -> tuple[str, Optional[int]]:
     head, colon, arg = name.partition(":")
-    return head, int(arg) if colon else None
+    return head, catalog.decimal_parameter(name, arg) if colon else None
 
 
 def gen_named(name: str, size: int, seed: int) -> Structure:

@@ -34,10 +34,14 @@ longer prefix must pass through its newest vertex, and that is the only
 place it looks, one meet class of older sets at a time.  It searches C
 itself, with pools inside the prefix and the sunflower filter
 `_centre_filter`.
+
+The sampler and the witness searches hold k-sets as int bitmasks (bit g for
+element g of a ground below k * |C|); a `Presentation` holds frozensets.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -125,23 +129,21 @@ class SunflowerCert:
 
 
 def _centre_filter(sets) -> CandidateFilter:
-    """Kernel filter for sunflower images: a vertex joins a partial image of
-    two or more only if its set meets every earlier one in the centre of
-    the first two, so every complete image is a sunflower.
+    """Kernel filter for sunflower images on k-sets given as int masks or as
+    frozensets: a vertex joins a partial image of two or more only if its
+    set meets every earlier one in the centre of the first two, so every
+    complete image is a sunflower.
 
-    The centre is computed once per depth-2 node, so `sets` must not change
-    while the filter is in use.  The kernel searches depth first, so every
-    deeper call shares `partial[0:2]` with the latest depth-2 call and
-    reads the centre that call left."""
-    first = second = centre = None
+    Depth first, every deeper call shares `partial[0:2]` with the latest
+    depth-2 call and reads its centre; `sets` may change between searches."""
+    centre = None
 
     def flt(depth, v, partial):
-        nonlocal first, second, centre
+        nonlocal centre
         if depth < 2:
             return True
-        if depth == 2 and (partial[0] != first or partial[1] != second):
-            first, second = partial
-            centre = sets[first] & sets[second]
+        if depth == 2:
+            centre = sets[partial[0]] & sets[partial[1]]
         s = sets[v]
         for u in partial:
             if sets[u] & s != centre:
@@ -162,7 +164,7 @@ def find_sunflower_copies(P: Presentation, B: Structure,
     sets = P.sets
     out = []
     seen = set()
-    for vmap in _iter_embedding_maps(B, P.base, candidate_filter=_centre_filter(sets)):
+    for vmap in _iter_embedding_maps(B, P.base, _centre_filter(sets)):
         image = frozenset(vmap)
         if image in seen:
             continue
@@ -242,9 +244,9 @@ def _normal_form_candidates(prev_sets: list[tuple[int, ...]], k: int,
     return out
 
 
-def _normal_form_walk(C: Structure, k: int, keep) -> Iterator[list[tuple[int, ...]]]:
-    """Every normal-form family of |C| k-sets with every prefix accepted by
-    `keep`, in lexicographic order.
+def _normal_form_walk(C: Structure, k: int, keep, swaps) -> Iterator[list[tuple[int, ...]]]:
+    """Every normal-form family of |C| k-sets, in lexicographic order, with
+    every prefix accepted by `keep` and set i above set i-1 at each i in `swaps`.
 
     The walk appends sets depth first and calls `keep(sets)` as soon as a
     set is appended, descending only if it holds.  Each family is yielded
@@ -256,7 +258,8 @@ def _normal_form_walk(C: Structure, k: int, keep) -> Iterator[list[tuple[int, ..
         if len(sets) == C.size:
             yield sets
             return
-        for cand in _normal_form_candidates(sets, k, next_label):
+        cands = _normal_form_candidates(sets, k, next_label)
+        for cand in cands[bisect.bisect(cands, sets[-1]) if len(sets) in swaps else 0:]:
             sets.append(cand)
             if keep(sets):
                 yield from rec(max(next_label, cand[-1] + 1))
@@ -286,7 +289,7 @@ def canonical_families(C: Structure, k: int,
         cells[len(sets):] = [_refine_cells(cells[len(sets) - 1], sets[-1])]
         return cells[-1] is not None
 
-    return map(tuple, _normal_form_walk(C, k, canonical))
+    return map(tuple, _normal_form_walk(C, k, canonical, ()))
 
 
 def enumerate_presentations(C: Structure, k: int,
@@ -300,9 +303,9 @@ def enumerate_presentations(C: Structure, k: int,
         yield Presentation(C, k, sets)
 
 
-def _sample_sets(size: int, k: int, rng: random.Random) -> Iterator[tuple[frozenset, ...]]:
+def _sample_sets(size: int, k: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
     """The families of successive `random_presentation` calls on `rng`, each
-    as frozensets in draw order.  The set-up runs once; a family's draws are
+    as int masks in draw order.  The set-up runs once; a family's draws are
     made when it is read, so `rng` is left as those calls leave it."""
     ground = max(k * size, k)
     pooled = ground <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
@@ -310,25 +313,32 @@ def _sample_sets(size: int, k: int, rng: random.Random) -> Iterator[tuple[frozen
     draws = [(n, n.bit_length()) for n in range(ground, ground - k, -1)]
     full = list(range(ground)) if pooled else None
     while True:
-        chosen: dict[frozenset, None] = {}
+        chosen: dict[int, None] = {}
         while len(chosen) < size:
+            m = 0
             if pooled:  # sample's pool: a drawn slot is refilled from the end
-                pool, picks = full[:], []
+                pool = full[:]
                 for n, b in draws:
                     j = bits(b)
                     while j >= n:
                         j = bits(b)
-                    picks.append(pool[j])
+                    m |= 1 << pool[j]
                     pool[j] = pool[n - 1]
             else:  # sample's rejection method: redraw until k distinct
                 b = draws[0][1]
-                picks = set()
-                while len(picks) < k:
+                while m.bit_count() < k:
                     j = bits(b)
                     if j < ground:
-                        picks.add(j)
-            chosen[frozenset(picks)] = None
+                        m |= 1 << j
+            chosen[m] = None
         yield tuple(chosen)
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The elements of a set given as an int mask, in increasing order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def random_presentation(C: Structure, k: int, rng: random.Random) -> Presentation:
@@ -340,7 +350,7 @@ def random_presentation(C: Structure, k: int, rng: random.Random) -> Presentatio
     seed gives the same sets and `rng` state as a call of `sample` did."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return Presentation(C, k, next(_sample_sets(C.size, k, rng)))
+    return Presentation(C, k, map(_members, next(_sample_sets(C.size, k, rng))))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +390,10 @@ def verify_witness(C: Structure, B: Structure, k: int,
     target with no vertices has a copy in every presentation, the empty
     one included, so the walk stops at its one root candidate.
 
-    The walk also drops a prefix whose last two sets i, i+1 are out of
-    order when swapping vertices i and i+1 is an automorphism of C.  This
-    keeps the verdict and the counterexample, the first leaf X of the
-    unpruned walk: were X's sets i, i+1 out of order at such a swap,
+    The walk also keeps sets i, i+1 in order where swapping vertices i
+    and i+1 is an automorphism of C: it appends at i+1 only a set above
+    set i.  This keeps the verdict and the counterexample, the first leaf
+    X of the unpruned walk: were X's sets i, i+1 out of order at such a swap,
     swapping them and relabelling by first appearance would give another
     counterexample that agrees with X before i and whose set i is
     pointwise at most X's set i+1, which is below X's set i; it would come
@@ -400,7 +410,7 @@ def verify_witness(C: Structure, B: Structure, k: int,
     if B.size == 0:
         return WitnessVerdict(True, None, 1)
 
-    members: list[frozenset] = []
+    members: list[int] = []
     # A copy f with the newest vertex at depth d and an automorphism s of B
     # give the copy f . s^-1, with the same image and that vertex at s(d);
     # the searches read only the image, so only the least depth of each
@@ -409,17 +419,15 @@ def verify_witness(C: Structure, B: Structure, k: int,
     depths = range(B.size)
     pins = [d for d in depths if next(_iter_embedding_maps(
         B, B, None, [(1 << d) - 1 if e == d else None for e in depths]), None) is None]
-    swaps = [embedding_defect(C, C, (*range(i), i + 1, i, *range(i + 2, C.size)))
-             is None for i in range(C.size - 1)]
+    swaps = {i for i in range(1, C.size) if embedding_defect(
+        C, C, (*range(i - 1), i, i - 1, *range(i + 1, C.size))) is None}
     checked = 0
 
     def sunflower_free(sets: list[tuple[int, ...]]) -> bool:
         nonlocal checked
-        i = len(sets)
-        if i >= 2 and swaps[i - 2] and sets[-2] > sets[-1]:
-            return False
         checked += 1
-        new = frozenset(sets[-1])
+        i = len(sets)
+        new = vertex_mask(sets[-1])
         members[i - 1:] = [new]
         if B.size == 1:  # a copy is the newest vertex alone
             classes = {new: ()}
@@ -432,7 +440,7 @@ def verify_witness(C: Structure, B: Structure, k: int,
                 continue
             # only pairs inside the pool can miss the centre, and distinct
             # k-sets through a (k-1)-set meet in exactly that set
-            flt = None if B.size <= 2 or len(centre) == k - 1 else _centre_filter(members)
+            flt = None if B.size <= 2 or centre.bit_count() == k - 1 else _centre_filter(members)
             mask = vertex_mask(pool)
             for d in pins:
                 pools = [1 << (i - 1) if e == d else mask for e in depths]
@@ -440,7 +448,7 @@ def verify_witness(C: Structure, B: Structure, k: int,
                     return False
         return True
 
-    leaf = next(_normal_form_walk(C, k, sunflower_free), None)
+    leaf = next(_normal_form_walk(C, k, sunflower_free, swaps), None)
     if leaf is None:
         return WitnessVerdict(True, None, checked)
     return WitnessVerdict(False, Presentation(C, k, leaf), checked + 1)
@@ -459,9 +467,12 @@ def refute_witness(C: Structure, B: Structure, k: int, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     samples = _sample_sets(C.size, k, random.Random(f"verify-witness|{seed}"))
-    for i, sets in zip(range(trials), samples):
-        if next(_iter_embedding_maps(B, C, _centre_filter(sets)), None) is None:
-            return Presentation(C, k, sets), i + 1
+    sets: list[int] = []
+    flt = _centre_filter(sets)
+    for i, sample in zip(range(trials), samples):
+        sets[:] = sample
+        if next(_iter_embedding_maps(B, C, flt), None) is None:
+            return Presentation(C, k, map(_members, sample)), i + 1
     return None, trials
 
 

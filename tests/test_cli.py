@@ -115,6 +115,24 @@ def test_encode_and_sunflower_check(tmp_path):
     assert certs["count"] >= 1
 
 
+def test_sunflower_check_reads_colours_of_any_size(tmp_path):
+    # colour code 2 * 2**62 + 1 as an int mask would need an exabyte, so a
+    # search on masks of the presentation's sets died with a MemoryError
+    structure = _generated(tmp_path, "--id", "pure-set", "--size", "4", "--seed", "1")
+    certs = {}
+    for big in (2, 2 ** 62):
+        (tmp_path / "col.json").write_text(json.dumps({"values": [0, big, big, 1]}))
+        enc, chk = tmp_path / f"enc{big}", tmp_path / f"chk{big}"
+        assert run(["encode", "--structure", str(structure),
+                    "--colouring", str(tmp_path / "col.json"), "--out", str(enc)]) == 0
+        assert run(["sunflower-check", "--structure", str(structure),
+                    "--presentation", str(enc / "presentation.json"),
+                    "--target", "pure:3", "--out", str(chk)]) == 0
+        certs[big] = read(chk / "certificates.json")["certificates"]
+    assert [c["petals"] for c in certs[2]] == [c["petals"] for c in certs[2 ** 62]] != []
+    assert [c["centre"] for c in certs[2 ** 62]] == [[]] * len(certs[2])
+
+
 def test_hypergraph_roundtrip(tmp_path):
     gen_dir = tmp_path / "h"
     assert run(["hypergraph", "generate", "--n", "2", "--s", "1", "--g", "4",
@@ -532,6 +550,32 @@ def test_gen_rejects_a_parameter_on_a_generator_that_takes_none(tmp_path, capsys
     out = tmp_path / "out"
     assert run(["gen", "--id", name, "--size", "6", "--seed", "4", "--out", str(out)]) == 2
     assert _one_error_line(capsys).startswith(f"error: unknown generator {name!r}")
+    assert not out.exists()
+
+
+GEN = ["gen", "--size", "6", "--seed", "4"]
+VERIFY = ["verify-witness", "--c-size", "4", "--k", "2"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    *[(GEN + ["--id", name], name)
+      for name in ("knfree: 3", "knfree:+3", "knfree:03", "knfree:x", "knfree:")],
+    pytest.param(GEN + ["--id", "knfree:" + "1" * 5000], "knfree:" + "1" * 5000,
+                 id="knfree-5000-digits"),
+    *[(GEN + ["--klass", name], name)
+      for name in ("knfree: 3", "knfree:+3", "knfree:x", "kxh3free", "k+4h3free",
+                   "k04h3free", "k 4h3free")],
+    *[(VERIFY + ["--target", name], name)
+      for name in ("pure:x", "pure:+3", "pure:03", "kn: 3", "kn:x")],
+])
+def test_parameters_must_be_canonical_decimal(tmp_path, capsys, argv, name):
+    # signed, spaced and zero-padded parameters used to exit 0 or 1 with
+    # the structure of the plain number (gen recording the id as given),
+    # and letters or 5,000 digits printed only int()'s own message
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert _one_error_line(capsys) == \
+        f"error: bad parameter in {name!r}: digits only, no sign or leading zero\n"
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from sunlab.ksets import (
     Presentation,
     SunflowerCert,
     _normal_form_candidates,
+    _members,
     _refine_cells,
     _sample_sets,
     canonical_families,
@@ -29,7 +30,14 @@ from sunlab.ksets import (
     verify_witness,
 )
 from sunlab.partitionlab import Colouring, colour_copy_search
-from sunlab.structures import BudgetExceeded, Embedding, Structure
+from sunlab.structures import (
+    BudgetExceeded,
+    Embedding,
+    Structure,
+    _iter_embedding_maps,
+    embedding_defect,
+)
+from test_golden import run_on_clock
 
 
 def fs(*xs):
@@ -97,6 +105,39 @@ def test_find_sunflower_copies_examples():
     assert len(pairs) == 3  # any two distinct sets form a sunflower
 
 
+@st.composite
+def presented_graphs(draw):
+    """A presentation of a graph on at most six vertices on distinct k-sets
+    of a ground set of 2k naturals or more, and a graph target of at most
+    three vertices."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    pairs = list(itertools.combinations(range(n), 2))
+    C = catalog.graph(n, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    ground = range(max(k * n, 2 * k))
+    sets = draw(st.lists(st.frozensets(st.sampled_from(ground), min_size=k, max_size=k),
+                         min_size=n, max_size=n, unique=True))
+    b = draw(st.integers(0, 3))
+    B_pairs = list(itertools.combinations(range(b), 2))
+    B = catalog.graph(b, draw(st.sets(st.sampled_from(B_pairs))) if B_pairs else ())
+    return Presentation(C, k, sets), B
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(presented_graphs())
+def test_find_sunflower_copies_matches_subset_scan(case):
+    # every vertex subset whose sets form a sunflower and that carries an
+    # induced copy of B, against the images of the certificates
+    P, B = case
+    scan = {frozenset(S) for S in itertools.combinations(range(P.base.size), B.size)
+            if sunflower_centre(P.sets[v] for v in S) is not None
+            and any(embedding_defect(B, P.base, f) is None
+                    for f in itertools.permutations(S))}
+    certs = find_sunflower_copies(P, B)
+    assert {frozenset(c.petals) for c in certs} == scan
+    assert len(certs) == len(scan)
+    assert all(verify_sunflower_cert(c, B, P) for c in certs)
+
+
 @pytest.mark.parametrize("limit", [0, -1])
 def test_find_sunflower_copies_rejects_limit_below_one(limit):
     # both used to return one certificate
@@ -148,7 +189,8 @@ def test_one_sampler_draws_what_successive_random_presentations_draw(size, k):
     ours, theirs = random.Random(size * k), random.Random(size * k)
     samples = _sample_sets(size, k, ours)
     for _ in range(30):
-        assert next(samples) == random_presentation(C, k, theirs).sets
+        decoded = tuple(frozenset(_members(m)) for m in next(samples))
+        assert decoded == random_presentation(C, k, theirs).sets
         assert ours.getstate() == theirs.getstate()
 
 
@@ -447,6 +489,55 @@ def _sampled_refutation(C, B, k, trials, seed):
     return None, trials
 
 
+def _frozenset_centre_filter(sets):
+    """The sunflower filter on frozensets, with the centre kept per pair of
+    first two images."""
+    first = second = centre = None
+
+    def flt(depth, v, partial):
+        nonlocal first, second, centre
+        if depth < 2:
+            return True
+        if depth == 2 and (partial[0] != first or partial[1] != second):
+            first, second = partial
+            centre = sets[first] & sets[second]
+        s = sets[v]
+        return all(sets[u] & s == centre for u in partial)
+
+    return flt
+
+
+def _frozenset_refutation(C, B, k, trials, seed):
+    """`refute_witness` on frozenset k-sets drawn by `rng.sample`, one
+    filter per sample: (counterexample sets or None, samples drawn)."""
+    rng = random.Random(f"verify-witness|{seed}")
+    for i in range(trials):
+        sets = tuple(sampled_presentation(C, k, rng))
+        if next(_iter_embedding_maps(B, C, _frozenset_centre_filter(sets)), None) is None:
+            return sets, i + 1
+    return None, trials
+
+
+# ground 20 and 21 take sample's pool, 22 its rejection branch, and k = 6
+# crosses the wider pool threshold between sizes 14 and 15
+@pytest.mark.parametrize("C, B, k, trials", [
+    (catalog.pure_set(10), catalog.pure_set(5), 2, 20),
+    (catalog.pure_set(11), catalog.pure_set(5), 2, 20),
+    (catalog.pure_set(14), catalog.pure_set(5), 6, 20),
+    (catalog.pure_set(15), catalog.pure_set(5), 6, 20),
+    (_k6_minus_edge(), catalog.complete_graph(3), 2, 100),
+    (_k6_minus_edge(), catalog.complete_graph(3), 4, 5),
+])
+def test_refute_witness_matches_frozenset_oracle(C, B, k, trials):
+    outcomes = Counter()
+    for seed in range(50):
+        P, drawn = refute_witness(C, B, k, trials, seed)
+        sets = None if P is None else P.sets
+        assert (sets, drawn) == _frozenset_refutation(C, B, k, trials, seed)
+        outcomes[P is None] += 1
+    assert len(outcomes) == 2  # some seeds refute C and some do not
+
+
 # pure 11/4 at k = 2 has ground 22, so its samples take `sample`'s
 # rejection branch; `failing` counts the seeds that refute C
 @pytest.mark.parametrize("C, B, k, trials, seeds, failing", [
@@ -601,6 +692,15 @@ def test_swap_rule_keeps_verdict_and_counterexample(label, C, B, k, budget):
     full = _rebuild_verify(C, B, k, budget, swap_rule=False)
     assert (pruned[0], pruned[2]) == (full[0], full[2])
     assert pruned[1] <= full[1]
+
+
+def test_pure_11_4_walk_finishes_on_its_clock():
+    # the walk's per-node cost on a pure-set witness: the run gets 5 s in
+    # its own interpreter, about ten times what it needs on 2 vCPUs
+    run_on_clock("from sunlab import catalog, ksets\n"
+                 "v = ksets.verify_witness(catalog.pure_set(11), catalog.pure_set(4), 2,\n"
+                 "                         ground_budget=22)\n"
+                 "assert v.passed and v.checked == 19406, v\n", 5)
 
 
 @st.composite
