@@ -26,10 +26,9 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, catalog, jsonio
+from . import __version__, catalog, jsonio, ksets, ramsey, structures
 from .generators import NoAdmissibleExtension, gen_generic, gen_named
 from .ksets import (
-    DEFAULT_GROUND_BUDGET,
     canonical_families,
     encode_colouring,
     find_sunflower_copies,
@@ -228,8 +227,8 @@ def _cmd_enumerate(run: _Run, args) -> int:
 
 def _cmd_verify_witness(run: _Run, args) -> int:
     exhaustive = args.mode == "exhaustive"
-    name, default, unread = (("budget", DEFAULT_GROUND_BUDGET, ("trials", "seed")) if exhaustive
-                             else ("trials", 1000, ("budget",)))
+    name, default, unread = (("budget", ksets.DEFAULT_GROUND_BUDGET, ("trials", "seed"))
+                             if exhaustive else ("trials", 1000, ("budget",)))
     _reject_unread(args, unread, f"{args.mode} mode")
     setattr(args, name, run.params.setdefault(name, default))
     if args.b_size is not None:
@@ -405,7 +404,7 @@ def _command_table() -> dict:
         one.add_argument("--structure")
         one.add_argument("--size", type=int, help="pure-set size shortcut")
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--budget", type=int, default=DEFAULT_GROUND_BUDGET)
+        p.add_argument("--budget", type=int, default=ksets.DEFAULT_GROUND_BUDGET)
 
     def verify_witness_args(p):
         one = p.add_mutually_exclusive_group(required=True)
@@ -419,7 +418,7 @@ def _command_table() -> dict:
         p.add_argument("--trials", type=int, help="random mode only (default 1000)")
         p.add_argument("--seed", type=int, help="random mode only")
         p.add_argument("--budget", type=int,
-                       help=f"exhaustive mode only (default {DEFAULT_GROUND_BUDGET})")
+                       help=f"exhaustive mode only (default {ksets.DEFAULT_GROUND_BUDGET})")
 
     def generate_args(p):
         p.add_argument("--n", type=int, required=True)
@@ -435,7 +434,8 @@ def _command_table() -> dict:
     def adversary_args(p):
         p.add_argument("--input", required=True)
         p.add_argument("--s", type=int, default=1)
-        p.add_argument("--budget", type=int, default=10 ** 6, help="search nodes")
+        p.add_argument("--budget", type=int, default=ramsey.DEFAULT_ADVERSARY_BUDGET,
+                       help="search nodes")
 
     def paste_args(p):
         p.add_argument("--hypergraph", required=True)
@@ -468,7 +468,7 @@ def _command_table() -> dict:
     def check_3dap_args(p):
         p.add_argument("--klass", "--class", dest="klass", required=True)
         p.add_argument("--bound", type=int, required=True)
-        p.add_argument("--budget", type=int, default=1 << 20)
+        p.add_argument("--budget", type=int, default=structures.DEFAULT_3DAP_BUDGET)
 
     return {
         "gen": (_cmd_gen, gen_args, "generate a named or class-generic structure"),

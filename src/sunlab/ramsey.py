@@ -118,34 +118,32 @@ def suitable_params(n: int, a1: Fraction) -> SuitableParams:
 
     epsilon is the largest 1/2^t with (1 - n*epsilon)^n > 1 - a1; a0 is
     half the leading coefficient epsilon^n/n! of binom(x*epsilon, n), and
-    c_min is found by exact upward search from the point where every
-    factor of the falling product is positive and increasing, so the
-    inequality holds for all larger c as well.
+    c_min is found by exact search above the point where every factor of
+    the falling product is positive and increasing, so the inequality
+    holds for all larger c as well.  An a1 too small for any t <= 64
+    raises BudgetExceeded.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     a1 = Fraction(a1)
     if not (0 < a1 < 1):
         raise ValueError("a1 must lie strictly between 0 and 1")
-    t = 1
-    while True:
+    for t in range(1, 65):
         eps = Fraction(1, 2 ** t)
         if (1 - n * eps) > 0 and (1 - n * eps) ** n > 1 - a1:
             break
-        t += 1
-        if t > 64:
-            raise RuntimeError("no admissible epsilon of the form 1/2^t found")
+    else:
+        raise BudgetExceeded("no admissible epsilon of the form 1/2^t found")
     a0 = eps ** n / (2 * math.factorial(n))
 
     def holds(c: int) -> bool:
         return falling_binomial(c * eps, n) - a0 * Fraction(c) ** n > 0
 
-    # Below the threshold every factor of the falling product is positive
-    # and increasing in c, so the inequality is monotone there: gallop for
-    # an upper bracket, then bisect for the exact least c.
-    lo = (n - 1) * eps.denominator // eps.numerator + 1
-    if holds(lo):
-        return SuitableParams(n, a1, eps, a0, lo)
+    # Above c = (n-1)/eps every factor of the falling product is positive
+    # and increasing in c, so the inequality is monotone there; at that c
+    # one factor is zero, so it fails.  Gallop for an upper bracket, then
+    # bisect for the exact least c.
+    lo = (n - 1) * eps.denominator
     hi = lo + 1
     while not holds(hi):
         hi = 2 * hi
@@ -328,15 +326,13 @@ def hypergraph_girth(H: PartitionedHypergraph, cap: Optional[int] = None):
 
 def default_epsilon(g: int) -> Fraction:
     """The largest 1/2^t strictly below 1/g."""
-    t = 1
-    while Fraction(1, 2 ** t) >= Fraction(1, g):
-        t += 1
-    return Fraction(1, 2 ** t)
+    return Fraction(1, 2 ** g.bit_length())
 
 
 _CHUNK = 4096  # draws per randbytes call, so memory stays 32 KB
 _MAX_ATTEMPTS = 10  # seeded attempts per generation run
-_C_CAP = 32  # the largest default part size
+_C_CAP = 32  # the default part size
+DEFAULT_ADVERSARY_BUDGET = 10 ** 6  # search nodes of witness_adversary
 
 
 def _draws_below(rng: random.Random, total: int, p: float) -> list[int]:
@@ -393,10 +389,12 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
     restarting (`_cycle_indices`); it stops once the attempt has removed as
     many edges as the best one so far.
 
-    The theory certifies success only for part sizes far beyond desk
-    scale, so c is chosen as the first power of two from 4 whose failure
-    bound drops below 1/2, capped at `_C_CAP`; the metadata
-    records whether the bound actually certifies the instance.
+    The part size is `c_override` if given, else `_C_CAP`.  The theory
+    certifies success only for part sizes far beyond desk scale, and the
+    metadata records whether the failure bound certifies the instance.  At
+    4 <= c <= 32 it never does: a <= 1/64 and eps <= 1/4 give
+    a*c^(1+eps) <= 1.19, while the positive terms of the log bound are at
+    least 17*ln 4.
 
     Ending with no edges is an error after retries, never silent.  A
     removal count reaching c is also retried (the asymptotic regime keeps
@@ -409,22 +407,11 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
     eps = default_epsilon(g)
     sp = suitable_params(n, Fraction(1, 2 * s))
     a = min(sp.a0, Fraction(1, 2))
-
-    def certifies(params: GenParams) -> bool:
-        return failure_bound(params, a) < 0.5 and params.c >= sp.c_min
-
-    if c_override is not None:
-        try:
-            params = GenParams(n, s, g, eps, c_override)
-        except ValueError:
-            raise ValueError("c_override makes the edge probability >= 1/2") from None
-    else:
-        # every size tried is admissible: n >= 2 and eps <= 1/4 give
-        # p <= 4^(-3/4) < 1/2 at c = 4, and p falls as c grows
-        params = GenParams(n, s, g, eps, 4)
-        while not certifies(params) and 2 * params.c <= _C_CAP:
-            params = GenParams(n, s, g, eps, 2 * params.c)
-    certified = certifies(params)
+    try:
+        params = GenParams(n, s, g, eps, _C_CAP if c_override is None else c_override)
+    except ValueError:
+        raise ValueError("c_override makes the edge probability >= 1/2") from None
+    certified = params.c >= sp.c_min and failure_bound(params, a) < 0.5
 
     c = params.c
     p_float = float(params.p)
@@ -452,7 +439,7 @@ def gen_witness_hypergraph(n: int, s: int, g: int, seed: int,
             "epsilon": str(eps), "c": c, "p": str(params.p),
             "removed_edges": removed, "edge_count": len(edges),
             "removal_budget_met": removed < c,
-            "bound_certified": bool(certified),
+            "bound_certified": certified,
             "a0": str(sp.a0), "c_min": sp.c_min,
             "log_failure_bound": log_failure_bound(params, a),
         }
@@ -543,7 +530,7 @@ def _blocks(labels) -> list[list[int]]:
     return [blocks[b] for b in sorted(blocks)]
 
 
-def witness_adversary(H: PartitionedHypergraph, s: int, budget: int = 10 ** 6):
+def witness_adversary(H: PartitionedHypergraph, s: int, budget: int = DEFAULT_ADVERSARY_BUDGET):
     """Search s-tuples of vertex partitions defeating the dichotomy.
 
     Colourings only matter through their kernels, so this is _partition_search

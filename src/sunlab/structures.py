@@ -844,6 +844,8 @@ def enumerate_class_members(K: ClassSpec, max_size: int) -> list[Structure]:
 # ---------------------------------------------------------------------------
 # Disjoint 3-amalgamation over the empty base
 
+DEFAULT_3DAP_BUDGET = 1 << 20  # cap on the pair amalgams or completions listed at once
+
 
 class ThreeDapFamily:
     """A 3-disjoint family over the empty base: three structures plus, for
@@ -962,7 +964,7 @@ def _splittings(F: Structure) -> list[tuple[Structure, ...]]:
 
 
 def check_3dap_over_empty(K: ClassSpec, size_bound: int,
-                          budget: int = 1 << 20) -> ThreeDapReport:
+                          budget: int = DEFAULT_3DAP_BUDGET) -> ThreeDapReport:
     """Exhaustively test the disjoint 3-amalgamation property over the empty
     base for families with sides of at most `size_bound` vertices.
 

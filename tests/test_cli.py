@@ -381,6 +381,20 @@ def test_budget_raised_inside_a_command_prints_one_error_line(tmp_path, capsys,
     assert _failed_run(tmp_path, capsys, "gen", 3) == "error: over budget\n"
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["hypergraph", "generate", "--n", "2", "--s", str(10 ** 20), "--seed", "1"],
+     "hypergraph-generate"),
+    (["build-witness", "--klass", "graphs", "--target", "k2", "--k", "3", "--seed", "1"],
+     "build-witness")], ids=["huge-s", "build-witness-k3"])
+def test_no_admissible_epsilon_is_a_budget_exit(tmp_path, capsys, argv, command):
+    # an s so large that no epsilon down to 1/2^64 qualifies; level 3 of a
+    # chain needs s = 3^|level 2| colourings.  Both used to end in a
+    # RuntimeError traceback with exit 1 and no manifest
+    assert run(argv + ["--out", str(tmp_path)]) == 3
+    assert _failed_run(tmp_path, capsys, command, 3) == (
+        "error: no admissible epsilon of the form 1/2^t found\n")
+
+
 def test_partition_counts_its_bases_before_the_walk(tmp_path, capsys, monkeypatch):
     # the README structure: blocks of 164 and 36 vertices have 14,198 bases
     # at bound 2 and 743,102 at bound 3, which used to run for minutes
@@ -959,6 +973,8 @@ def _hypergraph_file(tmp_path) -> str:
      "and c >= 1"),
     (["hypergraph", "generate", "--n", "2", "--c", "-3", "--seed", "1"],
      "and c >= 1"),
+    (["hypergraph", "generate", "--n", "2", "--c", "1", "--seed", "1"],
+     "c_override makes the edge probability >= 1/2"),
     (["build-witness", "--klass", "graphs", "--target", "k2", "--k", "2",
       "--seed", "1", "--c", "0"], "and c >= 1"),
     (["hypergraph", "generate", "--n", "2", "--seed", "3", "--c-cap", "2"],
@@ -977,7 +993,7 @@ def _hypergraph_file(tmp_path) -> str:
      "sunlab: error: unrecognized arguments: --mode random"),
     (["hypergraph", "adversary", "--input", "{h}", "--trials", "5"],
      "sunlab: error: unrecognized arguments: --trials 5")],
-    ids=["generate-without-n", "c-zero", "c-negative", "build-witness-c-zero",
+    ids=["generate-without-n", "c-zero", "c-negative", "c-one", "build-witness-c-zero",
          "c-cap", "build-witness-c-cap", "girth-cap-1",
          "girth-cap-negative", "adversary-budget-zero", "adversary-budget-negative",
          "adversary-s-zero", "adversary-s-negative", "adversary-mode", "adversary-trials"])

@@ -163,6 +163,18 @@ def test_genparams_probability_constraint():
     assert abs(float(p) - 4.0 ** (-15 / 8)) < 1e-9
 
 
+def test_no_desk_scale_part_size_certifies():
+    # generation takes the part size _C_CAP = 32 because no power of two up
+    # to it brings the failure bound below 1/2; should that change, the
+    # default part size needs revisiting
+    for n in range(2, 9):
+        for s in (1, 2, 3, 8, 1024):
+            a = min(suitable_params(n, Fraction(1, 2 * s)).a0, Fraction(1, 2))
+            for g in range(2, 11):
+                for c in (4, 8, 16, 32):
+                    assert failure_bound(GenParams(n, s, g, default_epsilon(g), c), a) >= 0.5
+
+
 def potential_cycle_count(num_vertices: int, n: int, m: int) -> int:
     """Sequences v0 e0 ... v_{m-1} e_{m-1} with distinct vertices and each
     e_i an n-set containing {v_i, v_{i+1}} (edges may repeat): the

@@ -223,6 +223,16 @@ def test_are_isomorphic():
     assert ident.map == (0, 1, 2, 3)
 
 
+def test_are_isomorphic_decides_what_colour_refinement_cannot_split():
+    # C6 and two disjoint triangles are both 2-regular, so every vertex keeps
+    # one colour and the embedding search has to rule out an isomorphism
+    c6 = catalog.cycle_graph(6)
+    triangles = catalog.graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert _colour_pools(c6, triangles) == [0b111111] * 6
+    assert are_isomorphic(c6, triangles) is None
+    assert are_isomorphic(triangles, c6) is None
+
+
 # Every distinct signature of the catalog, pure sets included.
 SIGNATURES = sorted({getattr(catalog, n) for n in dir(catalog) if n.endswith("_SIG")},
                     key=repr)
