@@ -6,7 +6,6 @@ from .structures import (
     BudgetExceeded,
     ClassSpec,
     Embedding,
-    MalformedEmbedding,
     QfType,
     Signature,
     SignatureMismatch,

@@ -122,9 +122,6 @@ def _window_forbidden(sig: Signature, is_valid: Callable[[Structure], bool]) -> 
                 if m == max_arity and arity == max_arity and len(set(t)) != arity:
                     continue  # repeats at top size are caught by smaller windows
                 slots.append((name, t))
-        spanning = [s for s in slots if len(set(s[1])) == m]
-        if not spanning:
-            continue
         for r in range(1, len(slots) + 1):
             for chosen in itertools.combinations(slots, r):
                 if not any(len(set(t)) == m for _, t in chosen) or frozenset(chosen) in seen:

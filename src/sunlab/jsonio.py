@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional
 
 from .ksets import Presentation, SunflowerCert
 from .partitionlab import Colouring, Partition, PartitionReport
@@ -176,9 +175,8 @@ def cert_to_json(cert: SunflowerCert) -> dict:
 
 
 def cert_from_json(data, B: Structure, base: Structure) -> SunflowerCert:
-    iso = Embedding(B, base, _ints(data["iso"], 1), validate=False)
-    return SunflowerCert(_ints(data["petals"], 1), _ints(data["centre"], 1), iso,
-                         data.get("degenerate", False))
+    iso = Embedding(B, base, _ints(data["iso"], 1))
+    return SunflowerCert(_ints(data["petals"], 1), _ints(data["centre"], 1), iso)
 
 
 def hypergraph_to_json(H: PartitionedHypergraph) -> dict:

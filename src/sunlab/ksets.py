@@ -115,14 +115,18 @@ class SunflowerCert:
     """A verifiable sunflower copy: petal vertices of a presentation, the
     centre, and an embedding of the target onto the petal substructure."""
 
-    __slots__ = ("petals", "centre", "iso", "degenerate")
+    __slots__ = ("petals", "centre", "iso")
 
-    def __init__(self, petals: Iterable[int], centre: Iterable[int],
-                 iso: Embedding, degenerate: bool = False):
+    def __init__(self, petals: Iterable[int], centre: Iterable[int], iso: Embedding):
         self.petals = tuple(petals)
         self.centre = frozenset(centre)
         self.iso = iso
-        self.degenerate = degenerate
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the copy has fewer than two petals, so that no pair of
+        sets fixes its centre."""
+        return len(self.petals) < 2
 
     def __repr__(self):
         return f"SunflowerCert(petals={self.petals}, centre={sorted(self.centre)})"
@@ -170,8 +174,7 @@ def find_sunflower_copies(P: Presentation, B: Structure,
             continue
         seen.add(image)
         centre = sets[vmap[0]] & sets[vmap[1]] if len(vmap) >= 2 else frozenset()
-        iso = Embedding(B, P.base, vmap, validate=False)
-        out.append(SunflowerCert(vmap, centre, iso, degenerate=len(vmap) < 2))
+        out.append(SunflowerCert(vmap, centre, Embedding(B, P.base, vmap)))
         if limit is not None and len(out) >= limit:
             break
     return out
@@ -418,7 +421,7 @@ def verify_witness(C: Structure, B: Structure, k: int,
     # automorphism) sends lower.
     depths = range(B.size)
     pins = [d for d in depths if next(_iter_embedding_maps(
-        B, B, None, [(1 << d) - 1 if e == d else None for e in depths]), None) is None]
+        B, B, None, [(1 << d) - 1 if e == d else -1 for e in depths]), None) is None]
     swaps = {i for i in range(1, C.size) if embedding_defect(
         C, C, (*range(i - 1), i, i - 1, *range(i + 1, C.size))) is None}
     checked = 0

@@ -328,7 +328,7 @@ def min_embedding_colouring(S: Structure, A: Structure, p: QfType) -> MinColouri
     values = [sentinel] * S.size
     left = (1 << S.size) - 1
     for i, f in enumerate(embs):
-        for v in _realisers(T, S, [f.map[j] for j in p.parameters], left):
+        for v in _realisers(T, S, [f[j] for j in p.parameters], left):
             values[v] = i
             left ^= 1 << v
         if not left:

@@ -30,10 +30,6 @@ class SignatureMismatch(ValueError):
     """Two structures that should share a signature do not."""
 
 
-class MalformedEmbedding(ValueError):
-    """A vertex map that is not an induced embedding."""
-
-
 class BudgetExceeded(RuntimeError):
     """An exhaustive enumeration was asked to exceed its configured budget."""
 
@@ -182,30 +178,16 @@ def _check_tuples(name: str, arity: int, tuples: Iterable[tuple], size: int) -> 
 
 
 class Embedding:
-    """An injective vertex map carrying one structure into another, induced:
-    a tuple holds on the image iff it holds on the source."""
+    """The map record of a sunflower certificate: a vertex map, source
+    vertex i to target vertex map[i].  It is not validated here;
+    embedding_defect checks it, as verify_sunflower_cert does."""
 
     __slots__ = ("source", "target", "map")
 
-    def __init__(self, source: Structure, target: Structure,
-                 vertex_map: Iterable[int], validate: bool = True):
+    def __init__(self, source: Structure, target: Structure, vertex_map: Iterable[int]):
         self.source = source
         self.target = target
-        self.map = tuple(int(x) for x in vertex_map)
-        if validate:
-            problem = embedding_defect(source, target, self.map)
-            if problem:
-                raise MalformedEmbedding(problem)
-
-    def __call__(self, v: int) -> int:
-        return self.map[v]
-
-    def __eq__(self, other):
-        return (isinstance(other, Embedding) and self.map == other.map
-                and self.source == other.source and self.target == other.target)
-
-    def __hash__(self):
-        return hash((self.map, self.source, self.target))
+        self.map = tuple(vertex_map)
 
     def __repr__(self):
         return f"Embedding({self.map})"
@@ -299,14 +281,15 @@ def _diagram(S: Structure, at: Sequence[int]) -> frozenset:
 
 def _iter_embedding_maps(A: Structure, B: Structure,
                          candidate_filter: Optional[CandidateFilter] = None,
-                         candidates: Optional[Sequence[Optional[int]]] = None,
+                         candidates: Optional[Sequence[int]] = None,
                          ) -> Iterator[tuple[int, ...]]:
     """Backtracking search for induced embeddings of A in B.
 
     Yields image tuples in lexicographic order.  A-vertices are mapped in
-    index order; `candidates[depth]`, a bitmask of B-vertices or None for
-    all of them, restricts the pool outright.  Callers build each mask
-    once, where their data is grouped.
+    index order; `candidates`, if given, holds one int bitmask of
+    B-vertices per depth, -1 for any vertex (None is not accepted as an
+    entry), and restricts that depth's pool outright.  Callers build each
+    mask once, where their data is grouped.
 
     The search is one generator frame with an explicit stack: per placed
     depth, the mask of candidates still to try, beside a `free` mask of
@@ -346,9 +329,10 @@ def _iter_embedding_maps(A: Structure, B: Structure,
     adj_bits = _adjacency_bits(B)
     b_rel = B.relations
     last = nA - 1
+    pools = [-1] * nA if candidates is None else candidates
     free = (1 << B.size) - 1
     partial: list[int] = []
-    stack = [free if candidates is None or candidates[0] is None else free & candidates[0]]
+    stack = [free & pools[0]]
     while stack:
         m = stack[-1]
         if not m:
@@ -364,9 +348,7 @@ def _iter_embedding_maps(A: Structure, B: Structure,
             continue
         partial.append(v)
         if depth != last:
-            nxt = free ^ low
-            if candidates is not None and candidates[depth + 1] is not None:
-                nxt &= candidates[depth + 1]
+            nxt = (free ^ low) & pools[depth + 1]
             for u in src[depth + 1][1]:
                 nxt &= adj_bits[partial[u]]
             if not nxt:
@@ -386,21 +368,21 @@ def _iter_embedding_maps(A: Structure, B: Structure,
 
 
 def find_embeddings(A: Structure, B: Structure,
-                    limit: Optional[int] = None) -> list[Embedding]:
-    """All induced embeddings of A into B, lexicographic on the image
-    sequence, truncated at `limit` (None means unlimited)."""
+                    limit: Optional[int] = None) -> list[tuple[int, ...]]:
+    """The image tuples of all induced embeddings of A into B, in
+    lexicographic order, truncated at `limit` (None means unlimited)."""
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    return [Embedding(A, B, vmap, validate=False)
-            for vmap in itertools.islice(_iter_embedding_maps(A, B), limit)]
+    return list(itertools.islice(_iter_embedding_maps(A, B), limit))
 
 
 def embeds(A: Structure, B: Structure) -> bool:
-    return bool(find_embeddings(A, B, limit=1))
+    return next(_iter_embedding_maps(A, B), None) is not None
 
 
-def are_isomorphic(A: Structure, B: Structure) -> Optional[Embedding]:
-    """A bijective induced embedding A -> B if one exists, else None.
+def are_isomorphic(A: Structure, B: Structure) -> Optional[tuple[int, ...]]:
+    """The image tuple of a bijective induced embedding A -> B if one
+    exists, else None.
 
     Deterministic: returns the lexicographically least isomorphism (on the
     image sequence), so the identity when A == B.  The search maps each
@@ -410,13 +392,11 @@ def are_isomorphic(A: Structure, B: Structure) -> Optional[Embedding]:
     if A.signature != B.signature:
         raise SignatureMismatch("isomorphism test needs matching signatures")
     if A == B:
-        return Embedding(A, B, range(A.size), validate=False)
+        return tuple(range(A.size))
     pools = _colour_pools(A, B)
     if pools is None:
         return None
-    for vmap in _iter_embedding_maps(A, B, candidates=pools):
-        return Embedding(A, B, vmap, validate=False)
-    return None
+    return next(_iter_embedding_maps(A, B, candidates=pools), None)
 
 
 def _colour_pools(A: Structure, B: Structure) -> Optional[list[int]]:
@@ -474,11 +454,11 @@ def colour_classes(vertices: Iterable[int], colour: Sequence[int],
     return [vertex_mask(c) for c in classes.values() if len(c) >= min_size]
 
 
-def automorphisms(S: Structure) -> list[Embedding]:
-    """All automorphisms, each vertex mapped into its stable colour class
-    (_colour_pools), in lexicographic order (for small dedup work only)."""
-    return [Embedding(S, S, m, validate=False)
-            for m in _iter_embedding_maps(S, S, candidates=_colour_pools(S, S))]
+def automorphisms(S: Structure) -> list[tuple[int, ...]]:
+    """All automorphisms as image tuples, each vertex mapped into its stable
+    colour class (_colour_pools), in lexicographic order (for small dedup
+    work only)."""
+    return list(_iter_embedding_maps(S, S, candidates=_colour_pools(S, S)))
 
 
 _CANON_MAX = 9
@@ -560,7 +540,7 @@ def satisfies_class_at(S: Structure, K: ClassSpec, v: int) -> bool:
         raise SignatureMismatch("structure/class signature mismatch")
     for F in K.forbidden:
         for anchor in range(F.size):
-            pools = [1 << v if d == anchor else None for d in range(F.size)]
+            pools = [1 << v if d == anchor else -1 for d in range(F.size)]
             for _ in _iter_embedding_maps(F, S, candidates=pools):
                 return False
     return True
@@ -637,12 +617,11 @@ def _with_point(S: Structure, A: Sequence[int], positives: Iterable[tuple]) -> S
     return Structure(S.signature, b + 1)._grown(b + 1, [*_diagram(S, A), *point])
 
 
-def _realisers(T: Structure, S: Structure, A: Sequence[int],
-               pool: Optional[int]) -> Iterator[int]:
-    """The vertices of the mask `pool` (None for all) outside A that realise
-    T's last vertex over A, ascending: the last images of one kernel search
-    of T in S, depth j pinned to A[j], where T's other vertices have A's
-    diagram, as _with_point builds it."""
+def _realisers(T: Structure, S: Structure, A: Sequence[int], pool: int) -> Iterator[int]:
+    """The vertices of the int mask `pool` (-1 for any vertex; None is not
+    accepted) outside A that realise T's last vertex over A, ascending: the
+    last images of one kernel search of T in S, depth j pinned to A[j],
+    where T's other vertices have A's diagram, as _with_point builds it."""
     for m in _iter_embedding_maps(T, S, candidates=[1 << a for a in A] + [pool]):
         yield m[-1]
 
@@ -658,7 +637,7 @@ def realisation_set(S: Structure, params: Iterable[int], p: QfType) -> list[int]
         raise ValueError("vertex out of range")
     if len(set(A)) != b:
         raise ValueError("parameters must not repeat")
-    return list(_realisers(_with_point(S, A, p.positives), S, A, None))
+    return list(_realisers(_with_point(S, A, p.positives), S, A, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +782,7 @@ def _pinned_copy(T: Structure, chosen: Sequence[tuple], K: ClassSpec) -> bool:
                 for G in support_pins(F)[key]:
                     searches[G, pool] = pool.bit_count()
     for (G, pool), m in searches.items():
-        for _ in _iter_embedding_maps(G, T, candidates=[pool] * m + [None] * (G.size - m)):
+        for _ in _iter_embedding_maps(G, T, candidates=[pool] * m + [-1] * (G.size - m)):
             return True
     return False
 
@@ -904,7 +883,7 @@ def _pair_amalgams(A: Structure, B: Structure, K: ClassSpec,
             grown.extend((chosen + more, T) for more, T in _completions(base, free, K))
         members = grown
 
-    auts = [pa.map + tuple(x + na for x in pb.map)
+    auts = [pa + tuple(x + na for x in pb)
             for pa in automorphisms(A) for pb in automorphisms(B)]
 
     def key(chosen, perm):

@@ -38,7 +38,6 @@ from .structures import (
     colour_classes,
     embedding_defect,
     enumerate_class_members,
-    find_embeddings,
     qf_type,
     satisfies_class,
     vertex_mask,
@@ -268,7 +267,7 @@ def extract_sunflower(chain: WitnessChain, P: Presentation,
         iso = are_isomorphic(C, P.base)
         if iso is None:
             raise ValueError("presentation base is not isomorphic to the level")
-        parts = parts and [[iso.map[v] for v in part] for part in parts]
+        parts = parts and [[iso[v] for v in part] for part in parts]
 
     B = chain.target
     steps: list[TraceStep] = []
@@ -290,13 +289,11 @@ def _extract(chain: WitnessChain, P: Presentation, level: int,
     """`parts` are the level's parts as vertex lists of P.base."""
     B = chain.target
     if level == 1:
-        embs = find_embeddings(B, P.base, limit=1)
-        if not embs:
+        petals = next(_iter_embedding_maps(B, P.base), None)
+        if petals is None:
             return None
-        petals = embs[0].map
         steps.append(TraceStep(1, "base", copy=petals))
-        return SunflowerCert(petals, frozenset(), embs[0],
-                             degenerate=len(petals) < 2)
+        return SunflowerCert(petals, frozenset(), Embedding(B, P.base, petals))
 
     D = chain.levels[level - 2].structure
     n = D.size
@@ -322,9 +319,7 @@ def _extract(chain: WitnessChain, P: Presentation, level: int,
                 steps.pop()
                 continue
             petals = tuple(vmap[x] for x in rec.petals)
-            emb = Embedding(B, P.base, petals, validate=False)
-            return SunflowerCert(petals, rec.centre | {shared}, emb,
-                                 degenerate=rec.degenerate)
+            return SunflowerCert(petals, rec.centre | {shared}, Embedding(B, P.base, petals))
 
     part_of = [0] * P.base.size
     for i, part in enumerate(parts):
@@ -334,9 +329,7 @@ def _extract(chain: WitnessChain, P: Presentation, level: int,
     if vmap is not None:
         for bmap in _iter_embedding_maps(B, P.base, candidates=[vertex_mask(vmap)] * B.size):
             steps.append(TraceStep(level, "transversal", copy=vmap))
-            emb = Embedding(B, P.base, bmap, validate=False)
-            return SunflowerCert(bmap, frozenset(), emb,
-                                 degenerate=len(bmap) < 2)
+            return SunflowerCert(bmap, frozenset(), Embedding(B, P.base, bmap))
     return None
 
 

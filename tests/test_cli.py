@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sunlab import jsonio
+from sunlab import catalog, jsonio
 from sunlab.cli import COMMANDS, build_parser, run
 from sunlab.ramsey import PartitionedHypergraph, is_counterexample_tuple
 
@@ -69,6 +69,19 @@ def test_enumerate_presentations(tmp_path):
 def test_enumerate_budget_exit(tmp_path):
     assert run(["enumerate-presentations", "--size", "30", "--k", "2",
                 "--out", str(tmp_path)]) == 3
+
+
+def test_enumerate_presentations_reads_a_structure_file(tmp_path):
+    # a family ignores the relations, so P3 has the families of the 3-set
+    p3 = tmp_path / "p3.json"
+    p3.write_text(json.dumps(jsonio.structure_to_json(catalog.path_graph(3))))
+    assert run(["enumerate-presentations", "--structure", str(p3), "--k", "2",
+                "--out", str(tmp_path / "file")]) == 0
+    assert run(["enumerate-presentations", "--size", "3", "--k", "2",
+                "--out", str(tmp_path / "size")]) == 0
+    families = read(tmp_path / "file" / "presentations.json")
+    assert families["count"] == 9
+    assert families == read(tmp_path / "size" / "presentations.json")
 
 
 def test_partition_command(tmp_path):
@@ -1456,4 +1469,45 @@ def test_an_object_where_a_list_belongs_is_a_usage_error(tmp_path, capsys, argv)
     out = tmp_path / "out"
     assert run(args + ["--out", str(out)]) == 2
     assert "expected a JSON list, got {}" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def _usage_inputs(tmp_path) -> dict:
+    """Input files by name: a 12-vertex triangle-free graph, a hypergraph
+    with 3-vertex edges, K3 as a pattern and a type over its vertices."""
+    assert run(["hypergraph", "generate", "--n", "3", "--c", "3", "--seed", "1",
+                "--out", str(tmp_path / "h")]) == 0
+    files = {"graph": _generated(tmp_path, "--id", "knfree:3", "--size", "12", "--seed", "1"),
+             "hypergraph": tmp_path / "h" / "hypergraph.json",
+             "k3": tmp_path / "k3.json", "type": tmp_path / "type.json"}
+    files["k3"].write_text(json.dumps(jsonio.structure_to_json(catalog.complete_graph(3))))
+    files["type"].write_text(json.dumps({"parameters": [0, 1, 2], "positives": []}))
+    return files
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build-witness", "--klass", "graphs", "--target", "k2", "--k", "0", "--seed", "1"],
+     "k must be >= 1"),
+    (["enumerate-presentations", "--size", "3", "--k", "0"], "k must be >= 1"),
+    (["verify-witness", "--b-size", "3", "--c-size", "5", "--k", "0", "--mode", "random"],
+     "k must be >= 1"),
+    (["check-3dap", "--klass", "graphs", "--bound", "0"], "size_bound must be >= 1"),
+    (["partition", "--structure", "{graph}", "--scheme", "neighbourhood", "--anchor", "999"],
+     "anchor out of range"),
+    (["partition", "--structure", "{graph}", "--scheme", "neighbourhood", "--anchor", "0",
+      "--klass", "pure"], "structure/class signature mismatch"),
+    (["paste", "--hypergraph", "{hypergraph}", "--target", "k3", "--klass", "knfree:3"],
+     "target is not in the class"),
+    (["paste", "--hypergraph", "{hypergraph}", "--target", "hyperedge3", "--klass", "graphs"],
+     "target and class signatures differ"),
+    (["min-colouring", "--structure", "{graph}", "--pattern", "{k3}", "--type", "{type}"],
+     "pattern does not embed into the structure")],
+    ids=["build-witness-k", "enumerate-k", "random-verify-k", "3dap-bound", "anchor",
+         "partition-class", "paste-class", "paste-signature", "min-colouring-pattern"])
+def test_usage_errors_print_one_line_and_write_nothing(tmp_path, capsys, argv, message):
+    files = _usage_inputs(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"error: {message}\n"
     assert not out.exists()

@@ -217,7 +217,7 @@ def test_cert_check_rejects_each_defect(petals, centre, iso_map, target):
     P = Presentation(pure3, 2, [(1, 2), (1, 3), (1, 4)])
     good = SunflowerCert((0, 1, 2), (1,), Embedding(pure3, P.base, (0, 1, 2)))
     assert verify_sunflower_cert(good, pure3, P)
-    iso = Embedding(pure3, target or P.base, iso_map, validate=False)
+    iso = Embedding(pure3, target or P.base, iso_map)
     assert not verify_sunflower_cert(SunflowerCert(petals, centre, iso), pure3, P)
 
 

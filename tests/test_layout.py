@@ -6,6 +6,10 @@ somewhere in the package beyond its own definition and its re-export from
 of a package class must be read as an attribute somewhere in the package
 beyond its own body.  A test-only helper or oracle lives in the test
 module that uses it.
+
+The kernel's pools have one form: a package call of the kernel or of
+`_realisers` passes int masks, -1 for any vertex, and never None inside
+its pool argument.
 """
 
 import ast
@@ -100,6 +104,52 @@ def unused_members(package: Path) -> list[str]:
                         and reads[defn.name] == _attributes(defn)[defn.name]):
                     out.append(f"{module}:{cls.name}.{defn.name}")
     return out
+
+
+# callee -> (position, keyword) of its pool argument
+POOLED = {"_iter_embedding_maps": (3, "candidates"), "_realisers": (3, "pool")}
+
+
+def _pool_argument(call: ast.Call):
+    """The pool argument of a call of a POOLED function, or None."""
+    func = call.func
+    callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    if callee not in POOLED:
+        return None
+    pos, kw = POOLED[callee]
+    if len(call.args) > pos:
+        return call.args[pos]
+    return next((k.value for k in call.keywords if k.arg == kw), None)
+
+
+def none_pools(package: Path) -> list[str]:
+    """The package calls of the kernel or `_realisers` whose pool argument
+    holds a None constant, written in the call or in an assignment, in the
+    same top-level definition, to a name the argument reads."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            assigned: dict = {}
+            for node in ast.walk(top):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        for sub in ast.walk(target):
+                            if isinstance(sub, ast.Name):
+                                assigned.setdefault(sub.id, []).append(node.value)
+            for call in (n for n in ast.walk(top) if isinstance(n, ast.Call)):
+                arg = _pool_argument(call)
+                if arg is None:
+                    continue
+                reads = [arg] + [value for name in _names_read(arg)
+                                 for value in assigned.get(name, [])]
+                if any(isinstance(n, ast.Constant) and n.value is None
+                       for node in reads for n in ast.walk(node)):
+                    out.append(f"{path.name}:{call.lineno}")
+    return out
+
+
+def test_no_package_call_passes_a_none_pool():
+    assert none_pools(PACKAGE) == []
 
 
 def test_every_top_level_name_is_used_or_exported():

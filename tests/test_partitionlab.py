@@ -410,7 +410,7 @@ def min_colouring_by_types(S, A, p):
     for v in range(S.size):
         colour = len(embs)
         for i, f in enumerate(embs):
-            params = tuple(f.map[j] for j in p.parameters)
+            params = tuple(f[j] for j in p.parameters)
             if v not in params and qf_type(S, v, params).positives == p.positives:
                 colour = i
                 break

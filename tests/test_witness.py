@@ -394,8 +394,8 @@ def test_extract_maps_the_parts_onto_a_relabelled_base():
     chain = _graph_chain()
     base = _relabelled_top()
     iso = are_isomorphic(chain.top(), base)
-    assert iso.map != tuple(base.vertices)
-    part_of = {iso.map[v]: i for i, part in enumerate(chain.levels[1].parts) for v in part}
+    assert iso != tuple(base.vertices)
+    part_of = {iso[v]: i for i, part in enumerate(chain.levels[1].parts) for v in part}
     rng = random.Random("relabelled")
     cases = collections.Counter()
     for _ in range(40):
@@ -416,7 +416,7 @@ def test_extract_maps_the_parts_onto_a_relabelled_base():
     # the top's 31 and its neighbour 4 share part 0 and are the base's 60
     # and 4, so a shared element on just these two sets is a mono copy in
     # part 0, which the unmapped parts would miss
-    assert (iso.map[31], iso.map[4]) == (60, 4)
+    assert (iso[31], iso[4]) == (60, 4)
     sets = [(2 * v, 2 * v + 1) for v in base.vertices]
     sets[60] = (8, 1000)
     P = Presentation(base, 2, sets)
@@ -579,7 +579,7 @@ def _part_searches(chain, level, P):
     D = chain.levels[level - 2].structure
     coords = list(zip(*(sorted(P.sets[v]) for v in P.base.vertices)))
     for part in chain.levels[level - 1].parts:
-        images = [iso.map[v] for v in part]
+        images = [iso[v] for v in part]
         for colour in coords:
             yield D, images, colour
 
